@@ -12,6 +12,17 @@ chain if it commutes with everything it crosses rightwards.  Every move is
 justified by the explicit commutation table below, which is checked against
 the brute-force oracle; an operation that can move neither way ends the chain.
 
+Growth visits only the operations that can matter.  A wire - a qubit or a
+classical bit - is active while the chain or one of its deferred operations
+uses it; an operation on no active wire commutes with everything the chain
+holds and moves before it without changing any state.  `ChainScanner` keeps a
+per-wire next-use index, so a chain is grown by merging the next uses of its
+active wires in position order rather than by walking every later
+instruction.  Growth stops at the next barrier, or as soon as no later
+operation can extend the head.  Detection then costs the operations on active
+wires up to the chain's last extension, plus one O(N) index build per scanner
+and per accepted rewrite.
+
 Decompositions:
 
 * `decompose_forward` / `decompose_reverse` - recursive halving of a CX chain:
@@ -24,8 +35,10 @@ Decompositions:
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from .ir import (
@@ -44,13 +57,6 @@ class ChainKind(Enum):
     FORWARD_CX = "forward_cx"
     REVERSE_CX = "reverse_cx"
     CZ = "cz"
-
-
-class Disposition(Enum):
-    EXTEND = "extend"
-    MOVE_BEFORE = "move_before"
-    MOVE_AFTER = "move_after"
-    BREAK_CHAIN = "break_chain"
 
 
 @dataclass(frozen=True)
@@ -132,6 +138,12 @@ def commutes(a: Instruction, b: Instruction) -> bool:
 # -- chain growth -----------------------------------------------------------
 
 
+def _clbits(ins: Instruction) -> tuple[int, ...]:
+    """Classical bits an instruction writes or reads."""
+    written = (ins.clbit,) if ins.clbit is not None else ()
+    return written + ins.condition.bits if ins.condition is not None else written
+
+
 def _is_diagonal_on(ins: Instruction, q: int) -> bool:
     return ins.gate in DIAGONAL_GATES and ins.condition is None and q in ins.qubits
 
@@ -139,11 +151,18 @@ def _is_diagonal_on(ins: Instruction, q: int) -> bool:
 class _Growth:
     """State for growing one chain from a seed, classifying interleaved ops.
 
-    Commutation checks are looked up per qubit: an op only has to be tested
-    against the chain gates and deferred ops that share one of its qubits
-    (disjoint pairs commute trivially), which keeps a scan linear even when a
-    long chain is followed by full-width rotation layers.  Ops carrying
-    classical state fall back to a full scan; they are rare.
+    `_try_extend` and `classify` are the whole policy: the scanner feeds them
+    ops in position order and stops where they say.  Commutation checks are
+    looked up per wire.  Chain gates are unconditioned CX/CZ without
+    classical bits, so an op has to be tested only against the chain gates on
+    its qubits; deferred ops are indexed by qubit and by classical bit (bit b
+    under the key ~b), so an op is tested only against the deferred ops it
+    shares a wire with.  Disjoint pairs commute trivially.
+
+    The wires of `seq_set` and the keys of `pending_by_wire` are the active
+    wires.  An op on none of them can neither extend the chain nor fail to
+    commute with what it holds: it moves before the chain and leaves this
+    state untouched, which is why the scanner may skip it.
     """
 
     def __init__(self, instructions: list[Instruction], processed: list[bool], seed: int):
@@ -153,27 +172,20 @@ class _Growth:
         first = instructions[seed]
         self.is_cz = first.gate is Gate.CZ
         self.gate_positions = [seed]
-        self.gates = [first]
         self.seq: list[int] = list(first.qubits)
         self.seq_set: set[int] = set(first.qubits)
         self.seq_oriented = self.is_cz is False  # CZ orientation settles on gate 2
-        self.before: list[int] = []
         self.pending_after: list[tuple[int, Instruction]] = []
         self.gates_by_qubit: dict[int, list[Instruction]] = {
             q: [first] for q in first.qubits
         }
-        self.pending_by_qubit: dict[int, list[Instruction]] = {}
+        self.pending_by_wire: dict[int, list[Instruction]] = {}
 
     @property
     def head(self) -> int:
         return self.seq[-1]
 
-    def _has_classical(self, op: Instruction) -> bool:
-        return op.clbit is not None or op.condition is not None
-
     def _commutes_with_chain(self, op: Instruction) -> bool:
-        if self._has_classical(op):
-            return all(commutes(op, g) for g in self.gates)
         for q in op.qubits:
             for g in self.gates_by_qubit.get(q, ()):
                 if not commutes(op, g):
@@ -181,18 +193,16 @@ class _Growth:
         return True
 
     def _commutes_with_pending(self, op: Instruction) -> bool:
-        if self._has_classical(op):
-            return all(commutes(op, p) for _, p in self.pending_after)
-        for q in op.qubits:
-            for p in self.pending_by_qubit.get(q, ()):
+        for w in (*op.qubits, *(~b for b in _clbits(op))):
+            for p in self.pending_by_wire.get(w, ()):
                 if not commutes(op, p):
                     return False
         return True
 
     def _defer(self, pos: int, op: Instruction) -> None:
         self.pending_after.append((pos, op))
-        for q in op.qubits:
-            self.pending_by_qubit.setdefault(q, []).append(op)
+        for w in (*op.qubits, *(~b for b in _clbits(op))):
+            self.pending_by_wire.setdefault(w, []).append(op)
 
     def _try_extend(self, pos: int, op: Instruction) -> str:
         """Returns 'extended', 'skip' (not a continuation) or 'stop'."""
@@ -229,7 +239,6 @@ class _Growth:
         # Deferred operations will cross this new gate on their way out.
         if not self._commutes_with_pending(op):
             return "stop"
-        self.gates.append(op)
         self.gate_positions.append(pos)
         self.seq.append(new)
         self.seq_set.add(new)
@@ -238,31 +247,33 @@ class _Growth:
         return "extended"
 
     def classify(self, pos: int, op: Instruction) -> bool:
-        """Classify a non-chain op at `pos`; False means the chain ends here."""
+        """Classify a non-chain op at `pos`; False means the chain ends here.
+
+        An op that moves before the chain is not recorded: `finish` derives
+        those positions as the complement of the chain gates and deferred ops.
+        """
         if op.gate is Gate.BARRIER:
             return False  # never detect across barriers
         if self.head in op.qubits and not _is_diagonal_on(op, self.head):
             # No continuation through the head can commute with this op, so
             # deferring it would just stall the scan; move it out or stop.
-            if self._commutes_with_chain(op) and self._commutes_with_pending(op):
-                self.before.append(pos)
-                return True
-            return False
+            return self._commutes_with_chain(op) and self._commutes_with_pending(op)
         if any(q in self.seq_set for q in op.qubits):
             self._defer(pos, op)
-            return True
-        if self._commutes_with_chain(op) and self._commutes_with_pending(op):
-            self.before.append(pos)
-            return True
-        self._defer(pos, op)
+        elif not (self._commutes_with_chain(op) and self._commutes_with_pending(op)):
+            self._defer(pos, op)
         return True
 
     def finish(self, min_gates: int) -> ChainCandidate | None:
-        if len(self.gates) < min_gates:
+        if len(self.gate_positions) < min_gates:
             return None
         last = self.gate_positions[-1]
-        moved_before = tuple(i for i in self.before if i < last)
         moved_after = tuple(i for i, _ in self.pending_after if i < last)
+        moved_before: list[int] = []
+        prev = self.seed
+        for i in sorted(self.gate_positions[1:] + list(moved_after)):
+            moved_before.extend(range(prev + 1, i))
+            prev = i
         if self.is_cz:
             kind = ChainKind.CZ
         elif all(a > b for a, b in zip(self.seq, self.seq[1:])):
@@ -274,60 +285,9 @@ class _Growth:
             gate_indices=tuple(self.gate_positions),
             qubit_seq=tuple(self.seq),
             start_index=self.seed,
-            moved_before=moved_before,
+            moved_before=tuple(moved_before),
             moved_after=moved_after,
         )
-
-
-def classify_interleaved(op: Instruction, chain: ChainCandidate, c: Circuit) -> Disposition:
-    """Disposition of an instruction lying between the gates of a chain.
-
-    Extension continues the chain; otherwise the op moves before the chain if
-    it commutes with every chain gate at an earlier position, after it if it
-    commutes with every chain gate at a later position, and breaks the chain
-    if neither.  Ops overlapping the chain qubits prefer to move after
-    (they sit behind the frontier); disjoint ops move before.
-    """
-    positions = list(chain.gate_indices)
-    start, last = chain.start_index, chain.gate_indices[-1]
-    pos = next(
-        (
-            i
-            for i in range(start + 1, last)
-            if i not in chain.gate_indices and c.instructions[i] == op
-        ),
-        None,
-    )
-    if pos is None:
-        raise ValueError("instruction does not lie between the chain gates")
-    if op.condition is None and op.gate in (Gate.CX, Gate.CZ):
-        matches_kind = (op.gate is Gate.CZ) == (chain.kind is ChainKind.CZ)
-        if matches_kind:
-            head = chain.qubit_seq[-1]
-            if chain.kind is ChainKind.CZ:
-                linked = head in op.qubits
-                new = op.qubits[1] if op.qubits[0] == head else op.qubits[0]
-            else:
-                linked = op.qubits[0] == head
-                new = op.qubits[1]
-            if linked:
-                return Disposition.BREAK_CHAIN if new in chain.qubit_seq else Disposition.EXTEND
-    if op.gate is Gate.BARRIER:
-        return Disposition.BREAK_CHAIN
-    gates = [c.instructions[i] for i in positions]
-    can_before = all(commutes(op, g) for g, i in zip(gates, positions) if i < pos)
-    can_after = all(commutes(op, g) for g, i in zip(gates, positions) if i > pos)
-    if set(op.qubits) & set(chain.qubit_seq):
-        if can_after:
-            return Disposition.MOVE_AFTER
-        if can_before:
-            return Disposition.MOVE_BEFORE
-    else:
-        if can_before:
-            return Disposition.MOVE_BEFORE
-        if can_after:
-            return Disposition.MOVE_AFTER
-    return Disposition.BREAK_CHAIN
 
 
 class ChainScanner:
@@ -339,6 +299,18 @@ class ChainScanner:
     it never re-seeds, and rescan from the chain's start so that intertwined
     chains displaced around it are rediscovered - or `skip()`, which retires
     the candidate's gates as seeds and continues forward.
+
+    The scanner owns a per-wire next-use index over its instruction list,
+    built in one forward pass: `_qnext[2*i + k]` is the position of the next
+    instruction after i that uses qubit operand k of instruction i (the list
+    length if none), `_cnext[(i, b)]` the same for classical bit b (classical
+    ops are rare, so these sit in a dict), plus the sorted barrier positions
+    and, per qubit, the last position where it is the control of an
+    unconditioned CX (`_last_cx_control`) or an operand of an unconditioned
+    CZ (`_last_cz`).  A growth merges the next uses of its active wires in a
+    heap, so it visits only ops on active wires, stops at the next barrier,
+    and ends once the head has no later CX-as-control (or CZ) left.  `accept`
+    rewrites the instruction list, so it rebuilds the index.
     """
 
     def __init__(self, circuit: Circuit, min_gates: int = 2):
@@ -355,10 +327,53 @@ class ChainScanner:
         self._no_seed = [False] * len(self.instructions)
         self._pos = 0
         self._pending: ChainCandidate | None = None
+        self._build_index()
 
     @property
     def circuit(self) -> Circuit:
         return Circuit(self.num_qubits, self.num_clbits, tuple(self.instructions))
+
+    def _build_index(self) -> None:
+        n = len(self.instructions)
+        qnext = [n] * (2 * n)
+        cnext: dict[tuple[int, int], int] = {}
+        barriers: list[int] = []
+        last_slot = [-1] * self.num_qubits
+        last_clbit_use: dict[int, int] = {}
+        last_cx_control = [-1] * self.num_qubits
+        last_cz = [-1] * self.num_qubits
+        BARRIER, CX, CZ = Gate.BARRIER, Gate.CX, Gate.CZ
+        for i, ins in enumerate(self.instructions):
+            gate = ins.gate
+            if gate is BARRIER:
+                # Growth stops at the first barrier after its seed, so a link
+                # that runs across a barrier is never followed.
+                barriers.append(i)
+                continue
+            slot = 2 * i
+            for q in ins.qubits:
+                prev = last_slot[q]
+                if prev >= 0:
+                    qnext[prev] = i
+                last_slot[q] = slot
+                slot += 1
+            if ins.condition is None and ins.clbit is None:
+                if gate is CX:
+                    last_cx_control[ins.qubits[0]] = i
+                elif gate is CZ:
+                    u, v = ins.qubits
+                    last_cz[u] = last_cz[v] = i
+                continue
+            for b in _clbits(ins):
+                prev = last_clbit_use.get(b)
+                if prev is not None:
+                    cnext[(prev, b)] = i
+                last_clbit_use[b] = i
+        self._qnext = qnext
+        self._cnext = cnext
+        self._barriers = barriers
+        self._last_cx_control = last_cx_control
+        self._last_cz = last_cz
 
     def next(self) -> ChainCandidate | None:
         if self._pending is not None:
@@ -381,16 +396,45 @@ class ChainScanner:
         return None
 
     def _grow(self, seed: int) -> ChainCandidate | None:
-        g = _Growth(self.instructions, self._processed, seed)
-        for j in range(seed + 1, len(self.instructions)):
-            op = self.instructions[j]
+        """Grow a chain from `seed`, visiting only ops on active wires.
+
+        Every op skipped lies on no active wire when the merge passes it, so
+        the policy would have moved it before the chain; the ops it does see,
+        it sees in position order up to the last extension.
+        """
+        ins = self.instructions
+        g = _Growth(ins, self._processed, seed)
+        k = bisect_right(self._barriers, seed)
+        end = self._barriers[k] if k < len(self._barriers) else len(ins)
+        last_link = self._last_cz if g.is_cz else self._last_cx_control
+        qnext, cnext = self._qnext, self._cnext
+        seq, seq_set, pending = g.seq, g.seq_set, g.pending_by_wire
+        heap = [j for j in (qnext[2 * seed], qnext[2 * seed + 1]) if j < end]
+        heapify(heap)
+        prev = seed
+        while heap:
+            j = heappop(heap)
+            if j == prev:
+                continue  # reached along a second active wire
+            if last_link[seq[-1]] < j and (g.seq_oriented or last_link[seq[0]] < j):
+                break  # nothing from here on can extend the head
+            prev = j
+            op = ins[j]
             result = g._try_extend(j, op)
-            if result == "extended":
-                continue
-            if result == "stop":
+            if result == "stop" or (result == "skip" and not g.classify(j, op)):
                 break
-            if not g.classify(j, op):
-                break
+            slot = 2 * j
+            for q in op.qubits:
+                if q in seq_set or q in pending:
+                    nxt = qnext[slot]
+                    if nxt < end:
+                        heappush(heap, nxt)
+                slot += 1
+            for b in _clbits(op):
+                if ~b in pending:
+                    nxt = cnext.get((j, b), end)
+                    if nxt < end:
+                        heappush(heap, nxt)
         return g.finish(self.min_gates)
 
     def accept(self, replacement: Sequence[Instruction]) -> Circuit:
@@ -427,6 +471,7 @@ class ChainScanner:
         self._processed = new_proc
         self._no_seed = new_seed
         self._pos = start
+        self._build_index()
         return self.circuit
 
     def skip(self) -> None:

@@ -138,13 +138,13 @@ def gate_and_apply(c: Circuit, config: PassConfig) -> tuple[Circuit, list[GateDe
     discovery order.  Raises VerificationError if a requested oracle check
     fails (no partial result is returned in that case).
     """
-    errors = validate(c)
-    if errors:
-        raise ValueError("invalid circuit: " + "; ".join(errors))
     if config.chain_mode is ChainMode.OFF:
+        errors = validate(c)
+        if errors:
+            raise ValueError("invalid circuit: " + "; ".join(errors))
         return c, []
 
-    scanner = ChainScanner(c, min_gates=config.min_chain_gates)
+    scanner = ChainScanner(c, min_gates=config.min_chain_gates)  # validates c
     decisions: list[GateDecision] = []
     current = c
     base_depth = depth_of(scanner.instructions)

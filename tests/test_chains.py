@@ -1,18 +1,29 @@
 """Chain detection, the commutation table, and the decompositions."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from qshallow.bench import gen_cx_chain, gen_cz_chain, gen_intertwined
+from qshallow.bench import (
+    ANSATZ_FAMILIES,
+    ENTANGLEMENTS,
+    AnsatzSpec,
+    gen_ansatz,
+    gen_cx_chain,
+    gen_cz_chain,
+    gen_ghz_standard,
+    gen_intertwined,
+    gen_random,
+)
 from qshallow.chains import (
     ChainCandidate,
     ChainKind,
     ChainScanner,
-    Disposition,
-    classify_interleaved,
+    _Growth,
     commutes,
     decompose_cz,
     decompose_cz_to_cx,
@@ -38,6 +49,9 @@ from qshallow.ir import (
     y,
     z,
 )
+from qshallow.ghz import GhzMode, apply_ghz_pass
+from qshallow.pipeline import ChainMode, PassConfig, compile_circuit
+from qshallow.qasm import emit
 from qshallow.sim import equivalent_unitary, unitary
 
 
@@ -105,66 +119,62 @@ def test_commutation_with_classical_interaction():
     assert commutes(barrier(0, 1), h(2))
 
 
-# -- classify_interleaved -----------------------------------------------------
+# -- interleaved ops, as the scanner disposes of them ---------------------------
 
 
-def _candidate_for(c: Circuit):
+def _only_candidate(c: Circuit) -> ChainCandidate:
     cands = find_chains(c, 2)
-    assert cands, "expected a chain"
+    assert len(cands) == 1, cands
     return cands[0]
 
 
 def test_classify_rz_on_control_moves_after():
     c = circ(4, cx(0, 1), cx(1, 2), rz(2, 0.3), cx(2, 3))
-    cand = _candidate_for(c)
-    assert classify_interleaved(rz(2, 0.3), cand, c) is Disposition.MOVE_AFTER
+    cand = _only_candidate(c)
+    assert cand.gate_indices == (0, 1, 3)
+    assert cand.moved_before == ()
+    assert cand.moved_after == (2,)
 
 
 def test_classify_ry_on_active_qubit_breaks():
-    # RY on a qubit the chain still needs commutes with nothing it must cross.
+    # RY on the head commutes with nothing it must cross, so the chain from
+    # gate 0 ends there; the gates behind it form their own chain.
     c = circ(4, cx(0, 1), ry(1, 0.3), cx(1, 2), cx(2, 3))
-    cand = ChainCandidate(
-        kind=ChainKind.FORWARD_CX,
-        gate_indices=(0, 2, 3),
-        qubit_seq=(0, 1, 2, 3),
-        start_index=0,
-        moved_before=(),
-        moved_after=(),
-    )
-    assert classify_interleaved(ry(1, 0.3), cand, c) is Disposition.BREAK_CHAIN
+    cand = _only_candidate(c)
+    assert cand.gate_indices == (2, 3)
+    assert cand.qubit_seq == (1, 2, 3)
 
 
 def test_classify_ry_on_retired_qubit_moves_after():
     # Once the chain has moved past a qubit, an RY there crosses only
     # disjoint gates going right; the move is commutation-checked and legal.
     c = circ(4, cx(0, 1), cx(1, 2), ry(1, 0.3), cx(2, 3))
-    cand = _candidate_for(c)
-    assert classify_interleaved(ry(1, 0.3), cand, c) is Disposition.MOVE_AFTER
+    cand = _only_candidate(c)
+    assert cand.gate_indices == (0, 1, 3)
+    assert cand.moved_before == ()
+    assert cand.moved_after == (2,)
 
 
 def test_classify_disjoint_moves_before():
     c = circ(8, cx(0, 1), cx(1, 2), cx(5, 6), cx(2, 3))
-    cand = _candidate_for(c)
-    assert classify_interleaved(cx(5, 6), cand, c) is Disposition.MOVE_BEFORE
+    cand = _only_candidate(c)
+    assert cand.gate_indices == (0, 1, 3)
+    assert cand.moved_before == (2,)
+    assert cand.moved_after == ()
 
 
 def test_classify_extension_and_cycle_break():
-    # A displaced gate that links onto the final head extends; one whose
-    # target folds back into the chain breaks it.
+    # A gate that links onto the head only after the chain reached it moves
+    # before; the later link extends.  A gate whose target folds back into
+    # the chain can move neither way, so the chain ends before its link.
     c = circ(5, cx(0, 1), cx(2, 4), cx(1, 2))
-    cand = _candidate_for(c)
+    cand = _only_candidate(c)
     assert cand.qubit_seq == (0, 1, 2)
-    assert classify_interleaved(cx(2, 4), cand, c) is Disposition.EXTEND
+    assert cand.gate_indices == (0, 2)
+    assert cand.moved_before == (1,)
+    assert cand.moved_after == ()
     c2 = circ(5, cx(0, 1), cx(2, 0), cx(1, 2))
-    cand2 = ChainCandidate(
-        kind=ChainKind.FORWARD_CX,
-        gate_indices=(0, 2),
-        qubit_seq=(0, 1, 2),
-        start_index=0,
-        moved_before=(),
-        moved_after=(),
-    )
-    assert classify_interleaved(cx(2, 0), cand2, c2) is Disposition.BREAK_CHAIN
+    assert find_chains(c2, 2) == []
 
 
 # -- scanner ------------------------------------------------------------------
@@ -413,3 +423,170 @@ def test_randomized_window_soundness(seed):
     while (cand := scanner.next()) is not None:
         scanner.accept(decompose_forward(cand.qubit_seq))
     assert equivalent_unitary(c, scanner.circuit, tol=1e-9)
+
+
+# -- the per-wire walk against the linear reference ---------------------------
+
+
+def _linear_grow(scanner: ChainScanner, seed: int) -> ChainCandidate | None:
+    """Reference growth: offer every later instruction to the policy in turn,
+    recording the ops it moves before the chain."""
+    g = _Growth(scanner.instructions, scanner._processed, seed)
+    before = []
+    for j in range(seed + 1, len(scanner.instructions)):
+        op = scanner.instructions[j]
+        result = g._try_extend(j, op)
+        if result == "extended":
+            continue
+        if result == "stop":
+            break
+        deferred = len(g.pending_after)
+        if not g.classify(j, op):
+            break
+        if len(g.pending_after) == deferred:
+            before.append(j)
+    cand = g.finish(scanner.min_gates)
+    if cand is None:
+        return None
+    return dataclasses.replace(
+        cand, moved_before=tuple(i for i in before if i < cand.end_index)
+    )
+
+
+def _random_dynamic_circuit(seed: int) -> Circuit:
+    """Linked CX and CZ runs among stray two-qubit gates, rotations, mid-circuit
+    measurements (each bit written once), parity-conditioned X gates and
+    partial barriers, sometimes after a GHZ preparation."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    num_clbits = rng.randint(0, 4)
+    free = list(range(num_clbits))
+    rng.shuffle(free)
+    written: list[int] = []
+    body: list[Instruction] = []
+    if rng.random() < 0.3:
+        fanout = rng.random() < 0.5
+        body.append(h(0))
+        body += [cx(0 if fanout else i - 1, i) for i in range(1, rng.randint(2, n))]
+    singles = (h, x, y, z, lambda q: rx(q, 0.3), lambda q: ry(q, 0.5), lambda q: rz(q, 0.7))
+    for _ in range(rng.randint(5, 60)):
+        r = rng.random()
+        if r < 0.25:
+            a, b = rng.sample(range(n), 2)
+            body.append(cx(a, b) if rng.random() < 0.7 else cz(a, b))
+        elif r < 0.45:
+            start = rng.randrange(n - 1)
+            pairs = [(i, i + 1) for i in range(start, min(n - 1, start + rng.randint(1, 5)))]
+            kind = rng.choice(("cx", "cx_reverse", "cz"))
+            if kind == "cx_reverse":
+                body += [cx(b, a) for a, b in reversed(pairs)]
+            elif kind == "cx":
+                body += [cx(a, b) for a, b in pairs]
+            else:
+                body += [cz(a, b) if rng.random() < 0.5 else cz(b, a) for a, b in pairs]
+        elif r < 0.52 and free:
+            bit = free.pop()
+            body.append(measure(rng.randrange(n), bit))
+            written.append(bit)
+        elif r < 0.6 and written:
+            bits = tuple(sorted(rng.sample(written, rng.randint(1, len(written)))))
+            body.append(x(rng.randrange(n), condition=Condition(bits)))
+        elif r < 0.64:
+            body.append(barrier(*rng.sample(range(n), rng.randint(1, n))))
+        else:
+            body.append(rng.choice(singles)(rng.randrange(n)))
+    return Circuit(n, num_clbits, tuple(body))
+
+
+def _bench_family_circuits() -> list[Circuit]:
+    out = [gen_ghz_standard(n) for n in (2, 5, 16)]
+    out += [gen_cx_chain(n, d) for n in (5, 12) for d in ("forward", "reverse")]
+    out += [gen_cz_chain(n) for n in (3, 9)]
+    out += [gen_intertwined(3, 6), gen_intertwined(4, 5)]
+    out += [
+        gen_ansatz(AnsatzSpec(family, 6, 2, ent, 3))
+        for family in ANSATZ_FAMILIES
+        for ent in ENTANGLEMENTS
+    ]
+    out += [gen_random(8, 80, seed=s) for s in range(5)]
+    return out
+
+
+_DIFF_BLOCKS = 10
+_DIFF_BLOCK_SIZE = 100
+_COMPILE_CONFIGS = [
+    PassConfig(ghz_mode=ghz, chain_mode=chains, min_chain_gates=2)
+    for chains in (ChainMode.CONSERVATIVE, ChainMode.ALWAYS)
+    for ghz in (GhzMode.OFF, GhzMode.ROBUST, GhzMode.PARALLEL)
+]
+
+
+def _diff_circuits(block: int) -> list[Circuit]:
+    seeds = range(block * _DIFF_BLOCK_SIZE, (block + 1) * _DIFF_BLOCK_SIZE)
+    circuits = [_random_dynamic_circuit(s) for s in seeds]
+    return circuits + (_bench_family_circuits() if block == 0 else [])
+
+
+@pytest.mark.parametrize("block", range(_DIFF_BLOCKS))
+def test_index_walk_matches_linear_walk(block, monkeypatch):
+    """1,000 random dynamic circuits plus the bench families: detection,
+    decisions and emitted text equal those of the walk over every op."""
+    for c in _diff_circuits(block):
+        fast = {k: find_chains(c, k) for k in (2, 5)}
+        compiled = [compile_circuit(c, cfg) for cfg in _COMPILE_CONFIGS]
+        with monkeypatch.context() as m:
+            m.setattr(ChainScanner, "_grow", _linear_grow)
+            for k, found in fast.items():
+                assert found == find_chains(c, k), (c, k)
+            for cfg, got in zip(_COMPILE_CONFIGS, compiled):
+                want = compile_circuit(c, cfg)
+                assert got.decisions == want.decisions, (c, cfg)
+                assert emit(got.circuit) == emit(want.circuit), (c, cfg)
+
+
+def test_differential_corpus_exercises_every_feature():
+    circuits = [c for b in range(_DIFF_BLOCKS) for c in _diff_circuits(b)]
+    ops = [ins for c in circuits for ins in c.instructions]
+    assert any(ins.gate is Gate.MEASURE for ins in ops)
+    assert any(ins.condition is not None and len(ins.condition.bits) > 1 for ins in ops)
+    assert any(ins.gate is Gate.BARRIER and len(ins.qubits) == 1 for ins in ops)
+    cands = [k for c in circuits for k in find_chains(c, 2)]
+    assert {k.kind for k in cands} == set(ChainKind)
+    assert sum(bool(k.moved_before) for k in cands) > 50
+    assert sum(bool(k.moved_after) for k in cands) > 50
+
+
+# -- scaling of the growth ----------------------------------------------------
+
+
+def _chain_then_fanout(n: int) -> Circuit:
+    return circ(n, *(cx(i, i + 1) for i in range(n - 1)), *(cx(0, i) for i in range(1, n)))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda n: apply_ghz_pass(gen_ghz_standard(n), GhzMode.ROBUST),
+        _chain_then_fanout,
+    ],
+    ids=["ghz_log_cascade", "chain_then_fanout"],
+)
+def test_growth_visits_scale_near_linearly(shape, monkeypatch):
+    # Counts ops offered to the policy, not wall time: doubling the width
+    # may at most about double the work (the walk over every later op
+    # quadruples it on both shapes).
+    visits = 0
+    try_extend = _Growth._try_extend
+
+    def counting(self, pos, op):
+        nonlocal visits
+        visits += 1
+        return try_extend(self, pos, op)
+
+    monkeypatch.setattr(_Growth, "_try_extend", counting)
+    counts = []
+    for n in (1000, 2000):
+        visits = 0
+        find_chains(shape(n), 2)
+        counts.append(visits)
+    assert counts[1] <= 2.5 * counts[0], counts

@@ -12,8 +12,9 @@ from qshallow.bench import (
     gen_intertwined,
     gen_random,
 )
+from qshallow import chains, pipeline
 from qshallow.chains import ChainScanner
-from qshallow.ir import Circuit, cx, cz, h, rz, stats
+from qshallow.ir import Circuit, cx, cz, h, rz, stats, validate
 from qshallow.pipeline import (
     ChainMode,
     GateDecision,
@@ -70,6 +71,25 @@ class TestModes:
         out, decisions = gate_and_apply(c, PassConfig(chain_mode=ChainMode.OFF))
         assert out.instructions == c.instructions
         assert decisions == []
+
+    @pytest.mark.parametrize("mode", list(ChainMode))
+    def test_invalid_circuit_rejected(self, mode):
+        bad = circ(3, cx(0, 1), cx(1, 3))
+        with pytest.raises(ValueError, match="out of range"):
+            gate_and_apply(bad, PassConfig(chain_mode=mode))
+
+    @pytest.mark.parametrize("mode", list(ChainMode))
+    def test_circuit_validated_once(self, mode, monkeypatch):
+        calls = []
+
+        def counting(c):
+            calls.append(c)
+            return validate(c)
+
+        for module in (chains, pipeline):
+            monkeypatch.setattr(module, "validate", counting)
+        gate_and_apply(gen_cx_chain(9), PassConfig(chain_mode=mode))
+        assert len(calls) == 1
 
     def test_conservative_skips_small_chain(self):
         c = gen_cx_chain(5)  # 4-gate chain: decomposition depth equal, not lower
