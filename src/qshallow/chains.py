@@ -84,14 +84,6 @@ _AXIS = {
 }
 
 
-def _reads(ins: Instruction) -> frozenset[int]:
-    return frozenset(ins.condition.bits) if ins.condition is not None else frozenset()
-
-
-def _writes(ins: Instruction) -> frozenset[int]:
-    return frozenset((ins.clbit,)) if ins.clbit is not None else frozenset()
-
-
 def commutes(a: Instruction, b: Instruction) -> bool:
     """Structural commutation test, exact for generic rotation angles.
 
@@ -99,10 +91,15 @@ def commutes(a: Instruction, b: Instruction) -> bool:
     points); measurements and conditioned gates commute only when they share
     no qubit and no classical read/write pair.
     """
-    if _writes(a) & _reads(b) or _writes(b) & _reads(a) or _writes(a) & _writes(b):
+    # Only a measurement writes a bit: a classical link needs one.
+    wa, wb = a.clbit, b.clbit
+    if wa is not None and (
+        wa == wb or (b.condition is not None and wa in b.condition.bits)
+    ):
         return False
-    qa, qb = set(a.qubits), set(b.qubits)
-    if not qa & qb:
+    if wb is not None and a.condition is not None and wb in a.condition.bits:
+        return False
+    if set(a.qubits).isdisjoint(b.qubits):
         return True
     for ins in (a, b):
         if ins.gate in (Gate.BARRIER, Gate.MEASURE) or ins.condition is not None:

@@ -76,7 +76,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     config = PassConfig(
@@ -116,7 +116,7 @@ def cmd_depth(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(stats(circuit).as_dict()))

@@ -6,6 +6,20 @@ rz cx cz, `measure q -> c;`, `barrier ...;`, and `if(c==1) <gate> ...;` on
 one-bit classical registers.  All quantum registers are flattened into one
 global qubit index space in declaration order, classical registers likewise.
 
+The reader takes one statement at a time from a text offset.  It first tries
+the fast path: one compiled regex matching a whole gate statement on indexed
+qubits, with an optional plain real angle (`h q[i];`, `rz(<real>) q[i];`,
+`cx a[i],b[j];`).  The match is resolved against the register tables with
+every check the grammar makes.  A statement that does not match, or that
+would fail a check, goes to the grammar instead: a recursive-descent reader
+over tokens scanned lazily from the same offset.  The grammar also reads the
+header, the register declarations, `measure`, `barrier`, `if` and the rarer
+gate forms (`pi` angles, register broadcast, comments inside a statement).
+The fast path never raises, so every ParseError comes from the grammar and
+its message, kind and span do not depend on the path.  No token list of the
+whole file is ever built; line and column are computed from the offset only
+when an error is raised.
+
 On emission every classical bit becomes its own one-bit register named m<k>,
 so single-bit `if` comparisons stay expressible.  A parity condition over k
 bits is lowered to k consecutive single-bit-conditioned copies of the gate
@@ -17,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ir import (
     Circuit,
@@ -24,6 +39,7 @@ from .ir import (
     Gate,
     Instruction,
     ROTATION_GATES,
+    TWO_QUBIT_GATES,
     validate,
 )
 
@@ -45,17 +61,25 @@ class ParseError(Exception):
         self.kind = kind
 
 
+def _span(text: str, offset: int) -> SourceSpan:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_REAL = r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+"
+_INT = r"\d+"
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<WS>\s+)
     | (?P<COMMENT>//[^\n]*)
-    | (?P<REAL>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
-    | (?P<INT>\d+)
-    | (?P<ID>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<REAL>{_REAL})
+    | (?P<INT>{_INT})
+    | (?P<ID>{_ID})
     | (?P<STRING>"[^"\n]*")
     | (?P<ARROW>->)
     | (?P<EQ>==)
-    | (?P<PUNCT>[;,\[\]()*/+{}-])
+    | (?P<PUNCT>[;,\[\]()*/+{{}}-])
     """,
     re.VERBOSE,
 )
@@ -67,40 +91,47 @@ _GATE_BY_NAME = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
-    span: SourceSpan
+    offset: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+def _scan(text: str, offset: int) -> _Token:
+    """The next token at or after `offset`, skipping whitespace and comments."""
+    end = len(text)
+    while offset < end:
+        m = _TOKEN_RE.match(text, offset)
         if m is None:
-            span = SourceSpan(line, pos - line_start + 1)
-            raise ParseError(f"unexpected character {text[pos]!r}", span)
+            raise ParseError(f"unexpected character {text[offset]!r}", _span(text, offset))
         kind = m.lastgroup
-        value = m.group()
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, value, SourceSpan(line, m.start() - line_start + 1)))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + value.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("EOF", "", SourceSpan(line, max(1, len(text) - line_start + 1))))
-    return tokens
+        if kind != "WS" and kind != "COMMENT":
+            return _Token(kind, m.group(), offset)
+        offset = m.end()
+    return _Token("EOF", "", end)
+
+
+# Fast path: one regex matches one whole gate statement, leading whitespace
+# included.  An operand is `reg[i]` with at most nine digits, so `int` never
+# sees a long digit string; the angle is a signed REAL or INT literal exactly
+# as the tokenizer reads it.
+_OPERAND = rf"({_ID})\[(\d{{1,9}})\]"
+_FAST_GATE = re.compile(
+    rf"\s*([a-z]+)(?:\(([+-]?(?:{_REAL}|{_INT}))\)\s*|\s+){_OPERAND}(?:\s*,\s*{_OPERAND})?\s*;"
+)
+# name -> (gate, takes an angle, takes two qubits); looked up by string so
+# the hot loop hashes no enum members.
+_FAST_GATES = {
+    name: (gate, gate in ROTATION_GATES, gate in TWO_QUBIT_GATES)
+    for name, gate in _GATE_BY_NAME.items()
+}
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.offset = 0  # start of the next unread token or statement
+        self.lookahead: _Token | None = None
         self.qregs: dict[str, tuple[int, int]] = {}  # name -> (offset, size)
         self.cregs: dict[str, tuple[int, int]] = {}
         self.num_qubits = 0
@@ -111,22 +142,71 @@ class _Parser:
     # -- token helpers ------------------------------------------------------
 
     def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        if self.lookahead is None:
+            self.lookahead = _scan(self.text, self.offset)
+        return self.lookahead
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.peek()
+        self.lookahead = None
+        self.offset = tok.offset + len(tok.text)
         return tok
 
     def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.advance()
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind.lower()
-            raise ParseError(f"expected {want!r}, found {tok.text!r}", tok.span)
+            raise self.error(f"expected {want!r}, found {tok.text!r}", tok, "syntax")
         return tok
 
-    def error(self, message: str, span: SourceSpan, kind: str) -> ParseError:
-        return ParseError(message, span, kind)
+    def error(self, message: str, tok: _Token, kind: str) -> ParseError:
+        return ParseError(message, _span(self.text, tok.offset), kind)
+
+    # -- fast path ----------------------------------------------------------
+
+    def fast_statements(self) -> None:
+        """Read gate statements from the offset until one needs the grammar.
+
+        Leaves the offset at the start of that statement (or at the end of
+        the text) and changes no state for it.
+        """
+        text = self.text
+        append = self.instructions.append
+        gate_match = _FAST_GATE.match
+        pos = self.offset
+        while (m := gate_match(text, pos)) is not None and m.group(1) in _FAST_GATES:
+            ins = self._fast_gate(m)
+            if ins is None:
+                break
+            append(ins)
+            pos = m.end()
+        self.offset = pos
+
+    def _fast_qubit(self, name: str, index: str) -> int | None:
+        entry = self.qregs.get(name)
+        if entry is None or int(index) >= entry[1]:
+            return None
+        return entry[0] + int(index)
+
+    def _fast_gate(self, m: re.Match) -> Instruction | None:
+        name, angle_text, reg0, idx0, reg1, idx1 = m.groups()
+        gate, rotation, two_qubit = _FAST_GATES[name]
+        if (angle_text is not None) != rotation or (reg1 is not None) != two_qubit:
+            return None
+        q0 = self._fast_qubit(reg0, idx0)
+        if q0 is None:
+            return None
+        if rotation:
+            angle = float(angle_text)
+            if not math.isfinite(angle):
+                return None
+            return Instruction(gate, (q0,), angle)
+        if not two_qubit:
+            return Instruction(gate, (q0,))
+        q1 = self._fast_qubit(reg1, idx1)
+        if q1 is None or q1 == q0:
+            return None
+        return Instruction(gate, (q0, q1))
 
     # -- grammar ------------------------------------------------------------
 
@@ -135,22 +215,25 @@ class _Parser:
         version = self.expect("REAL")
         if version.text != "2.0":
             raise self.error(
-                f"unsupported OPENQASM version {version.text}", version.span,
+                f"unsupported OPENQASM version {version.text}", version,
                 "unsupported-construct",
             )
         self.expect("PUNCT", ";")
-        while self.peek().kind != "EOF":
+        while True:
+            self.fast_statements()
+            if self.peek().kind == "EOF":
+                break
             self.statement()
         circuit = Circuit(self.num_qubits, self.num_clbits, tuple(self.instructions))
         leftover = validate(circuit)
         if leftover:  # defense in depth; statement checks should catch these first
-            raise self.error(leftover[0], head.span, "semantic")
+            raise self.error(leftover[0], head, "semantic")
         return circuit
 
     def statement(self) -> None:
         tok = self.peek()
         if tok.kind != "ID":
-            raise self.error(f"expected a statement, found {tok.text!r}", tok.span, "syntax")
+            raise self.error(f"expected a statement, found {tok.text!r}", tok, "syntax")
         if tok.text == "include":
             self.include()
         elif tok.text in ("qreg", "creg"):
@@ -169,7 +252,7 @@ class _Parser:
         target = self.expect("STRING")
         if target.text != '"qelib1.inc"':
             raise self.error(
-                f"unsupported include {target.text}", target.span, "unsupported-construct"
+                f"unsupported include {target.text}", target, "unsupported-construct"
             )
         self.expect("PUNCT", ";")
 
@@ -182,9 +265,9 @@ class _Parser:
         self.expect("PUNCT", ";")
         size = int(size_tok.text)
         if size < 1:
-            raise self.error("register size must be positive", size_tok.span, "semantic")
+            raise self.error("register size must be positive", size_tok, "semantic")
         if name.text in self.qregs or name.text in self.cregs:
-            raise self.error(f"register {name.text!r} redeclared", name.span, "semantic")
+            raise self.error(f"register {name.text!r} redeclared", name, "semantic")
         if kw.text == "qreg":
             self.qregs[name.text] = (self.num_qubits, size)
             self.num_qubits += size
@@ -196,7 +279,7 @@ class _Parser:
         """One `reg[i]` or bare `reg` argument, flattened to global indices."""
         name = self.expect("ID")
         if name.text not in table:
-            raise self.error(f"undeclared {what} register {name.text!r}", name.span, "semantic")
+            raise self.error(f"undeclared {what} register {name.text!r}", name, "semantic")
         offset, size = table[name.text]
         if self.peek().kind == "PUNCT" and self.peek().text == "[":
             self.advance()
@@ -206,7 +289,7 @@ class _Parser:
             if idx >= size:
                 raise self.error(
                     f"index {idx} out of range for {name.text}[{size}]",
-                    idx_tok.span, "semantic",
+                    idx_tok, "semantic",
                 )
             return [offset + idx]
         return [offset + i for i in range(size)]
@@ -220,11 +303,11 @@ class _Parser:
         if len(src) != 1 or len(dst) != 1:
             raise self.error(
                 "broadcast measurement is not supported; measure one qubit at a time",
-                kw.span, "unsupported-construct",
+                kw, "unsupported-construct",
             )
         if dst[0] in self.written_clbits:
             raise self.error(
-                f"classical bit {dst[0]} written more than once", kw.span, "semantic"
+                f"classical bit {dst[0]} written more than once", kw, "semantic"
             )
         self.written_clbits.add(dst[0])
         return Instruction(Gate.MEASURE, (src[0],), clbit=dst[0])
@@ -240,7 +323,7 @@ class _Parser:
             break
         self.expect("PUNCT", ";")
         if len(set(qubits)) != len(qubits):
-            raise self.error("duplicate operand", kw.span, "semantic")
+            raise self.error("duplicate operand", kw, "semantic")
         self.instructions.append(Instruction(Gate.BARRIER, tuple(qubits)))
 
     def if_stmt(self) -> None:
@@ -249,7 +332,7 @@ class _Parser:
         creg = self.expect("ID")
         if creg.text not in self.cregs:
             raise self.error(
-                f"undeclared classical register {creg.text!r}", creg.span, "semantic"
+                f"undeclared classical register {creg.text!r}", creg, "semantic"
             )
         self.expect("EQ")
         value_tok = self.expect("INT")
@@ -258,12 +341,12 @@ class _Parser:
         if size != 1 or value_tok.text != "1":
             raise self.error(
                 "only `if(c==1)` on one-bit classical registers is supported",
-                kw.span, "unsupported-construct",
+                kw, "unsupported-construct",
             )
         head = self.peek()
         if head.kind == "ID" and head.text in ("measure", "barrier", "if"):
             raise self.error(
-                f"conditioned {head.text} is not supported", head.span,
+                f"conditioned {head.text} is not supported", head,
                 "unsupported-construct",
             )
         self.gate_stmt(condition=Condition((offset,)))
@@ -274,19 +357,19 @@ class _Parser:
         if gate is None:
             raise self.error(
                 f"gate {name.text!r} is outside the supported subset",
-                name.span, "unsupported-construct",
+                name, "unsupported-construct",
             )
         angle: float | None = None
         if self.peek().text == "(":
             if gate not in ROTATION_GATES:
                 raise self.error(
-                    f"gate {name.text!r} takes no parameter", name.span, "semantic"
+                    f"gate {name.text!r} takes no parameter", name, "semantic"
                 )
             self.advance()
             angle = self._angle_expr()
             self.expect("PUNCT", ")")
         elif gate in ROTATION_GATES:
-            raise self.error(f"gate {name.text!r} needs an angle", name.span, "semantic")
+            raise self.error(f"gate {name.text!r} needs an angle", name, "semantic")
 
         args: list[list[int]] = []
         while True:
@@ -301,17 +384,17 @@ class _Parser:
         if len(args) != arity:
             raise self.error(
                 f"gate {name.text!r} expects {arity} argument(s), got {len(args)}",
-                name.span, "semantic",
+                name, "semantic",
             )
         if arity == 2:
             if len(args[0]) != 1 or len(args[1]) != 1:
                 raise self.error(
                     "register broadcast is not supported for two-qubit gates",
-                    name.span, "unsupported-construct",
+                    name, "unsupported-construct",
                 )
             operands = (args[0][0], args[1][0])
             if operands[0] == operands[1]:
-                raise self.error("duplicate operand", name.span, "semantic")
+                raise self.error("duplicate operand", name, "semantic")
             self.instructions.append(
                 Instruction(gate, operands, condition=condition)
             )
@@ -322,14 +405,16 @@ class _Parser:
                 )
 
     def _angle_expr(self) -> float:
-        """Angle literal: real, integer, pi, int*pi, pi/int, int*pi/int, signed."""
+        """Angle literal: real, integer, pi, int*pi, pi/int, int*pi/int, signed.
+
+        The value must be finite; a zero divisor is rejected."""
         sign = 1.0
         if self.peek().text in ("-", "+"):
             sign = -1.0 if self.advance().text == "-" else 1.0
         tok = self.advance()
         if tok.kind == "REAL":
-            return sign * float(tok.text)
-        if tok.kind == "INT":
+            value = float(tok.text)
+        elif tok.kind == "INT":
             value = float(tok.text)
             if self.peek().text == "*":
                 self.advance()
@@ -337,15 +422,24 @@ class _Parser:
                 value *= math.pi
                 if self.peek().text == "/":
                     self.advance()
-                    value /= int(self.expect("INT").text)
-            return sign * value
-        if tok.kind == "ID" and tok.text == "pi":
+                    value /= self._divisor()
+        elif tok.kind == "ID" and tok.text == "pi":
             value = math.pi
             if self.peek().text == "/":
                 self.advance()
-                value /= int(self.expect("INT").text)
-            return sign * value
-        raise self.error(f"malformed angle near {tok.text!r}", tok.span, "syntax")
+                value /= self._divisor()
+        else:
+            raise self.error(f"malformed angle near {tok.text!r}", tok, "syntax")
+        if not math.isfinite(value):
+            raise self.error(f"angle near {tok.text!r} is not finite", tok, "semantic")
+        return sign * value
+
+    def _divisor(self) -> float:
+        tok = self.expect("INT")
+        divisor = float(tok.text)
+        if divisor == 0:
+            raise self.error("division by zero in angle", tok, "semantic")
+        return divisor
 
 
 def parse(text: str) -> Circuit:

@@ -119,6 +119,51 @@ def test_commutation_with_classical_interaction():
     assert commutes(barrier(0, 1), h(2))
 
 
+def _frozenset_commutes(a: Instruction, b: Instruction) -> bool:
+    """The classical-bit test `commutes` used to make with four frozensets;
+    past it, the answer is that of the same ops with every measured bit
+    moved to one no other op touches."""
+    def reads(ins):
+        return frozenset(ins.condition.bits) if ins.condition is not None else frozenset()
+
+    def writes(ins):
+        return frozenset((ins.clbit,)) if ins.clbit is not None else frozenset()
+
+    if writes(a) & reads(b) or writes(b) & reads(a) or writes(a) & writes(b):
+        return False
+    a = dataclasses.replace(a, clbit=100) if a.clbit is not None else a
+    b = dataclasses.replace(b, clbit=101) if b.clbit is not None else b
+    return commutes(a, b)
+
+
+def test_classical_test_matches_frozenset_formula():
+    rng = random.Random(5)
+    singles = (h, x, y, z, lambda q: rx(q, 0.3), lambda q: rz(q, 0.7))
+
+    def op():
+        q, p = rng.sample(range(3), 2)
+        r = rng.random()
+        if r < 0.25:
+            return measure(q, rng.randrange(3))
+        if r < 0.5:
+            bits = tuple(rng.sample(range(3), rng.randint(1, 3)))
+            gate = rng.choice((Gate.X, Gate.Z, Gate.CX))
+            qubits = (q, p) if gate is Gate.CX else (q,)
+            return Instruction(gate, qubits, condition=Condition(bits))
+        if r < 0.6:
+            return barrier(q)
+        return rng.choice(singles)(q) if r < 0.8 else rng.choice((cx, cz))(q, p)
+
+    pairs = [(op(), op()) for _ in range(5000)]
+    verdicts = [commutes(a, b) for a, b in pairs]
+    assert verdicts == [_frozenset_commutes(a, b) for a, b in pairs]
+    linked = [
+        a.clbit is not None and b.condition is not None and a.clbit in b.condition.bits
+        for a, b in pairs
+    ]
+    assert sum(linked) > 100 and sum(verdicts) > 1000 and len(set(verdicts)) == 2
+
+
 # -- interleaved ops, as the scanner disposes of them ---------------------------
 
 

@@ -63,6 +63,38 @@ def test_compile_parse_error_exit_1(tmp_path, capsys):
     assert "line 3" in err and "column 1" in err
 
 
+def _read_with(command, infile, tmp_path):
+    """Run `compile` (output to tmp_path/x.qasm) or `depth` on infile."""
+    argv = [command, "--in", str(infile)]
+    if command == "compile":
+        argv += ["--out", str(tmp_path / "x.qasm")]
+    return main(argv)
+
+
+@pytest.mark.parametrize("angle, fragment", [
+    ("pi/0", "division by zero"),
+    ("2*pi/0", "division by zero"),
+    ("1e999", "not finite"),
+])
+@pytest.mark.parametrize("command", ["compile", "depth"])
+def test_bad_angle_exit_1(tmp_path, capsys, command, angle, fragment):
+    bad = tmp_path / "bad.qasm"
+    bad.write_text(f"OPENQASM 2.0;\nqreg q[1];\nrx({angle}) q[0];\n")
+    assert _read_with(command, bad, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3, column ") and fragment in err
+
+
+@pytest.mark.parametrize("command", ["compile", "depth"])
+def test_non_utf8_input_exit_1(tmp_path, capsys, command):
+    bad = tmp_path / "utf16.qasm"
+    bad.write_bytes(b"\xff\xfeO\x00P\x00")
+    assert _read_with(command, bad, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "utf-8" in err
+    assert not (tmp_path / "x.qasm").exists()
+
+
 def test_compile_missing_file_exit_3(tmp_path):
     rc = main([
         "compile", "--in", str(tmp_path / "nope.qasm"), "--out", str(tmp_path / "x.qasm"),

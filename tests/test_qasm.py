@@ -2,10 +2,25 @@
 from __future__ import annotations
 
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qshallow import qasm
+from qshallow.bench import (
+    ANSATZ_FAMILIES,
+    ENTANGLEMENTS,
+    AnsatzSpec,
+    gen_ansatz,
+    gen_cx_chain,
+    gen_cz_chain,
+    gen_ghz_standard,
+    gen_intertwined,
+    gen_random,
+)
+from qshallow.ghz import GhzMode, apply_ghz_pass
 from qshallow.ir import Circuit, Condition, Gate, Instruction, cx, h, measure, rz, x
 from qshallow.qasm import ParseError, emit, parse
 from qshallow.sim import branches, states_equal_up_to_phase
@@ -86,6 +101,10 @@ class TestParseErrors:
             ("OPENQASM 2.0; qreg q[1]; creg c[1]; measure q[0] -> c[0];"
              "measure q[0] -> c[0];", "semantic", "more than once"),
             ("OPENQASM 2.0; qreg q[1]; @;", "syntax", "unexpected character"),
+            ("OPENQASM 2.0; qreg q[1]; rx(pi/0) q[0];", "semantic", "division by zero"),
+            ("OPENQASM 2.0; qreg q[1]; rx(2*pi/0) q[0];", "semantic", "division by zero"),
+            ("OPENQASM 2.0; qreg q[1]; rx(1e999) q[0];", "semantic", "not finite"),
+            ("OPENQASM 2.0; qreg q[1]; rx(-1e999) q[0];", "semantic", "not finite"),
         ],
     )
     def test_error_kinds(self, src, kind, fragment):
@@ -169,3 +188,312 @@ _instr = st.one_of(
 def test_round_trip_identity_on_condition_free_circuits(body):
     c = Circuit(6, 0, tuple(body))
     assert parse(emit(c)).instructions == c.instructions
+
+
+# -- fast path against the grammar ---------------------------------------------
+
+_NEVER = re.compile(r"(?!)")
+
+
+def _grammar_only(patch) -> None:
+    """Route every statement to the grammar: no fast-path regex can match."""
+    for name in dir(qasm):
+        if name.startswith("_FAST_") and isinstance(getattr(qasm, name), re.Pattern):
+            patch.setattr(qasm, name, _NEVER)
+
+
+def _outcome(text: str):
+    """The parsed circuit (angles by repr, so -0.0 != 0.0) or the error."""
+    try:
+        c = parse(text)
+    except ParseError as err:
+        return ("error", err.message, err.kind, err.span.line, err.span.column)
+    body = tuple(
+        (ins.gate, ins.qubits, repr(ins.angle), ins.clbit, ins.condition)
+        for ins in c.instructions
+    )
+    return (c.num_qubits, c.num_clbits, body)
+
+
+def _assert_paths_agree(text: str, monkeypatch):
+    fast = _outcome(text)
+    with monkeypatch.context() as m:
+        _grammar_only(m)
+        assert _outcome(text) == fast
+    return fast
+
+
+def _random_dynamic_circuit(seed: int) -> Circuit:
+    """Gates, conditioned gates (parity over several bits for X, one bit for
+    the rest), mid-circuit measurements and barriers."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    num_clbits = rng.randint(0, 5)
+    unwritten = list(range(num_clbits))
+    rng.shuffle(unwritten)
+    body: list[Instruction] = []
+    angles = (0.0, -0.0, 0.5, -1e-300, 3.0e12, math.pi / 3)
+    for _ in range(rng.randint(0, 40)):
+        r = rng.random()
+        a, b = rng.sample(range(n), 2)
+        if r < 0.3:
+            body.append(Instruction(rng.choice((Gate.CX, Gate.CZ)), (a, b)))
+        elif r < 0.55:
+            body.append(Instruction(rng.choice((Gate.H, Gate.X, Gate.Y, Gate.Z)), (a,)))
+        elif r < 0.7:
+            gate = rng.choice((Gate.RX, Gate.RY, Gate.RZ))
+            body.append(Instruction(gate, (a,), angle=rng.choice(angles)))
+        elif r < 0.8 and unwritten:
+            body.append(measure(a, unwritten.pop()))
+        elif r < 0.9 and num_clbits:
+            bits = tuple(rng.sample(range(num_clbits), rng.randint(1, num_clbits)))
+            body.append(rng.choice((
+                x(a, condition=Condition(bits)),
+                Instruction(Gate.RY, (a,), angle=0.25, condition=Condition(bits[:1])),
+                Instruction(Gate.CZ, (a, b), condition=Condition(bits[:1])),
+            )))
+        else:
+            body.append(Instruction(Gate.BARRIER, tuple(rng.sample(range(n), rng.randint(1, n)))))
+    return Circuit(n, num_clbits, tuple(body))
+
+
+def _bench_family_circuits() -> list[Circuit]:
+    out = [gen_ghz_standard(n) for n in (2, 7, 40)]
+    out += [gen_cx_chain(n, d) for n in (5, 12) for d in ("forward", "reverse")]
+    out += [gen_cz_chain(9), gen_intertwined(3, 6)]
+    out += [
+        gen_ansatz(AnsatzSpec(family, 6, 2, ent, 3))
+        for family in ANSATZ_FAMILIES
+        for ent in ENTANGLEMENTS
+    ]
+    out += [gen_random(8, 80, seed=s) for s in range(5)]
+    # GHZ rewrites emit measurements and parity feedforward.
+    for mode in (GhzMode.ROBUST, GhzMode.PARALLEL):
+        out += [apply_ghz_pass(gen_ghz_standard(n), mode) for n in (4, 9, 30)]
+    return out
+
+
+def test_fast_path_matches_grammar_on_emitted_circuits(monkeypatch):
+    circuits = _bench_family_circuits() + [_random_dynamic_circuit(s) for s in range(300)]
+    texts = [emit(c) for c in circuits]
+    assert any("if(" in t for t in texts) and any("barrier" in t for t in texts)
+    assert any("measure" in t for t in texts) and any("(-0)" in t for t in texts)
+    for c, text in zip(circuits, texts):
+        got = _assert_paths_agree(text, monkeypatch)
+        assert got[0] == c.num_qubits, got
+
+
+_SEPARATORS = [" ", "  ", "\t", "\n", "\n  ", "\r\n", " // note\n", " //x\n\n"]
+_ANGLES = [
+    ["0"], ["0.0"], ["-", "0"], ["-", "0.0"], ["+", "0"], ["1.5"], [".5"], ["2."],
+    ["-", ".25"], ["1e-3"], ["1E2"], ["3"], ["0.30000000000000004"], ["pi"],
+    ["-", "pi"], ["pi", "/", "2"], ["3", "*", "pi", "/", "4"], ["-", "2", "*", "pi"],
+    ["1e999"],
+]
+
+
+def _needs_space(left: str, right: str) -> bool:
+    """Two adjacent tokens that would run together without a separator."""
+    return all(ch.isalnum() or ch in "_." for ch in (left[-1], right[0]))
+
+
+_VARIED_HEADER = (
+    'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[5];\n'
+    "creg c0[1]; creg c1[1]; creg c2[1]; creg w[2];\n"
+)
+
+# Statements that fail a check (the duplicate write after
+# `measure q[0] -> c0[0];`): gates with the fast regex's shape, and others the
+# grammar reads alone.
+_MALFORMED = [stmt.split() for stmt in (
+    "measure q [ 1 ] -> c0 [ 0 ] ;",
+    "rx q [ 0 ] ;",
+    "h ( 0.5 ) q [ 0 ] ;",
+    "cx q [ 0 ] ;",
+    "h q [ 0 ] , q [ 1 ] ;",
+    "rz ( 1 ) q [ 0 ] , q [ 1 ] ;",
+    "cz q [ 2 ] , q [ 2 ] ;",
+    "x r [ 0 ] ;",
+    "x q [ 5 ] ;",
+    "x c0 [ 0 ] ;",
+    "measure q [ 0 ] -> q [ 1 ] ;",
+    "measure q [ 0 ] -> w [ 2 ] ;",
+    "barrier q [ 1 ] , q [ 1 ] ;",
+    "barrier q [ 9 ] ;",
+    "if ( w == 1 ) x q [ 0 ] ;",
+    "if ( u == 1 ) x q [ 0 ] ;",
+    "if ( c0 == 01 ) x q [ 0 ] ;",
+    "if ( c0 == 1 ) measure q [ 0 ] -> w [ 0 ] ;",
+    "if ( c0 == 1 ) barrier q [ 0 ] ;",
+    "if ( c0 == 1 ) cx q [ 0 ] , q [ 0 ] ;",
+    "t q [ 0 ] ;",
+    "H q [ 0 ] ;",
+    "qreg q [ 2 ] ;",
+)]
+
+
+@st.composite
+def _varied_programs(draw):
+    """Header plus statements with varied spacing, comments and line breaks;
+    now and then one that must fail."""
+    n = 5
+    statements: list[list[str]] = []
+    kinds = ["gate", "rotation", "two", "broadcast", "measure", "if", "barrier"]
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(kinds * 3 + ["malformed"]))
+        q = [str(i) for i in draw(st.permutations(range(n)))]
+        if kind == "gate":
+            stmt = [draw(st.sampled_from("hxyz")), "q", "[", q[0], "]", ";"]
+        elif kind == "rotation":
+            angle = draw(st.sampled_from(_ANGLES))
+            stmt = [draw(st.sampled_from(["rx", "ry", "rz"])), "(", *angle, ")",
+                    "q", "[", q[0], "]", ";"]
+        elif kind == "two":
+            stmt = [draw(st.sampled_from(["cx", "cz"])), "q", "[", q[0], "]", ",",
+                    "q", "[", q[1], "]", ";"]
+        elif kind == "broadcast":
+            stmt = [draw(st.sampled_from("hxz")), "q", ";"]
+        elif kind == "measure":  # a bit measured twice fails
+            creg, bit = draw(st.sampled_from([("c0", "0"), ("c1", "0"), ("c2", "0"),
+                                              ("w", "0"), ("w", "1")]))
+            stmt = ["measure", "q", "[", q[0], "]", "->", creg, "[", bit, "]", ";"]
+        elif kind == "if":
+            stmt = ["if", "(", draw(st.sampled_from(["c0", "c1", "c2"])), "==", "1", ")",
+                    draw(st.sampled_from(["x", "z", "h"])), "q", "[", q[0], "]", ";"]
+        elif kind == "barrier":
+            k = draw(st.integers(1, n))
+            stmt = ["barrier"]
+            for i in range(k):
+                stmt += ([","] if i else []) + ["q", "[", q[i], "]"]
+            stmt.append(";")
+        else:
+            stmt = draw(st.sampled_from(_MALFORMED))
+        statements.append(stmt)
+
+    def sep(left: str, right: str) -> str:
+        options = _SEPARATORS if _needs_space(left, right) else [""] + _SEPARATORS
+        return draw(st.sampled_from(options)) if draw(st.booleans()) else options[0]
+
+    parts = [_VARIED_HEADER]
+    for stmt in statements:
+        tokens = [stmt[0]]
+        for left, right in zip(stmt, stmt[1:]):
+            tokens += [sep(left, right), right]
+        parts.append("".join(tokens))
+        parts.append(draw(st.sampled_from(["\n", "", " ", "\n\n", " // tail\n"])))
+    return "".join(parts)
+
+
+def _render(tokens: list[str]) -> str:
+    out = tokens[0]
+    for left, right in zip(tokens, tokens[1:]):
+        out += (" " if _needs_space(left, right) else "") + right
+    return out
+
+
+@pytest.mark.parametrize("tokens", _MALFORMED, ids=_render)
+def test_failing_statement_reaches_the_grammar(tokens, monkeypatch):
+    text = _VARIED_HEADER + "measure q[0] -> c0[0];\n" + _render(tokens) + "\n"
+    got = _assert_paths_agree(text, monkeypatch)
+    assert got[0] == "error" and got[3] == 6, got
+
+
+@settings(max_examples=300, deadline=None)
+@given(_varied_programs())
+def test_fast_path_matches_grammar_on_varied_text(text):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_paths_agree(text, monkeypatch)
+
+
+def _large_program(statements: int) -> list[str]:
+    rng = random.Random(11)
+    lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', "qreg q[64];"]
+    lines += [f"creg m{k}[1];" for k in range(16)]
+    measured = 0
+    while len(lines) < statements:
+        a, b = rng.sample(range(64), 2)
+        r = rng.random()
+        if r < 0.4:
+            lines.append(f"cx q[{a}],q[{b}];")
+        elif r < 0.8:
+            lines.append(f"rz({rng.uniform(-4, 4)!r}) q[{a}];")
+        elif r < 0.9:
+            lines.append(f"h q[{a}];")
+        elif r < 0.95 and measured < 16:
+            lines.append(f"measure q[{a}] -> m{measured}[0];")
+            measured += 1
+        elif measured:
+            lines.append(f"if(m{rng.randrange(measured)}==1) x q[{a}];")
+        else:
+            lines.append(f"barrier q[{a}],q[{b}];")
+    return lines
+
+
+_CORRUPTIONS = [
+    ("bad gate name", lambda line: "t q[3];", "unsupported-construct"),
+    ("index out of range", lambda line: "h q[64];", "semantic"),
+    ("duplicate operand", lambda line: "cx q[7],q[7];", "semantic"),
+    ("stray character", lambda line: line[:2] + "@" + line[2:], "syntax"),
+    ("missing semicolon", lambda line: line.replace(";", ""), "syntax"),
+]
+
+
+@pytest.mark.parametrize("corruption", _CORRUPTIONS, ids=[c[0] for c in _CORRUPTIONS])
+def test_deep_corruption_reports_identical_error(corruption, monkeypatch):
+    _, corrupt, kind = corruption
+    lines = _large_program(20_000)
+    at = random.Random(corruption[0]).randrange(15_000, 19_990)
+    lines[at] = corrupt(lines[at])
+    got = _assert_paths_agree("\n".join(lines) + "\n", monkeypatch)
+    assert got[0] == "error" and got[2] == kind, got
+    assert got[3] in (at + 1, at + 2), (got, at)  # a missing ';' shows on the next line
+
+
+# -- fast-path coverage (counts, no wall clock) ---------------------------------
+
+
+def _every_gate_kind(repeat: int) -> Circuit:
+    body: list[Instruction] = []
+    for k in range(repeat):
+        a, b = k % 5, (k + 1) % 5
+        body += [
+            h(a), x(a), Instruction(Gate.Y, (a,)), Instruction(Gate.Z, (a,)),
+            Instruction(Gate.RX, (a,), angle=-0.0), Instruction(Gate.RY, (a,), angle=1e-300),
+            rz(a, -2.5e17), cx(a, b), Instruction(Gate.CZ, (a, b)),
+        ]
+    return Circuit(5, 0, tuple(body))
+
+
+def test_fast_path_reads_every_gate_statement(monkeypatch):
+    c = _every_gate_kind(4)
+    reached = []
+    statement = qasm._Parser.statement
+
+    def counting(self):
+        reached.append(self.peek().text)
+        statement(self)
+
+    monkeypatch.setattr(qasm._Parser, "statement", counting)
+    text = emit(c)
+    assert emit(parse(text)) == text
+    assert reached == ["include", "qreg"]
+
+
+def test_body_produces_no_tokens(monkeypatch):
+    c = _every_gate_kind(1200)
+    assert len(c) > 10_000
+    text = emit(c)
+    header = text[: text.index("\n", text.rindex("qreg")) + 1]
+    scanned = 0
+    scan = qasm._scan
+
+    def counting(text, offset):
+        nonlocal scanned
+        scanned += 1
+        return scan(text, offset)
+
+    monkeypatch.setattr(qasm, "_scan", counting)
+    parse(header)
+    header_tokens, scanned = scanned, 0
+    assert emit(parse(text)) == text
+    assert scanned == header_tokens
