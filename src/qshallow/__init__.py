@@ -22,9 +22,7 @@ from .ir import (
     rx,
     ry,
     rz,
-    splice,
     stats,
-    validate,
     x,
     y,
     z,
@@ -40,7 +38,6 @@ from .sim import (
 from .ghz import (
     GhzMode,
     GhzSite,
-    apply_ghz_pass,
     build_ghz_log,
     build_ghz_parallel,
     detect_ghz,
@@ -53,7 +50,6 @@ from .chains import (
     decompose_cz,
     decompose_cz_to_cx,
     decompose_forward,
-    decompose_reverse,
     find_chains,
 )
 from .pipeline import (
@@ -64,7 +60,6 @@ from .pipeline import (
     VerificationError,
     compile_circuit,
     gate_and_apply,
-    scoped_depth,
 )
 from .bench import (
     AnsatzSpec,
@@ -96,7 +91,6 @@ __all__ = [
     "PassConfig",
     "SourceSpan",
     "VerificationError",
-    "apply_ghz_pass",
     "barrier",
     "branches",
     "build_ghz_log",
@@ -108,7 +102,6 @@ __all__ = [
     "decompose_cz",
     "decompose_cz_to_cx",
     "decompose_forward",
-    "decompose_reverse",
     "depth",
     "detect_ghz",
     "emit",
@@ -128,11 +121,8 @@ __all__ = [
     "rx",
     "ry",
     "rz",
-    "scoped_depth",
-    "splice",
     "stats",
     "unitary",
-    "validate",
     "x",
     "y",
     "z",

@@ -25,10 +25,11 @@ and per accepted rewrite.
 
 Decompositions:
 
-* `decompose_forward` / `decompose_reverse` - recursive halving of a CX chain:
-  one layer of pairwise CXs, a recursive chain over the even-position qubits,
-  and a closing layer.  Depth O(log n), gate count at most doubled.  Runs of
-  fewer than five qubits are left as plain chains (no depth win there).
+* `decompose_forward` - recursive halving of a CX chain, ascending or
+  descending alike: one layer of pairwise CXs, a recursive chain over the
+  even-position qubits, and a closing layer.  Depth O(log n), gate count at
+  most doubled.  Runs of fewer than five qubits are left as plain chains (no
+  depth win there).
 * `decompose_cz` - all CZs commute, so any chain packs into two layers.
 * `decompose_cz_to_cx` - CZ chain lowered to H/CX with one shared Hadamard
   layer on each side; inner H pairs cancel by construction, depth 4.
@@ -49,13 +50,11 @@ from .ir import (
     cx,
     cz,
     h,
-    validate,
 )
 
 
 class ChainKind(Enum):
-    FORWARD_CX = "forward_cx"
-    REVERSE_CX = "reverse_cx"
+    CX = "cx"
     CZ = "cz"
 
 
@@ -67,7 +66,6 @@ class ChainCandidate:
     start_index: int
     moved_before: tuple[int, ...]
     moved_after: tuple[int, ...]
-    processed: bool = False
 
     @property
     def end_index(self) -> int:
@@ -271,14 +269,8 @@ class _Growth:
         for i in sorted(self.gate_positions[1:] + list(moved_after)):
             moved_before.extend(range(prev + 1, i))
             prev = i
-        if self.is_cz:
-            kind = ChainKind.CZ
-        elif all(a > b for a, b in zip(self.seq, self.seq[1:])):
-            kind = ChainKind.REVERSE_CX
-        else:
-            kind = ChainKind.FORWARD_CX
         return ChainCandidate(
-            kind=kind,
+            kind=ChainKind.CZ if self.is_cz else ChainKind.CX,
             gate_indices=tuple(self.gate_positions),
             qubit_seq=tuple(self.seq),
             start_index=self.seed,
@@ -313,9 +305,6 @@ class ChainScanner:
     def __init__(self, circuit: Circuit, min_gates: int = 2):
         if min_gates < 2:
             raise ValueError("min_gates must be at least 2")
-        errors = validate(circuit)
-        if errors:
-            raise ValueError("invalid circuit: " + "; ".join(errors))
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
         self.instructions: list[Instruction] = list(circuit.instructions)
@@ -434,8 +423,10 @@ class ChainScanner:
                         heappush(heap, nxt)
         return g.finish(self.min_gates)
 
-    def accept(self, replacement: Sequence[Instruction]) -> Circuit:
-        """Splice [moved_before, replacement, moved_after] over the window."""
+    def accept(self, replacement: Sequence[Instruction]) -> None:
+        """Splice [moved_before, replacement, moved_after] over the window.
+
+        The result is read from `circuit`, which builds a new `Circuit`."""
         cand = self._pending
         if cand is None:
             raise RuntimeError("no candidate to accept")
@@ -469,7 +460,6 @@ class ChainScanner:
         self._no_seed = new_seed
         self._pos = start
         self._build_index()
-        return self.circuit
 
     def skip(self) -> None:
         """Retire the pending candidate: its gates never seed again."""
@@ -480,19 +470,6 @@ class ChainScanner:
         for idx in cand.gate_indices:
             self._no_seed[idx] = True
         self._pos = cand.start_index + 1
-
-    def window_instructions(
-        self, cand: ChainCandidate
-    ) -> tuple[list[Instruction], list[Instruction], list[Instruction]]:
-        """(current window content, displaced-before ops, displaced-after ops)."""
-        current = self.instructions[cand.start_index : cand.end_index + 1]
-        displaced_before = [self.instructions[i] for i in cand.moved_before]
-        displaced_after = [self.instructions[i] for i in cand.moved_after]
-        return current, displaced_before, displaced_after
-
-    def tail_instructions(self, cand: ChainCandidate, scope: int) -> list[Instruction]:
-        stop = min(len(self.instructions), cand.end_index + 1 + scope)
-        return self.instructions[cand.end_index + 1 : stop]
 
 
 def find_chains(c: Circuit, min_gates: int = 2) -> list[ChainCandidate]:
@@ -525,12 +502,6 @@ def decompose_forward(qubit_seq: Sequence[int]) -> list[Instruction]:
     out += decompose_forward(seq[0::2])
     out += [cx(seq[i], seq[i + 1]) for i in range(0, n - 1, 2)]
     return out
-
-
-def decompose_reverse(qubit_seq: Sequence[int]) -> list[Instruction]:
-    """Reverse chains are forward chains under relabeling, so the same
-    construction applies to the descending qubit sequence directly."""
-    return decompose_forward(qubit_seq)
 
 
 def decompose_cz(qubit_seq: Sequence[int]) -> list[Instruction]:

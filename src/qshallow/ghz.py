@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Literal, Sequence
 
-from .ir import Circuit, Condition, Gate, Instruction, cx, h, measure, validate
+from .ir import Circuit, Condition, Gate, Instruction, cx, h, measure
 from .ir import x as x_gate
 
 
@@ -152,24 +152,20 @@ def build_ghz_parallel(members: Sequence[int], fresh_clbits: Sequence[int]) -> l
     return out
 
 
-def apply_ghz_pass(c: Circuit, mode: GhzMode) -> Circuit:
-    """Replace every detected GHZ site with the construction chosen by `mode`."""
-    out, _, _ = rebuild_ghz_sites(c, mode)
-    return out
+def rebuild_ghz_sites(
+    c: Circuit, mode: GhzMode
+) -> tuple[Circuit, list[GhzSite], list[tuple[GhzSite, list[Instruction]]]]:
+    """Replace every detected GHZ site with the construction chosen by `mode`.
 
-
-def rebuild_ghz_sites(c: Circuit, mode: GhzMode) -> tuple[Circuit, list[GhzSite], int]:
-    """apply_ghz_pass plus bookkeeping: (circuit, detected sites, replaced count)."""
-    errors = validate(c)
-    if errors:
-        raise ValueError("invalid circuit: " + "; ".join(errors))
+    Returns the rewritten circuit, every detected site, and the (site, block)
+    pairs actually spliced in.
+    """
     sites = detect_ghz(c)
     if mode is GhzMode.OFF or not sites:
-        return c, sites, 0
+        return c, sites, []
 
     next_clbit = c.num_clbits
-    replacements: dict[int, list[Instruction]] = {}
-    removed: set[int] = set()
+    replaced: list[tuple[GhzSite, list[Instruction]]] = []
     for site in sites:
         if mode is GhzMode.ROBUST:
             block = build_ghz_log(site.members)
@@ -179,15 +175,15 @@ def rebuild_ghz_sites(c: Circuit, mode: GhzMode) -> tuple[Circuit, list[GhzSite]
             k = len(site.members) // 2
             block = build_ghz_parallel(site.members, range(next_clbit, next_clbit + k))
             next_clbit += k
-        replacements[site.hadamard_index] = block
-        removed.update(site.gate_indices)
+        replaced.append((site, block))
 
+    replacements = {site.hadamard_index: block for site, block in replaced}
+    removed = {i for site, _ in replaced for i in site.gate_indices}
     instructions: list[Instruction] = []
     for i, ins in enumerate(c.instructions):
         if i in replacements:
             instructions.extend(replacements[i])
-        if i in removed:
-            continue
-        instructions.append(ins)
+        elif i not in removed:
+            instructions.append(ins)
     out = Circuit(c.num_qubits, next_clbit, tuple(instructions))
-    return out, sites, len(replacements)
+    return out, sites, replaced

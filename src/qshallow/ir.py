@@ -1,8 +1,10 @@
-"""Core circuit IR: instructions, validation, ASAP depth analysis, list editing.
+"""Core circuit IR: instructions, validation, ASAP depth analysis.
 
 A circuit is an ordered instruction list over a flat qubit index space plus a
-flat classical-bit space.  Circuits are immutable; every edit returns a new
-value, so they are safe to share across threads.
+flat classical-bit space.  Circuits are immutable and valid: construction
+checks every invariant `validate` lists and raises ValueError on a violation,
+so the passes, `stats` and `emit` take any `Circuit` they are given as valid.
+Every edit returns a new value, so circuits are safe to share across threads.
 
 Depth is defined by as-soon-as-possible layering: an instruction starts one
 layer after the latest earlier instruction it depends on.  Dependencies are
@@ -12,9 +14,9 @@ qubits but occupy no layer themselves.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class Gate(Enum):
@@ -111,6 +113,9 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "instructions", tuple(self.instructions))
+        errors = validate(self)
+        if errors:
+            raise ValueError("invalid circuit: " + "; ".join(errors))
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -148,37 +153,40 @@ def validate(c: Circuit) -> list[str]:
         errors.append("num_clbits must be non-negative")
     written: set[int] = set()
     for i, ins in enumerate(c.instructions):
-        where = f"instruction {i} ({ins.gate.value})"
+        mark = len(errors)
         expected = _ARITY.get(ins.gate)
         if expected is not None and len(ins.qubits) != expected:
-            errors.append(f"{where}: expected {expected} qubit operand(s), got {len(ins.qubits)}")
+            errors.append(f"expected {expected} qubit operand(s), got {len(ins.qubits)}")
         if ins.gate is Gate.BARRIER and not ins.qubits:
-            errors.append(f"{where}: barrier needs at least one qubit")
+            errors.append("barrier needs at least one qubit")
         for q in ins.qubits:
             if not 0 <= q < c.num_qubits:
-                errors.append(f"{where}: qubit index {q} out of range")
+                errors.append(f"qubit index {q} out of range")
         if len(set(ins.qubits)) != len(ins.qubits):
-            errors.append(f"{where}: duplicate operand")
+            errors.append("duplicate operand")
         if (ins.angle is not None) != (ins.gate in ROTATION_GATES):
-            errors.append(f"{where}: angle present iff gate is a rotation")
+            errors.append("angle present iff gate is a rotation")
         if (ins.clbit is not None) != (ins.gate is Gate.MEASURE):
-            errors.append(f"{where}: clbit present iff gate is a measurement")
+            errors.append("clbit present iff gate is a measurement")
         if ins.gate is Gate.MEASURE:
             if ins.condition is not None:
-                errors.append(f"{where}: measurement must not be conditioned")
+                errors.append("measurement must not be conditioned")
             if ins.clbit is not None:
                 if not 0 <= ins.clbit < c.num_clbits:
-                    errors.append(f"{where}: clbit index {ins.clbit} out of range")
+                    errors.append(f"clbit index {ins.clbit} out of range")
                 elif ins.clbit in written:
-                    errors.append(f"{where}: clbit {ins.clbit} written more than once")
+                    errors.append(f"clbit {ins.clbit} written more than once")
                 else:
                     written.add(ins.clbit)
         if ins.condition is not None:
             if not ins.condition.bits:
-                errors.append(f"{where}: condition needs at least one bit")
+                errors.append("condition needs at least one bit")
             for b in ins.condition.bits:
                 if not 0 <= b < c.num_clbits:
-                    errors.append(f"{where}: condition bit {b} out of range")
+                    errors.append(f"condition bit {b} out of range")
+        if len(errors) > mark:  # every Circuit runs this: format the position only on error
+            where = f"instruction {i} ({ins.gate.value})"
+            errors[mark:] = [f"{where}: {e}" for e in errors[mark:]]
     return errors
 
 
@@ -222,24 +230,13 @@ def depth_of(instructions: Sequence[Instruction]) -> int:
     return max_layer
 
 
-def depth(c: Circuit, window: tuple[int, int] | None = None) -> int:
-    """ASAP depth of the circuit, or of the half-open instruction range `window`.
-
-    A window is scheduled from scratch, so depth(c) == depth(c, (0, len(c))).
-    """
-    if window is None:
-        return depth_of(c.instructions)
-    start, stop = window
-    if not (0 <= start <= stop <= len(c.instructions)):
-        raise ValueError(f"invalid window {window} for {len(c.instructions)} instructions")
-    return depth_of(c.instructions[start:stop])
+def depth(c: Circuit) -> int:
+    """ASAP depth of the circuit."""
+    return depth_of(c.instructions)
 
 
 def stats(c: Circuit) -> DepthReport:
-    """Depth and gate/measurement counts; raises ValueError on an invalid circuit."""
-    errors = validate(c)
-    if errors:
-        raise ValueError("invalid circuit: " + "; ".join(errors))
+    """Depth and gate/measurement counts."""
     gate_count = 0
     two_qubit = 0
     measures = 0
@@ -252,25 +249,3 @@ def stats(c: Circuit) -> DepthReport:
                 two_qubit += 1
     return DepthReport(depth(c), gate_count, two_qubit, measures)
 
-
-def splice(
-    c: Circuit,
-    remove: Iterable[int],
-    insert_at: int,
-    replacement: Sequence[Instruction],
-) -> Circuit:
-    """Delete the instructions at `remove`, then insert `replacement` contiguously.
-
-    `insert_at` indexes the instruction list *after* removal.  The relative
-    order of untouched instructions is preserved.
-    """
-    removed = set(remove)
-    n = len(c.instructions)
-    for i in removed:
-        if not 0 <= i < n:
-            raise IndexError(f"remove index {i} out of range")
-    kept = [ins for i, ins in enumerate(c.instructions) if i not in removed]
-    if not 0 <= insert_at <= len(kept):
-        raise IndexError(f"insert_at {insert_at} out of range after removal")
-    new_instructions = kept[:insert_at] + list(replacement) + kept[insert_at:]
-    return Circuit(c.num_qubits, c.num_clbits, tuple(new_instructions))

@@ -17,22 +17,22 @@ Modes:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import sim
 from .chains import (
     ChainCandidate,
     ChainKind,
     ChainScanner,
+    _clbits,
     decompose_cz,
     decompose_cz_to_cx,
     decompose_forward,
-    decompose_reverse,
 )
 from .ghz import GhzMode, GhzSite, rebuild_ghz_sites
-from .ir import Circuit, Gate, Instruction, depth, depth_of, validate
+from .ir import Circuit, Condition, Gate, Instruction, depth_of
 
 
 class ChainMode(Enum):
@@ -75,60 +75,47 @@ class VerificationError(Exception):
         self.candidate = candidate
 
 
-def scoped_depth(c: Circuit, candidate: ChainCandidate, scope: int) -> int:
-    """Depth of the chain under test plus the `scope` operations after its
-    last gate, clamped to the circuit end.
-
-    Interleaved operations displaced out of the chain are not part of the
-    evaluation: they appear unchanged on both sides of the before/after
-    comparison, and counting them would let an unrelated chain's depth mask a
-    genuine improvement.
-    """
-    gates = [c.instructions[i] for i in candidate.gate_indices]
-    stop = min(len(c.instructions), candidate.end_index + 1 + scope)
-    return depth_of(gates + list(c.instructions[candidate.end_index + 1 : stop]))
-
-
 def _replacement_for(candidate: ChainCandidate, cz_to_cx: bool) -> list[Instruction]:
     if candidate.kind is ChainKind.CZ:
         builder = decompose_cz_to_cx if cz_to_cx else decompose_cz
         return builder(candidate.qubit_seq)
-    if candidate.kind is ChainKind.REVERSE_CX:
-        return decompose_reverse(candidate.qubit_seq)
     return decompose_forward(candidate.qubit_seq)
 
 
-def _window_is_unitary(instructions: Sequence[Instruction]) -> bool:
-    return all(
-        ins.gate is not Gate.MEASURE and ins.condition is None for ins in instructions
-    )
-
-
-def _verify_window(
+def _verify_rewrite(
     before: Sequence[Instruction],
     after: Sequence[Instruction],
+    oracle: Callable[[Circuit, Circuit], bool],
     max_qubits: int,
-) -> bool:
-    """Oracle check that two instruction windows agree as unitaries.
+    what: str,
+    candidate: ChainCandidate | GhzSite,
+) -> None:
+    """Oracle check of one rewrite on its own qubits and classical bits, both
+    renumbered from 0, barriers dropped; raises VerificationError on a mismatch.
 
-    Windows touching more than `max_qubits` qubits, or containing
-    measurements/conditions, are skipped (returns True)."""
+    Rewrites touching more than `max_qubits` qubits are skipped."""
     qubits = sorted({q for ins in before for q in ins.qubits})
     if len(qubits) > max_qubits:
-        return True
-    if not (_window_is_unitary(before) and _window_is_unitary(after)):
-        return True
-    remap = {q: i for i, q in enumerate(qubits)}
+        return
+    qmap = {q: i for i, q in enumerate(qubits)}
+    clbits = sorted({b for ins in (*before, *after) for b in _clbits(ins)})
+    cmap = {b: i for i, b in enumerate(clbits)}
 
     def rebuilt(instrs: Sequence[Instruction]) -> Circuit:
         body = tuple(
-            Instruction(ins.gate, tuple(remap[q] for q in ins.qubits), angle=ins.angle)
+            replace(
+                ins,
+                qubits=tuple(qmap[q] for q in ins.qubits),
+                clbit=cmap.get(ins.clbit),
+                condition=ins.condition and Condition(tuple(cmap[b] for b in ins.condition.bits)),
+            )
             for ins in instrs
             if ins.gate is not Gate.BARRIER
         )
-        return Circuit(len(qubits), 0, body)
+        return Circuit(len(qubits), len(clbits), body)
 
-    return sim.equivalent_unitary(rebuilt(before), rebuilt(after), tol=1e-9)
+    if not oracle(rebuilt(before), rebuilt(after), tol=1e-9):
+        raise VerificationError(f"{what} failed oracle equivalence", candidate)
 
 
 def gate_and_apply(c: Circuit, config: PassConfig) -> tuple[Circuit, list[GateDecision]]:
@@ -139,26 +126,29 @@ def gate_and_apply(c: Circuit, config: PassConfig) -> tuple[Circuit, list[GateDe
     fails (no partial result is returned in that case).
     """
     if config.chain_mode is ChainMode.OFF:
-        errors = validate(c)
-        if errors:
-            raise ValueError("invalid circuit: " + "; ".join(errors))
         return c, []
 
-    scanner = ChainScanner(c, min_gates=config.min_chain_gates)  # validates c
+    scanner = ChainScanner(c, min_gates=config.min_chain_gates)
     decisions: list[GateDecision] = []
-    current = c
     base_depth = depth_of(scanner.instructions)
     while (cand := scanner.next()) is not None:
+        ins = scanner.instructions  # accept() replaces the list
         replacement = _replacement_for(cand, config.cz_to_cx)
-        window, displaced_before, displaced_after = scanner.window_instructions(cand)
-        new_window = displaced_before + replacement + displaced_after
+        window = ins[cand.start_index : cand.end_index + 1]
+        new_window = (
+            [ins[i] for i in cand.moved_before] + replacement + [ins[i] for i in cand.moved_after]
+        )
 
         if config.chain_mode is ChainMode.FAST:
             apply_it = True
             d_before = d_after = None
         else:
-            tail = scanner.tail_instructions(cand, config.depth_scope)
-            chain_gates = [scanner.instructions[i] for i in cand.gate_indices]
+            # Ops displaced out of the chain are left out of the window: they
+            # are the same on both sides, and counting them would let an
+            # unrelated chain's depth mask a genuine improvement.
+            tail_start = cand.end_index + 1
+            tail = ins[tail_start : tail_start + config.depth_scope]
+            chain_gates = [ins[i] for i in cand.gate_indices]
             d_before = depth_of(chain_gates + tail)
             d_after = depth_of(replacement + tail)
             if config.chain_mode is ChainMode.ALWAYS:
@@ -168,31 +158,30 @@ def gate_and_apply(c: Circuit, config: PassConfig) -> tuple[Circuit, list[GateDe
                 if apply_it:
                     # Whole-circuit recheck: never degrade, even when the
                     # context outside the window skews the schedule.
-                    prospective = (
-                        scanner.instructions[: cand.start_index]
-                        + new_window
-                        + scanner.instructions[cand.end_index + 1 :]
-                    )
+                    prospective = ins[: cand.start_index] + new_window + ins[tail_start:]
                     if depth_of(prospective) > base_depth:
                         apply_it = False
 
-        if apply_it and config.verify:
-            if not _verify_window(window, new_window, config.max_verify_qubits):
-                raise VerificationError(
-                    f"chain rewrite at instruction {cand.start_index} "
-                    f"({cand.kind.value}, {len(cand.gate_indices)} gates) failed "
-                    "oracle equivalence",
-                    cand,
-                )
+        if apply_it and config.verify and all(
+            op.gate is not Gate.MEASURE and op.condition is None for op in window + new_window
+        ):
+            _verify_rewrite(
+                window, new_window, sim.equivalent_unitary, config.max_verify_qubits,
+                f"chain rewrite at instruction {cand.start_index} "
+                f"({cand.kind.value}, {len(cand.gate_indices)} gates)",
+                cand,
+            )
 
         if apply_it:
-            current = scanner.accept(replacement)
+            scanner.accept(replacement)
             if config.chain_mode is ChainMode.CONSERVATIVE:
                 base_depth = depth_of(scanner.instructions)
         else:
             scanner.skip()
         decisions.append(GateDecision(cand, d_before, d_after, apply_it))
-    return current, decisions
+    if not any(d.applied for d in decisions):
+        return c, decisions
+    return scanner.circuit, decisions
 
 
 @dataclass
@@ -206,38 +195,6 @@ class CompileResult:
     verified: bool = False
 
 
-def _verify_ghz_sites(
-    original: Circuit, sites: list[GhzSite], mode: GhzMode, config: PassConfig
-) -> None:
-    from .ghz import build_ghz_log, build_ghz_parallel
-
-    for site in sites:
-        members = site.members
-        if len(members) > config.max_verify_qubits:
-            continue
-        if mode is GhzMode.PARALLEL and len(members) < 3:
-            continue
-        remap = {q: i for i, q in enumerate(members)}
-        site_instrs = tuple(
-            Instruction(ins.gate, tuple(remap[q] for q in ins.qubits), angle=ins.angle)
-            for ins in (original.instructions[i] for i in sorted(site.gate_indices))
-        )
-        reference = Circuit(len(members), 0, site_instrs)
-        if mode is GhzMode.ROBUST:
-            block = build_ghz_log(range(len(members)))
-            replaced = Circuit(len(members), 0, tuple(block))
-        else:
-            k = len(members) // 2
-            block = build_ghz_parallel(range(len(members)), range(k))
-            replaced = Circuit(len(members), k, tuple(block))
-        if not sim.equivalent_on_zero(reference, replaced, tol=1e-9):
-            raise VerificationError(
-                f"GHZ rewrite at instruction {site.hadamard_index} failed oracle "
-                "equivalence",
-                site,
-            )
-
-
 def compile_circuit(
     c: Circuit,
     config: PassConfig,
@@ -248,10 +205,16 @@ def compile_circuit(
     for name in passes:
         if name == "ghz":
             rebuilt, sites, replaced = rebuild_ghz_sites(result.circuit, config.ghz_mode)
-            if config.verify and replaced:
-                _verify_ghz_sites(result.circuit, sites, config.ghz_mode, config)
+            if config.verify:
+                original = result.circuit.instructions
+                for site, block in replaced:
+                    _verify_rewrite(
+                        [original[i] for i in sorted(site.gate_indices)], block,
+                        sim.equivalent_on_zero, config.max_verify_qubits,
+                        f"GHZ rewrite at instruction {site.hadamard_index}", site,
+                    )
             result.ghz_sites_found += len(sites)
-            result.ghz_sites_replaced += replaced
+            result.ghz_sites_replaced += len(replaced)
             result.circuit = rebuilt
         elif name == "chains":
             rewritten, decisions = gate_and_apply(result.circuit, config)

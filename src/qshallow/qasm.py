@@ -40,7 +40,6 @@ from .ir import (
     Instruction,
     ROTATION_GATES,
     TWO_QUBIT_GATES,
-    validate,
 )
 
 
@@ -224,11 +223,10 @@ class _Parser:
             if self.peek().kind == "EOF":
                 break
             self.statement()
-        circuit = Circuit(self.num_qubits, self.num_clbits, tuple(self.instructions))
-        leftover = validate(circuit)
-        if leftover:  # defense in depth; statement checks should catch these first
-            raise self.error(leftover[0], head, "semantic")
-        return circuit
+        try:  # defense in depth; statement checks should catch these first
+            return Circuit(self.num_qubits, self.num_clbits, tuple(self.instructions))
+        except ValueError as exc:
+            raise self.error(str(exc), head, "semantic") from exc
 
     def statement(self) -> None:
         tok = self.peek()
@@ -263,7 +261,7 @@ class _Parser:
         size_tok = self.expect("INT")
         self.expect("PUNCT", "]")
         self.expect("PUNCT", ";")
-        size = int(size_tok.text)
+        size = self._int(size_tok)
         if size < 1:
             raise self.error("register size must be positive", size_tok, "semantic")
         if name.text in self.qregs or name.text in self.cregs:
@@ -275,6 +273,15 @@ class _Parser:
             self.cregs[name.text] = (self.num_clbits, size)
             self.num_clbits += size
 
+    def _int(self, tok: _Token) -> int:
+        """Value of an INT token; `int()` refuses literals past Python's digit limit."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise self.error(
+                f"integer literal of {len(tok.text)} digits is too long", tok, "semantic"
+            ) from None
+
     def _argument(self, table: dict[str, tuple[int, int]], what: str) -> list[int]:
         """One `reg[i]` or bare `reg` argument, flattened to global indices."""
         name = self.expect("ID")
@@ -285,7 +292,7 @@ class _Parser:
             self.advance()
             idx_tok = self.expect("INT")
             self.expect("PUNCT", "]")
-            idx = int(idx_tok.text)
+            idx = self._int(idx_tok)
             if idx >= size:
                 raise self.error(
                     f"index {idx} out of range for {name.text}[{size}]",
@@ -462,9 +469,6 @@ def _gate_text(ins: Instruction) -> str:
 def emit(c: Circuit) -> str:
     """Deterministic QASM text; re-parsing reproduces every condition-free
     instruction exactly.  Parity conditions are lowered per the module note."""
-    errors = validate(c)
-    if errors:
-        raise ValueError("invalid circuit: " + "; ".join(errors))
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     if c.num_qubits > 0:
         lines.append(f"qreg q[{c.num_qubits}];")

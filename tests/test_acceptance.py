@@ -24,10 +24,9 @@ from qshallow.chains import (
     decompose_cz,
     decompose_cz_to_cx,
     decompose_forward,
-    decompose_reverse,
     find_chains,
 )
-from qshallow.ghz import GhzMode, apply_ghz_pass
+from qshallow.ghz import GhzMode, rebuild_ghz_sites
 from qshallow.ir import Circuit, cx, depth, rz, ry, stats
 from qshallow.pipeline import ChainMode, PassConfig, gate_and_apply
 from qshallow.sim import equivalent_on_zero, equivalent_unitary
@@ -44,8 +43,8 @@ def _ghz_variants(n: int) -> dict[str, Circuit]:
     std = gen_ghz_standard(n)
     return {
         "standard": std,
-        "robust": apply_ghz_pass(std, GhzMode.ROBUST),
-        "parallel": apply_ghz_pass(std, GhzMode.PARALLEL),
+        "robust": rebuild_ghz_sites(std, GhzMode.ROBUST)[0],
+        "parallel": rebuild_ghz_sites(std, GhzMode.PARALLEL)[0],
     }
 
 
@@ -77,10 +76,12 @@ def test_criterion_02_ghz_gate_and_measurement_scaling():
 def test_criterion_03_ghz_correctness():
     for n in range(2, 13):
         std = gen_ghz_standard(n)
-        assert equivalent_on_zero(std, apply_ghz_pass(std, GhzMode.ROBUST), tol=TOL), n
+        robust = rebuild_ghz_sites(std, GhzMode.ROBUST)[0]
+        assert equivalent_on_zero(std, robust, tol=TOL), n
     for n in range(3, 12):
         std = gen_ghz_standard(n)
-        assert equivalent_on_zero(std, apply_ghz_pass(std, GhzMode.PARALLEL), tol=TOL), n
+        parallel = rebuild_ghz_sites(std, GhzMode.PARALLEL)[0]
+        assert equivalent_on_zero(std, parallel, tol=TOL), n
     _ok(3, "GHZ rewrites equivalent from |0..0>: robust n=2..12, parallel n=3..11 all branches")
 
 
@@ -92,7 +93,7 @@ def test_criterion_04_cx_chain_equivalence():
         ), n
         reverse = gen_cx_chain(n, "reverse")
         assert equivalent_unitary(
-            reverse, Circuit(n, 0, tuple(decompose_reverse(range(n - 1, -1, -1)))), tol=TOL
+            reverse, Circuit(n, 0, tuple(decompose_forward(range(n - 1, -1, -1)))), tol=TOL
         ), n
     _ok(4, "CX chain decompositions unitary-equal to plain chains for 2..11 qubits")
 

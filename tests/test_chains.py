@@ -28,7 +28,6 @@ from qshallow.chains import (
     decompose_cz,
     decompose_cz_to_cx,
     decompose_forward,
-    decompose_reverse,
     find_chains,
 )
 from qshallow.ir import (
@@ -49,7 +48,7 @@ from qshallow.ir import (
     y,
     z,
 )
-from qshallow.ghz import GhzMode, apply_ghz_pass
+from qshallow.ghz import GhzMode, rebuild_ghz_sites
 from qshallow.pipeline import ChainMode, PassConfig, compile_circuit
 from qshallow.qasm import emit
 from qshallow.sim import equivalent_unitary, unitary
@@ -234,13 +233,13 @@ class TestScanner:
         cands = find_chains(gen_cx_chain(6), 2)
         assert len(cands) == 1
         assert cands[0].qubit_seq == (0, 1, 2, 3, 4, 5)
-        assert cands[0].kind is ChainKind.FORWARD_CX
+        assert cands[0].kind is ChainKind.CX
 
     def test_reverse_chain_detected(self):
         cands = find_chains(gen_cx_chain(6, "reverse"), 2)
         assert len(cands) == 1
         assert cands[0].qubit_seq == (5, 4, 3, 2, 1, 0)
-        assert cands[0].kind is ChainKind.REVERSE_CX
+        assert cands[0].kind is ChainKind.CX
 
     def test_cz_chain_detected_regardless_of_orientation(self):
         c = circ(4, cz(1, 0), cz(1, 2), cz(3, 2))
@@ -294,9 +293,9 @@ class TestScanner:
         scanner = ChainScanner(gen_cx_chain(6), 2)
         cand = scanner.next()
         replacement = decompose_forward(cand.qubit_seq)
-        new_circuit = scanner.accept(replacement)
+        scanner.accept(replacement)
         assert scanner.next() is None  # replacement never re-seeds
-        assert equivalent_unitary(gen_cx_chain(6), new_circuit)
+        assert equivalent_unitary(gen_cx_chain(6), scanner.circuit)
 
     def test_rescan_rediscovers_displaced_chains(self):
         tw = gen_intertwined(3, 6)
@@ -314,8 +313,8 @@ class TestScanner:
         scanner = ChainScanner(c, 2)
         cand = scanner.next()
         assert cand.qubit_seq == (0, 1, 2, 3)
-        out = scanner.accept(decompose_forward(cand.qubit_seq))
-        assert equivalent_unitary(c, out)
+        scanner.accept(decompose_forward(cand.qubit_seq))
+        assert equivalent_unitary(c, scanner.circuit)
 
 
 # -- decompositions -----------------------------------------------------------
@@ -360,19 +359,21 @@ class TestDecomposeForward:
 
 
 class TestDecomposeReverse:
+    """Descending chains take the same construction as ascending ones."""
+
     @pytest.mark.parametrize("n", range(2, 12))
     def test_unitary_equal_to_plain_reverse_chain(self, n):
         plain = gen_cx_chain(n, "reverse")
         seq = list(range(n - 1, -1, -1))
-        dec = Circuit(n, 0, tuple(decompose_reverse(seq)))
+        dec = Circuit(n, 0, tuple(decompose_forward(seq)))
         assert equivalent_unitary(plain, dec, tol=1e-9)
 
     def test_three_qubit_reverse_unchanged(self):
-        assert decompose_reverse([2, 1, 0]) == [cx(2, 1), cx(1, 0)]
+        assert decompose_forward([2, 1, 0]) == [cx(2, 1), cx(1, 0)]
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_gate_count_at_most_doubled(self, n):
-        assert len(decompose_reverse(range(n - 1, -1, -1))) <= 2 * (n - 1)
+        assert len(decompose_forward(range(n - 1, -1, -1))) <= 2 * (n - 1)
 
 
 class TestDecomposeCz:
@@ -611,7 +612,7 @@ def _chain_then_fanout(n: int) -> Circuit:
 @pytest.mark.parametrize(
     "shape",
     [
-        lambda n: apply_ghz_pass(gen_ghz_standard(n), GhzMode.ROBUST),
+        lambda n: rebuild_ghz_sites(gen_ghz_standard(n), GhzMode.ROBUST)[0],
         _chain_then_fanout,
     ],
     ids=["ghz_log_cascade", "chain_then_fanout"],

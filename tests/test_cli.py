@@ -95,6 +95,39 @@ def test_non_utf8_input_exit_1(tmp_path, capsys, command):
     assert not (tmp_path / "x.qasm").exists()
 
 
+@pytest.mark.parametrize("body", [
+    "qreg q[1];\nh q[{huge}];\n",
+    "qreg q[{huge}];\n",
+    "qreg q[1];\ncreg c[{huge}];\n",
+], ids=["index", "qreg", "creg"])
+@pytest.mark.parametrize("command", ["compile", "depth"])
+def test_huge_integer_literal_exit_1(tmp_path, capsys, command, body):
+    bad = tmp_path / "huge.qasm"
+    bad.write_text("OPENQASM 2.0;\n" + body.format(huge="1" * 5000))
+    assert _read_with(command, bad, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ") and "5000 digits is too long" in err
+    assert not (tmp_path / "x.qasm").exists()
+
+
+def test_compile_validates_once(tmp_path, monkeypatch):
+    # GHZ off and no rewrite applied: the parsed circuit is the only one built.
+    from qshallow import ir
+
+    src = tmp_path / "in.qasm"
+    src.write_text(emit(gen_cx_chain(5)))
+    calls = []
+    validate = ir.validate
+    monkeypatch.setattr(ir, "validate", lambda c: calls.append(c) or validate(c))
+    rc = main(["compile", "--in", str(src), "--out", str(tmp_path / "out.qasm"),
+               "--report", str(tmp_path / "r.json"), "--chains", "conservative",
+               "--min-chain-gates", "2"])
+    assert rc == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["chains_found"] == 1 and report["chains_applied"] == 0
+    assert len(calls) == 1
+
+
 def test_compile_missing_file_exit_3(tmp_path):
     rc = main([
         "compile", "--in", str(tmp_path / "nope.qasm"), "--out", str(tmp_path / "x.qasm"),

@@ -8,7 +8,7 @@ import pytest
 from qshallow.bench import gen_ghz_standard
 from qshallow.ghz import (
     GhzMode,
-    apply_ghz_pass,
+    rebuild_ghz_sites,
     build_ghz_log,
     build_ghz_parallel,
     detect_ghz,
@@ -138,14 +138,14 @@ class TestBuildParallel:
 class TestApplyPass:
     def test_off_is_identity(self):
         c = gen_ghz_standard(6)
-        assert apply_ghz_pass(c, GhzMode.OFF).instructions == c.instructions
+        assert rebuild_ghz_sites(c, GhzMode.OFF)[0].instructions == c.instructions
 
     def test_robust_ghz16(self):
-        out = apply_ghz_pass(gen_ghz_standard(16), GhzMode.ROBUST)
+        out = rebuild_ghz_sites(gen_ghz_standard(16), GhzMode.ROBUST)[0]
         assert stats(out).depth == 5
 
     def test_parallel_ghz16(self):
-        out = apply_ghz_pass(gen_ghz_standard(16), GhzMode.PARALLEL)
+        out = rebuild_ghz_sites(gen_ghz_standard(16), GhzMode.PARALLEL)[0]
         report = stats(out)
         assert report.depth == 6
         assert report.measure_count == 8
@@ -153,39 +153,39 @@ class TestApplyPass:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_robust_equivalent_on_zero(self, n):
         std = gen_ghz_standard(n)
-        assert equivalent_on_zero(std, apply_ghz_pass(std, GhzMode.ROBUST), tol=1e-9)
+        assert equivalent_on_zero(std, rebuild_ghz_sites(std, GhzMode.ROBUST)[0], tol=1e-9)
 
     @pytest.mark.parametrize("n", range(3, 12))
     def test_parallel_equivalent_on_zero(self, n):
         std = gen_ghz_standard(n)
-        assert equivalent_on_zero(std, apply_ghz_pass(std, GhzMode.PARALLEL), tol=1e-9)
+        assert equivalent_on_zero(std, rebuild_ghz_sites(std, GhzMode.PARALLEL)[0], tol=1e-9)
 
     def test_member_order_preserved_for_fanout(self):
         c = circ(4, h(1), cx(1, 3), cx(1, 0), cx(1, 2))
-        out = apply_ghz_pass(c, GhzMode.ROBUST)
+        out = rebuild_ghz_sites(c, GhzMode.ROBUST)[0]
         assert out.instructions[0] == h(1)
         assert equivalent_on_zero(c, out)
 
     def test_parallel_skips_two_member_sites(self):
         c = circ(2, h(0), cx(0, 1))
-        out = apply_ghz_pass(c, GhzMode.PARALLEL)
+        out = rebuild_ghz_sites(c, GhzMode.PARALLEL)[0]
         assert out.instructions == c.instructions
 
     def test_surrounding_instructions_survive(self):
         c = circ(4, x(3), h(0), cx(0, 1), cx(1, 2), rz(3, 0.5), cx(2, 3))
-        out = apply_ghz_pass(c, GhzMode.ROBUST)
+        out = rebuild_ghz_sites(c, GhzMode.ROBUST)[0]
         kept = [ins for ins in out.instructions if ins in (x(3), rz(3, 0.5), cx(2, 3))]
         assert kept == [x(3), rz(3, 0.5), cx(2, 3)]
 
     def test_parallel_allocates_fresh_clbits(self):
         c = Circuit(5, 2, tuple(gen_ghz_standard(5).instructions))
-        out = apply_ghz_pass(c, GhzMode.PARALLEL)
+        out = rebuild_ghz_sites(c, GhzMode.PARALLEL)[0]
         assert out.num_clbits == 4
         used = {ins.clbit for ins in out.instructions if ins.gate is Gate.MEASURE}
         assert used == {2, 3}
 
     def test_fanout_sites_replaced_too(self):
         c = circ(5, h(0), *[cx(0, t) for t in range(1, 5)])
-        out = apply_ghz_pass(c, GhzMode.ROBUST)
+        out = rebuild_ghz_sites(c, GhzMode.ROBUST)[0]
         assert stats(out).depth == 1 + math.ceil(math.log2(5))
         assert equivalent_on_zero(c, out)

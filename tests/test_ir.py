@@ -1,5 +1,7 @@
-"""Circuit IR: validation, ASAP depth, stats, splice."""
+"""Circuit IR: validation at construction, ASAP depth, stats."""
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +16,11 @@ from qshallow.ir import (
     cx,
     cz,
     depth,
+    depth_of,
     h,
     measure,
     rx,
     rz,
-    splice,
     stats,
     validate,
     x,
@@ -30,35 +32,58 @@ def circ(n, *instructions, clbits=0):
 
 
 class TestValidate:
+    """Every invariant violation raises at construction, with the message of
+    `validate`, also when the circuit is derived with dataclasses.replace."""
+
     def test_well_formed(self):
         assert validate(circ(2, cx(0, 1))) == []
 
     def test_qubit_out_of_range(self):
-        errors = validate(circ(2, cx(0, 5)))
-        assert len(errors) == 1 and "out of range" in errors[0]
+        with pytest.raises(ValueError, match=r"^invalid circuit: instruction 0 \(cx\): "
+                           r"qubit index 5 out of range$"):
+            circ(2, cx(0, 5))
+        with pytest.raises(ValueError, match="qubit index 1 out of range"):
+            dataclasses.replace(circ(2, cx(0, 1)), num_qubits=1)
 
     def test_duplicate_operand(self):
-        errors = validate(circ(2, Instruction(Gate.CX, (0, 0))))
-        assert any("duplicate operand" in e for e in errors)
+        with pytest.raises(ValueError, match="instruction 0 \\(cx\\): duplicate operand"):
+            circ(2, Instruction(Gate.CX, (0, 0)))
 
     def test_clbit_reassignment(self):
-        errors = validate(circ(2, measure(0, 0), measure(1, 0), clbits=1))
-        assert any("written more than once" in e for e in errors)
+        with pytest.raises(ValueError, match="instruction 1 \\(measure\\): "
+                           "clbit 0 written more than once"):
+            circ(2, measure(0, 0), measure(1, 0), clbits=1)
+        ok = circ(2, measure(0, 0), measure(1, 1), clbits=2)
+        with pytest.raises(ValueError, match="written more than once"):
+            dataclasses.replace(ok, instructions=(measure(0, 0), measure(1, 0)))
 
     def test_angle_only_on_rotations(self):
-        errors = validate(circ(1, Instruction(Gate.H, (0,), angle=1.0)))
-        assert any("rotation" in e for e in errors)
-        errors = validate(circ(1, Instruction(Gate.RX, (0,))))
-        assert any("rotation" in e for e in errors)
+        with pytest.raises(ValueError, match="angle present iff gate is a rotation"):
+            circ(1, Instruction(Gate.H, (0,), angle=1.0))
+        with pytest.raises(ValueError, match="angle present iff gate is a rotation"):
+            circ(1, Instruction(Gate.RX, (0,)))
 
     def test_measure_condition_forbidden(self):
         bad = Instruction(Gate.MEASURE, (0,), clbit=0, condition=Condition((0,)))
-        errors = validate(circ(1, bad, clbits=1))
-        assert any("must not be conditioned" in e for e in errors)
+        with pytest.raises(ValueError, match="must not be conditioned"):
+            circ(1, bad, clbits=1)
 
     def test_condition_bit_range(self):
-        errors = validate(circ(1, x(0, condition=Condition((3,))), clbits=1))
-        assert any("condition bit 3" in e for e in errors)
+        with pytest.raises(ValueError, match="condition bit 3 out of range"):
+            circ(1, x(0, condition=Condition((3,))), clbits=1)
+        ok = circ(1, x(0, condition=Condition((0,))), clbits=1)
+        with pytest.raises(ValueError, match="condition bit 0 out of range"):
+            dataclasses.replace(ok, num_clbits=0)
+
+    def test_all_violations_joined(self):
+        with pytest.raises(ValueError) as err:
+            Circuit(-1, 0, (cx(0, 0),))
+        assert str(err.value) == (
+            "invalid circuit: num_qubits must be non-negative; "
+            "instruction 0 (cx): qubit index 0 out of range; "
+            "instruction 0 (cx): qubit index 0 out of range; "
+            "instruction 0 (cx): duplicate operand"
+        )
 
 
 class TestDepth:
@@ -95,16 +120,11 @@ class TestDepth:
         assert depth(circ(4, cx(0, 1), barrier(0, 1, 2, 3), cx(2, 3))) == 2
 
     def test_window(self):
+        # A slice of the instruction list is scheduled from scratch.
         c = circ(3, h(0), cx(0, 1), cx(1, 2))
-        assert depth(c, (0, 3)) == 3
-        assert depth(c, (1, 3)) == 2
-        assert depth(c, (2, 2)) == 0
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            depth(circ(1, h(0)), (0, 5))
-        with pytest.raises(ValueError):
-            depth(circ(1, h(0)), (-1, 1))
+        assert depth_of(c.instructions[0:3]) == 3
+        assert depth_of(c.instructions[1:3]) == 2
+        assert depth_of(c.instructions[2:2]) == 0
 
     def test_measure_occupies_a_layer(self):
         assert depth(circ(1, h(0), measure(0, 0), clbits=1)) == 2
@@ -127,30 +147,9 @@ class TestStats:
         assert stats(c).gate_count == 1
 
     def test_invalid_circuit_raises(self):
+        # No invalid circuit reaches stats: building one raises.
         with pytest.raises(ValueError, match="out of range"):
             stats(circ(1, cx(0, 5)))
-
-
-class TestSplice:
-    def test_replace_one(self):
-        c = circ(2, h(0), cx(0, 1))
-        out = splice(c, {1}, 1, [cz(0, 1)])
-        assert out.instructions == (h(0), cz(0, 1))
-
-    def test_identity(self):
-        c = circ(2, h(0), cx(0, 1))
-        assert splice(c, set(), 0, []).instructions == c.instructions
-
-    def test_remove_all(self):
-        c = circ(2, h(0), cx(0, 1))
-        assert splice(c, {0, 1}, 0, []).instructions == ()
-
-    def test_out_of_range(self):
-        c = circ(2, h(0))
-        with pytest.raises(IndexError):
-            splice(c, {5}, 0, [])
-        with pytest.raises(IndexError):
-            splice(c, {0}, 2, [])
 
 
 # -- property tests ----------------------------------------------------------
@@ -175,7 +174,7 @@ def test_removing_an_instruction_never_increases_depth(c, data):
     if not c.instructions:
         return
     i = data.draw(st.integers(0, len(c.instructions) - 1))
-    smaller = splice(c, {i}, 0, [])
+    smaller = Circuit(c.num_qubits, 0, c.instructions[:i] + c.instructions[i + 1 :])
     assert depth(smaller) <= depth(c)
 
 
@@ -189,21 +188,3 @@ def test_depth_at_least_busiest_qubit(c):
         for q in ins.qubits:
             per_qubit[q] = per_qubit.get(q, 0) + 1
     assert depth(c) >= max(per_qubit.values(), default=0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_circuits, st.data())
-def test_splice_then_inverse_splice_round_trips(c, data):
-    if not c.instructions:
-        return
-    i = data.draw(st.integers(0, len(c.instructions) - 1))
-    removed = c.instructions[i]
-    without = splice(c, {i}, 0, [])
-    back = splice(without, set(), i, [removed])
-    assert back.instructions == c.instructions
-
-
-@settings(max_examples=60, deadline=None)
-@given(_circuits)
-def test_full_window_equals_whole_circuit_depth(c):
-    assert depth(c) == depth(c, (0, len(c.instructions)))

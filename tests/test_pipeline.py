@@ -12,9 +12,8 @@ from qshallow.bench import (
     gen_intertwined,
     gen_random,
 )
-from qshallow import chains, pipeline
-from qshallow.chains import ChainScanner
-from qshallow.ir import Circuit, cx, cz, h, rz, stats, validate
+from qshallow import ghz, ir
+from qshallow.ir import Circuit, cx, cz, h, rz, stats
 from qshallow.pipeline import (
     ChainMode,
     GateDecision,
@@ -22,9 +21,8 @@ from qshallow.pipeline import (
     VerificationError,
     compile_circuit,
     gate_and_apply,
-    scoped_depth,
 )
-from qshallow.ghz import GhzMode
+from qshallow.ghz import GhzMode, GhzSite, detect_ghz
 from qshallow.sim import equivalent_unitary
 
 
@@ -32,37 +30,48 @@ def circ(n, *instructions):
     return Circuit(n, 0, tuple(instructions))
 
 
+def _count_validate(monkeypatch) -> list[Circuit]:
+    """Record every `ir.validate` call, which each Circuit construction makes."""
+    calls = []
+    validate = ir.validate
+
+    def counting(c):
+        calls.append(c)
+        return validate(c)
+
+    monkeypatch.setattr(ir, "validate", counting)
+    return calls
+
+
 class TestScopedDepth:
-    def _candidate(self, c, min_gates=2):
-        scanner = ChainScanner(c, min_gates)
-        cand = scanner.next()
-        assert cand is not None
-        return cand
+    """The window a decision is taken on: the chain gates plus the
+    `depth_scope` operations after its last gate, clamped to the circuit end."""
+
+    def _depth_before(self, c, scope):
+        config = PassConfig(chain_mode=ChainMode.ALWAYS, min_chain_gates=2, depth_scope=scope)
+        _, decisions = gate_and_apply(c, config)
+        return decisions[0].depth_before
 
     def test_isolated_chain_scope_100(self):
         c = gen_cx_chain(9)  # 8 sequential gates, empty tail
-        cand = self._candidate(c)
-        assert scoped_depth(c, cand, 100) == 8
+        assert self._depth_before(c, 100) == 8
 
     def test_scope_zero_is_chain_alone(self):
         body = [cx(0, 1), cx(1, 2), cx(2, 3), h(5), h(5), h(5), h(5)]
         c = circ(6, *body)
-        cand = self._candidate(c)
-        assert scoped_depth(c, cand, 0) == 3
+        assert self._depth_before(c, 0) == 3
 
     def test_window_clamps_at_circuit_end(self):
         c = gen_cx_chain(5)
-        cand = self._candidate(c)
-        assert scoped_depth(c, cand, 10_000) == 4
+        assert self._depth_before(c, 10_000) == 4
 
     def test_tail_included(self):
         # Three tail gates on q0 pipeline behind the chain: layers 2, 3, 4.
         body = [cx(0, 1), cx(1, 2), h(0), h(0), h(0)]
         c = circ(3, *body)
-        cand = self._candidate(c)
-        assert scoped_depth(c, cand, 100) == 4
-        assert scoped_depth(c, cand, 1) == 2
-        assert scoped_depth(c, cand, 0) == 2
+        assert self._depth_before(c, 100) == 4
+        assert self._depth_before(c, 1) == 2
+        assert self._depth_before(c, 0) == 2
 
 
 class TestModes:
@@ -74,21 +83,26 @@ class TestModes:
 
     @pytest.mark.parametrize("mode", list(ChainMode))
     def test_invalid_circuit_rejected(self, mode):
-        bad = circ(3, cx(0, 1), cx(1, 3))
+        # An invalid circuit cannot be built, so it never reaches the pass.
         with pytest.raises(ValueError, match="out of range"):
-            gate_and_apply(bad, PassConfig(chain_mode=mode))
+            gate_and_apply(circ(3, cx(0, 1), cx(1, 3)), PassConfig(chain_mode=mode))
 
     @pytest.mark.parametrize("mode", list(ChainMode))
     def test_circuit_validated_once(self, mode, monkeypatch):
-        calls = []
+        # The pass builds, and so validates, only the circuit it returns.
+        c = gen_cx_chain(9)
+        calls = _count_validate(monkeypatch)
+        out, decisions = gate_and_apply(c, PassConfig(chain_mode=mode))
+        applied = any(d.applied for d in decisions)
+        assert len(calls) == int(applied)
+        assert applied or out is c
 
-        def counting(c):
-            calls.append(c)
-            return validate(c)
-
-        for module in (chains, pipeline):
-            monkeypatch.setattr(module, "validate", counting)
-        gate_and_apply(gen_cx_chain(9), PassConfig(chain_mode=mode))
+    @pytest.mark.parametrize("mode", [ChainMode.CONSERVATIVE, ChainMode.ALWAYS, ChainMode.FAST])
+    def test_many_rewrites_build_one_circuit(self, mode, monkeypatch):
+        c = gen_intertwined(3, 8)
+        calls = _count_validate(monkeypatch)
+        _, decisions = gate_and_apply(c, PassConfig(chain_mode=mode, min_chain_gates=2))
+        assert sum(d.applied for d in decisions) >= 2
         assert len(calls) == 1
 
     def test_conservative_skips_small_chain(self):
@@ -205,6 +219,17 @@ class TestVerification:
                 c, PassConfig(chain_mode=ChainMode.ALWAYS, verify=True, min_chain_gates=2)
             )
         assert err.value.candidate is not None
+
+    def test_bogus_ghz_block_caught(self, monkeypatch):
+        def wrong(members):
+            return [h(members[0])] + [cx(members[0], q) for q in members[2:]]
+
+        monkeypatch.setattr(ghz, "build_ghz_log", wrong)
+        c = gen_ghz_standard(6)
+        with pytest.raises(VerificationError) as err:
+            compile_circuit(c, PassConfig(ghz_mode=GhzMode.ROBUST, verify=True), ("ghz",))
+        assert isinstance(err.value.candidate, GhzSite)
+        assert err.value.candidate == detect_ghz(c)[0]
 
     def test_oversized_windows_skipped(self):
         c = gen_cx_chain(30)

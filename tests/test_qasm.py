@@ -20,7 +20,7 @@ from qshallow.bench import (
     gen_intertwined,
     gen_random,
 )
-from qshallow.ghz import GhzMode, apply_ghz_pass
+from qshallow.ghz import GhzMode, rebuild_ghz_sites
 from qshallow.ir import Circuit, Condition, Gate, Instruction, cx, h, measure, rz, x
 from qshallow.qasm import ParseError, emit, parse
 from qshallow.sim import branches, states_equal_up_to_phase
@@ -80,6 +80,9 @@ class TestParse:
         assert c.num_qubits == 1 and c.instructions == ()
 
 
+_HUGE = "1" * 5000
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
         "src, kind, fragment",
@@ -105,6 +108,13 @@ class TestParseErrors:
             ("OPENQASM 2.0; qreg q[1]; rx(2*pi/0) q[0];", "semantic", "division by zero"),
             ("OPENQASM 2.0; qreg q[1]; rx(1e999) q[0];", "semantic", "not finite"),
             ("OPENQASM 2.0; qreg q[1]; rx(-1e999) q[0];", "semantic", "not finite"),
+            # Past Python's int() digit limit.
+            pytest.param(f"OPENQASM 2.0; qreg q[1]; h q[{_HUGE}];", "semantic", "too long",
+                         id="5000-digit-index"),
+            pytest.param(f"OPENQASM 2.0; qreg q[{_HUGE}];", "semantic", "too long",
+                         id="5000-digit-qreg"),
+            pytest.param(f"OPENQASM 2.0; creg c[{_HUGE}];", "semantic", "too long",
+                         id="5000-digit-creg"),
         ],
     )
     def test_error_kinds(self, src, kind, fragment):
@@ -164,6 +174,7 @@ class TestEmit:
         parse(emit(c))
 
     def test_invalid_circuit_rejected(self):
+        # No invalid circuit reaches emit: building one raises.
         with pytest.raises(ValueError):
             emit(Circuit(1, 0, (cx(0, 5),)))
 
@@ -269,7 +280,7 @@ def _bench_family_circuits() -> list[Circuit]:
     out += [gen_random(8, 80, seed=s) for s in range(5)]
     # GHZ rewrites emit measurements and parity feedforward.
     for mode in (GhzMode.ROBUST, GhzMode.PARALLEL):
-        out += [apply_ghz_pass(gen_ghz_standard(n), mode) for n in (4, 9, 30)]
+        out += [rebuild_ghz_sites(gen_ghz_standard(n), mode)[0] for n in (4, 9, 30)]
     return out
 
 

@@ -153,10 +153,10 @@ class TestEquivalence:
 
     def test_equivalent_on_zero_ghz(self):
         from qshallow.bench import gen_ghz_standard
-        from qshallow.ghz import GhzMode, apply_ghz_pass
+        from qshallow.ghz import GhzMode, rebuild_ghz_sites
 
         std = gen_ghz_standard(4)
-        assert equivalent_on_zero(std, apply_ghz_pass(std, GhzMode.ROBUST))
+        assert equivalent_on_zero(std, rebuild_ghz_sites(std, GhzMode.ROBUST)[0])
 
     def test_equivalent_on_zero_rejects_missing_hadamard(self):
         chain_only = circ(4, cx(0, 1), cx(1, 2), cx(2, 3))
