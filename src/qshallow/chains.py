@@ -47,6 +47,7 @@ from .ir import (
     DIAGONAL_GATES,
     Gate,
     Instruction,
+    _splice,
     cx,
     cz,
     h,
@@ -64,7 +65,6 @@ class ChainCandidate:
     gate_indices: tuple[int, ...]
     qubit_seq: tuple[int, ...]
     start_index: int
-    moved_before: tuple[int, ...]
     moved_after: tuple[int, ...]
 
     @property
@@ -160,9 +160,9 @@ class _Growth:
     state untouched, which is why the scanner may skip it.
     """
 
-    def __init__(self, instructions: list[Instruction], processed: list[bool], seed: int):
+    def __init__(self, instructions: list[Instruction], state: list[int], seed: int):
         self.instructions = instructions
-        self.processed = processed
+        self.state = state
         self.seed = seed
         first = instructions[seed]
         self.is_cz = first.gate is Gate.CZ
@@ -201,7 +201,7 @@ class _Growth:
 
     def _try_extend(self, pos: int, op: Instruction) -> str:
         """Returns 'extended', 'skip' (not a continuation) or 'stop'."""
-        if op.condition is not None or self.processed[pos]:
+        if op.condition is not None or self.state[pos] == _REPLACED:
             return "skip"
         if self.is_cz:
             if op.gate is not Gate.CZ:
@@ -244,8 +244,9 @@ class _Growth:
     def classify(self, pos: int, op: Instruction) -> bool:
         """Classify a non-chain op at `pos`; False means the chain ends here.
 
-        An op that moves before the chain is not recorded: `finish` derives
-        those positions as the complement of the chain gates and deferred ops.
+        An op that moves before the chain is not recorded: the chain gates and
+        the ops moved after it leave their positions, and everything else
+        between the seed and the last chain gate stays where it is.
         """
         if op.gate is Gate.BARRIER:
             return False  # never detect across barriers
@@ -263,38 +264,47 @@ class _Growth:
         if len(self.gate_positions) < min_gates:
             return None
         last = self.gate_positions[-1]
-        moved_after = tuple(i for i, _ in self.pending_after if i < last)
-        moved_before: list[int] = []
-        prev = self.seed
-        for i in sorted(self.gate_positions[1:] + list(moved_after)):
-            moved_before.extend(range(prev + 1, i))
-            prev = i
         return ChainCandidate(
             kind=ChainKind.CZ if self.is_cz else ChainKind.CX,
             gate_indices=tuple(self.gate_positions),
             qubit_seq=tuple(self.seq),
             start_index=self.seed,
-            moved_before=tuple(moved_before),
-            moved_after=moved_after,
+            moved_after=tuple(i for i, _ in self.pending_after if i < last),
         )
+
+
+# Seed states, one per instruction: the gates of a skipped candidate never
+# seed again; the gates of a replacement neither seed nor extend a chain.
+_FREE, _SKIPPED, _REPLACED = 0, 1, 2
+
+
+def _rewrite(cand: ChainCandidate, items: Sequence, replacement: Sequence) -> list:
+    """`items` laid out as `cand`'s rewrite: the chain gates and moved-after ops
+    leave their positions, and the replacement followed by the moved-after ops
+    takes the last chain gate's position (the ops moved before stay put)."""
+    blocks = dict.fromkeys((*cand.gate_indices, *cand.moved_after), ())
+    blocks[cand.end_index] = [*replacement, *(items[i] for i in cand.moved_after)]
+    return _splice(items, blocks)
 
 
 class ChainScanner:
     """Resumable single-pass scanner over a circuit's instruction list.
 
     `next()` yields the next chain candidate of at least `min_gates` gates.
-    The caller then either `accept(replacement)` - splice the displaced ops
-    and the replacement into the window, mark the replacement as processed so
-    it never re-seeds, and rescan from the chain's start so that intertwined
-    chains displaced around it are rediscovered - or `skip()`, which retires
-    the candidate's gates as seeds and continues forward.
+    `rewrite(replacement)` lays the candidate's rewrite out over the
+    instruction list without changing the scanner.  The caller then either
+    `accept`s that list - it becomes the scanner's, the replacement's gates
+    never seed or extend a chain, and the scan restarts from the chain's
+    start so that intertwined chains displaced around it are rediscovered -
+    or `skip()`s, which retires the candidate's gates as seeds and continues
+    forward.
 
     The scanner owns a per-wire next-use index over its instruction list,
     built in one forward pass: `_qnext[2*i + k]` is the position of the next
     instruction after i that uses qubit operand k of instruction i (the list
     length if none), `_cnext[(i, b)]` the same for classical bit b (classical
     ops are rare, so these sit in a dict), plus the sorted barrier positions
-    and, per qubit, the last position where it is the control of an
+    and, per qubit in use, the last position where it is the control of an
     unconditioned CX (`_last_cx_control`) or an operand of an unconditioned
     CZ (`_last_cz`).  A growth merges the next uses of its active wires in a
     heap, so it visits only ops on active wires, stops at the next barrier,
@@ -309,8 +319,7 @@ class ChainScanner:
         self.num_clbits = circuit.num_clbits
         self.instructions: list[Instruction] = list(circuit.instructions)
         self.min_gates = min_gates
-        self._processed = [False] * len(self.instructions)
-        self._no_seed = [False] * len(self.instructions)
+        self._state = [_FREE] * len(self.instructions)
         self._pos = 0
         self._pending: ChainCandidate | None = None
         self._build_index()
@@ -324,10 +333,11 @@ class ChainScanner:
         qnext = [n] * (2 * n)
         cnext: dict[tuple[int, int], int] = {}
         barriers: list[int] = []
-        last_slot = [-1] * self.num_qubits
+        # Keyed by the qubits in use: a register may declare far more.
+        last_slot: dict[int, int] = {}
         last_clbit_use: dict[int, int] = {}
-        last_cx_control = [-1] * self.num_qubits
-        last_cz = [-1] * self.num_qubits
+        last_cx_control: dict[int, int] = {}
+        last_cz: dict[int, int] = {}
         BARRIER, CX, CZ = Gate.BARRIER, Gate.CX, Gate.CZ
         for i, ins in enumerate(self.instructions):
             gate = ins.gate
@@ -338,8 +348,8 @@ class ChainScanner:
                 continue
             slot = 2 * i
             for q in ins.qubits:
-                prev = last_slot[q]
-                if prev >= 0:
+                prev = last_slot.get(q)
+                if prev is not None:
                     qnext[prev] = i
                 last_slot[q] = slot
                 slot += 1
@@ -371,8 +381,7 @@ class ChainScanner:
             if (
                 ins.gate in (Gate.CX, Gate.CZ)
                 and ins.condition is None
-                and not self._processed[i]
-                and not self._no_seed[i]
+                and self._state[i] == _FREE
             ):
                 candidate = self._grow(i)
                 if candidate is not None:
@@ -389,10 +398,10 @@ class ChainScanner:
         it sees in position order up to the last extension.
         """
         ins = self.instructions
-        g = _Growth(ins, self._processed, seed)
+        g = _Growth(ins, self._state, seed)
         k = bisect_right(self._barriers, seed)
         end = self._barriers[k] if k < len(self._barriers) else len(ins)
-        last_link = self._last_cz if g.is_cz else self._last_cx_control
+        last_link = (self._last_cz if g.is_cz else self._last_cx_control).get
         qnext, cnext = self._qnext, self._cnext
         seq, seq_set, pending = g.seq, g.seq_set, g.pending_by_wire
         heap = [j for j in (qnext[2 * seed], qnext[2 * seed + 1]) if j < end]
@@ -402,7 +411,7 @@ class ChainScanner:
             j = heappop(heap)
             if j == prev:
                 continue  # reached along a second active wire
-            if last_link[seq[-1]] < j and (g.seq_oriented or last_link[seq[0]] < j):
+            if last_link(seq[-1], -1) < j and (g.seq_oriented or last_link(seq[0], -1) < j):
                 break  # nothing from here on can extend the head
             prev = j
             op = ins[j]
@@ -423,42 +432,27 @@ class ChainScanner:
                         heappush(heap, nxt)
         return g.finish(self.min_gates)
 
-    def accept(self, replacement: Sequence[Instruction]) -> None:
-        """Splice [moved_before, replacement, moved_after] over the window.
+    def rewrite(self, replacement: Sequence[Instruction]) -> list[Instruction]:
+        """The instruction list with the pending candidate replaced by
+        `replacement`; the scanner itself is unchanged."""
+        if self._pending is None:
+            raise RuntimeError("no candidate to rewrite")
+        return _rewrite(self._pending, self.instructions, replacement)
+
+    def accept(self, rewritten: list[Instruction]) -> None:
+        """Install `rewritten`, the pending candidate's `rewrite`, and rescan
+        from the chain's start.  The seed states move with their ops.
 
         The result is read from `circuit`, which builds a new `Circuit`."""
         cand = self._pending
         if cand is None:
             raise RuntimeError("no candidate to accept")
         self._pending = None
-        start = cand.start_index
-        window = {*cand.gate_indices, *cand.moved_before, *cand.moved_after}
-        new_ins: list[Instruction] = []
-        new_proc: list[bool] = []
-        new_seed: list[bool] = []
-
-        def keep(idx: int) -> None:
-            new_ins.append(self.instructions[idx])
-            new_proc.append(self._processed[idx])
-            new_seed.append(self._no_seed[idx])
-
-        for idx in range(start):
-            keep(idx)
-        for idx in cand.moved_before:
-            keep(idx)
-        for rep in replacement:
-            new_ins.append(rep)
-            new_proc.append(True)
-            new_seed.append(False)
-        for idx in cand.moved_after:
-            keep(idx)
-        for idx in range(start, len(self.instructions)):
-            if idx not in window:
-                keep(idx)
-        self.instructions = new_ins
-        self._processed = new_proc
-        self._no_seed = new_seed
-        self._pos = start
+        # The replacement is what the rewrite added beyond the gates it removed.
+        added = len(rewritten) - len(self.instructions) + len(cand.gate_indices)
+        self._state = _rewrite(cand, self._state, [_REPLACED] * added)
+        self.instructions = rewritten
+        self._pos = cand.start_index
         self._build_index()
 
     def skip(self) -> None:
@@ -468,7 +462,7 @@ class ChainScanner:
             raise RuntimeError("no candidate to skip")
         self._pending = None
         for idx in cand.gate_indices:
-            self._no_seed[idx] = True
+            self._state[idx] = _SKIPPED
         self._pos = cand.start_index + 1
 
 

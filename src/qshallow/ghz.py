@@ -15,11 +15,13 @@ which is why detection insists every member qubit is fresh.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Literal, Sequence
 
-from .ir import Circuit, Condition, Gate, Instruction, cx, h, measure
+from .ir import Circuit, Condition, Gate, Instruction, _splice, cx, h, measure
 from .ir import x as x_gate
 
 
@@ -44,47 +46,55 @@ def detect_ghz(c: Circuit) -> list[GhzSite]:
 
     A site ends at the first instruction that touches a member qubit without
     extending the pattern.  Instructions on unrelated qubits may interleave.
-    Sites are disjoint in gate indices.
-    """
-    first_use: dict[int, int] = {}
-    for i, ins in enumerate(c.instructions):
-        for q in ins.qubits:
-            first_use.setdefault(q, i)
+    Every member joins at its first use, so sites are disjoint in qubits and
+    in gate indices.
 
-    claimed: set[int] = set()
+    Only instructions on member qubits can extend or end a site, so a site is
+    grown by merging the members' next uses from per-qubit position lists:
+    each fresh H costs the gates of its site plus the one that ends it.
+    """
+    instrs = c.instructions
+    uses: dict[int, list[int]] = {}  # positions of the instructions on each qubit
+    for i, ins in enumerate(instrs):
+        for q in ins.qubits:
+            positions = uses.get(q)
+            if positions is None:
+                uses[q] = [i]
+            else:
+                positions.append(i)
+    # Each qubit's first use, in position order: dicts keep insertion order.
+    fresh_h = [i for i in (p[0] for p in uses.values())
+               if instrs[i].gate is Gate.H and instrs[i].condition is None]
+
     sites: list[GhzSite] = []
-    for h_idx, ins in enumerate(c.instructions):
-        if ins.gate is not Gate.H or ins.condition is not None or h_idx in claimed:
-            continue
-        root = ins.qubits[0]
-        if first_use[root] != h_idx:
-            continue
+    for h_idx in fresh_h:
+        root = instrs[h_idx].qubits[0]
         members = [root]
         gate_indices = [h_idx]
         shape: str | None = None
         last = root
-        for j in range(h_idx + 1, len(c.instructions)):
-            op = c.instructions[j]
-            if j in claimed:
-                if set(op.qubits) & set(members):
-                    break
-                continue
-            if op.gate is Gate.CX and op.condition is None:
-                ctrl, tgt = op.qubits
-                fresh = first_use[tgt] == j
-                extends_chain = ctrl == last and shape in (None, "chain")
-                extends_fanout = ctrl == root and shape in (None, "fanout")
-                if fresh and (extends_chain or extends_fanout):
-                    if shape is None and len(members) >= 2:
-                        shape = "chain" if ctrl == last else "fanout"
-                    members.append(tgt)
-                    gate_indices.append(j)
-                    last = tgt
-                    continue
-            if set(op.qubits) & set(members):
+        heap = uses[root][1:2]  # the next position on each member
+        while heap:
+            j = heappop(heap)
+            op = instrs[j]
+            if op.gate is not Gate.CX or op.condition is not None:
                 break
+            ctrl, tgt = op.qubits
+            extends_chain = ctrl == last and shape in (None, "chain")
+            extends_fanout = ctrl == root and shape in (None, "fanout")
+            if uses[tgt][0] != j or not (extends_chain or extends_fanout):
+                break  # the target is not fresh, or the pattern does not continue
+            if shape is None and len(members) >= 2:
+                shape = "chain" if ctrl == last else "fanout"
+            members.append(tgt)
+            gate_indices.append(j)
+            last = tgt
+            for member in op.qubits:
+                positions = uses[member]
+                k = bisect_right(positions, j)
+                if k < len(positions):
+                    heappush(heap, positions[k])
         if len(members) >= 2:
-            claimed.update(gate_indices)
             sites.append(
                 GhzSite(
                     hadamard_index=h_idx,
@@ -161,11 +171,12 @@ def rebuild_ghz_sites(
     pairs actually spliced in.
     """
     sites = detect_ghz(c)
-    if mode is GhzMode.OFF or not sites:
+    if mode is GhzMode.OFF:
         return c, sites, []
 
     next_clbit = c.num_clbits
     replaced: list[tuple[GhzSite, list[Instruction]]] = []
+    blocks: dict[int, Sequence[Instruction]] = {}
     for site in sites:
         if mode is GhzMode.ROBUST:
             block = build_ghz_log(site.members)
@@ -176,14 +187,9 @@ def rebuild_ghz_sites(
             block = build_ghz_parallel(site.members, range(next_clbit, next_clbit + k))
             next_clbit += k
         replaced.append((site, block))
-
-    replacements = {site.hadamard_index: block for site, block in replaced}
-    removed = {i for site, _ in replaced for i in site.gate_indices}
-    instructions: list[Instruction] = []
-    for i, ins in enumerate(c.instructions):
-        if i in replacements:
-            instructions.extend(replacements[i])
-        elif i not in removed:
-            instructions.append(ins)
-    out = Circuit(c.num_qubits, next_clbit, tuple(instructions))
+        blocks.update(dict.fromkeys(site.gate_indices, ()))
+        blocks[site.hadamard_index] = block
+    if not replaced:
+        return c, sites, []
+    out = Circuit(c.num_qubits, next_clbit, _splice(c.instructions, blocks))
     return out, sites, replaced

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 
 class Gate(Enum):
@@ -188,6 +188,20 @@ def validate(c: Circuit) -> list[str]:
             where = f"instruction {i} ({ins.gate.value})"
             errors[mark:] = [f"{where}: {e}" for e in errors[mark:]]
     return errors
+
+
+def _splice(items: Sequence, blocks: Mapping[int, Sequence]) -> list:
+    """Copy of `items` with each position in `blocks` replaced by its block;
+    an empty block deletes it.  Every rewrite is laid out here: the runs
+    between touched positions are copied by slice, not walked."""
+    out: list = []
+    prev = 0
+    for i in sorted(blocks):
+        out += items[prev:i]
+        out += blocks[i]
+        prev = i + 1
+    out += items[prev:]
+    return out
 
 
 def depth_of(instructions: Sequence[Instruction]) -> int:

@@ -3,16 +3,18 @@
 The chain pass never has to make the circuit worse: in conservative mode a
 candidate decomposition is applied only if it strictly reduces the depth of
 its evaluation window *and* does not increase the depth of the whole circuit.
-The window check alone is the documented fast path (chain plus the following
+The window check alone is the cheap filter (chain plus the following
 `depth_scope` operations, compared on identical window boundaries); the
 whole-circuit recheck closes the gap where context before the window skews the
-schedule in a way no bounded window can see.
+schedule in a way no bounded window can see.  Each rewrite that passes the
+window check is laid out once; that one list is rechecked, verified and
+installed.
 
 Modes:
 
-* conservative - evaluate, apply only on strict window improvement.
+* conservative - evaluate, apply only on strict window improvement that the
+                 whole circuit keeps.
 * always       - evaluate, apply unconditionally (may increase depth).
-* fast         - apply unconditionally with no depth evaluation at all.
 * off          - leave the circuit untouched.
 """
 from __future__ import annotations
@@ -39,7 +41,6 @@ class ChainMode(Enum):
     OFF = "off"
     CONSERVATIVE = "conservative"
     ALWAYS = "always"
-    FAST = "fast"
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ class PassConfig:
 @dataclass(frozen=True)
 class GateDecision:
     candidate: ChainCandidate
-    depth_before: int | None
-    depth_after: int | None
+    depth_before: int
+    depth_after: int
     applied: bool
 
 
@@ -132,50 +133,41 @@ def gate_and_apply(c: Circuit, config: PassConfig) -> tuple[Circuit, list[GateDe
     decisions: list[GateDecision] = []
     base_depth = depth_of(scanner.instructions)
     while (cand := scanner.next()) is not None:
-        ins = scanner.instructions  # accept() replaces the list
+        ins = scanner.instructions
         replacement = _replacement_for(cand, config.cz_to_cx)
-        window = ins[cand.start_index : cand.end_index + 1]
-        new_window = (
-            [ins[i] for i in cand.moved_before] + replacement + [ins[i] for i in cand.moved_after]
-        )
-
-        if config.chain_mode is ChainMode.FAST:
-            apply_it = True
-            d_before = d_after = None
-        else:
-            # Ops displaced out of the chain are left out of the window: they
-            # are the same on both sides, and counting them would let an
-            # unrelated chain's depth mask a genuine improvement.
-            tail_start = cand.end_index + 1
-            tail = ins[tail_start : tail_start + config.depth_scope]
-            chain_gates = [ins[i] for i in cand.gate_indices]
-            d_before = depth_of(chain_gates + tail)
-            d_after = depth_of(replacement + tail)
-            if config.chain_mode is ChainMode.ALWAYS:
-                apply_it = True
-            else:
-                apply_it = d_after < d_before
+        # Ops displaced out of the chain are left out of the window: they are
+        # the same on both sides, and counting them would let an unrelated
+        # chain's depth mask a genuine improvement.
+        tail_start = cand.end_index + 1
+        tail = ins[tail_start : tail_start + config.depth_scope]
+        d_before = depth_of([ins[i] for i in cand.gate_indices] + tail)
+        d_after = depth_of(replacement + tail)
+        apply_it = config.chain_mode is ChainMode.ALWAYS or d_after < d_before
+        if apply_it:
+            rewritten = scanner.rewrite(replacement)
+            if config.chain_mode is ChainMode.CONSERVATIVE:
+                # Whole-circuit recheck: never degrade, even when the context
+                # outside the window skews the schedule.
+                new_depth = depth_of(rewritten)
+                apply_it = new_depth <= base_depth
                 if apply_it:
-                    # Whole-circuit recheck: never degrade, even when the
-                    # context outside the window skews the schedule.
-                    prospective = ins[: cand.start_index] + new_window + ins[tail_start:]
-                    if depth_of(prospective) > base_depth:
-                        apply_it = False
+                    base_depth = new_depth
 
-        if apply_it and config.verify and all(
-            op.gate is not Gate.MEASURE and op.condition is None for op in window + new_window
-        ):
-            _verify_rewrite(
-                window, new_window, sim.equivalent_unitary, config.max_verify_qubits,
-                f"chain rewrite at instruction {cand.start_index} "
-                f"({cand.kind.value}, {len(cand.gate_indices)} gates)",
-                cand,
-            )
+        if apply_it and config.verify:
+            # Both lists share the prefix before the chain and the suffix
+            # after its last gate.
+            window = ins[cand.start_index : tail_start]
+            new_window = rewritten[cand.start_index : len(rewritten) - len(ins) + tail_start]
+            if not any(_clbits(op) for op in window + new_window):  # no measurement or condition
+                _verify_rewrite(
+                    window, new_window, sim.equivalent_unitary, config.max_verify_qubits,
+                    f"chain rewrite at instruction {cand.start_index} "
+                    f"({cand.kind.value}, {len(cand.gate_indices)} gates)",
+                    cand,
+                )
 
         if apply_it:
-            scanner.accept(replacement)
-            if config.chain_mode is ChainMode.CONSERVATIVE:
-                base_depth = depth_of(scanner.instructions)
+            scanner.accept(rewritten)
         else:
             scanner.skip()
         decisions.append(GateDecision(cand, d_before, d_after, apply_it))

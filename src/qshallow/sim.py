@@ -213,14 +213,7 @@ def equivalent_unitary(c1: Circuit, c2: Circuit, tol: float = 1e-9) -> bool:
     """True iff the circuits implement the same unitary up to a global phase."""
     if c1.num_qubits != c2.num_qubits:
         raise ValueError("qubit counts differ")
-    u1 = unitary(c1)
-    u2 = unitary(c2)
-    pivot = np.unravel_index(int(np.argmax(np.abs(u1))), u1.shape)
-    if abs(u2[pivot]) < PRUNE_PROBABILITY:
-        return False
-    phase = u1[pivot] / u2[pivot]
-    phase /= abs(phase)
-    return float(np.max(np.abs(u1 - phase * u2))) <= tol
+    return states_equal_up_to_phase(unitary(c1), unitary(c2), tol)
 
 
 def equivalent_on_zero(c1: Circuit, c2: Circuit, tol: float = 1e-9) -> bool:

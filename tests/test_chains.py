@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,11 +173,18 @@ def _only_candidate(c: Circuit) -> ChainCandidate:
     return cands[0]
 
 
+def _moved_before(cand: ChainCandidate) -> tuple[int, ...]:
+    """The ops a rewrite leaves in place: everything between the seed and the
+    last chain gate that is neither a chain gate nor moved after the chain."""
+    gone = {*cand.gate_indices, *cand.moved_after}
+    return tuple(i for i in range(cand.start_index, cand.end_index) if i not in gone)
+
+
 def test_classify_rz_on_control_moves_after():
     c = circ(4, cx(0, 1), cx(1, 2), rz(2, 0.3), cx(2, 3))
     cand = _only_candidate(c)
     assert cand.gate_indices == (0, 1, 3)
-    assert cand.moved_before == ()
+    assert _moved_before(cand) == ()
     assert cand.moved_after == (2,)
 
 
@@ -195,7 +203,7 @@ def test_classify_ry_on_retired_qubit_moves_after():
     c = circ(4, cx(0, 1), cx(1, 2), ry(1, 0.3), cx(2, 3))
     cand = _only_candidate(c)
     assert cand.gate_indices == (0, 1, 3)
-    assert cand.moved_before == ()
+    assert _moved_before(cand) == ()
     assert cand.moved_after == (2,)
 
 
@@ -203,7 +211,7 @@ def test_classify_disjoint_moves_before():
     c = circ(8, cx(0, 1), cx(1, 2), cx(5, 6), cx(2, 3))
     cand = _only_candidate(c)
     assert cand.gate_indices == (0, 1, 3)
-    assert cand.moved_before == (2,)
+    assert _moved_before(cand) == (2,)
     assert cand.moved_after == ()
 
 
@@ -215,7 +223,7 @@ def test_classify_extension_and_cycle_break():
     cand = _only_candidate(c)
     assert cand.qubit_seq == (0, 1, 2)
     assert cand.gate_indices == (0, 2)
-    assert cand.moved_before == (1,)
+    assert _moved_before(cand) == (1,)
     assert cand.moved_after == ()
     c2 = circ(5, cx(0, 1), cx(2, 0), cx(1, 2))
     assert find_chains(c2, 2) == []
@@ -292,10 +300,22 @@ class TestScanner:
     def test_accept_splices_and_marks_processed(self):
         scanner = ChainScanner(gen_cx_chain(6), 2)
         cand = scanner.next()
-        replacement = decompose_forward(cand.qubit_seq)
-        scanner.accept(replacement)
+        scanner.accept(scanner.rewrite(decompose_forward(cand.qubit_seq)))
         assert scanner.next() is None  # replacement never re-seeds
         assert equivalent_unitary(gen_cx_chain(6), scanner.circuit)
+
+    def test_index_sized_by_used_qubits(self):
+        # Two CX on a 2,000,000-qubit register: the scan allocates per
+        # instruction and per qubit in use, not per declared qubit.
+        c = circ(2_000_000, cx(0, 1), cx(1, 2))
+        tracemalloc.start()
+        try:
+            cands = find_chains(c, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [k.gate_indices for k in cands] == [(0, 1)]
+        assert peak < 1_000_000
 
     def test_rescan_rediscovers_displaced_chains(self):
         tw = gen_intertwined(3, 6)
@@ -303,7 +323,7 @@ class TestScanner:
         seen = 0
         while (cand := scanner.next()) is not None:
             seen += 1
-            scanner.accept(decompose_forward(cand.qubit_seq))
+            scanner.accept(scanner.rewrite(decompose_forward(cand.qubit_seq)))
         assert seen == 3
         assert stats(scanner.circuit).depth < stats(tw).depth
 
@@ -313,7 +333,7 @@ class TestScanner:
         scanner = ChainScanner(c, 2)
         cand = scanner.next()
         assert cand.qubit_seq == (0, 1, 2, 3)
-        scanner.accept(decompose_forward(cand.qubit_seq))
+        scanner.accept(scanner.rewrite(decompose_forward(cand.qubit_seq)))
         assert equivalent_unitary(c, scanner.circuit)
 
 
@@ -467,7 +487,7 @@ def test_randomized_window_soundness(seed):
 
     scanner = ChainScanner(c, 2)
     while (cand := scanner.next()) is not None:
-        scanner.accept(decompose_forward(cand.qubit_seq))
+        scanner.accept(scanner.rewrite(decompose_forward(cand.qubit_seq)))
     assert equivalent_unitary(c, scanner.circuit, tol=1e-9)
 
 
@@ -476,8 +496,9 @@ def test_randomized_window_soundness(seed):
 
 def _linear_grow(scanner: ChainScanner, seed: int) -> ChainCandidate | None:
     """Reference growth: offer every later instruction to the policy in turn,
-    recording the ops it moves before the chain."""
-    g = _Growth(scanner.instructions, scanner._processed, seed)
+    recording the ops it moves before the chain; those must be exactly the
+    ones the candidate's rewrite leaves in place."""
+    g = _Growth(scanner.instructions, scanner._state, seed)
     before = []
     for j in range(seed + 1, len(scanner.instructions)):
         op = scanner.instructions[j]
@@ -492,11 +513,9 @@ def _linear_grow(scanner: ChainScanner, seed: int) -> ChainCandidate | None:
         if len(g.pending_after) == deferred:
             before.append(j)
     cand = g.finish(scanner.min_gates)
-    if cand is None:
-        return None
-    return dataclasses.replace(
-        cand, moved_before=tuple(i for i in before if i < cand.end_index)
-    )
+    if cand is not None:
+        assert _moved_before(cand) == tuple(i for i in before if i < cand.end_index)
+    return cand
 
 
 def _random_dynamic_circuit(seed: int) -> Circuit:
@@ -598,7 +617,7 @@ def test_differential_corpus_exercises_every_feature():
     assert any(ins.gate is Gate.BARRIER and len(ins.qubits) == 1 for ins in ops)
     cands = [k for c in circuits for k in find_chains(c, 2)]
     assert {k.kind for k in cands} == set(ChainKind)
-    assert sum(bool(k.moved_before) for k in cands) > 50
+    assert sum(bool(_moved_before(k)) for k in cands) > 50
     assert sum(bool(k.moved_after) for k in cands) > 50
 
 

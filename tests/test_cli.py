@@ -128,6 +128,31 @@ def test_compile_validates_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("chains", ["conservative", "always"])
+def test_huge_register_compiles_like_chains_off(tmp_path, chains):
+    # The chain scanner indexes only the qubits the gates use.
+    src = tmp_path / "huge.qasm"
+    src.write_text("OPENQASM 2.0;\nqreg q[99999999999999999999];\n"
+                   "cx q[0],q[1];\ncx q[1],q[2];\n")
+    outputs = []
+    for mode in (chains, "off"):
+        out = tmp_path / f"{mode}.qasm"
+        argv = ["compile", "--in", str(src), "--out", str(out), "--chains", mode,
+                "--min-chain-gates", "2", "--report", str(tmp_path / f"{mode}.json")]
+        assert main(argv) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+    assert json.loads((tmp_path / f"{chains}.json").read_text())["chains_found"] == 1
+
+
+def test_fast_chain_mode_is_a_usage_error(tmp_path, ghz16):
+    with pytest.raises(SystemExit) as exc:
+        main(["compile", "--in", str(ghz16), "--out", str(tmp_path / "x.qasm"),
+              "--chains", "fast"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.qasm").exists()
+
+
 def test_compile_missing_file_exit_3(tmp_path):
     rc = main([
         "compile", "--in", str(tmp_path / "nope.qasm"), "--out", str(tmp_path / "x.qasm"),
