@@ -57,6 +57,7 @@ from .ir import (
 class ChainKind(Enum):
     CX = "cx"
     CZ = "cz"
+    GHZ = "ghz"  # a GHZ site (`ghz.GhzSite`), rewritten by the same driver
 
 
 @dataclass(frozen=True)
@@ -278,12 +279,15 @@ class _Growth:
 _FREE, _SKIPPED, _REPLACED = 0, 1, 2
 
 
-def _rewrite(cand: ChainCandidate, items: Sequence, replacement: Sequence) -> list:
-    """`items` laid out as `cand`'s rewrite: the chain gates and moved-after ops
-    leave their positions, and the replacement followed by the moved-after ops
-    takes the last chain gate's position (the ops moved before stay put)."""
-    blocks = dict.fromkeys((*cand.gate_indices, *cand.moved_after), ())
-    blocks[cand.end_index] = [*replacement, *(items[i] for i in cand.moved_after)]
+def _rewrite(items: Sequence, rewrites: Sequence[tuple]) -> list:
+    """`items` laid out with each (candidate, replacement) rewrite: the
+    candidate's gates and moved-after ops leave their positions, and the
+    replacement followed by the moved-after ops takes its last gate's
+    position (the ops moved before stay put).  Candidates must not overlap."""
+    blocks: dict[int, Sequence] = {}
+    for cand, replacement in rewrites:
+        blocks.update(dict.fromkeys((*cand.gate_indices, *cand.moved_after), ()))
+        blocks[cand.end_index] = [*replacement, *(items[i] for i in cand.moved_after)]
     return _splice(items, blocks)
 
 
@@ -291,13 +295,12 @@ class ChainScanner:
     """Resumable single-pass scanner over a circuit's instruction list.
 
     `next()` yields the next chain candidate of at least `min_gates` gates.
-    `rewrite(replacement)` lays the candidate's rewrite out over the
-    instruction list without changing the scanner.  The caller then either
-    `accept`s that list - it becomes the scanner's, the replacement's gates
-    never seed or extend a chain, and the scan restarts from the chain's
-    start so that intertwined chains displaced around it are rediscovered -
-    or `skip()`s, which retires the candidate's gates as seeds and continues
-    forward.
+    The caller then either `accept`s the instruction list with the
+    candidate's rewrite laid out by `_rewrite` - it becomes the scanner's,
+    the replacement's gates never seed or extend a chain, and the scan
+    restarts from the chain's start so that intertwined chains displaced
+    around it are rediscovered - or `skip()`s, which retires the candidate's
+    gates as seeds and continues forward.
 
     The scanner owns a per-wire next-use index over its instruction list,
     built in one forward pass: `_qnext[2*i + k]` is the position of the next
@@ -432,16 +435,10 @@ class ChainScanner:
                         heappush(heap, nxt)
         return g.finish(self.min_gates)
 
-    def rewrite(self, replacement: Sequence[Instruction]) -> list[Instruction]:
-        """The instruction list with the pending candidate replaced by
-        `replacement`; the scanner itself is unchanged."""
-        if self._pending is None:
-            raise RuntimeError("no candidate to rewrite")
-        return _rewrite(self._pending, self.instructions, replacement)
-
     def accept(self, rewritten: list[Instruction]) -> None:
-        """Install `rewritten`, the pending candidate's `rewrite`, and rescan
-        from the chain's start.  The seed states move with their ops.
+        """Install `rewritten`, the instruction list with the pending
+        candidate's rewrite laid out by `_rewrite`, and rescan from the
+        chain's start.  The seed states move with their ops.
 
         The result is read from `circuit`, which builds a new `Circuit`."""
         cand = self._pending
@@ -450,7 +447,7 @@ class ChainScanner:
         self._pending = None
         # The replacement is what the rewrite added beyond the gates it removed.
         added = len(rewritten) - len(self.instructions) + len(cand.gate_indices)
-        self._state = _rewrite(cand, self._state, [_REPLACED] * added)
+        self._state = _rewrite(self._state, [(cand, [_REPLACED] * added)])
         self.instructions = rewritten
         self._pos = cand.start_index
         self._build_index()

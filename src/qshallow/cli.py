@@ -22,9 +22,11 @@ from .bench import (
     gen_cz_chain,
     gen_ghz_standard,
 )
-from .ghz import GhzMode, rebuild_ghz_sites
+from .chains import ChainKind
+from .ghz import GhzMode
 from .ir import Circuit, stats
-from .pipeline import ChainMode, CompileResult, PassConfig, VerificationError, compile_circuit
+from .pipeline import MAX_VERIFY_QUBITS, ChainMode, CompileResult, PassConfig
+from .pipeline import VerificationError, compile_circuit
 from .qasm import ParseError, emit, parse
 
 CSV_COLUMNS = [
@@ -57,13 +59,15 @@ def _decision_summary(decision) -> dict:
 def _report(input_circuit: Circuit, result: CompileResult) -> dict:
     input_stats = stats(input_circuit)
     output_stats = stats(result.circuit)
+    ghz = [d.applied for d in result.decisions if d.candidate.kind is ChainKind.GHZ]
+    chains = [d.applied for d in result.decisions if d.candidate.kind is not ChainKind.GHZ]
     return {
         "input_stats": input_stats.as_dict(),
         "output_stats": output_stats.as_dict(),
-        "ghz_sites_found": result.ghz_sites_found,
-        "ghz_sites_replaced": result.ghz_sites_replaced,
-        "chains_found": result.chains_found,
-        "chains_applied": result.chains_applied,
+        "ghz_sites_found": len(ghz),
+        "ghz_sites_replaced": sum(ghz),
+        "chains_found": len(chains),
+        "chains_applied": sum(chains),
         "decisions": [_decision_summary(d) for d in result.decisions],
         "verified": result.verified,
         "relative_depth": input_stats.depth - output_stats.depth,
@@ -71,55 +75,26 @@ def _report(input_circuit: Circuit, result: CompileResult) -> dict:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    try:
-        circuit = _read_circuit(args.infile)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    circuit = _read_circuit(args.infile)
     config = PassConfig(
         ghz_mode=GhzMode(args.ghz),
         chain_mode=ChainMode(args.chains),
         min_chain_gates=args.min_chain_gates,
-        depth_scope=args.depth_scope,
         cz_to_cx=args.cz_to_cx,
         verify=args.verify,
-        max_verify_qubits=args.max_verify_qubits,
     )
-    passes = tuple(p.strip() for p in args.passes.split(",") if p.strip())
-    try:
-        result = compile_circuit(circuit, config, passes=passes)
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(emit(result.circuit))
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(_report(circuit, result), fh, indent=2)
-                fh.write("\n")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    result = compile_circuit(circuit, config)
+    with open(args.outfile, "w", encoding="utf-8") as fh:
+        fh.write(emit(result.circuit))
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            json.dump(_report(circuit, result), fh, indent=2)
+            fh.write("\n")
     return 0
 
 
 def cmd_depth(args: argparse.Namespace) -> int:
-    try:
-        circuit = _read_circuit(args.infile)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(stats(circuit).as_dict()))
+    print(json.dumps(stats(_read_circuit(args.infile)).as_dict()))
     return 0
 
 
@@ -150,7 +125,8 @@ def ghz_suite_rows(ns: Sequence[int]) -> list[dict]:
         before = stats(std)
         rows.append(_row("ghz", n, 0, "standard", before, before))
         for mode in (GhzMode.ROBUST, GhzMode.PARALLEL):
-            after = stats(rebuild_ghz_sites(std, mode)[0])
+            config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.OFF)
+            after = stats(compile_circuit(std, config).circuit)
             rows.append(_row("ghz", n, 0, mode.value, before, after))
     return rows
 
@@ -165,7 +141,7 @@ def chain_suite_rows(ns: Sequence[int], config: PassConfig) -> list[dict]:
     for n in ns:
         for variant, gen in generators.items():
             plain = gen(n)
-            result = compile_circuit(plain, config, passes=("chains",))
+            result = compile_circuit(plain, config)
             rows.append(_row("chain", n, 0, variant, stats(plain), stats(result.circuit)))
     return rows
 
@@ -183,7 +159,7 @@ def vqe_suite_rows(
         for n in ns:
             spec = AnsatzSpec(family, n, reps, entanglement, seed)
             circuit = gen_ansatz(spec)
-            result = compile_circuit(circuit, config, passes=("chains",))
+            result = compile_circuit(circuit, config)
             rows.append(
                 _row(family, n, reps, entanglement, stats(circuit), stats(result.circuit))
             )
@@ -200,16 +176,11 @@ def render_csv(rows: list[dict]) -> str:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        ns = list(_parse_range(args.n_range))
-        reps_list = [int(r) for r in args.reps.split(",") if r]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    ns = list(_parse_range(args.n_range))
+    reps_list = [int(r) for r in args.reps.split(",") if r]
     config = PassConfig(
         chain_mode=ChainMode(args.chains),
         min_chain_gates=args.min_chain_gates,
-        depth_scope=args.depth_scope,
         cz_to_cx=args.cz_to_cx,
     )
     if args.suite == "ghz":
@@ -220,12 +191,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows = vqe_suite_rows(ns, reps_list, args.family, args.entanglement, args.seed, config)
     text = render_csv(rows)
     if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+        with open(args.csv, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -242,18 +209,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile = sub.add_parser("compile", help="rewrite a circuit and emit QASM")
     p_compile.add_argument("--in", dest="infile", required=True, help="input QASM file")
     p_compile.add_argument("--out", dest="outfile", required=True, help="output QASM file")
-    p_compile.add_argument("--ghz", choices=[m.value for m in GhzMode], default="off")
-    p_compile.add_argument("--chains", choices=[m.value for m in ChainMode], default="off")
+    p_compile.add_argument("--ghz", choices=[m.value for m in GhzMode], default="off",
+                           help="GHZ construction; the --chains mode gates it too")
+    p_compile.add_argument("--chains", choices=[m.value for m in ChainMode], default="off",
+                           help="gate for every rewrite: conservative applies a GHZ site or "
+                                "chain only if its window gets shallower and the circuit no "
+                                "deeper; always applies all; off skips chains, applies GHZ sites")
     p_compile.add_argument("--min-chain-gates", type=int, default=5)
-    p_compile.add_argument("--depth-scope", type=int, default=100)
     p_compile.add_argument("--cz-to-cx", action="store_true",
                            help="lower rewritten CZ chains to H/CX form")
     p_compile.add_argument("--verify", action="store_true",
-                           help="oracle-check every rewrite (small windows only)")
-    p_compile.add_argument("--max-verify-qubits", type=int, default=10)
+                           help="oracle-check every applied rewrite; rewrites on more than "
+                                f"{MAX_VERIFY_QUBITS} qubits and chain windows with a "
+                                "measurement or condition are skipped, and the report's "
+                                "verified is then false")
     p_compile.add_argument("--report", help="write a JSON compile report here")
-    p_compile.add_argument("--passes", default="ghz,chains",
-                           help="comma-separated pass order (default ghz,chains)")
     p_compile.set_defaults(func=cmd_compile)
 
     p_depth = sub.add_parser("depth", help="print depth/gate statistics as JSON")
@@ -274,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--chains", choices=[m.value for m in ChainMode],
                          default="conservative")
     p_bench.add_argument("--min-chain-gates", type=int, default=5)
-    p_bench.add_argument("--depth-scope", type=int, default=100)
     p_bench.add_argument("--cz-to-cx", action="store_true")
     p_bench.add_argument("--csv", help="write CSV here instead of stdout")
     p_bench.set_defaults(func=cmd_bench)
@@ -282,8 +251,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error: make it 1
+        raise SystemExit(1 if exc.code == 2 else exc.code) from None
+    try:
+        return args.func(args)
+    except OSError as exc:
+        error, code = exc, 3
+    except VerificationError as exc:
+        error, code = exc, 2
+    except (ParseError, ValueError) as exc:  # also an invalid option value or non-UTF-8 input
+        error, code = exc, 1
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

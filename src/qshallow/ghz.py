@@ -11,7 +11,8 @@ ways:
   floor(n/2) mid-circuit measurements plus feedforward corrections.
 
 Both substitutions are state-preparation identities: they hold from |0...0>,
-which is why detection insists every member qubit is fresh.
+which is why detection insists every member qubit is fresh.  The compile
+pipeline gates, verifies and splices them like chain rewrites.
 """
 from __future__ import annotations
 
@@ -19,9 +20,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Literal, Sequence
+from typing import ClassVar, Literal, Sequence
 
-from .ir import Circuit, Condition, Gate, Instruction, _splice, cx, h, measure
+from .chains import ChainKind
+from .ir import Circuit, Condition, Gate, Instruction, cx, h, measure
 from .ir import x as x_gate
 
 
@@ -33,11 +35,20 @@ class GhzMode(Enum):
 
 @dataclass(frozen=True)
 class GhzSite:
-    hadamard_index: int
-    root: int
-    members: tuple[int, ...]
-    gate_indices: frozenset[int]
+    """A site in a chain candidate's shape: `start_index` is the fresh H and
+    `qubit_seq` the members, root first.  No op between its gates touches a
+    member, so none has to move."""
+
+    start_index: int
+    qubit_seq: tuple[int, ...]
+    gate_indices: tuple[int, ...]
     shape: Literal["chain", "fanout"]
+    kind: ClassVar[ChainKind] = ChainKind.GHZ
+    moved_after: ClassVar[tuple[int, ...]] = ()
+
+    @property
+    def end_index(self) -> int:
+        return self.gate_indices[-1]
 
 
 def detect_ghz(c: Circuit) -> list[GhzSite]:
@@ -95,15 +106,7 @@ def detect_ghz(c: Circuit) -> list[GhzSite]:
                 if k < len(positions):
                     heappush(heap, positions[k])
         if len(members) >= 2:
-            sites.append(
-                GhzSite(
-                    hadamard_index=h_idx,
-                    root=root,
-                    members=tuple(members),
-                    gate_indices=frozenset(gate_indices),
-                    shape=shape or "chain",
-                )
-            )
+            sites.append(GhzSite(h_idx, tuple(members), tuple(gate_indices), shape or "chain"))
     return sites
 
 
@@ -162,34 +165,19 @@ def build_ghz_parallel(members: Sequence[int], fresh_clbits: Sequence[int]) -> l
     return out
 
 
-def rebuild_ghz_sites(
-    c: Circuit, mode: GhzMode
-) -> tuple[Circuit, list[GhzSite], list[tuple[GhzSite, list[Instruction]]]]:
-    """Replace every detected GHZ site with the construction chosen by `mode`.
-
-    Returns the rewritten circuit, every detected site, and the (site, block)
-    pairs actually spliced in.
-    """
-    sites = detect_ghz(c)
-    if mode is GhzMode.OFF:
-        return c, sites, []
-
-    next_clbit = c.num_clbits
-    replaced: list[tuple[GhzSite, list[Instruction]]] = []
-    blocks: dict[int, Sequence[Instruction]] = {}
+def site_blocks(
+    sites: Sequence[GhzSite], mode: GhzMode, clbit: int
+) -> list[list[Instruction] | None]:
+    """Each site's construction in `mode`, fresh classical bits numbered from
+    `clbit` in site order; None where the fusion scheme lacks a middle qubit."""
+    blocks: list[list[Instruction] | None] = []
     for site in sites:
         if mode is GhzMode.ROBUST:
-            block = build_ghz_log(site.members)
+            blocks.append(build_ghz_log(site.qubit_seq))
+        elif len(site.qubit_seq) < 3:
+            blocks.append(None)
         else:
-            if len(site.members) < 3:
-                continue  # the fusion scheme needs a middle qubit; leave as is
-            k = len(site.members) // 2
-            block = build_ghz_parallel(site.members, range(next_clbit, next_clbit + k))
-            next_clbit += k
-        replaced.append((site, block))
-        blocks.update(dict.fromkeys(site.gate_indices, ()))
-        blocks[site.hadamard_index] = block
-    if not replaced:
-        return c, sites, []
-    out = Circuit(c.num_qubits, next_clbit, _splice(c.instructions, blocks))
-    return out, sites, replaced
+            k = len(site.qubit_seq) // 2
+            blocks.append(build_ghz_parallel(site.qubit_seq, range(clbit, clbit + k)))
+            clbit += k
+    return blocks

@@ -1,40 +1,48 @@
-"""Improvement-aware application of chain rewrites, and the full compile pipeline.
+"""Gated GHZ and chain rewrites, and the full compile pipeline.
 
-The chain pass never has to make the circuit worse: in conservative mode a
-candidate decomposition is applied only if it strictly reduces the depth of
-its evaluation window *and* does not increase the depth of the whole circuit.
-The window check alone is the cheap filter (chain plus the following
-`depth_scope` operations, compared on identical window boundaries); the
-whole-circuit recheck closes the gap where context before the window skews the
-schedule in a way no bounded window can see.  Each rewrite that passes the
-window check is laid out once; that one list is rechecked, verified and
-installed.
+Every rewrite takes the same steps; only the candidate source and the verify
+oracle differ.  In conservative mode a rewrite must strictly reduce the depth
+of its window - its gates plus the next `DEPTH_SCOPE` operations - and the
+rewritten whole circuit must be no deeper than the pass's base, as no bounded
+window sees context before it that skews the schedule.  A rewrite is laid out
+once (`chains._rewrite`); that list is rechecked, verified and installed.
 
-Modes:
+GHZ sites (`detect_ghz`, checked from |0...0>) are on fresh qubits, so no
+dependency path meets two blocks: each site is gated against the pass's input
+and the blocks kept are spliced at once.  Chains (`ChainScanner`, checked as
+unitaries) come one at a time, each against the depth the last accept left.
 
-* conservative - evaluate, apply only on strict window improvement that the
-                 whole circuit keeps.
-* always       - evaluate, apply unconditionally (may increase depth).
-* off          - leave the circuit untouched.
+Modes (`chain_mode` gates every rewrite):
+
+* conservative - apply on strict window improvement that the whole circuit
+                 keeps; GHZ sites are gated too.
+* always       - apply every chain and GHZ site (may increase depth).
+* off          - skip the chain scan; apply every GHZ site.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
-from . import sim
+from . import ghz, sim
 from .chains import (
     ChainCandidate,
     ChainKind,
     ChainScanner,
     _clbits,
+    _rewrite,
     decompose_cz,
     decompose_cz_to_cx,
     decompose_forward,
 )
-from .ghz import GhzMode, GhzSite, rebuild_ghz_sites
+from .ghz import GhzMode, GhzSite
 from .ir import Circuit, Condition, Gate, Instruction, depth_of
+
+#: Operations after a candidate's last gate that its window includes.
+DEPTH_SCOPE = 100
+#: Rewrites on more qubits than this are not verified (dense oracles).
+MAX_VERIFY_QUBITS = 10
 
 
 class ChainMode(Enum):
@@ -48,21 +56,17 @@ class PassConfig:
     ghz_mode: GhzMode = GhzMode.OFF
     chain_mode: ChainMode = ChainMode.CONSERVATIVE
     min_chain_gates: int = 5
-    depth_scope: int = 100
     cz_to_cx: bool = False
     verify: bool = False
-    max_verify_qubits: int = 10
 
     def __post_init__(self) -> None:
         if self.min_chain_gates < 2:
             raise ValueError("min_chain_gates must be at least 2")
-        if self.depth_scope < 0:
-            raise ValueError("depth_scope must be non-negative")
 
 
 @dataclass(frozen=True)
 class GateDecision:
-    candidate: ChainCandidate
+    candidate: ChainCandidate | GhzSite
     depth_before: int
     depth_after: int
     applied: bool
@@ -83,138 +87,167 @@ def _replacement_for(candidate: ChainCandidate, cz_to_cx: bool) -> list[Instruct
     return decompose_forward(candidate.qubit_seq)
 
 
-def _verify_rewrite(
-    before: Sequence[Instruction],
-    after: Sequence[Instruction],
-    oracle: Callable[[Circuit, Circuit], bool],
-    max_qubits: int,
-    what: str,
-    candidate: ChainCandidate | GhzSite,
-) -> None:
-    """Oracle check of one rewrite on its own qubits and classical bits, both
-    renumbered from 0, barriers dropped; raises VerificationError on a mismatch.
+def _window_gate(
+    ins: Sequence[Instruction], cand, replacement: Sequence[Instruction], mode: ChainMode
+) -> GateDecision:
+    """Window depths before and after the rewrite, and whether it passes.  Ops
+    displaced out of a chain are the same on both sides and stay out: counting
+    them would let an unrelated chain's depth mask a genuine improvement."""
+    tail_start = cand.end_index + 1
+    tail = ins[tail_start : tail_start + DEPTH_SCOPE]
+    before = depth_of([*(ins[i] for i in cand.gate_indices), *tail])
+    after = depth_of([*replacement, *tail])
+    return GateDecision(cand, before, after, mode is not ChainMode.CONSERVATIVE or after < before)
 
-    Rewrites touching more than `max_qubits` qubits are skipped."""
-    qubits = sorted({q for ins in before for q in ins.qubits})
-    if len(qubits) > max_qubits:
-        return
+
+def _lay_out(ins: Sequence[Instruction], rewrites: list[tuple], base: int | None):
+    """`ins` with the (candidate, replacement) `rewrites` laid out; returns the
+    rewrites kept, their layout and the new base.
+
+    Given a `base`, this is conservative mode's whole-circuit recheck.  Several
+    rewrites come only when no dependency path meets two of them (GHZ blocks):
+    they are tried as one batch, and one by one only if that is deeper, which
+    keeps exactly the rewrites that pass alone (a path meets one at most)."""
+    rewritten = _rewrite(ins, rewrites)
+    if base is None:
+        return rewrites, rewritten, None
+    depth = depth_of(rewritten)
+    if depth <= base:
+        return rewrites, rewritten, depth
+    if len(rewrites) == 1:
+        return [], ins, base
+    kept = [r for r in rewrites if depth_of(_rewrite(ins, [r])) <= base]
+    return kept, _rewrite(ins, kept), base
+
+
+def _verify_rewrite(
+    ins: Sequence[Instruction],
+    cand: ChainCandidate | GhzSite,
+    replacement: Sequence[Instruction],
+    rewritten: Sequence[Instruction],
+) -> bool:
+    """Oracle check of one rewrite of `ins` on its own qubits and classical
+    bits, both renumbered from 0, barriers dropped; raises VerificationError
+    on a mismatch.  Returns False, checking nothing, for rewrites on more than
+    MAX_VERIFY_QUBITS qubits and for chain windows with a measurement or a
+    condition (the unitary oracle takes neither)."""
+    if isinstance(cand, GhzSite):  # a state-preparation identity on fresh qubits
+        before, after = [ins[i] for i in cand.gate_indices], replacement
+        oracle = sim.equivalent_on_zero
+    else:  # the lists share what precedes the chain and follows its last gate
+        end = cand.end_index + 1
+        before = ins[cand.start_index : end]
+        after = rewritten[cand.start_index : len(rewritten) - len(ins) + end]
+        oracle = sim.equivalent_unitary
+        if any(_clbits(op) for op in (*before, *after)):
+            return False
+    qubits = sorted({q for op in before for q in op.qubits})
+    if len(qubits) > MAX_VERIFY_QUBITS:
+        return False
     qmap = {q: i for i, q in enumerate(qubits)}
-    clbits = sorted({b for ins in (*before, *after) for b in _clbits(ins)})
+    clbits = sorted({b for op in (*before, *after) for b in _clbits(op)})
     cmap = {b: i for i, b in enumerate(clbits)}
 
     def rebuilt(instrs: Sequence[Instruction]) -> Circuit:
         body = tuple(
             replace(
-                ins,
-                qubits=tuple(qmap[q] for q in ins.qubits),
-                clbit=cmap.get(ins.clbit),
-                condition=ins.condition and Condition(tuple(cmap[b] for b in ins.condition.bits)),
+                op,
+                qubits=tuple(qmap[q] for q in op.qubits),
+                clbit=cmap.get(op.clbit),
+                condition=op.condition and Condition(tuple(cmap[b] for b in op.condition.bits)),
             )
-            for ins in instrs
-            if ins.gate is not Gate.BARRIER
+            for op in instrs
+            if op.gate is not Gate.BARRIER
         )
         return Circuit(len(qubits), len(clbits), body)
 
     if not oracle(rebuilt(before), rebuilt(after), tol=1e-9):
-        raise VerificationError(f"{what} failed oracle equivalence", candidate)
+        raise VerificationError(
+            f"{cand.kind.value} rewrite at instruction {cand.start_index} "
+            f"({len(cand.gate_indices)} gates) failed oracle equivalence",
+            cand,
+        )
+    return True
 
 
-def gate_and_apply(c: Circuit, config: PassConfig) -> tuple[Circuit, list[GateDecision]]:
+def gate_ghz_sites(c: Circuit, config: PassConfig) -> tuple[Circuit, list[GateDecision], bool]:
+    """Rebuild the detected GHZ sites as `config.ghz_mode` says, gated per
+    `config.chain_mode`.  Returns like `gate_and_apply`, one decision per site.
+    """
+    if config.ghz_mode is GhzMode.OFF:
+        return c, [], config.verify
+    ins = c.instructions
+    sites = ghz.detect_ghz(c)
+    blocks = ghz.site_blocks(sites, config.ghz_mode, c.num_clbits)
+    # A site without a block keeps its gates, so its window does not change.
+    decisions = [
+        _window_gate(ins, site, block or [ins[i] for i in site.gate_indices], config.chain_mode)
+        for site, block in zip(sites, blocks)
+    ]
+    kept = [(d.candidate, b) for d, b in zip(decisions, blocks) if d.applied and b is not None]
+    if kept:
+        base = depth_of(ins) if config.chain_mode is ChainMode.CONSERVATIVE else None
+        kept, rewritten, _ = _lay_out(ins, kept, base)
+    kept_at = {site.start_index for site, _ in kept}
+    decisions = [replace(d, applied=d.candidate.start_index in kept_at) for d in decisions]
+    if not kept:
+        return c, decisions, config.verify
+    if config.ghz_mode is GhzMode.PARALLEL and len(kept) < len(sites) - blocks.count(None):
+        # Number the fresh bits of the blocks kept without gaps.
+        kept_sites = [site for site, _ in kept]
+        kept = list(zip(kept_sites, ghz.site_blocks(kept_sites, config.ghz_mode, c.num_clbits)))
+        rewritten = _rewrite(ins, kept)
+    verified = config.verify
+    if config.verify:
+        for site, block in kept:
+            verified = _verify_rewrite(ins, site, block, rewritten) and verified
+    fresh = sum(op.gate is Gate.MEASURE for _, block in kept for op in block)
+    return Circuit(c.num_qubits, c.num_clbits + fresh, tuple(rewritten)), decisions, verified
+
+
+def gate_and_apply(c: Circuit, config: PassConfig) -> tuple[Circuit, list[GateDecision], bool]:
     """Scan for chains and apply their decompositions per the configured mode.
 
-    Returns the rewritten circuit and one decision record per candidate, in
-    discovery order.  Raises VerificationError if a requested oracle check
-    fails (no partial result is returned in that case).
+    Returns the rewritten circuit, one decision record per candidate in
+    discovery order, and whether `config.verify` checked every rewrite applied.
+    Raises VerificationError if a requested oracle check fails.
     """
     if config.chain_mode is ChainMode.OFF:
-        return c, []
+        return c, [], config.verify
 
     scanner = ChainScanner(c, min_gates=config.min_chain_gates)
     decisions: list[GateDecision] = []
-    base_depth = depth_of(scanner.instructions)
+    verified = config.verify
+    base = depth_of(scanner.instructions) if config.chain_mode is ChainMode.CONSERVATIVE else None
     while (cand := scanner.next()) is not None:
         ins = scanner.instructions
         replacement = _replacement_for(cand, config.cz_to_cx)
-        # Ops displaced out of the chain are left out of the window: they are
-        # the same on both sides, and counting them would let an unrelated
-        # chain's depth mask a genuine improvement.
-        tail_start = cand.end_index + 1
-        tail = ins[tail_start : tail_start + config.depth_scope]
-        d_before = depth_of([ins[i] for i in cand.gate_indices] + tail)
-        d_after = depth_of(replacement + tail)
-        apply_it = config.chain_mode is ChainMode.ALWAYS or d_after < d_before
-        if apply_it:
-            rewritten = scanner.rewrite(replacement)
-            if config.chain_mode is ChainMode.CONSERVATIVE:
-                # Whole-circuit recheck: never degrade, even when the context
-                # outside the window skews the schedule.
-                new_depth = depth_of(rewritten)
-                apply_it = new_depth <= base_depth
-                if apply_it:
-                    base_depth = new_depth
-
-        if apply_it and config.verify:
-            # Both lists share the prefix before the chain and the suffix
-            # after its last gate.
-            window = ins[cand.start_index : tail_start]
-            new_window = rewritten[cand.start_index : len(rewritten) - len(ins) + tail_start]
-            if not any(_clbits(op) for op in window + new_window):  # no measurement or condition
-                _verify_rewrite(
-                    window, new_window, sim.equivalent_unitary, config.max_verify_qubits,
-                    f"chain rewrite at instruction {cand.start_index} "
-                    f"({cand.kind.value}, {len(cand.gate_indices)} gates)",
-                    cand,
-                )
-
-        if apply_it:
+        decision = _window_gate(ins, cand, replacement, config.chain_mode)
+        if decision.applied:
+            kept, rewritten, base = _lay_out(ins, [(cand, replacement)], base)
+            decision = replace(decision, applied=bool(kept))
+        if decision.applied:
+            if config.verify:
+                verified = _verify_rewrite(ins, cand, replacement, rewritten) and verified
             scanner.accept(rewritten)
         else:
             scanner.skip()
-        decisions.append(GateDecision(cand, d_before, d_after, apply_it))
+        decisions.append(decision)
     if not any(d.applied for d in decisions):
-        return c, decisions
-    return scanner.circuit, decisions
+        return c, decisions, verified
+    return scanner.circuit, decisions, verified
 
 
 @dataclass
 class CompileResult:
     circuit: Circuit
-    ghz_sites_found: int = 0
-    ghz_sites_replaced: int = 0
-    chains_found: int = 0
-    chains_applied: int = 0
     decisions: list[GateDecision] = field(default_factory=list)
     verified: bool = False
 
 
-def compile_circuit(
-    c: Circuit,
-    config: PassConfig,
-    passes: Sequence[str] = ("ghz", "chains"),
-) -> CompileResult:
-    """Run the configured passes in order (default: GHZ rewrite, then chains)."""
-    result = CompileResult(circuit=c)
-    for name in passes:
-        if name == "ghz":
-            rebuilt, sites, replaced = rebuild_ghz_sites(result.circuit, config.ghz_mode)
-            if config.verify:
-                original = result.circuit.instructions
-                for site, block in replaced:
-                    _verify_rewrite(
-                        [original[i] for i in sorted(site.gate_indices)], block,
-                        sim.equivalent_on_zero, config.max_verify_qubits,
-                        f"GHZ rewrite at instruction {site.hadamard_index}", site,
-                    )
-            result.ghz_sites_found += len(sites)
-            result.ghz_sites_replaced += len(replaced)
-            result.circuit = rebuilt
-        elif name == "chains":
-            rewritten, decisions = gate_and_apply(result.circuit, config)
-            result.chains_found += len(decisions)
-            result.chains_applied += sum(d.applied for d in decisions)
-            result.decisions.extend(decisions)
-            result.circuit = rewritten
-        else:
-            raise ValueError(f"unknown pass {name!r}")
-    result.verified = config.verify
-    return result
+def compile_circuit(c: Circuit, config: PassConfig) -> CompileResult:
+    """The GHZ pass, then the chain pass.  `verified` is true when
+    `config.verify` is set and every applied rewrite was checked."""
+    out, ghz_decisions, ghz_verified = gate_ghz_sites(c, config)
+    out, chain_decisions, chains_verified = gate_and_apply(out, config)
+    return CompileResult(out, ghz_decisions + chain_decisions, ghz_verified and chains_verified)

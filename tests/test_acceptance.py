@@ -26,9 +26,9 @@ from qshallow.chains import (
     decompose_forward,
     find_chains,
 )
-from qshallow.ghz import GhzMode, rebuild_ghz_sites
+from qshallow.ghz import GhzMode
 from qshallow.ir import Circuit, cx, depth, rz, ry, stats
-from qshallow.pipeline import ChainMode, PassConfig, gate_and_apply
+from qshallow.pipeline import ChainMode, PassConfig, compile_circuit, gate_and_apply
 from qshallow.sim import equivalent_on_zero, equivalent_unitary
 
 TOL = 1e-9
@@ -39,12 +39,17 @@ def _ok(number: int, message: str) -> None:
     print(f"ACCEPTANCE {number:02d} PASS - {message}")
 
 
+def _rebuilt(c: Circuit, mode: GhzMode) -> Circuit:
+    """The GHZ pass alone, ungated: with chains off every site is rebuilt."""
+    return compile_circuit(c, PassConfig(ghz_mode=mode, chain_mode=ChainMode.OFF)).circuit
+
+
 def _ghz_variants(n: int) -> dict[str, Circuit]:
     std = gen_ghz_standard(n)
     return {
         "standard": std,
-        "robust": rebuild_ghz_sites(std, GhzMode.ROBUST)[0],
-        "parallel": rebuild_ghz_sites(std, GhzMode.PARALLEL)[0],
+        "robust": _rebuilt(std, GhzMode.ROBUST),
+        "parallel": _rebuilt(std, GhzMode.PARALLEL),
     }
 
 
@@ -76,11 +81,11 @@ def test_criterion_02_ghz_gate_and_measurement_scaling():
 def test_criterion_03_ghz_correctness():
     for n in range(2, 13):
         std = gen_ghz_standard(n)
-        robust = rebuild_ghz_sites(std, GhzMode.ROBUST)[0]
+        robust = _rebuilt(std, GhzMode.ROBUST)
         assert equivalent_on_zero(std, robust, tol=TOL), n
     for n in range(3, 12):
         std = gen_ghz_standard(n)
-        parallel = rebuild_ghz_sites(std, GhzMode.PARALLEL)[0]
+        parallel = _rebuilt(std, GhzMode.PARALLEL)
         assert equivalent_on_zero(std, parallel, tol=TOL), n
     _ok(3, "GHZ rewrites equivalent from |0..0>: robust n=2..12, parallel n=3..11 all branches")
 
@@ -152,7 +157,7 @@ def test_criterion_07_never_degrade():
     config = PassConfig(chain_mode=ChainMode.CONSERVATIVE, min_chain_gates=2)
     checked = degraded = verified = 0
     for c in _random_corpus():
-        out, _ = gate_and_apply(c, config)
+        out, _, _ = gate_and_apply(c, config)
         checked += 1
         if depth(out) > depth(c):
             degraded += 1
@@ -162,7 +167,7 @@ def test_criterion_07_never_degrade():
             assert equivalent_unitary(c, out, tol=TOL)
             verified += 1
     for c in _bench_corpus():
-        out, _ = gate_and_apply(c, config)
+        out, _, _ = gate_and_apply(c, config)
         checked += 1
         if depth(out) > depth(c):
             degraded += 1
@@ -178,20 +183,20 @@ def test_criterion_08_always_mode_contrast():
     # Corpus circuit on which unconditional application hurts: a short VQE
     # ansatz whose repeated layers already pipeline.
     c = gen_ansatz(AnsatzSpec("two_local", 6, 2, "linear", 7))
-    always, _ = gate_and_apply(c, PassConfig(chain_mode=ChainMode.ALWAYS))
+    always, _, _ = gate_and_apply(c, PassConfig(chain_mode=ChainMode.ALWAYS))
     assert stats(always).depth > stats(c).depth
     assert equivalent_unitary(c, always, tol=TOL)
-    conservative, _ = gate_and_apply(c, PassConfig(chain_mode=ChainMode.CONSERVATIVE))
+    conservative, _, _ = gate_and_apply(c, PassConfig(chain_mode=ChainMode.CONSERVATIVE))
     assert conservative.instructions == c.instructions
 
     # Same story for CZ chains lowered to CX form: constant depth 4 exceeds a
     # short chain's native depth.
     cz_chain = gen_cz_chain(4)
     cfg = PassConfig(chain_mode=ChainMode.ALWAYS, min_chain_gates=3, cz_to_cx=True)
-    lowered, _ = gate_and_apply(cz_chain, cfg)
+    lowered, _, _ = gate_and_apply(cz_chain, cfg)
     assert stats(lowered).depth > stats(cz_chain).depth
     assert equivalent_unitary(cz_chain, lowered, tol=TOL)
-    conservative_cz, _ = gate_and_apply(
+    conservative_cz, _, _ = gate_and_apply(
         cz_chain,
         PassConfig(chain_mode=ChainMode.CONSERVATIVE, min_chain_gates=3, cz_to_cx=True),
     )
@@ -224,7 +229,7 @@ def test_criterion_10_vqe_behavior():
         series[reps] = {}
         for n in ns:
             c = gen_ansatz(AnsatzSpec("two_local", n, reps, "linear", 7))
-            out, _ = gate_and_apply(c, config)
+            out, _, _ = gate_and_apply(c, config)
             series[reps][n] = depth(c) - depth(out)
     for reps, values in series.items():
         assert all(v >= 0 for v in values.values()), (reps, values)
@@ -247,7 +252,7 @@ def test_criterion_11_scale_and_memory():
     assert len(big.instructions) >= 100_000
     config = PassConfig(chain_mode=ChainMode.CONSERVATIVE)
     start = time.perf_counter()
-    out, decisions = gate_and_apply(big, config)
+    out, decisions, _ = gate_and_apply(big, config)
     elapsed = time.perf_counter() - start
     assert elapsed < 60, f"compile took {elapsed:.1f}s"
     assert depth(out) <= depth(big)

@@ -146,11 +146,37 @@ def test_huge_register_compiles_like_chains_off(tmp_path, chains):
 
 
 def test_fast_chain_mode_is_a_usage_error(tmp_path, ghz16):
+    # Usage errors exit 1, as parse errors do: 2 means a verification failure.
     with pytest.raises(SystemExit) as exc:
         main(["compile", "--in", str(ghz16), "--out", str(tmp_path / "x.qasm"),
               "--chains", "fast"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert not (tmp_path / "x.qasm").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "--out", "x.qasm"],
+    ["compile", "--in", "x.qasm", "--out", "y.qasm", "--passes", "ghz"],
+    ["compile", "--in", "x.qasm", "--out", "y.qasm", "--depth-scope", "5"],
+    ["bench", "--suite", "chains", "--n-range", "8:9:1", "--depth-scope", "5"],
+    [],
+], ids=["missing-in", "passes-gone", "depth-scope-gone", "bench-depth-scope-gone", "no-command"])
+def test_usage_error_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["compile", "--in", "IN", "--out", "OUT"],
+    ["bench", "--suite", "chains", "--n-range", "8:9:1"],
+])
+def test_invalid_min_chain_gates_exit_1(tmp_path, capsys, command, ghz16):
+    argv = [str(ghz16) if a == "IN" else str(tmp_path / "x.qasm") if a == "OUT" else a
+            for a in command]
+    assert main([*argv, "--min-chain-gates", "1"]) == 1
+    assert "min_chain_gates" in capsys.readouterr().err
 
 
 def test_compile_missing_file_exit_3(tmp_path):
@@ -175,16 +201,6 @@ def test_compile_verification_failure_exit_2(tmp_path, monkeypatch):
         "--chains", "always", "--verify", "--min-chain-gates", "2",
     ])
     assert rc == 2
-
-
-def test_compile_pass_order_flag(tmp_path, ghz16):
-    out = tmp_path / "out.qasm"
-    rc = main([
-        "compile", "--in", str(ghz16), "--out", str(out),
-        "--chains", "conservative", "--passes", "chains,ghz",
-    ])
-    assert rc == 0
-    assert stats(parse(out.read_text())).depth < 16
 
 
 def test_depth_command(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """GHZ site detection and the two depth-reduced reconstructions."""
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -18,7 +19,6 @@ from qshallow.bench import (
 )
 from qshallow.ghz import (
     GhzMode,
-    rebuild_ghz_sites,
     build_ghz_log,
     build_ghz_parallel,
     detect_ghz,
@@ -32,6 +32,8 @@ from qshallow.ir import (
     barrier,
     cx,
     cz,
+    depth,
+    depth_of,
     h,
     measure,
     ry,
@@ -39,11 +41,34 @@ from qshallow.ir import (
     stats,
     x,
 )
+from qshallow.pipeline import (
+    ChainMode,
+    PassConfig,
+    compile_circuit,
+    gate_and_apply,
+    gate_ghz_sites,
+)
+from qshallow.qasm import emit, parse
 from qshallow.sim import branches, equivalent_on_zero
 
 
 def circ(n, *instructions, clbits=0):
     return Circuit(n, clbits, tuple(instructions))
+
+
+def _count_depth_of(monkeypatch) -> list[int]:
+    """Record the length of every list the pipeline schedules."""
+    from qshallow import pipeline
+
+    calls = []
+    depth_of_ = pipeline.depth_of
+    monkeypatch.setattr(pipeline, "depth_of", lambda ins: calls.append(len(ins)) or depth_of_(ins))
+    return calls
+
+
+def _rebuilt(c: Circuit, mode: GhzMode) -> Circuit:
+    """The GHZ pass alone, ungated: with chains off every site is rebuilt."""
+    return compile_circuit(c, PassConfig(ghz_mode=mode, chain_mode=ChainMode.OFF)).circuit
 
 
 class TestDetect:
@@ -52,15 +77,15 @@ class TestDetect:
         assert len(sites) == 1
         site = sites[0]
         assert site.shape == "chain"
-        assert site.members == (0, 1, 2)
-        assert site.root == 0
-        assert site.gate_indices == frozenset({0, 1, 2})
+        assert site.qubit_seq == (0, 1, 2)
+        assert site.start_index == 0 and site.end_index == 2
+        assert site.gate_indices == (0, 1, 2)
 
     def test_fanout_site(self):
         sites = detect_ghz(circ(3, h(0), cx(0, 1), cx(0, 2)))
         assert len(sites) == 1
         assert sites[0].shape == "fanout"
-        assert sites[0].members == (0, 1, 2)
+        assert sites[0].qubit_seq == (0, 1, 2)
 
     def test_stale_target_is_no_site(self):
         assert detect_ghz(circ(2, x(1), h(0), cx(0, 1))) == []
@@ -75,22 +100,22 @@ class TestDetect:
         # Fan-out then chain continuation: only the fan-out prefix is a site.
         sites = detect_ghz(circ(4, h(0), cx(0, 1), cx(0, 2), cx(2, 3)))
         assert len(sites) == 1
-        assert sites[0].members == (0, 1, 2)
+        assert sites[0].qubit_seq == (0, 1, 2)
 
     def test_interleaved_foreign_qubit_tolerated(self):
         sites = detect_ghz(circ(4, h(0), x(3), cx(0, 1), rz(3, 0.2), cx(1, 2)))
         assert len(sites) == 1
-        assert sites[0].members == (0, 1, 2)
+        assert sites[0].qubit_seq == (0, 1, 2)
 
     def test_barrier_on_member_stops_site(self):
         sites = detect_ghz(circ(3, h(0), cx(0, 1), barrier(0, 1, 2), cx(1, 2)))
         assert len(sites) == 1
-        assert sites[0].members == (0, 1)
+        assert sites[0].qubit_seq == (0, 1)
 
     def test_two_disjoint_sites(self):
         sites = detect_ghz(circ(4, h(0), h(2), cx(0, 1), cx(2, 3)))
         assert len(sites) == 2
-        assert {s.root for s in sites} == {0, 2}
+        assert {s.qubit_seq[0] for s in sites} == {0, 2}
 
     def test_substituting_stale_site_would_be_unsound(self):
         # The freshness guard exists because the rewrites are state-preparation
@@ -163,14 +188,14 @@ class TestBuildParallel:
 class TestApplyPass:
     def test_off_is_identity(self):
         c = gen_ghz_standard(6)
-        assert rebuild_ghz_sites(c, GhzMode.OFF)[0].instructions == c.instructions
+        assert _rebuilt(c, GhzMode.OFF).instructions == c.instructions
 
     def test_robust_ghz16(self):
-        out = rebuild_ghz_sites(gen_ghz_standard(16), GhzMode.ROBUST)[0]
+        out = _rebuilt(gen_ghz_standard(16), GhzMode.ROBUST)
         assert stats(out).depth == 5
 
     def test_parallel_ghz16(self):
-        out = rebuild_ghz_sites(gen_ghz_standard(16), GhzMode.PARALLEL)[0]
+        out = _rebuilt(gen_ghz_standard(16), GhzMode.PARALLEL)
         report = stats(out)
         assert report.depth == 6
         assert report.measure_count == 8
@@ -178,46 +203,47 @@ class TestApplyPass:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_robust_equivalent_on_zero(self, n):
         std = gen_ghz_standard(n)
-        assert equivalent_on_zero(std, rebuild_ghz_sites(std, GhzMode.ROBUST)[0], tol=1e-9)
+        assert equivalent_on_zero(std, _rebuilt(std, GhzMode.ROBUST), tol=1e-9)
 
     @pytest.mark.parametrize("n", range(3, 12))
     def test_parallel_equivalent_on_zero(self, n):
         std = gen_ghz_standard(n)
-        assert equivalent_on_zero(std, rebuild_ghz_sites(std, GhzMode.PARALLEL)[0], tol=1e-9)
+        assert equivalent_on_zero(std, _rebuilt(std, GhzMode.PARALLEL), tol=1e-9)
 
     def test_member_order_preserved_for_fanout(self):
         c = circ(4, h(1), cx(1, 3), cx(1, 0), cx(1, 2))
-        out = rebuild_ghz_sites(c, GhzMode.ROBUST)[0]
+        out = _rebuilt(c, GhzMode.ROBUST)
         assert out.instructions[0] == h(1)
         assert equivalent_on_zero(c, out)
 
     def test_parallel_skips_two_member_sites(self):
         c = circ(2, h(0), cx(0, 1))
-        out = rebuild_ghz_sites(c, GhzMode.PARALLEL)[0]
+        out = _rebuilt(c, GhzMode.PARALLEL)
         assert out.instructions == c.instructions
 
     def test_nothing_replaced_returns_input(self):
         c = circ(4, h(0), cx(0, 1), h(2), cx(2, 3))
-        out, sites, replaced = rebuild_ghz_sites(c, GhzMode.PARALLEL)
-        assert len(sites) == 2 and replaced == []
-        assert out is c
+        config = PassConfig(ghz_mode=GhzMode.PARALLEL, chain_mode=ChainMode.OFF)
+        result = compile_circuit(c, config)
+        assert [d.applied for d in result.decisions] == [False, False]
+        assert result.circuit is c
 
     def test_surrounding_instructions_survive(self):
         c = circ(4, x(3), h(0), cx(0, 1), cx(1, 2), rz(3, 0.5), cx(2, 3))
-        out = rebuild_ghz_sites(c, GhzMode.ROBUST)[0]
+        out = _rebuilt(c, GhzMode.ROBUST)
         kept = [ins for ins in out.instructions if ins in (x(3), rz(3, 0.5), cx(2, 3))]
         assert kept == [x(3), rz(3, 0.5), cx(2, 3)]
 
     def test_parallel_allocates_fresh_clbits(self):
         c = Circuit(5, 2, tuple(gen_ghz_standard(5).instructions))
-        out = rebuild_ghz_sites(c, GhzMode.PARALLEL)[0]
+        out = _rebuilt(c, GhzMode.PARALLEL)
         assert out.num_clbits == 4
         used = {ins.clbit for ins in out.instructions if ins.gate is Gate.MEASURE}
         assert used == {2, 3}
 
     def test_fanout_sites_replaced_too(self):
         c = circ(5, h(0), *[cx(0, t) for t in range(1, 5)])
-        out = rebuild_ghz_sites(c, GhzMode.ROBUST)[0]
+        out = _rebuilt(c, GhzMode.ROBUST)
         assert stats(out).depth == 1 + math.ceil(math.log2(5))
         assert equivalent_on_zero(c, out)
 
@@ -267,8 +293,7 @@ def _forward_scan_detect(c: Circuit) -> list[GhzSite]:
                 break
         if len(members) >= 2:
             claimed.update(gate_indices)
-            sites.append(GhzSite(h_idx, root, tuple(members), frozenset(gate_indices),
-                                 shape or "chain"))
+            sites.append(GhzSite(h_idx, tuple(members), tuple(gate_indices), shape or "chain"))
     return sites
 
 
@@ -332,7 +357,7 @@ def _ghz_rich_circuit(seed: int) -> Circuit:
 
 def _ghz_bench_circuits() -> list[Circuit]:
     out = [gen_ghz_standard(n) for n in (2, 3, 8, 33)]
-    out += [rebuild_ghz_sites(gen_ghz_standard(n), m)[0]
+    out += [_rebuilt(gen_ghz_standard(n), m)
             for n in (5, 16) for m in (GhzMode.ROBUST, GhzMode.PARALLEL)]
     out += [gen_cx_chain(n, d) for n in (5, 12) for d in ("forward", "reverse")]
     out += [gen_intertwined(3, 6)]
@@ -359,8 +384,8 @@ def test_detect_corpus_exercises_every_shape():
     circuits = [_ghz_rich_circuit(s) for s in range(2000)]
     sites = [site for c in circuits for site in detect_ghz(c)]
     assert {site.shape for site in sites} == {"chain", "fanout"}
-    assert sum(len(site.members) >= 4 for site in sites) > 100
-    interleaved = [site for site in sites if max(site.gate_indices) - site.hadamard_index
+    assert sum(len(site.qubit_seq) >= 4 for site in sites) > 100
+    interleaved = [site for site in sites if max(site.gate_indices) - site.start_index
                    >= len(site.gate_indices)]
     assert len(interleaved) > 100
     assert sum(len(detect_ghz(c)) >= 2 for c in circuits) > 100
@@ -406,3 +431,192 @@ def test_detect_reads_scale_near_linearly(shape, monkeypatch):
         detect_ghz(c)
         counts.append(_CountingTuple.reads)
     assert 0 < counts[1] <= 2.5 * counts[0], counts
+
+
+
+# -- the GHZ pass through the shared gate --------------------------------------
+
+
+def _reference_block(site: GhzSite, mode: GhzMode, clbit: int):
+    if mode is GhzMode.ROBUST:
+        return build_ghz_log(site.qubit_seq)
+    if len(site.qubit_seq) < 3:
+        return None
+    return build_ghz_parallel(site.qubit_seq, range(clbit, clbit + len(site.qubit_seq) // 2))
+
+
+def _reference_rebuild(c: Circuit, mode: GhzMode, only=None, anchor_last=True) -> Circuit:
+    """The GHZ pass as it was before it was gated: every site with a
+    construction (those starting in `only`, if given) is rebuilt, fresh bits
+    numbered in site order.  `anchor_last` puts each block at the site's last
+    gate, where the shared layout puts it; the old pass put it at the H.  No op
+    in between touches a member, so the two differ only by commuting ops."""
+    next_clbit = c.num_clbits
+    blocks = {}
+    for site in detect_ghz(c):
+        block = _reference_block(site, mode, next_clbit)
+        if block is None or (only is not None and site.start_index not in only):
+            continue
+        next_clbit += sum(op.gate is Gate.MEASURE for op in block)
+        blocks.update(dict.fromkeys(site.gate_indices, ()))
+        blocks[site.end_index if anchor_last else site.start_index] = block
+    if not blocks:
+        return c
+    body = [op for i, ins in enumerate(c.instructions) for op in blocks.get(i, (ins,))]
+    return Circuit(c.num_qubits, next_clbit, tuple(body))
+
+
+def _reference_gated(c: Circuit, mode: GhzMode) -> tuple[Circuit, list[str]]:
+    """The conservative gate applied to each site on its own: a site is
+    rebuilt iff its block is strictly shallower than its gates over the next
+    100 ops, and the input with that block alone is no deeper than the input.
+    Also returns each site's fate: "kept", "window", "recheck" or "none"."""
+    ins = c.instructions
+    kept, fates = set(), []
+    for site in detect_ghz(c):
+        block = _reference_block(site, mode, c.num_clbits)
+        tail = list(ins[site.end_index + 1 : site.end_index + 101])
+        if block is None:
+            fates.append("none")
+        elif depth_of(block + tail) >= depth_of([ins[i] for i in site.gate_indices] + tail):
+            fates.append("window")
+        elif depth(_reference_rebuild(c, mode, {site.start_index})) > depth(c):
+            fates.append("recheck")
+        else:
+            fates.append("kept")
+            kept.add(site.start_index)
+    return _reference_rebuild(c, mode, kept), fates
+
+
+def _ghz_chain(qubits) -> list[Instruction]:
+    qs = list(qubits)
+    return [h(qs[0]), *(cx(a, b) for a, b in zip(qs, qs[1:]))]
+
+
+def _late_root(offset: int) -> list[Instruction]:
+    """An 8-member GHZ chain whose block wins its window but deepens the
+    circuit: the 100 ops after it sit on the last member, which either block
+    frees earlier than the chain, and the 200 after those on the root, which
+    either block frees later."""
+    qs = range(offset, offset + 8)
+    return [*_ghz_chain(qs), *[rz(qs[-1], 0.1)] * 100, *[rz(qs[0], 0.2)] * 200]
+
+
+def _gate_corpus(block: int) -> list[Circuit]:
+    """GHZ-rich random circuits.  Every fourth also holds, on fresh qubits, a
+    `_late_root` site spliced into the random body at a random position and
+    an 8-member chain at the end, which every gate keeps."""
+    out = []
+    for seed in range(block * 200, (block + 1) * 200):
+        c = _ghz_rich_circuit(seed)
+        if seed % 4 == 0:
+            n = c.num_qubits
+            body = list(c.instructions)
+            at = random.Random(seed).randint(0, len(body))
+            body[at:at] = _late_root(n)
+            c = Circuit(n + 16, c.num_clbits, (*body, *_ghz_chain(range(n + 8, n + 16))))
+        out.append(c)
+    return out
+
+
+_GHZ_MODES = [GhzMode.ROBUST, GhzMode.PARALLEL]
+
+
+class TestGatedPass:
+    """The GHZ pass goes through the chain pass's window gate, whole-circuit
+    recheck, verifier, layout and decision record."""
+
+    @pytest.mark.parametrize("mode", _GHZ_MODES)
+    @pytest.mark.parametrize("block", range(2))
+    def test_conservative_gate_matches_per_site_reference(self, mode, block):
+        config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE, min_chain_gates=2)
+        for c in _gate_corpus(block):
+            out, decisions, _ = gate_ghz_sites(c, config)
+            expected, fates = _reference_gated(c, mode)
+            assert (out.num_clbits, out.instructions) == (
+                expected.num_clbits, expected.instructions), c
+            assert [d.applied for d in decisions] == [f == "kept" for f in fates]
+            assert depth(out) <= depth(c)
+            assert depth(compile_circuit(c, config).circuit) <= depth(c)
+
+    def test_gate_corpus_exercises_every_fate(self):
+        fates = {mode: [_reference_gated(c, mode)[1] for b in range(2) for c in _gate_corpus(b)]
+                 for mode in _GHZ_MODES}
+        flat = {mode: [f for fs in per_circuit for f in fs] for mode, per_circuit in fates.items()}
+        assert set(flat[GhzMode.ROBUST]) == {"kept", "window", "recheck"}
+        assert set(flat[GhzMode.PARALLEL]) == {"kept", "window", "recheck", "none"}
+        for mode in _GHZ_MODES:  # a batch that is deeper than its best site
+            assert sum({"kept", "recheck"} <= set(fs) for fs in fates[mode]) > 5
+
+    @pytest.mark.parametrize("mode", _GHZ_MODES)
+    @pytest.mark.parametrize("chains", [ChainMode.OFF, ChainMode.ALWAYS])
+    def test_ungated_modes_match_old_pass(self, mode, chains):
+        config = PassConfig(ghz_mode=mode, chain_mode=chains, min_chain_gates=2)
+        for c in _gate_corpus(0):
+            out = compile_circuit(c, config).circuit
+            reference = _reference_rebuild(c, mode)
+            expected = gate_and_apply(reference, config)[0]
+            assert (out.num_clbits, out.instructions) == (
+                expected.num_clbits, expected.instructions), c
+            # The old layout, block at the H, is the same circuit.
+            assert stats(reference) == stats(_reference_rebuild(c, mode, anchor_last=False))
+
+    @pytest.mark.parametrize("mode", _GHZ_MODES)
+    def test_deeper_batch_falls_back_to_each_site(self, mode, monkeypatch):
+        c = circ(16, *_late_root(0), *_ghz_chain(range(8, 16)))
+        calls = _count_depth_of(monkeypatch)
+        config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE)
+        out, decisions, _ = gate_ghz_sites(c, config)
+        late, plain = decisions
+        assert late.depth_after < late.depth_before and not late.applied
+        assert plain.applied
+        # The base, the batch, then each site alone.
+        assert sum(n >= len(c.instructions) - 8 for n in calls) == 4
+        assert depth(out) <= depth(c)
+        # The fresh bits of the block kept start right after the input's.
+        measured = sorted(op.clbit for op in out.instructions if op.gate is Gate.MEASURE)
+        assert measured == list(range(out.num_clbits))
+
+    @pytest.mark.parametrize("k", [50, 100])
+    def test_rechecks_do_not_grow_with_sites(self, k, monkeypatch):
+        # One rz per member keeps the next chain out of most of the window.
+        body = []
+        for s in range(k):
+            qs = range(64 * s, 64 * s + 64)
+            body += [*_ghz_chain(qs), *(rz(q, 0.1) for q in qs), barrier(*qs)]
+        c = circ(64 * k, *body)
+        calls = _count_depth_of(monkeypatch)
+        config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE)
+        out, decisions, _ = gate_ghz_sites(c, config)
+        assert len(decisions) == k and all(d.applied for d in decisions)
+        assert sum(n >= len(c.instructions) for n in calls) == 2  # the base and the batch
+        assert (depth(c), depth(out)) == (65, 1 + 6 + 1)
+
+    @pytest.mark.parametrize("label, c", [
+        ("ghz/4", gen_ghz_standard(4)),
+        ("random/30", gen_random(4 + 30 % 9, 20 + (30 * 37) % 181, seed=30)),
+        ("random/212", gen_random(4 + 212 % 9, 20 + (212 * 37) % 181, seed=212)),
+    ])
+    def test_corpus_files_keep_their_depth(self, label, c):
+        # The benchmark corpus's configuration made these deeper when the GHZ
+        # pass was not gated: 4 -> 6, 12 -> 15 and 21 -> 24.
+        config = PassConfig(ghz_mode=GhzMode.PARALLEL, chain_mode=ChainMode.CONSERVATIVE,
+                            min_chain_gates=2, verify=True)
+        out = compile_circuit(c, config).circuit
+        assert depth(out) == depth(parse(emit(out))) == {"ghz/4": 4, "random/30": 12,
+                                                          "random/212": 21}[label]
+        assert depth(c) == depth(out)
+
+    def test_ghz_decisions_lead_the_report(self, tmp_path):
+        from qshallow.cli import main
+
+        src = tmp_path / "in.qasm"
+        src.write_text(emit(circ(16, *_late_root(0), *_ghz_chain(range(8, 16)))))
+        argv = ["compile", "--in", str(src), "--out", str(tmp_path / "out.qasm"), "--ghz",
+                "robust", "--chains", "conservative", "--report", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert [(d["kind"], d["applied"]) for d in report["decisions"][:2]] == [
+            ("ghz", False), ("ghz", True)]
+        assert (report["ghz_sites_found"], report["ghz_sites_replaced"]) == (2, 1)
+        assert report["chains_found"] == len(report["decisions"]) - 2

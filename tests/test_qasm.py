@@ -20,7 +20,8 @@ from qshallow.bench import (
     gen_intertwined,
     gen_random,
 )
-from qshallow.ghz import GhzMode, rebuild_ghz_sites
+from qshallow.ghz import GhzMode
+from qshallow.pipeline import ChainMode, PassConfig, compile_circuit
 from qshallow.ir import Circuit, Condition, Gate, Instruction, cx, h, measure, rz, x
 from qshallow.qasm import ParseError, emit, parse
 from qshallow.sim import branches, states_equal_up_to_phase
@@ -280,7 +281,9 @@ def _bench_family_circuits() -> list[Circuit]:
     out += [gen_random(8, 80, seed=s) for s in range(5)]
     # GHZ rewrites emit measurements and parity feedforward.
     for mode in (GhzMode.ROBUST, GhzMode.PARALLEL):
-        out += [rebuild_ghz_sites(gen_ghz_standard(n), mode)[0] for n in (4, 9, 30)]
+        out += [compile_circuit(gen_ghz_standard(n),
+                                PassConfig(ghz_mode=mode, chain_mode=ChainMode.OFF)).circuit
+                for n in (4, 9, 30)]
     return out
 
 

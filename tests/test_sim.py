@@ -153,10 +153,12 @@ class TestEquivalence:
 
     def test_equivalent_on_zero_ghz(self):
         from qshallow.bench import gen_ghz_standard
-        from qshallow.ghz import GhzMode, rebuild_ghz_sites
+        from qshallow.ghz import GhzMode
+        from qshallow.pipeline import ChainMode, PassConfig, compile_circuit
 
         std = gen_ghz_standard(4)
-        assert equivalent_on_zero(std, rebuild_ghz_sites(std, GhzMode.ROBUST)[0])
+        config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.OFF)
+        assert equivalent_on_zero(std, compile_circuit(std, config).circuit)
 
     def test_equivalent_on_zero_rejects_missing_hadamard(self):
         chain_only = circ(4, cx(0, 1), cx(1, 2), cx(2, 3))
