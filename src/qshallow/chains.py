@@ -20,8 +20,8 @@ per-wire next-use index, so a chain is grown by merging the next uses of its
 active wires in position order rather than by walking every later
 instruction.  Growth stops at the next barrier, or as soon as no later
 operation can extend the head.  Detection then costs the operations on active
-wires up to the chain's last extension, plus one O(N) index build per scanner
-and per accepted rewrite.
+wires up to the chain's last extension, plus one O(N) index build per scanner;
+an accepted rewrite refreshes the index over its window only.
 
 Decompositions:
 
@@ -36,7 +36,8 @@ Decompositions:
 """
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
@@ -291,28 +292,39 @@ def _rewrite(items: Sequence, rewrites: Sequence[tuple]) -> list:
     return _splice(items, blocks)
 
 
+def _window(items: Sequence, cand, replacement: Sequence) -> list:
+    """Positions `cand.start_index`..`cand.end_index` of `items` as `_rewrite`
+    lays them out: the ops that stay, the replacement, the moved-after ops."""
+    gone = {*cand.gate_indices, *cand.moved_after}
+    stay = (items[i] for i in range(cand.start_index, cand.end_index + 1) if i not in gone)
+    return [*stay, *replacement, *(items[i] for i in cand.moved_after)]
+
+
 class ChainScanner:
     """Resumable single-pass scanner over a circuit's instruction list.
 
     `next()` yields the next chain candidate of at least `min_gates` gates.
-    The caller then either `accept`s the instruction list with the
-    candidate's rewrite laid out by `_rewrite` - it becomes the scanner's,
+    The caller then either `accept`s the candidate's rewritten window, as
+    `_window` lays it out - it is spliced into the instruction list in place,
     the replacement's gates never seed or extend a chain, and the scan
     restarts from the chain's start so that intertwined chains displaced
     around it are rediscovered - or `skip()`s, which retires the candidate's
-    gates as seeds and continues forward.
+    gates as seeds and continues forward.  Candidate starts therefore never
+    decrease, and nothing before the last accepted start is read again.
 
     The scanner owns a per-wire next-use index over its instruction list,
-    built in one forward pass: `_qnext[2*i + k]` is the position of the next
-    instruction after i that uses qubit operand k of instruction i (the list
-    length if none), `_cnext[(i, b)]` the same for classical bit b (classical
-    ops are rare, so these sit in a dict), plus the sorted barrier positions
-    and, per qubit in use, the last position where it is the control of an
-    unconditioned CX (`_last_cx_control`) or an operand of an unconditioned
-    CZ (`_last_cz`).  A growth merges the next uses of its active wires in a
-    heap, so it visits only ops on active wires, stops at the next barrier,
-    and ends once the head has no later CX-as-control (or CZ) left.  `accept`
-    rewrites the instruction list, so it rebuilds the index.
+    built in one forward pass.  Positions in it are counted from the end of
+    the list (0 for none), so the entries past a window stay valid when the
+    window is spliced.  `_qnext[2*i + k]` is the next instruction after i that
+    uses qubit operand k of instruction i, `_cnext[(n - i, b)]` the same for
+    classical bit b (classical ops are rare, so these sit in a dict), plus the
+    barriers (ascending from the end) and, per qubit in use, the last position
+    where it is the control of an unconditioned CX (`_last_cx_control`) or an
+    operand of an unconditioned CZ (`_last_cz`).  A growth merges the next
+    uses of its active wires in a heap, so it visits only ops on active wires,
+    stops at the next barrier, and ends once the head has no later
+    CX-as-control (or CZ) left.  `accept` rewrites the index over the window
+    only: the entries before it, left stale by the splice, are never read.
     """
 
     def __init__(self, circuit: Circuit, min_gates: int = 2):
@@ -333,7 +345,7 @@ class ChainScanner:
 
     def _build_index(self) -> None:
         n = len(self.instructions)
-        qnext = [n] * (2 * n)
+        qnext = array("i", bytes(8 * n))
         cnext: dict[tuple[int, int], int] = {}
         barriers: list[int] = []
         # Keyed by the qubits in use: a register may declare far more.
@@ -344,35 +356,41 @@ class ChainScanner:
         BARRIER, CX, CZ = Gate.BARRIER, Gate.CX, Gate.CZ
         for i, ins in enumerate(self.instructions):
             gate = ins.gate
+            v = n - i
             if gate is BARRIER:
                 # Growth stops at the first barrier after its seed, so a link
                 # that runs across a barrier is never followed.
-                barriers.append(i)
+                barriers.append(v)
                 continue
             slot = 2 * i
             for q in ins.qubits:
                 prev = last_slot.get(q)
                 if prev is not None:
-                    qnext[prev] = i
+                    qnext[prev] = v
                 last_slot[q] = slot
                 slot += 1
             if ins.condition is None and ins.clbit is None:
                 if gate is CX:
-                    last_cx_control[ins.qubits[0]] = i
+                    last_cx_control[ins.qubits[0]] = v
                 elif gate is CZ:
-                    u, v = ins.qubits
-                    last_cz[u] = last_cz[v] = i
+                    a, b = ins.qubits
+                    last_cz[a] = last_cz[b] = v
                 continue
-            for b in _clbits(ins):
+            for b in dict.fromkeys(_clbits(ins)):  # a condition may list a bit twice
                 prev = last_clbit_use.get(b)
                 if prev is not None:
-                    cnext[(prev, b)] = i
-                last_clbit_use[b] = i
+                    cnext[(prev, b)] = v
+                last_clbit_use[b] = v
+        barriers.reverse()
         self._qnext = qnext
         self._cnext = cnext
         self._barriers = barriers
         self._last_cx_control = last_cx_control
         self._last_cz = last_cz
+        # The last links, latest position first, to drop those an accept passes.
+        self._links = [(-v, q, 0) for q, v in last_cx_control.items()]
+        self._links += [(-v, q, 1) for q, v in last_cz.items()]
+        heapify(self._links)
 
     def next(self) -> ChainCandidate | None:
         if self._pending is not None:
@@ -401,20 +419,24 @@ class ChainScanner:
         it sees in position order up to the last extension.
         """
         ins = self.instructions
+        n = len(ins)
         g = _Growth(ins, self._state, seed)
-        k = bisect_right(self._barriers, seed)
-        end = self._barriers[k] if k < len(self._barriers) else len(ins)
-        last_link = (self._last_cz if g.is_cz else self._last_cx_control).get
+        k = bisect_left(self._barriers, n - seed)
+        end = n - self._barriers[k - 1] if k else n
+        # Past the last link of the head, nothing can extend the chain.
+        links = (self._last_cz if g.is_cz else self._last_cx_control).get
         qnext, cnext = self._qnext, self._cnext
         seq, seq_set, pending = g.seq, g.seq_set, g.pending_by_wire
-        heap = [j for j in (qnext[2 * seed], qnext[2 * seed + 1]) if j < end]
+        heap = [j for j in (n - qnext[2 * seed], n - qnext[2 * seed + 1]) if j < end]
         heapify(heap)
         prev = seed
         while heap:
             j = heappop(heap)
             if j == prev:
                 continue  # reached along a second active wire
-            if last_link(seq[-1], -1) < j and (g.seq_oriented or last_link(seq[0], -1) < j):
+            if n - links(seq[-1], n + 1) < j and (
+                g.seq_oriented or n - links(seq[0], n + 1) < j
+            ):
                 break  # nothing from here on can extend the head
             prev = j
             op = ins[j]
@@ -424,33 +446,83 @@ class ChainScanner:
             slot = 2 * j
             for q in op.qubits:
                 if q in seq_set or q in pending:
-                    nxt = qnext[slot]
+                    nxt = n - qnext[slot]
                     if nxt < end:
                         heappush(heap, nxt)
                 slot += 1
             for b in _clbits(op):
                 if ~b in pending:
-                    nxt = cnext.get((j, b), end)
+                    nxt = n - cnext.get((n - j, b), 0)
                     if nxt < end:
                         heappush(heap, nxt)
         return g.finish(self.min_gates)
 
-    def accept(self, rewritten: list[Instruction]) -> None:
-        """Install `rewritten`, the instruction list with the pending
-        candidate's rewrite laid out by `_rewrite`, and rescan from the
-        chain's start.  The seed states move with their ops.
+    def accept(self, window: list[Instruction]) -> None:
+        """Splice `window`, the pending candidate's positions as `_window`
+        lays them out, into the instruction list, and rescan from the chain's
+        start.  The seed states move with their ops, and the index is
+        rewritten over the window: O(|window|) plus the list's own splice.
 
         The result is read from `circuit`, which builds a new `Circuit`."""
         cand = self._pending
         if cand is None:
             raise RuntimeError("no candidate to accept")
         self._pending = None
-        # The replacement is what the rewrite added beyond the gates it removed.
-        added = len(rewritten) - len(self.instructions) + len(cand.gate_indices)
-        self._state = _rewrite(self._state, [(cand, [_REPLACED] * added)])
-        self.instructions = rewritten
-        self._pos = cand.start_index
-        self._build_index()
+        ins = self.instructions
+        s, e = cand.start_index, cand.end_index
+        n = len(ins)
+        m = len(window)
+        n2 = n + m - (e + 1 - s)
+        # The replacement is what the window holds beyond the ops it kept.
+        added = m - (e + 1 - s) + len(cand.gate_indices)
+        self._state[s : e + 1] = _window(self._state, cand, [_REPLACED] * added)
+        # Each wire's next use past the window, from its last use inside it.
+        qnext, cnext = self._qnext, self._cnext
+        after: dict[int, int] = {}
+        for i in range(s, e + 1):
+            op = ins[i]
+            if op.gate is Gate.BARRIER:
+                continue
+            for k, q in enumerate(op.qubits):
+                after[q] = qnext[2 * i + k]
+            for b in _clbits(op):
+                after[~b] = cnext.get((n - i, b), 0)
+        # Entries before the window are never read again: drop them, and the
+        # last links inside it, which the window's own replace.
+        barriers = self._barriers
+        while barriers and barriers[-1] > n - s:
+            barriers.pop()
+        tables = (self._last_cx_control, self._last_cz)
+        links = self._links
+        while links and -links[0][0] >= n - e:
+            v, q, kind = heappop(links)
+            if tables[kind].get(q) == -v:
+                del tables[kind][q]
+        ins[s : e + 1] = window
+        slots = array("i", bytes(8 * m))
+        BARRIER, CX, CZ = Gate.BARRIER, Gate.CX, Gate.CZ
+        for k in range(m - 1, -1, -1):
+            op = window[k]
+            v = n2 - s - k
+            if op.gate is BARRIER:
+                continue
+            for slot, q in enumerate(op.qubits, 2 * k):
+                slots[slot] = after.get(q, 0)
+                after[q] = v
+            if op.condition is None and op.clbit is None:
+                # Walking backwards, the first link met is the window's last.
+                if op.gate is CX or op.gate is CZ:
+                    kind = int(op.gate is CZ)  # a CX links through its control, a CZ both
+                    for q in op.qubits[: 1 + kind]:
+                        if q not in tables[kind]:
+                            tables[kind][q] = v
+                            heappush(links, (-v, q, kind))
+                continue
+            for b in dict.fromkeys(_clbits(op)):
+                cnext[(v, b)] = after.get(~b, 0)
+                after[~b] = v
+        qnext[2 * s : 2 * e + 2] = slots
+        self._pos = s
 
     def skip(self) -> None:
         """Retire the pending candidate: its gates never seed again."""

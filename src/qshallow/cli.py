@@ -58,7 +58,8 @@ def _decision_summary(decision) -> dict:
 
 def _report(input_circuit: Circuit, result: CompileResult) -> dict:
     input_stats = stats(input_circuit)
-    output_stats = stats(result.circuit)
+    # A compile that changes nothing hands back its input.
+    output_stats = input_stats if result.circuit is input_circuit else stats(result.circuit)
     ghz = [d.applied for d in result.decisions if d.candidate.kind is ChainKind.GHZ]
     chains = [d.applied for d in result.decisions if d.candidate.kind is not ChainKind.GHZ]
     return {

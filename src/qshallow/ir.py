@@ -14,8 +14,11 @@ qubits but occupy no layer themselves.
 """
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 
@@ -242,6 +245,359 @@ def depth_of(instructions: Sequence[Instruction]) -> int:
         if layer > max_layer:
             max_layer = layer
     return max_layer
+
+
+def _wires(ins: Instruction) -> tuple[int, ...]:
+    """The wires an instruction uses: its qubits, then the classical bits it
+    writes or reads, bit b as the wire ~b."""
+    bits = () if ins.clbit is None else (~ins.clbit,)
+    if ins.condition is not None:
+        bits += tuple(~b for b in dict.fromkeys(ins.condition.bits))
+    return ins.qubits + bits
+
+
+class DepthIndex:
+    """Exact `depth_of` of an instruction list under a sequence of rewrites,
+    each judged by the operations it can move.
+
+    A rewrite takes the ops at some positions of a window start..end out and
+    places a block after position `end`.  The index holds, per position, the
+    op's ASAP layer and its tail (the longest path from the op to the end,
+    with `depth_of`'s dependencies: a barrier is a zero-cost sync and a
+    classical bit's readers wait for its single writer), and per wire the
+    positions that use it.  `admits` walks, in position order up to `end`,
+    only the ops on dirty wires - at first those of the ops taken out; an op
+    whose layer changes dirties the wires it writes - then schedules the
+    block, and adds to each dirty wire's front the stored tail of its first
+    use after `end`.  Every other op keeps its layer and every other path its
+    length, both bounded by `depth`, so "no deeper" is decided exactly.
+
+    The exact depth is kept as the maximum over the paths that cross a cut:
+    a qubit's front plus the tail of its first use at or after the cut, and a
+    bit's writer before the cut plus the tail of each reader after it; the
+    multiset of those terms is `_terms`.  `accept` moves the cut to the
+    rewrite's start, swaps the window's entries, recomputes the tails over the
+    window only and reads the new depth off `_terms`.  Nothing before the cut
+    is read again, so rewrites must come with non-decreasing starts.
+    Positions are stored counted from the end of the list, which keeps the
+    entries past a window valid across its splice; layers past the last
+    accepted start are recomputed forward as later rewrites need them.
+
+    The index is built from the first list it is asked about and must be
+    handed that list, as `accept`s change it, from then on.
+    """
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self._built = False
+
+    def _build(self, ins: Sequence[Instruction]) -> None:
+        n = len(ins)
+        self._tail = array("i", bytes(4 * n))
+        self._uses: dict[int, array] = {}  # ascending from the end: the earliest use is last
+        self._writer: dict[int, int] = {}  # bit -> its writer's position from the end
+        self._sweep_back(ins, 0, n, {}, {})
+        self._layer = array("i", bytes(4 * n))
+        self._known = 0  # layers are exact below this position
+        self._ahead: dict[int, int] = {}  # fronts at `_known`, for wires used past the cut
+        self._cut = 0
+        self._front: dict[int, int] = {}  # fronts at the cut; bit ~b once its writer is passed
+        self._terms: dict[int, int] = {}
+        for w in self._uses:
+            if w >= 0:
+                self._add(self._qterm(w, n))
+        self.depth = max(self._terms, default=0)
+        self._built = True
+
+    def _sweep_back(
+        self,
+        ops: Sequence[Instruction],
+        first: int,
+        n: int,
+        after: dict[int, int],
+        readers: dict[int, int],
+    ) -> None:
+        """Tails and uses of `ops`, at positions `first`.. of a list of
+        length n, from the last back: `after` holds each qubit's next tail,
+        `readers` each bit's largest tail among its readers so far."""
+        tail, uses, writer = self._tail, self._uses, self._writer
+        BARRIER = Gate.BARRIER
+        for p in range(first + len(ops) - 1, first - 1, -1):
+            op = ops[p - first]
+            t = 0
+            for q in op.qubits:
+                a = after.get(q, 0)
+                if a > t:
+                    t = a
+            if op.clbit is not None:
+                a = readers.get(op.clbit, 0)
+                if a > t:
+                    t = a
+                writer[op.clbit] = n - p
+            if op.gate is not BARRIER:
+                t += 1
+            tail[p] = t
+            for q in op.qubits:
+                after[q] = t
+            if op.condition is not None:
+                for b in op.condition.bits:
+                    if t > readers.get(b, 0):
+                        readers[b] = t
+            for w in op.qubits if op.clbit is None and op.condition is None else _wires(op):
+                u = uses.get(w)
+                if u is None:
+                    uses[w] = array("i", (n - p,))
+                else:
+                    u.append(n - p)
+
+    def _add(self, value: int) -> None:
+        self._terms[value] = self._terms.get(value, 0) + 1
+
+    def _drop(self, value: int) -> None:
+        left = self._terms[value] - 1
+        if left:
+            self._terms[value] = left
+        else:
+            del self._terms[value]
+
+    def _qterm(self, q: int, n: int) -> int:
+        """Qubit q's crossing term at the cut, in a list of length n."""
+        u = self._uses[q]
+        return self._front.get(q, 0) + (self._tail[n - u[-1]] if u else 0)
+
+    def _learn(self, ins: Sequence[Instruction], upto: int) -> None:
+        """Make the layers exact below position `upto` (forward ASAP)."""
+        layer, ahead, front = self._layer, self._ahead, self._front
+        BARRIER = Gate.BARRIER
+        for i in range(self._known, upto):
+            op = ins[i]
+            t = 0
+            for q in op.qubits:
+                a = ahead.get(q)
+                if a is None:
+                    a = front.get(q, 0)
+                if a > t:
+                    t = a
+            if op.condition is not None:
+                for b in op.condition.bits:
+                    a = ahead.get(~b)
+                    if a is None:
+                        a = front.get(~b, 0)
+                    if a > t:
+                        t = a
+            if op.gate is not BARRIER:
+                t += 1
+            layer[i] = t
+            for q in op.qubits:
+                ahead[q] = t
+            if op.clbit is not None:
+                ahead[~op.clbit] = t
+        self._known = max(self._known, upto)
+
+    def _front_at(self, w: int, j: int, n: int) -> int:
+        """Wire w's front just before position j (cut <= j <= known)."""
+        if w >= 0:
+            u = self._uses.get(w)
+            if u:
+                k = bisect_right(u, n - j)
+                if k < len(u):
+                    return self._layer[n - u[k]]
+            return self._front.get(w, 0)
+        f = self._front.get(w)
+        if f is not None:
+            return f
+        v = self._writer.get(~w)
+        return self._layer[n - v] if v is not None and n - v < j else 0
+
+    def _layer_at(self, op: Instruction, dirty: dict[int, int], j: int, n: int) -> int:
+        """`op`'s layer placed just before position j: dirty wires read their
+        front so far, the others their front before j."""
+        t = 0
+        for x in op.qubits if op.clbit is None and op.condition is None else _wires(op):
+            if x < 0 and op.clbit == ~x:
+                continue  # a measurement does not wait on its own bit
+            a = dirty.get(x)
+            if a is None:
+                a = self._front_at(x, j, n)
+            if a > t:
+                t = a
+        return t if op.gate is Gate.BARRIER else t + 1
+
+    def admits(
+        self,
+        ins: Sequence[Instruction],
+        start: int,
+        end: int,
+        removed: Sequence[int],
+        block: Sequence[Instruction],
+    ) -> bool:
+        """Whether `ins` is no deeper than `depth` with the ops at `removed`
+        (positions in start..end) taken out and `block` placed after `end`."""
+        if not self._built:
+            self._build(ins)
+        if start < self._cut:
+            raise ValueError(f"rewrite at {start} starts before the cut at {self._cut}")
+        self._learn(ins, end + 1)
+        n = len(ins)
+        layer, tail, uses = self._layer, self._tail, self._uses
+        gone = set(removed)
+        dirty: dict[int, int] = {}  # wire -> its front so far in the rewritten order
+        # wire -> index in its uses of the first use not walked yet (-1: none)
+        at: dict[int, int] = {}
+        heap: list[tuple[int, int]] = []  # (position, wire) of the uses to walk
+
+        def watch(w: int, j: int) -> int:
+            """Walk w's uses from position j on; returns the index of its
+            last use before j (len(u) if none)."""
+            u = uses.get(w, ())
+            k = bisect_right(u, n - j)
+            at[w] = k - 1
+            if k and n - u[k - 1] <= end:
+                heappush(heap, (n - u[k - 1], w))
+            return k
+
+        for i in gone:
+            op = ins[i]
+            for w in op.qubits if op.clbit is None and op.condition is None else _wires(op):
+                if w not in dirty:
+                    k = watch(w, start)
+                    if w >= 0:
+                        u = uses[w]
+                        dirty[w] = layer[n - u[k]] if k < len(u) else self._front.get(w, 0)
+                    else:
+                        dirty[w] = self._front_at(w, start, n)
+        last = -1
+        while heap:
+            j, w = heappop(heap)
+            k = at[w] - 1
+            at[w] = k
+            if k >= 0 and n - uses[w][k] <= end:
+                heappush(heap, (n - uses[w][k], w))
+            if j == last or j in gone:
+                continue
+            last = j
+            op = ins[j]
+            t = self._layer_at(op, dirty, j, n)
+            changed = t != layer[j]
+            for x in op.qubits if op.clbit is None else (*op.qubits, ~op.clbit):
+                if x in dirty:
+                    dirty[x] = t
+                elif changed:
+                    dirty[x] = t
+                    watch(x, j + 1)
+        for op in block:
+            t = self._layer_at(op, dirty, end + 1, n)
+            for x in op.qubits if op.clbit is None else (*op.qubits, ~op.clbit):
+                if x not in dirty:
+                    watch(x, end + 1)
+                dirty[x] = t
+        # Each dirty wire's front plus the longest path leaving it after `end`.
+        worst = 0
+        for w, f in dirty.items():
+            k = at[w]
+            if k >= 0 and w >= 0:
+                f += tail[n - uses[w][k]]
+            elif k >= 0:  # a bit: its readers after `end`
+                own = self._writer.get(~w)
+                f += max((tail[n - v] for v in uses[w][: k + 1] if v != own), default=0)
+            if f > worst:
+                worst = f
+        return worst <= self.depth
+
+    def _cut_to(self, ins: Sequence[Instruction], s: int) -> None:
+        """Move the cut forward to position s."""
+        self._learn(ins, s)
+        n = len(ins)
+        layer, tail, uses, front = self._layer, self._tail, self._uses, self._front
+        for i in range(self._cut, s):
+            op = ins[i]
+            f = layer[i]
+            for q in op.qubits:
+                self._drop(self._qterm(q, n))
+                uses[q].pop()
+                front[q] = f
+                self._add(self._qterm(q, n))
+            if op.condition is not None:
+                for b in dict.fromkeys(op.condition.bits):
+                    uses[~b].pop()
+                    w = front.get(~b)
+                    if w is not None:
+                        self._drop(w + tail[i])
+            elif op.clbit is not None:
+                u = uses[~op.clbit]
+                u.pop()
+                front[~op.clbit] = f
+                del self._writer[op.clbit]
+                for v in u:  # the readers after the writer
+                    self._add(f + tail[n - v])
+        self._cut = max(self._cut, s)
+
+    def accept(
+        self, ins: Sequence[Instruction], start: int, end: int, window: Sequence[Instruction]
+    ) -> None:
+        """Take in the rewrite that replaces positions start..end of `ins` by
+        `window`, before `ins` itself is spliced; `depth` becomes exact for
+        the rewritten list."""
+        if not self._built:
+            self._build(ins)
+        if start < self._cut:
+            raise ValueError(f"rewrite at {start} starts before the cut at {self._cut}")
+        self._cut_to(ins, start)
+        n = len(ins)
+        m = len(window)
+        n2 = n + m - (end + 1 - start)
+        tail, uses, front, writer = self._tail, self._uses, self._front, self._writer
+        old = ins[start : end + 1]
+        wires = {w for op in (*old, *window) for w in _wires(op)}
+        qubits = [w for w in wires if w >= 0]
+        # Drop the terms that cross the cut into the old window.
+        for q in qubits:
+            if q not in uses:
+                uses[q] = array("i")
+                self._add(self._qterm(q, n))
+            self._drop(self._qterm(q, n))
+        for i, op in enumerate(old, start):
+            if op.condition is not None:
+                for b in dict.fromkeys(op.condition.bits):
+                    f = front.get(~b)
+                    if f is not None:
+                        self._drop(f + tail[i])
+            elif op.clbit is not None:
+                del writer[op.clbit]
+        for w in wires:
+            u = uses.setdefault(w, array("i"))
+            while u and n - u[-1] <= end:
+                u.pop()
+        zeros = array("i", bytes(4 * m))
+        self._layer[start : end + 1] = zeros
+        tail[start : end + 1] = zeros
+        # Tails over the new window, backwards from the unchanged suffix.
+        after = {q: tail[n2 - uses[q][-1]] if uses[q] else 0 for q in qubits}
+        readers = {
+            op.clbit: max((tail[n2 - v] for v in uses[~op.clbit]), default=0)
+            for op in window
+            if op.clbit is not None
+        }
+        self._sweep_back(window, start, n2, after, readers)
+        # Add the terms that cross the cut into the new window.
+        top = 0
+        for q in qubits:
+            t = self._qterm(q, n2)
+            self._add(t)
+            top = max(top, t)
+        for p, op in enumerate(window, start):
+            if op.condition is not None:
+                for b in dict.fromkeys(op.condition.bits):
+                    f = front.get(~b)
+                    if f is not None:
+                        self._add(f + tail[p])
+                        top = max(top, f + tail[p])
+        self._known = start
+        self._ahead.clear()
+        d = self.depth
+        while d > top and d not in self._terms:
+            d -= 1
+        self.depth = max(d, top)
 
 
 def depth(c: Circuit) -> int:

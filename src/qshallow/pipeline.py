@@ -3,14 +3,18 @@
 Every rewrite takes the same steps; only the candidate source and the verify
 oracle differ.  In conservative mode a rewrite must strictly reduce the depth
 of its window - its gates plus the next `DEPTH_SCOPE` operations - and the
-rewritten whole circuit must be no deeper than the pass's base, as no bounded
-window sees context before it that skews the schedule.  A rewrite is laid out
-once (`chains._rewrite`); that list is rechecked, verified and installed.
+rewritten whole circuit must be no deeper than the current one, as no bounded
+window sees context before it that skews the schedule.  That second test is
+exact and never schedules the whole circuit: an `ir.DepthIndex`, built once
+per list, walks only the operations the rewrite can move.  A rewrite is laid
+out once (`chains._window`); that window is verified and spliced in place.
 
 GHZ sites (`detect_ghz`, checked from |0...0>) are on fresh qubits, so no
-dependency path meets two blocks: each site is gated against the pass's input
-and the blocks kept are spliced at once.  Chains (`ChainScanner`, checked as
-unitaries) come one at a time, each against the depth the last accept left.
+dependency path meets two blocks: each site is gated on its own against the
+pass's input and the blocks kept are spliced at once.  Chains (`ChainScanner`,
+checked as unitaries) come one at a time, each against the depth the last
+accept left, which the index takes in over the rewritten window.  When the
+GHZ pass keeps no block, the chain pass reuses its index.
 
 Modes (`chain_mode` gates every rewrite):
 
@@ -32,12 +36,13 @@ from .chains import (
     ChainScanner,
     _clbits,
     _rewrite,
+    _window,
     decompose_cz,
     decompose_cz_to_cx,
     decompose_forward,
 )
 from .ghz import GhzMode, GhzSite
-from .ir import Circuit, Condition, Gate, Instruction, depth_of
+from .ir import Circuit, Condition, DepthIndex, Gate, Instruction, depth_of
 
 #: Operations after a candidate's last gate that its window includes.
 DEPTH_SCOPE = 100
@@ -100,44 +105,20 @@ def _window_gate(
     return GateDecision(cand, before, after, mode is not ChainMode.CONSERVATIVE or after < before)
 
 
-def _lay_out(ins: Sequence[Instruction], rewrites: list[tuple], base: int | None):
-    """`ins` with the (candidate, replacement) `rewrites` laid out; returns the
-    rewrites kept, their layout and the new base.
-
-    Given a `base`, this is conservative mode's whole-circuit recheck.  Several
-    rewrites come only when no dependency path meets two of them (GHZ blocks):
-    they are tried as one batch, and one by one only if that is deeper, which
-    keeps exactly the rewrites that pass alone (a path meets one at most)."""
-    rewritten = _rewrite(ins, rewrites)
-    if base is None:
-        return rewrites, rewritten, None
-    depth = depth_of(rewritten)
-    if depth <= base:
-        return rewrites, rewritten, depth
-    if len(rewrites) == 1:
-        return [], ins, base
-    kept = [r for r in rewrites if depth_of(_rewrite(ins, [r])) <= base]
-    return kept, _rewrite(ins, kept), base
-
-
 def _verify_rewrite(
-    ins: Sequence[Instruction],
-    cand: ChainCandidate | GhzSite,
-    replacement: Sequence[Instruction],
-    rewritten: Sequence[Instruction],
+    ins: Sequence[Instruction], cand: ChainCandidate | GhzSite, after: Sequence[Instruction]
 ) -> bool:
-    """Oracle check of one rewrite of `ins` on its own qubits and classical
-    bits, both renumbered from 0, barriers dropped; raises VerificationError
-    on a mismatch.  Returns False, checking nothing, for rewrites on more than
+    """Oracle check of one rewrite of `ins` - a GHZ site's block, or a chain's
+    window as `_window` lays it out - on its own qubits and classical bits,
+    both renumbered from 0, barriers dropped; raises VerificationError on a
+    mismatch.  Returns False, checking nothing, for rewrites on more than
     MAX_VERIFY_QUBITS qubits and for chain windows with a measurement or a
     condition (the unitary oracle takes neither)."""
     if isinstance(cand, GhzSite):  # a state-preparation identity on fresh qubits
-        before, after = [ins[i] for i in cand.gate_indices], replacement
+        before = [ins[i] for i in cand.gate_indices]
         oracle = sim.equivalent_on_zero
-    else:  # the lists share what precedes the chain and follows its last gate
-        end = cand.end_index + 1
-        before = ins[cand.start_index : end]
-        after = rewritten[cand.start_index : len(rewritten) - len(ins) + end]
+    else:  # the window before and after the rewrite
+        before = ins[cand.start_index : cand.end_index + 1]
         oracle = sim.equivalent_unitary
         if any(_clbits(op) for op in (*before, *after)):
             return False
@@ -170,9 +151,12 @@ def _verify_rewrite(
     return True
 
 
-def gate_ghz_sites(c: Circuit, config: PassConfig) -> tuple[Circuit, list[GateDecision], bool]:
+def gate_ghz_sites(
+    c: Circuit, config: PassConfig, index: DepthIndex | None = None
+) -> tuple[Circuit, list[GateDecision], bool]:
     """Rebuild the detected GHZ sites as `config.ghz_mode` says, gated per
-    `config.chain_mode`.  Returns like `gate_and_apply`, one decision per site.
+    `config.chain_mode` (with `index`, if given, over `c`'s instructions).
+    Returns like `gate_and_apply`, one decision per site.
     """
     if config.ghz_mode is GhzMode.OFF:
         return c, [], config.verify
@@ -185,9 +169,14 @@ def gate_ghz_sites(c: Circuit, config: PassConfig) -> tuple[Circuit, list[GateDe
         for site, block in zip(sites, blocks)
     ]
     kept = [(d.candidate, b) for d, b in zip(decisions, blocks) if d.applied and b is not None]
-    if kept:
-        base = depth_of(ins) if config.chain_mode is ChainMode.CONSERVATIVE else None
-        kept, rewritten, _ = _lay_out(ins, kept, base)
+    if kept and config.chain_mode is ChainMode.CONSERVATIVE:
+        # No dependency path meets two blocks, so each site is gated alone.
+        index = DepthIndex() if index is None else index
+        kept = [
+            (site, block)
+            for site, block in kept
+            if index.admits(ins, site.start_index, site.end_index, site.gate_indices, block)
+        ]
     kept_at = {site.start_index for site, _ in kept}
     decisions = [replace(d, applied=d.candidate.start_index in kept_at) for d in decisions]
     if not kept:
@@ -196,17 +185,20 @@ def gate_ghz_sites(c: Circuit, config: PassConfig) -> tuple[Circuit, list[GateDe
         # Number the fresh bits of the blocks kept without gaps.
         kept_sites = [site for site, _ in kept]
         kept = list(zip(kept_sites, ghz.site_blocks(kept_sites, config.ghz_mode, c.num_clbits)))
-        rewritten = _rewrite(ins, kept)
     verified = config.verify
     if config.verify:
         for site, block in kept:
-            verified = _verify_rewrite(ins, site, block, rewritten) and verified
+            verified = _verify_rewrite(ins, site, block) and verified
     fresh = sum(op.gate is Gate.MEASURE for _, block in kept for op in block)
+    rewritten = _rewrite(ins, kept)
     return Circuit(c.num_qubits, c.num_clbits + fresh, tuple(rewritten)), decisions, verified
 
 
-def gate_and_apply(c: Circuit, config: PassConfig) -> tuple[Circuit, list[GateDecision], bool]:
-    """Scan for chains and apply their decompositions per the configured mode.
+def gate_and_apply(
+    c: Circuit, config: PassConfig, index: DepthIndex | None = None
+) -> tuple[Circuit, list[GateDecision], bool]:
+    """Scan for chains and apply their decompositions per the configured mode
+    (in conservative mode, gated by `index` over `c`'s instructions if given).
 
     Returns the rewritten circuit, one decision record per candidate in
     discovery order, and whether `config.verify` checked every rewrite applied.
@@ -218,18 +210,28 @@ def gate_and_apply(c: Circuit, config: PassConfig) -> tuple[Circuit, list[GateDe
     scanner = ChainScanner(c, min_gates=config.min_chain_gates)
     decisions: list[GateDecision] = []
     verified = config.verify
-    base = depth_of(scanner.instructions) if config.chain_mode is ChainMode.CONSERVATIVE else None
+    if config.chain_mode is not ChainMode.CONSERVATIVE:
+        index = None
+    elif index is None:
+        index = DepthIndex()
     while (cand := scanner.next()) is not None:
         ins = scanner.instructions
         replacement = _replacement_for(cand, config.cz_to_cx)
         decision = _window_gate(ins, cand, replacement, config.chain_mode)
         if decision.applied:
-            kept, rewritten, base = _lay_out(ins, [(cand, replacement)], base)
-            decision = replace(decision, applied=bool(kept))
+            window = _window(ins, cand, replacement)
+        if decision.applied and index is not None:
+            # The window ends with the replacement and the moved-after ops.
+            block = window[len(window) - len(replacement) - len(cand.moved_after) :]
+            removed = (*cand.gate_indices, *cand.moved_after)
+            applied = index.admits(ins, cand.start_index, cand.end_index, removed, block)
+            decision = replace(decision, applied=applied)
         if decision.applied:
             if config.verify:
-                verified = _verify_rewrite(ins, cand, replacement, rewritten) and verified
-            scanner.accept(rewritten)
+                verified = _verify_rewrite(ins, cand, window) and verified
+            if index is not None:
+                index.accept(ins, cand.start_index, cand.end_index, window)
+            scanner.accept(window)
         else:
             scanner.skip()
         decisions.append(decision)
@@ -248,6 +250,9 @@ class CompileResult:
 def compile_circuit(c: Circuit, config: PassConfig) -> CompileResult:
     """The GHZ pass, then the chain pass.  `verified` is true when
     `config.verify` is set and every applied rewrite was checked."""
-    out, ghz_decisions, ghz_verified = gate_ghz_sites(c, config)
-    out, chain_decisions, chains_verified = gate_and_apply(out, config)
+    index = DepthIndex()
+    out, ghz_decisions, ghz_verified = gate_ghz_sites(c, config, index)
+    if out is not c:
+        index = DepthIndex()  # the GHZ pass changed the list
+    out, chain_decisions, chains_verified = gate_and_apply(out, config, index)
     return CompileResult(out, ghz_decisions + chain_decisions, ghz_verified and chains_verified)

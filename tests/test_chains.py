@@ -25,7 +25,7 @@ from qshallow.chains import (
     ChainKind,
     ChainScanner,
     _Growth,
-    _rewrite,
+    _window,
     commutes,
     decompose_cz,
     decompose_cz_to_cx,
@@ -302,7 +302,7 @@ class TestScanner:
         scanner = ChainScanner(gen_cx_chain(6), 2)
         cand = scanner.next()
         replacement = decompose_forward(cand.qubit_seq)
-        scanner.accept(_rewrite(scanner.instructions, [(cand, replacement)]))
+        scanner.accept(_window(scanner.instructions, cand, replacement))
         assert scanner.next() is None  # replacement never re-seeds
         assert equivalent_unitary(gen_cx_chain(6), scanner.circuit)
 
@@ -326,7 +326,7 @@ class TestScanner:
         while (cand := scanner.next()) is not None:
             seen += 1
             replacement = decompose_forward(cand.qubit_seq)
-            scanner.accept(_rewrite(scanner.instructions, [(cand, replacement)]))
+            scanner.accept(_window(scanner.instructions, cand, replacement))
         assert seen == 3
         assert stats(scanner.circuit).depth < stats(tw).depth
 
@@ -337,7 +337,7 @@ class TestScanner:
         cand = scanner.next()
         assert cand.qubit_seq == (0, 1, 2, 3)
         replacement = decompose_forward(cand.qubit_seq)
-        scanner.accept(_rewrite(scanner.instructions, [(cand, replacement)]))
+        scanner.accept(_window(scanner.instructions, cand, replacement))
         assert equivalent_unitary(c, scanner.circuit)
 
 
@@ -492,7 +492,7 @@ def test_randomized_window_soundness(seed):
     scanner = ChainScanner(c, 2)
     while (cand := scanner.next()) is not None:
         replacement = decompose_forward(cand.qubit_seq)
-        scanner.accept(_rewrite(scanner.instructions, [(cand, replacement)]))
+        scanner.accept(_window(scanner.instructions, cand, replacement))
     assert equivalent_unitary(c, scanner.circuit, tol=1e-9)
 
 

@@ -128,6 +128,28 @@ def test_compile_validates_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_report_of_unchanged_compile_schedules_once(tmp_path, monkeypatch):
+    # A 4-gate chain the conservative gate rejects: the output is the input,
+    # so the report reuses the input's stats instead of scheduling it again.
+    # The window gate's schedules go through pipeline's own name and are
+    # not counted here.
+    from qshallow import ir
+
+    src = tmp_path / "in.qasm"
+    src.write_text(emit(gen_cx_chain(5)))
+    calls = []
+    depth_of = ir.depth_of
+    monkeypatch.setattr(ir, "depth_of", lambda ins: calls.append(len(ins)) or depth_of(ins))
+    rc = main(["compile", "--in", str(src), "--out", str(tmp_path / "out.qasm"),
+               "--report", str(tmp_path / "r.json"), "--chains", "conservative",
+               "--min-chain-gates", "2"])
+    assert rc == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["chains_applied"] == 0
+    assert report["output_stats"] == report["input_stats"]
+    assert calls == [4]
+
+
 @pytest.mark.parametrize("chains", ["conservative", "always"])
 def test_huge_register_compiles_like_chains_off(tmp_path, chains):
     # The chain scanner indexes only the qubits the gates use.

@@ -1,0 +1,232 @@
+"""The incremental depth gate (`ir.DepthIndex`) and the scanner's in-place
+accept, each against a from-scratch reference: `depth_of` of the rewritten
+list, and indexes built anew on the list the accepts left."""
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from qshallow.chains import ChainScanner, _clbits, _window
+from qshallow.ghz import build_ghz_parallel
+from qshallow.ir import (
+    Circuit,
+    Condition,
+    DepthIndex,
+    Gate,
+    Instruction,
+    barrier,
+    cx,
+    cz,
+    depth_of,
+    h,
+    measure,
+    rz,
+    x,
+)
+from qshallow.pipeline import ChainMode, PassConfig, _replacement_for
+
+SPARE = 6  # qubits no body op touches, for GHZ blocks on fresh qubits
+
+
+def _body(data, n: int, size: int, bits: list[int]) -> list[Instruction]:
+    """Random ops on qubits 0..n-1: 1q gates, CX/CZ, barriers of any width,
+    measurements onto fresh bits (appended to `bits`) and X gates under
+    parity conditions of up to three bits, written before, after or never."""
+    qubit = st.integers(0, n - 1)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+    body = []
+    for _ in range(size):
+        kind = data.draw(st.sampled_from(["h", "rz", "cx", "cx", "cz", "barrier", "measure", "if"]))
+        if kind == "h" or kind in ("cx", "cz") and n < 2:
+            body.append(h(data.draw(qubit)))
+        elif kind == "rz":
+            body.append(rz(data.draw(qubit), 0.5))
+        elif kind in ("cx", "cz") and n >= 2:
+            body.append((cx if kind == "cx" else cz)(*data.draw(pair)))
+        elif kind == "barrier":
+            body.append(barrier(*data.draw(st.lists(qubit, min_size=1, max_size=n, unique=True))))
+        elif kind == "measure":
+            bits.append(len(bits))
+            body.append(measure(data.draw(qubit), bits[-1]))
+        else:
+            cond = data.draw(st.lists(st.integers(0, len(bits) + 1), min_size=1, max_size=3))
+            body.append(x(data.draw(qubit), condition=Condition(tuple(cond))))
+    return body
+
+
+def _depth_view(index: DepthIndex, ins, start: int):
+    """Everything the index holds about positions `start` on, layers in full."""
+    n = len(ins)
+    index._learn(ins, n)
+    uses = {w: [n - v for v in u if n - v >= start] for w, u in index._uses.items()}
+    return (
+        index.depth,
+        list(index._layer),
+        list(index._tail[start:]),
+        {w: p for w, p in uses.items() if p},
+        {b: n - v for b, v in index._writer.items() if n - v >= start},
+    )
+
+
+def _scan_view(scanner: ChainScanner, start: int):
+    """The scanner's next-use index from position `start` on, as positions."""
+    ins = scanner.instructions
+    n = len(ins)
+    return (
+        [n - v for v in scanner._qnext[2 * start :]],
+        {
+            (j, b): n - scanner._cnext.get((n - j, b), 0)
+            for j in range(start, n)
+            if ins[j].gate is not Gate.BARRIER
+            for b in _clbits(ins[j])
+        },
+        [n - v for v in scanner._barriers if n - v > start],
+        [{q: n - v for q, v in t.items() if n - v >= start}
+         for t in (scanner._last_cx_control, scanner._last_cz)],
+    )
+
+
+def _fresh_index(ins) -> DepthIndex:
+    index = DepthIndex()
+    index._build(ins)
+    return index
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_gate_and_accept_match_depth_of(data):
+    n = data.draw(st.integers(1, 6))
+    bits: list[int] = []
+    ins = _body(data, n, data.draw(st.integers(1, 30)), bits)
+    fresh_q, fresh_b = n, len(bits) + 2
+    index = DepthIndex()
+    floor = last_accept = 0
+    for _ in range(data.draw(st.integers(1, 6))):
+        if floor >= len(ins):
+            break
+        start = data.draw(st.integers(floor, len(ins) - 1))
+        end = data.draw(st.integers(start, min(len(ins) - 1, start + 10)))
+        removed = sorted(data.draw(st.sets(st.integers(start, end), min_size=1)))
+        moved = [i for i in removed if data.draw(st.booleans())]
+        kind = data.draw(st.sampled_from(["chain", "ghz", "empty"]))
+        if kind == "chain" and n >= 2:
+            qubits = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+            block = [cx(*data.draw(qubits)) for _ in range(data.draw(st.integers(1, 4)))]
+        elif kind == "ghz" and fresh_q + 3 <= n + SPARE:
+            members = range(fresh_q, fresh_q + 3)
+            block = build_ghz_parallel(members, [fresh_b])
+            fresh_q, fresh_b = fresh_q + 3, fresh_b + 1
+        else:
+            block = []
+        block += [ins[i] for i in moved]  # moved-after ops, measurements among them
+        gone = set(removed)
+        window = [ins[i] for i in range(start, end + 1) if i not in gone] + block
+        rewritten = ins[:start] + window + ins[end + 1 :]
+        base = depth_of(ins)
+        assert index.admits(ins, start, end, removed, block) == (depth_of(rewritten) <= base)
+        assert index.depth == base
+        if data.draw(st.booleans()):
+            index.accept(ins, start, end, window)
+            ins = rewritten
+            assert index.depth == depth_of(ins)
+            floor = last_accept = start
+        else:
+            floor = data.draw(st.integers(start, start + 1))
+    if index._built:
+        assert _depth_view(index, ins, last_accept) == _depth_view(_fresh_index(ins), ins, last_accept)
+
+
+def _chain_rich(data) -> Circuit:
+    """CX and CZ chains over a few qubits, broken up by random ops."""
+    n = data.draw(st.integers(3, 7))
+    bits: list[int] = []
+    body = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        seq = data.draw(st.permutations(range(n)))[: data.draw(st.integers(3, n))]
+        gate = data.draw(st.sampled_from([cx, cz]))
+        for a, b in zip(seq, seq[1:]):
+            body.append(gate(a, b))
+            body += _body(data, n, data.draw(st.integers(0, 2)), bits)
+    return Circuit(n, len(bits) + 2, tuple(body))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_scanner_and_gate_refresh_match_a_rebuild(data):
+    c = _chain_rich(data)
+    config = PassConfig(chain_mode=ChainMode.CONSERVATIVE, cz_to_cx=data.draw(st.booleans()))
+    scanner = ChainScanner(c, 2)
+    index = DepthIndex()
+    last_accept = 0
+    while (cand := scanner.next()) is not None:
+        ins = scanner.instructions
+        replacement = _replacement_for(cand, config.cz_to_cx)
+        moved = [ins[i] for i in cand.moved_after]
+        window = _window(ins, cand, replacement)
+        rewritten = ins[: cand.start_index] + window + ins[cand.end_index + 1 :]
+        removed = (*cand.gate_indices, *cand.moved_after)
+        verdict = index.admits(
+            ins, cand.start_index, cand.end_index, removed, [*replacement, *moved]
+        )
+        assert verdict == (depth_of(rewritten) <= depth_of(ins))
+        if not data.draw(st.booleans()):
+            scanner.skip()
+            continue
+        index.accept(ins, cand.start_index, cand.end_index, window)
+        scanner.accept(window)
+        assert scanner.instructions == rewritten
+        assert index.depth == depth_of(rewritten)
+        last_accept = cand.start_index
+        rebuilt = ChainScanner(Circuit(c.num_qubits, c.num_clbits, tuple(rewritten)), 2)
+        assert _scan_view(scanner, last_accept) == _scan_view(rebuilt, last_accept)
+    ins = scanner.instructions
+    if index._built:
+        assert _depth_view(index, ins, last_accept) == _depth_view(_fresh_index(ins), ins, last_accept)
+
+
+def test_moved_after_measurement_is_gated_exactly():
+    # measure(1) sits between the chain's gates on a non-head chain qubit, so
+    # it moves after the chain; the reader of its bit comes later still.
+    body = [cx(0, 1), cx(1, 2), measure(1, 0), cx(2, 3), cx(3, 4), cx(4, 5),
+            x(0, condition=Condition((0,))), barrier(0, 5), h(5)]
+    c = Circuit(6, 1, tuple(body))
+    scanner = ChainScanner(c, 2)
+    cand = scanner.next()
+    assert cand.moved_after == (2,)
+    ins = scanner.instructions
+    replacement = _replacement_for(cand, False)
+    window = _window(ins, cand, replacement)
+    rewritten = [*ins[: cand.start_index], *window, *ins[cand.end_index + 1 :]]
+    assert window == [*replacement, ins[2]]  # no op stays in the window
+    index = DepthIndex()
+    assert index.admits(ins, 0, cand.end_index, (*cand.gate_indices, 2), window) == (
+        depth_of(rewritten) <= depth_of(ins)
+    )
+    index.accept(ins, 0, cand.end_index, window)
+    assert index.depth == depth_of(rewritten)
+
+
+def _check_rewrites(ins, start, end, rewrites):
+    for removed, block in rewrites:
+        gone = set(removed)
+        window = [ins[i] for i in range(start, end + 1) if i not in gone] + block
+        rewritten = [*ins[:start], *window, *ins[end + 1 :]]
+        index = DepthIndex()
+        assert index.admits(ins, start, end, removed, block) == (
+            depth_of(rewritten) <= depth_of(ins)
+        )
+        index.accept(ins, start, end, window)
+        assert index.depth == depth_of(rewritten)
+
+
+def test_reader_waits_for_its_writer():
+    # x reads bit 0, written at layer 7 on qubit 2.  Taking cx(0, 1) out
+    # leaves the reader where its bit holds it, so every h(0) placed after it
+    # deepens the circuit, whether the reader stays or moves into the block.
+    ins = [*[h(2)] * 6, measure(2, 0), cx(0, 1), x(0, condition=Condition((0,)))]
+    assert depth_of(ins) == 8
+    _check_rewrites(ins, 7, 8, [((7,), [h(0)]), ((7, 8), [ins[8], h(0)]), ((7,), [])])
+    # Here the reader sits before the window on qubit 1, and cx(0, 1), which
+    # the rewrite moves, waits for it through that clean wire.
+    ins = [*[h(2)] * 6, measure(2, 0), x(1, condition=Condition((0,))), cx(0, 3), cx(0, 1)]
+    assert depth_of(ins) == 9
+    _check_rewrites(ins, 8, 9, [((8,), [h(0)]), ((8,), [])])

@@ -66,6 +66,17 @@ def _count_depth_of(monkeypatch) -> list[int]:
     return calls
 
 
+def _count_index_builds(monkeypatch) -> list[int]:
+    """Record the length of every list a `DepthIndex` is built over."""
+    from qshallow import ir
+
+    calls = []
+    build = ir.DepthIndex._build
+    monkeypatch.setattr(ir.DepthIndex, "_build",
+                        lambda self, ins: calls.append(len(ins)) or build(self, ins))
+    return calls
+
+
 def _rebuilt(c: Circuit, mode: GhzMode) -> Circuit:
     """The GHZ pass alone, ungated: with chains off every site is rebuilt."""
     return compile_circuit(c, PassConfig(ghz_mode=mode, chain_mode=ChainMode.OFF)).circuit
@@ -562,16 +573,18 @@ class TestGatedPass:
             assert stats(reference) == stats(_reference_rebuild(c, mode, anchor_last=False))
 
     @pytest.mark.parametrize("mode", _GHZ_MODES)
-    def test_deeper_batch_falls_back_to_each_site(self, mode, monkeypatch):
+    def test_deeper_site_is_dropped_alone(self, mode, monkeypatch):
         c = circ(16, *_late_root(0), *_ghz_chain(range(8, 16)))
         calls = _count_depth_of(monkeypatch)
+        builds = _count_index_builds(monkeypatch)
         config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE)
         out, decisions, _ = gate_ghz_sites(c, config)
         late, plain = decisions
         assert late.depth_after < late.depth_before and not late.applied
         assert plain.applied
-        # The base, the batch, then each site alone.
-        assert sum(n >= len(c.instructions) - 8 for n in calls) == 4
+        # Only window schedules: the depth index, built once, gates each site.
+        assert len(calls) == 2 * 2 and max(calls) < len(c.instructions) - 8
+        assert builds == [len(c.instructions)]
         assert depth(out) <= depth(c)
         # The fresh bits of the block kept start right after the input's.
         measured = sorted(op.clbit for op in out.instructions if op.gate is Gate.MEASURE)
@@ -586,11 +599,30 @@ class TestGatedPass:
             body += [*_ghz_chain(qs), *(rz(q, 0.1) for q in qs), barrier(*qs)]
         c = circ(64 * k, *body)
         calls = _count_depth_of(monkeypatch)
+        builds = _count_index_builds(monkeypatch)
         config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE)
         out, decisions, _ = gate_ghz_sites(c, config)
         assert len(decisions) == k and all(d.applied for d in decisions)
-        assert sum(n >= len(c.instructions) for n in calls) == 2  # the base and the batch
+        assert len(calls) == 2 * k and max(calls) <= 64 + 100  # windows only
+        assert builds == [len(c.instructions)]
         assert (depth(c), depth(out)) == (65, 1 + 6 + 1)
+
+    def test_one_index_build_per_changed_list(self, monkeypatch):
+        builds = _count_index_builds(monkeypatch)
+        config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE)
+        # The GHZ pass keeps the block: one build over the input, one over
+        # the list the chain pass scans.
+        c = gen_ghz_standard(64)
+        result = compile_circuit(c, config)
+        assert result.decisions[0].applied and depth(result.circuit) == 7
+        assert builds == [64, len(result.circuit.instructions)]
+        # The GHZ pass keeps nothing: the chain pass gates its chain with the
+        # GHZ pass's index.
+        builds.clear()
+        c = circ(25, *_late_root(0), *(cx(i, i + 1) for i in range(8, 24)))
+        result = compile_circuit(c, config)
+        assert [d.applied for d in result.decisions] == [False, False, True]  # GHZ, then chains
+        assert builds == [len(c.instructions)]
 
     @pytest.mark.parametrize("label, c", [
         ("ghz/4", gen_ghz_standard(4)),

@@ -16,7 +16,7 @@ from qshallow.bench import (
 )
 from qshallow import ghz, ir
 from qshallow.chains import ChainKind
-from qshallow.ir import Circuit, cx, cz, h, measure, rz, stats
+from qshallow.ir import Circuit, barrier, cx, cz, h, measure, rz, stats
 from qshallow.pipeline import (
     DEPTH_SCOPE,
     ChainMode,
@@ -46,6 +46,19 @@ def _count_depth_of(monkeypatch) -> list[int]:
         return depth_of(instructions)
 
     monkeypatch.setattr(pipeline, "depth_of", counting)
+    return calls
+
+
+def _count_index_builds(monkeypatch) -> list[int]:
+    """Record the length of every list a `DepthIndex` is built over."""
+    calls = []
+    build = ir.DepthIndex._build
+
+    def counting(self, instructions):
+        calls.append(len(instructions))
+        return build(self, instructions)
+
+    monkeypatch.setattr(ir.DepthIndex, "_build", counting)
     return calls
 
 
@@ -145,21 +158,42 @@ class TestModes:
         assert equivalent_unitary(c, out)
 
     def test_accepted_rewrite_scheduled_once(self, monkeypatch):
-        # Per candidate: two window schedules, then one whole-circuit recheck
-        # of the rewrite, whose depth becomes the base for the next one.
+        # Per candidate: the two window schedules and nothing else; the depth
+        # index judges the whole circuit, and takes in each accepted rewrite
+        # over its window, so it is built once for the pass.
         calls = _count_depth_of(monkeypatch)
+        builds = _count_index_builds(monkeypatch)
         c = gen_intertwined(3, 8)
         config = PassConfig(chain_mode=ChainMode.CONSERVATIVE, min_chain_gates=2)
         out, decisions, _ = gate_and_apply(c, config)
         assert [d.applied for d in decisions] == [True, True, True]
-        assert len(calls) == 1 + 3 * 3  # the base depth, then 3 calls per candidate
-        assert calls[-1] == len(out.instructions)
+        assert len(calls) == 2 * 3
+        assert builds == [len(c.instructions)]
 
-        # Always mode has no base depth and no recheck: only the two window
-        # schedules of the 16-gate chain and its 30-gate replacement.
+        # Always mode has no depth index: only the two window schedules of
+        # the 16-gate chain and its 30-gate replacement.
         calls.clear()
+        builds.clear()
         gate_and_apply(gen_cx_chain(17), PassConfig(chain_mode=ChainMode.ALWAYS))
         assert calls == [16, 30]
+        assert builds == []
+
+    def test_no_schedule_beyond_a_window(self, monkeypatch):
+        # 32 barrier-separated 16-gate chains, every one accepted: each
+        # schedule covers a candidate's gates or its 30-gate replacement plus
+        # DEPTH_SCOPE ops, and the pass builds its index once.
+        body = []
+        for _ in range(32):
+            body += [*(cx(i, i + 1) for i in range(16)), barrier(*range(17))]
+        c = Circuit(17, 0, tuple(body))
+        calls = _count_depth_of(monkeypatch)
+        builds = _count_index_builds(monkeypatch)
+        out, decisions, _ = gate_and_apply(c, PassConfig(chain_mode=ChainMode.CONSERVATIVE))
+        assert len(decisions) == 32 and all(d.applied for d in decisions)
+        assert len(calls) == 2 * 32
+        assert max(calls) <= 30 + DEPTH_SCOPE < len(c.instructions)
+        assert builds == [len(c.instructions)]
+        assert stats(out).depth == 32 * 8
 
     def test_determinism(self):
         c = gen_random(8, 120, seed=5)
