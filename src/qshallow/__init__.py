@@ -2,8 +2,8 @@
 
 Detects GHZ-preparation subroutines and CX/CZ entangling chains in OpenQASM
 2.0 circuits and rewrites them into logarithmic- or constant-depth
-equivalents, with statevector-based equivalence checking and a benchmark
-harness for depth/gate/measurement scaling studies.
+equivalents, with exact stabilizer-based verification of every rewrite and
+a benchmark harness for depth/gate/measurement scaling studies.
 """
 __version__ = "0.1.0"
 
@@ -28,13 +28,6 @@ from .ir import (
     z,
 )
 from .qasm import ParseError, SourceSpan, emit, parse
-from .sim import (
-    Branch,
-    branches,
-    equivalent_on_zero,
-    equivalent_unitary,
-    unitary,
-)
 from .ghz import (
     GhzMode,
     GhzSite,
@@ -55,6 +48,7 @@ from .chains import (
 from .pipeline import (
     ChainMode,
     CompileResult,
+    Coverage,
     GateDecision,
     PassConfig,
     VerificationError,
@@ -73,7 +67,6 @@ from .bench import (
 
 __all__ = [
     "AnsatzSpec",
-    "Branch",
     "ChainCandidate",
     "ChainKind",
     "ChainMode",
@@ -81,6 +74,7 @@ __all__ = [
     "Circuit",
     "CompileResult",
     "Condition",
+    "Coverage",
     "DepthReport",
     "Gate",
     "GateDecision",
@@ -92,7 +86,6 @@ __all__ = [
     "SourceSpan",
     "VerificationError",
     "barrier",
-    "branches",
     "build_ghz_log",
     "build_ghz_parallel",
     "commutes",
@@ -105,8 +98,6 @@ __all__ = [
     "depth",
     "detect_ghz",
     "emit",
-    "equivalent_on_zero",
-    "equivalent_unitary",
     "find_chains",
     "gate_and_apply",
     "gen_ansatz",
@@ -122,7 +113,6 @@ __all__ = [
     "ry",
     "rz",
     "stats",
-    "unitary",
     "x",
     "y",
     "z",

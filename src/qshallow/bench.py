@@ -4,13 +4,12 @@ GHZ preparations, plain CX/CZ chains, intertwined-chain stress cases, and
 VQE-style ansatz circuits (rotation layers alternating with entanglement
 layers).  All generators are pure functions of their parameters; ansatz angles
 come from a seeded PCG64 stream, so a (spec, seed) pair always reproduces the
-same circuit.
+same circuit.  numpy, which draws them, is imported by the two generators that
+use it, so importing this module (as the CLI does) does not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .ir import Circuit, Instruction, cx, cz, h, rx, ry, rz
 
@@ -112,6 +111,8 @@ def gen_ansatz(spec: AnsatzSpec) -> Circuit:
         raise ValueError("need at least 2 qubits")
     if spec.reps < 1:
         raise ValueError("need at least 1 repetition")
+    import numpy as np
+
     rng = np.random.default_rng(spec.seed)
 
     def angle() -> float:
@@ -138,6 +139,8 @@ def gen_random(num_qubits: int, num_instructions: int, seed: int) -> Circuit:
     """Seeded random measurement-free circuit over H/RX/RY/RZ/CX/CZ."""
     if num_qubits < 2:
         raise ValueError("need at least 2 qubits")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     body: list[Instruction] = []
     kinds = ("h", "rx", "ry", "rz", "cx", "cz")

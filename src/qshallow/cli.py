@@ -25,7 +25,7 @@ from .bench import (
 from .chains import ChainKind
 from .ghz import GhzMode
 from .ir import Circuit, stats
-from .pipeline import MAX_VERIFY_QUBITS, ChainMode, CompileResult, PassConfig
+from .pipeline import ChainMode, CompileResult, PassConfig
 from .pipeline import VerificationError, compile_circuit
 from .qasm import ParseError, emit, parse
 
@@ -62,6 +62,7 @@ def _report(input_circuit: Circuit, result: CompileResult) -> dict:
     output_stats = input_stats if result.circuit is input_circuit else stats(result.circuit)
     ghz = [d.applied for d in result.decisions if d.candidate.kind is ChainKind.GHZ]
     chains = [d.applied for d in result.decisions if d.candidate.kind is not ChainKind.GHZ]
+    coverage = result.coverage
     return {
         "input_stats": input_stats.as_dict(),
         "output_stats": output_stats.as_dict(),
@@ -71,6 +72,10 @@ def _report(input_circuit: Circuit, result: CompileResult) -> dict:
         "chains_applied": sum(chains),
         "decisions": [_decision_summary(d) for d in result.decisions],
         "verified": result.verified,
+        "verification": None if coverage is None else {
+            "checked": coverage.checked,
+            "skipped": dict(sorted(coverage.skipped.items())),
+        },
         "relative_depth": input_stats.depth - output_stats.depth,
     }
 
@@ -220,10 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--cz-to-cx", action="store_true",
                            help="lower rewritten CZ chains to H/CX form")
     p_compile.add_argument("--verify", action="store_true",
-                           help="oracle-check every applied rewrite; rewrites on more than "
-                                f"{MAX_VERIFY_QUBITS} qubits and chain windows with a "
-                                "measurement or condition are skipped, and the report's "
-                                "verified is then false")
+                           help="prove every applied rewrite exact, at any width; a chain "
+                                "window holding a conditioned gate other than x or z is "
+                                "skipped, and the report's verified is then false")
     p_compile.add_argument("--report", help="write a JSON compile report here")
     p_compile.set_defaults(func=cmd_compile)
 

@@ -35,8 +35,15 @@ class Gate(Enum):
     MEASURE = "measure"
     BARRIER = "barrier"
 
+    def __init__(self, value: str) -> None:
+        # Plain attributes: reading one costs no Python-level `Enum.__hash__`,
+        # as a dict or set lookup of the member would.
+        #: Qubit operands the gate takes; None for a barrier, which takes any.
+        self.arity = 2 if value in ("cx", "cz") else None if value == "barrier" else 1
+        self.is_rotation = value in ("rx", "ry", "rz")
 
-ROTATION_GATES = frozenset({Gate.RX, Gate.RY, Gate.RZ})
+
+ROTATION_GATES = frozenset(g for g in Gate if g.is_rotation)
 TWO_QUBIT_GATES = frozenset({Gate.CX, Gate.CZ})
 #: Gates diagonal in the computational basis; any two of these commute.
 DIAGONAL_GATES = frozenset({Gate.Z, Gate.RZ, Gate.CZ})
@@ -140,13 +147,6 @@ class DepthReport:
         }
 
 
-_ARITY = {
-    Gate.H: 1, Gate.X: 1, Gate.Y: 1, Gate.Z: 1,
-    Gate.RX: 1, Gate.RY: 1, Gate.RZ: 1,
-    Gate.CX: 2, Gate.CZ: 2, Gate.MEASURE: 1,
-}
-
-
 def validate(c: Circuit) -> list[str]:
     """Return all invariant violations; an empty list means the circuit is valid."""
     errors: list[str] = []
@@ -157,7 +157,7 @@ def validate(c: Circuit) -> list[str]:
     written: set[int] = set()
     for i, ins in enumerate(c.instructions):
         mark = len(errors)
-        expected = _ARITY.get(ins.gate)
+        expected = ins.gate.arity
         if expected is not None and len(ins.qubits) != expected:
             errors.append(f"expected {expected} qubit operand(s), got {len(ins.qubits)}")
         if ins.gate is Gate.BARRIER and not ins.qubits:
@@ -167,7 +167,7 @@ def validate(c: Circuit) -> list[str]:
                 errors.append(f"qubit index {q} out of range")
         if len(set(ins.qubits)) != len(ins.qubits):
             errors.append("duplicate operand")
-        if (ins.angle is not None) != (ins.gate in ROTATION_GATES):
+        if (ins.angle is not None) != ins.gate.is_rotation:
             errors.append("angle present iff gate is a rotation")
         if (ins.clbit is not None) != (ins.gate is Gate.MEASURE):
             errors.append("clbit present iff gate is a measurement")

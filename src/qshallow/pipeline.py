@@ -1,7 +1,7 @@
 """Gated GHZ and chain rewrites, and the full compile pipeline.
 
-Every rewrite takes the same steps; only the candidate source and the verify
-oracle differ.  In conservative mode a rewrite must strictly reduce the depth
+Every rewrite takes the same steps; only the candidate source and the check
+differ.  In conservative mode a rewrite must strictly reduce the depth
 of its window - its gates plus the next `DEPTH_SCOPE` operations - and the
 rewritten whole circuit must be no deeper than the current one, as no bounded
 window sees context before it that skews the schedule.  That second test is
@@ -16,6 +16,13 @@ checked as unitaries) come one at a time, each against the depth the last
 accept left, which the index takes in over the rewritten window.  When the
 GHZ pass keeps no block, the chain pass reuses its index.
 
+With `verify`, `stabilizer` checks every rewrite applied exactly, at any
+width: a GHZ block must prepare its site's state in every measurement branch,
+and a chain window must equal its rewrite as a unitary in deferred form.  A
+mismatch raises VerificationError.  Only a window holding a conditioned gate
+other than X or Z has no form to check; it is skipped, and `Coverage` counts
+it under its reason.
+
 Modes (`chain_mode` gates every rewrite):
 
 * conservative - apply on strict window improvement that the whole circuit
@@ -25,16 +32,16 @@ Modes (`chain_mode` gates every rewrite):
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
-from . import ghz, sim
+from . import ghz
 from .chains import (
     ChainCandidate,
     ChainKind,
     ChainScanner,
-    _clbits,
     _rewrite,
     _window,
     decompose_cz,
@@ -42,12 +49,11 @@ from .chains import (
     decompose_forward,
 )
 from .ghz import GhzMode, GhzSite
-from .ir import Circuit, Condition, DepthIndex, Gate, Instruction, depth_of
+from .ir import Circuit, DepthIndex, Gate, Instruction, depth_of
+from .stabilizer import NoPauliForm, prepares_same, same_unitary
 
 #: Operations after a candidate's last gate that its window includes.
 DEPTH_SCOPE = 100
-#: Rewrites on more qubits than this are not verified (dense oracles).
-MAX_VERIFY_QUBITS = 10
 
 
 class ChainMode(Enum):
@@ -77,8 +83,20 @@ class GateDecision:
     applied: bool
 
 
+@dataclass
+class Coverage:
+    """What `PassConfig.verify` settled: the rewrites proven, and the
+    rewrites skipped for want of a form to check, counted per reason."""
+
+    checked: int = 0
+    skipped: Counter[str] = field(default_factory=Counter)
+
+    def __add__(self, other: Coverage) -> Coverage:
+        return Coverage(self.checked + other.checked, self.skipped + other.skipped)
+
+
 class VerificationError(Exception):
-    """A rewrite failed its oracle equivalence check; the original circuit stands."""
+    """A rewrite failed its exact equivalence check; the original circuit stands."""
 
     def __init__(self, message: str, candidate: ChainCandidate | GhzSite | None = None):
         super().__init__(message)
@@ -106,60 +124,43 @@ def _window_gate(
 
 
 def _verify_rewrite(
-    ins: Sequence[Instruction], cand: ChainCandidate | GhzSite, after: Sequence[Instruction]
-) -> bool:
-    """Oracle check of one rewrite of `ins` - a GHZ site's block, or a chain's
-    window as `_window` lays it out - on its own qubits and classical bits,
-    both renumbered from 0, barriers dropped; raises VerificationError on a
-    mismatch.  Returns False, checking nothing, for rewrites on more than
-    MAX_VERIFY_QUBITS qubits and for chain windows with a measurement or a
-    condition (the unitary oracle takes neither)."""
-    if isinstance(cand, GhzSite):  # a state-preparation identity on fresh qubits
-        before = [ins[i] for i in cand.gate_indices]
-        oracle = sim.equivalent_on_zero
-    else:  # the window before and after the rewrite
-        before = ins[cand.start_index : cand.end_index + 1]
-        oracle = sim.equivalent_unitary
-        if any(_clbits(op) for op in (*before, *after)):
-            return False
-    qubits = sorted({q for op in before for q in op.qubits})
-    if len(qubits) > MAX_VERIFY_QUBITS:
-        return False
-    qmap = {q: i for i, q in enumerate(qubits)}
-    clbits = sorted({b for op in (*before, *after) for b in _clbits(op)})
-    cmap = {b: i for i, b in enumerate(clbits)}
-
-    def rebuilt(instrs: Sequence[Instruction]) -> Circuit:
-        body = tuple(
-            replace(
-                op,
-                qubits=tuple(qmap[q] for q in op.qubits),
-                clbit=cmap.get(op.clbit),
-                condition=op.condition and Condition(tuple(cmap[b] for b in op.condition.bits)),
-            )
-            for op in instrs
-            if op.gate is not Gate.BARRIER
-        )
-        return Circuit(len(qubits), len(clbits), body)
-
-    if not oracle(rebuilt(before), rebuilt(after), tol=1e-9):
+    ins: Sequence[Instruction],
+    cand: ChainCandidate | GhzSite,
+    after: Sequence[Instruction],
+    coverage: Coverage,
+) -> None:
+    """Exact check of one rewrite of `ins` - a GHZ site's block, or a chain's
+    window as `_window` lays it out - counted in `coverage`; raises
+    VerificationError unless it is proven.  A GHZ block must prepare its
+    site's state from |0...0>; a chain window must be the same unitary in
+    deferred form.  Only a window with no such form is skipped."""
+    try:
+        if isinstance(cand, GhzSite):
+            proven = prepares_same([ins[i] for i in cand.gate_indices], after)
+        else:
+            proven = same_unitary(ins[cand.start_index : cand.end_index + 1], after)
+    except NoPauliForm as exc:
+        coverage.skipped[str(exc)] += 1
+        return
+    if not proven:
         raise VerificationError(
             f"{cand.kind.value} rewrite at instruction {cand.start_index} "
-            f"({len(cand.gate_indices)} gates) failed oracle equivalence",
+            f"({len(cand.gate_indices)} gates) failed exact equivalence",
             cand,
         )
-    return True
+    coverage.checked += 1
 
 
 def gate_ghz_sites(
     c: Circuit, config: PassConfig, index: DepthIndex | None = None
-) -> tuple[Circuit, list[GateDecision], bool]:
+) -> tuple[Circuit, list[GateDecision], Coverage | None]:
     """Rebuild the detected GHZ sites as `config.ghz_mode` says, gated per
     `config.chain_mode` (with `index`, if given, over `c`'s instructions).
     Returns like `gate_and_apply`, one decision per site.
     """
+    coverage = Coverage() if config.verify else None
     if config.ghz_mode is GhzMode.OFF:
-        return c, [], config.verify
+        return c, [], coverage
     ins = c.instructions
     sites = ghz.detect_ghz(c)
     blocks = ghz.site_blocks(sites, config.ghz_mode, c.num_clbits)
@@ -180,36 +181,36 @@ def gate_ghz_sites(
     kept_at = {site.start_index for site, _ in kept}
     decisions = [replace(d, applied=d.candidate.start_index in kept_at) for d in decisions]
     if not kept:
-        return c, decisions, config.verify
+        return c, decisions, coverage
     if config.ghz_mode is GhzMode.PARALLEL and len(kept) < len(sites) - blocks.count(None):
         # Number the fresh bits of the blocks kept without gaps.
         kept_sites = [site for site, _ in kept]
         kept = list(zip(kept_sites, ghz.site_blocks(kept_sites, config.ghz_mode, c.num_clbits)))
-    verified = config.verify
-    if config.verify:
+    if coverage is not None:
         for site, block in kept:
-            verified = _verify_rewrite(ins, site, block) and verified
+            _verify_rewrite(ins, site, block, coverage)
     fresh = sum(op.gate is Gate.MEASURE for _, block in kept for op in block)
     rewritten = _rewrite(ins, kept)
-    return Circuit(c.num_qubits, c.num_clbits + fresh, tuple(rewritten)), decisions, verified
+    return Circuit(c.num_qubits, c.num_clbits + fresh, tuple(rewritten)), decisions, coverage
 
 
 def gate_and_apply(
     c: Circuit, config: PassConfig, index: DepthIndex | None = None
-) -> tuple[Circuit, list[GateDecision], bool]:
+) -> tuple[Circuit, list[GateDecision], Coverage | None]:
     """Scan for chains and apply their decompositions per the configured mode
     (in conservative mode, gated by `index` over `c`'s instructions if given).
 
     Returns the rewritten circuit, one decision record per candidate in
-    discovery order, and whether `config.verify` checked every rewrite applied.
-    Raises VerificationError if a requested oracle check fails.
+    discovery order, and, if `config.verify` is set, the `Coverage` of the
+    rewrites applied (else None).  Raises VerificationError if a rewrite
+    fails its check.
     """
+    coverage = Coverage() if config.verify else None
     if config.chain_mode is ChainMode.OFF:
-        return c, [], config.verify
+        return c, [], coverage
 
     scanner = ChainScanner(c, min_gates=config.min_chain_gates)
     decisions: list[GateDecision] = []
-    verified = config.verify
     if config.chain_mode is not ChainMode.CONSERVATIVE:
         index = None
     elif index is None:
@@ -227,8 +228,8 @@ def gate_and_apply(
             applied = index.admits(ins, cand.start_index, cand.end_index, removed, block)
             decision = replace(decision, applied=applied)
         if decision.applied:
-            if config.verify:
-                verified = _verify_rewrite(ins, cand, window) and verified
+            if coverage is not None:
+                _verify_rewrite(ins, cand, window, coverage)
             if index is not None:
                 index.accept(ins, cand.start_index, cand.end_index, window)
             scanner.accept(window)
@@ -236,23 +237,29 @@ def gate_and_apply(
             scanner.skip()
         decisions.append(decision)
     if not any(d.applied for d in decisions):
-        return c, decisions, verified
-    return scanner.circuit, decisions, verified
+        return c, decisions, coverage
+    return scanner.circuit, decisions, coverage
 
 
 @dataclass
 class CompileResult:
     circuit: Circuit
     decisions: list[GateDecision] = field(default_factory=list)
-    verified: bool = False
+    #: What `config.verify` settled; None when it is off.
+    coverage: Coverage | None = None
+
+    @property
+    def verified(self) -> bool:
+        """Whether verification was on and checked every rewrite applied."""
+        return self.coverage is not None and not self.coverage.skipped
 
 
 def compile_circuit(c: Circuit, config: PassConfig) -> CompileResult:
-    """The GHZ pass, then the chain pass.  `verified` is true when
-    `config.verify` is set and every applied rewrite was checked."""
+    """The GHZ pass, then the chain pass."""
     index = DepthIndex()
-    out, ghz_decisions, ghz_verified = gate_ghz_sites(c, config, index)
+    out, ghz_decisions, ghz_coverage = gate_ghz_sites(c, config, index)
     if out is not c:
         index = DepthIndex()  # the GHZ pass changed the list
-    out, chain_decisions, chains_verified = gate_and_apply(out, config, index)
-    return CompileResult(out, ghz_decisions + chain_decisions, ghz_verified and chains_verified)
+    out, chain_decisions, chain_coverage = gate_and_apply(out, config, index)
+    coverage = None if ghz_coverage is None else ghz_coverage + chain_coverage
+    return CompileResult(out, ghz_decisions + chain_decisions, coverage)

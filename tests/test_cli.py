@@ -3,13 +3,18 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qshallow
 from qshallow.bench import gen_cx_chain, gen_ghz_standard
 from qshallow.cli import main
 from qshallow.qasm import emit, parse
-from qshallow.ir import stats
+from qshallow.ir import Circuit, Condition, Gate, Instruction, measure, stats
 
 
 @pytest.fixture
@@ -52,6 +57,49 @@ def test_compile_chain_conservative(tmp_path):
     assert report["chains_found"] == 1
     assert report["chains_applied"] == 1
     assert report["decisions"][0]["applied"] is True
+
+
+def _verify_report(tmp_path, circuit: Circuit, *flags: str) -> dict:
+    src, report = tmp_path / "in.qasm", tmp_path / "report.json"
+    src.write_text(emit(circuit))
+    argv = ["compile", "--in", str(src), "--out", str(tmp_path / "out.qasm"),
+            "--report", str(report), "--min-chain-gates", "2", *flags]
+    assert main(argv) == 0
+    return json.loads(report.read_text())
+
+
+def test_report_verification_coverage(tmp_path):
+    ghz, chain = gen_ghz_standard(16), gen_cx_chain(40)
+    both = Circuit(56, 0, (*ghz.instructions,
+                           *(Instruction(op.gate, tuple(q + 16 for q in op.qubits))
+                             for op in chain.instructions)))
+    report = _verify_report(tmp_path, both, "--ghz", "parallel", "--chains", "always",
+                            "--verify")
+    assert report["ghz_sites_replaced"] == 1 and report["chains_applied"] == 1
+    assert report["verification"] == {"checked": 2, "skipped": {}}
+    assert report["verified"] is True
+    report = _verify_report(tmp_path, both, "--ghz", "parallel", "--chains", "always")
+    assert report["verification"] is None and report["verified"] is False
+
+
+def test_report_counts_skipped_windows(tmp_path):
+    chain = gen_cx_chain(9).instructions
+    c = Circuit(10, 1, (measure(9, 0), *chain[:4],
+                        Instruction(Gate.H, (9,), condition=Condition((0,))), *chain[4:]))
+    report = _verify_report(tmp_path, c, "--chains", "always", "--verify")
+    assert report["chains_applied"] == 1
+    assert report["verification"] == {"checked": 0, "skipped": {"conditioned h": 1}}
+    assert report["verified"] is False
+
+
+def test_cli_import_loads_no_numpy():
+    code = "import sys, qshallow.cli; print('numpy' in sys.modules)"
+    src = str(Path(qshallow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_compile_parse_error_exit_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Improvement-aware application of chain rewrites."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -16,10 +17,23 @@ from qshallow.bench import (
 )
 from qshallow import ghz, ir
 from qshallow.chains import ChainKind
-from qshallow.ir import Circuit, barrier, cx, cz, h, measure, rz, stats
+from qshallow.ir import (
+    Circuit,
+    Condition,
+    Gate,
+    Instruction,
+    barrier,
+    cx,
+    cz,
+    h,
+    measure,
+    rz,
+    stats,
+)
 from qshallow.pipeline import (
     DEPTH_SCOPE,
     ChainMode,
+    Coverage,
     GateDecision,
     PassConfig,
     VerificationError,
@@ -281,29 +295,39 @@ class TestVerification:
         assert isinstance(err.value.candidate, GhzSite)
         assert err.value.candidate == detect_ghz(c)[0]
 
-    def test_oversized_windows_skipped(self):
+    def test_wide_windows_verified(self):
         c = gen_cx_chain(30)
-        out, decisions, verified = gate_and_apply(
+        out, decisions, coverage = gate_and_apply(
             c, PassConfig(chain_mode=ChainMode.ALWAYS, verify=True)
         )
         assert all(d.applied for d in decisions)
-        assert verified is False
+        assert coverage == Coverage(checked=1)
 
-    @pytest.mark.parametrize("n, checked", [(30, False), (8, True)])
+    @pytest.mark.parametrize("n, checked", [(30, True), (8, True)])
     def test_verified_only_when_every_rewrite_checked(self, n, checked):
-        # The 30-qubit window is wider than MAX_VERIFY_QUBITS: not checked.
         config = PassConfig(chain_mode=ChainMode.CONSERVATIVE, verify=True, min_chain_gates=2)
         result = compile_circuit(gen_cx_chain(n), config)
         assert [d.applied for d in result.decisions] == [True]
         assert result.verified is checked
 
-    def test_window_with_measurement_not_verified(self):
-        # The unitary oracle takes no measurement: the window stays unchecked.
+    def test_window_with_measurement_verified(self):
+        # A measurement is a CX onto its bit's ancilla in deferred form.
         c = Circuit(9, 1, (*gen_cx_chain(9).instructions[:4], measure(8, 0),
                            *gen_cx_chain(9).instructions[4:]))
         config = PassConfig(chain_mode=ChainMode.ALWAYS, verify=True, min_chain_gates=2)
         result = compile_circuit(c, config)
         assert [d.applied for d in result.decisions] == [True]
+        assert result.verified is True
+
+    def test_window_with_conditioned_h_skipped(self):
+        # A conditioned H has no Clifford deferred form: the window is skipped.
+        chain = gen_cx_chain(9).instructions
+        c = Circuit(10, 1, (measure(9, 0), *chain[:4],
+                            Instruction(Gate.H, (9,), condition=Condition((0,))), *chain[4:]))
+        config = PassConfig(chain_mode=ChainMode.ALWAYS, verify=True, min_chain_gates=2)
+        result = compile_circuit(c, config)
+        assert [d.applied for d in result.decisions] == [True]
+        assert result.coverage == Coverage(checked=0, skipped=Counter({"conditioned h": 1}))
         assert result.verified is False
 
     def test_nothing_applied_is_verified(self):
