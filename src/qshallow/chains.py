@@ -15,13 +15,13 @@ the brute-force oracle; an operation that can move neither way ends the chain.
 Growth visits only the operations that can matter.  A wire - a qubit or a
 classical bit - is active while the chain or one of its deferred operations
 uses it; an operation on no active wire commutes with everything the chain
-holds and moves before it without changing any state.  `ChainScanner` keeps a
-per-wire next-use index, so a chain is grown by merging the next uses of its
-active wires in position order rather than by walking every later
-instruction.  Growth stops at the next barrier, or as soon as no later
-operation can extend the head.  Detection then costs the operations on active
-wires up to the chain's last extension, plus one O(N) index build per scanner;
-an accepted rewrite refreshes the index over its window only.
+holds and moves before it without changing any state.  A chain is grown by a
+walk of the list's per-wire use table (`ir.UseTable`, which the depth gate
+and GHZ detection read too): the uses of its active wires, merged in
+position order, rather than every later instruction.  Growth stops at the
+next barrier, or as soon as no later operation can extend the head.
+Detection then costs the operations on active wires up to the chain's last
+extension; an accepted rewrite refreshes the table over its window only.
 
 Decompositions:
 
@@ -36,11 +36,10 @@ Decompositions:
 """
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .ir import (
@@ -48,7 +47,10 @@ from .ir import (
     DIAGONAL_GATES,
     Gate,
     Instruction,
+    UseTable,
+    UseWalk,
     _splice,
+    _wires,
     cx,
     cz,
     h,
@@ -135,12 +137,6 @@ def commutes(a: Instruction, b: Instruction) -> bool:
 # -- chain growth -----------------------------------------------------------
 
 
-def _clbits(ins: Instruction) -> tuple[int, ...]:
-    """Classical bits an instruction writes or reads."""
-    written = (ins.clbit,) if ins.clbit is not None else ()
-    return written + ins.condition.bits if ins.condition is not None else written
-
-
 def _is_diagonal_on(ins: Instruction, q: int) -> bool:
     return ins.gate in DIAGONAL_GATES and ins.condition is None and q in ins.qubits
 
@@ -190,7 +186,7 @@ class _Growth:
         return True
 
     def _commutes_with_pending(self, op: Instruction) -> bool:
-        for w in (*op.qubits, *(~b for b in _clbits(op))):
+        for w in _wires(op):
             for p in self.pending_by_wire.get(w, ()):
                 if not commutes(op, p):
                     return False
@@ -198,7 +194,7 @@ class _Growth:
 
     def _defer(self, pos: int, op: Instruction) -> None:
         self.pending_after.append((pos, op))
-        for w in (*op.qubits, *(~b for b in _clbits(op))):
+        for w in _wires(op):
             self.pending_by_wire.setdefault(w, []).append(op)
 
     def _try_extend(self, pos: int, op: Instruction) -> str:
@@ -312,85 +308,58 @@ class ChainScanner:
     gates as seeds and continues forward.  Candidate starts therefore never
     decrease, and nothing before the last accepted start is read again.
 
-    The scanner owns a per-wire next-use index over its instruction list,
-    built in one forward pass.  Positions in it are counted from the end of
-    the list (0 for none), so the entries past a window stay valid when the
-    window is spliced.  `_qnext[2*i + k]` is the next instruction after i that
-    uses qubit operand k of instruction i, `_cnext[(n - i, b)]` the same for
-    classical bit b (classical ops are rare, so these sit in a dict), plus the
-    barriers (ascending from the end) and, per qubit in use, the last position
-    where it is the control of an unconditioned CX (`_last_cx_control`) or an
-    operand of an unconditioned CZ (`_last_cz`).  A growth merges the next
-    uses of its active wires in a heap, so it visits only ops on active wires,
-    stops at the next barrier, and ends once the head has no later
-    CX-as-control (or CZ) left.  `accept` rewrites the index over the window
-    only: the entries before it, left stale by the splice, are never read.
+    A growth walks the list's `ir.UseTable` (`uses`, built here unless one
+    over the same list is handed in), merging the uses of its active wires,
+    so it visits only ops on active wires.  The scanner owns the list, so
+    its `accept` refreshes the table.  Its own index holds only what its
+    policy needs: the barriers (positions counted from the end, ascending)
+    and, per qubit in use, the last position where it is the control of an
+    unconditioned CX (`_last_cx_control`) or an operand of an unconditioned
+    CZ (`_last_cz`).  A growth stops at the next barrier, and ends once the
+    head has no later CX-as-control (or CZ) left.
     """
 
-    def __init__(self, circuit: Circuit, min_gates: int = 2):
+    def __init__(self, circuit: Circuit, min_gates: int = 2, uses: UseTable | None = None):
         if min_gates < 2:
             raise ValueError("min_gates must be at least 2")
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
         self.instructions: list[Instruction] = list(circuit.instructions)
         self.min_gates = min_gates
+        self.uses = UseTable(self.instructions) if uses is None else uses
         self._state = [_FREE] * len(self.instructions)
         self._pos = 0
         self._pending: ChainCandidate | None = None
-        self._build_index()
+        self._barriers: list[int] = []
+        # Keyed by the qubits in use: a register may declare far more.
+        self._last_cx_control: dict[int, int] = {}
+        self._last_cz: dict[int, int] = {}
+        self._links: list[tuple[int, int, int]] = []  # (p - n, q, kind), earliest first
+        self._index_links(0, len(self.instructions))
 
     @property
     def circuit(self) -> Circuit:
         return Circuit(self.num_qubits, self.num_clbits, tuple(self.instructions))
 
-    def _build_index(self) -> None:
-        n = len(self.instructions)
-        qnext = array("i", bytes(8 * n))
-        cnext: dict[tuple[int, int], int] = {}
-        barriers: list[int] = []
-        # Keyed by the qubits in use: a register may declare far more.
-        last_slot: dict[int, int] = {}
-        last_clbit_use: dict[int, int] = {}
-        last_cx_control: dict[int, int] = {}
-        last_cz: dict[int, int] = {}
+    def _index_links(self, first: int, stop: int) -> None:
+        """Record the barriers and the last links at positions first..stop-1,
+        walking back: a qubit's link recorded already is a later one."""
+        ins, n = self.instructions, len(self.instructions)
+        tables, links = (self._last_cx_control, self._last_cz), self._links
         BARRIER, CX, CZ = Gate.BARRIER, Gate.CX, Gate.CZ
-        for i, ins in enumerate(self.instructions):
-            gate = ins.gate
-            v = n - i
+        for p in range(stop - 1, first - 1, -1):
+            op = ins[p]
+            gate = op.gate
             if gate is BARRIER:
                 # Growth stops at the first barrier after its seed, so a link
                 # that runs across a barrier is never followed.
-                barriers.append(v)
-                continue
-            slot = 2 * i
-            for q in ins.qubits:
-                prev = last_slot.get(q)
-                if prev is not None:
-                    qnext[prev] = v
-                last_slot[q] = slot
-                slot += 1
-            if ins.condition is None and ins.clbit is None:
-                if gate is CX:
-                    last_cx_control[ins.qubits[0]] = v
-                elif gate is CZ:
-                    a, b = ins.qubits
-                    last_cz[a] = last_cz[b] = v
-                continue
-            for b in dict.fromkeys(_clbits(ins)):  # a condition may list a bit twice
-                prev = last_clbit_use.get(b)
-                if prev is not None:
-                    cnext[(prev, b)] = v
-                last_clbit_use[b] = v
-        barriers.reverse()
-        self._qnext = qnext
-        self._cnext = cnext
-        self._barriers = barriers
-        self._last_cx_control = last_cx_control
-        self._last_cz = last_cz
-        # The last links, latest position first, to drop those an accept passes.
-        self._links = [(-v, q, 0) for q, v in last_cx_control.items()]
-        self._links += [(-v, q, 1) for q, v in last_cz.items()]
-        heapify(self._links)
+                self._barriers.append(n - p)
+            elif (gate is CX or gate is CZ) and op.condition is None:
+                kind = gate is CZ  # a CX links through its control, a CZ both
+                for q in op.qubits if kind else op.qubits[:1]:
+                    if q not in tables[kind]:
+                        tables[kind][q] = n - p
+                        heappush(links, (p - n, q, kind))
 
     def next(self) -> ChainCandidate | None:
         if self._pending is not None:
@@ -414,7 +383,7 @@ class ChainScanner:
     def _grow(self, seed: int) -> ChainCandidate | None:
         """Grow a chain from `seed`, visiting only ops on active wires.
 
-        Every op skipped lies on no active wire when the merge passes it, so
+        Every op skipped lies on no active wire when the walk passes it, so
         the policy would have moved it before the chain; the ops it does see,
         it sees in position order up to the last extension.
         """
@@ -422,46 +391,34 @@ class ChainScanner:
         n = len(ins)
         g = _Growth(ins, self._state, seed)
         k = bisect_left(self._barriers, n - seed)
-        end = n - self._barriers[k - 1] if k else n
+        walk = UseWalk(self.uses, n - self._barriers[k - 1] if k else n)
         # Past the last link of the head, nothing can extend the chain.
         links = (self._last_cz if g.is_cz else self._last_cx_control).get
-        qnext, cnext = self._qnext, self._cnext
         seq, seq_set, pending = g.seq, g.seq_set, g.pending_by_wire
-        heap = [j for j in (n - qnext[2 * seed], n - qnext[2 * seed + 1]) if j < end]
-        heapify(heap)
-        prev = seed
-        while heap:
-            j = heappop(heap)
-            if j == prev:
-                continue  # reached along a second active wire
+        add, walked = walk.add, walk.walked
+        for q in seq:
+            add(q, seed + 1)
+        for j in walk:
             if n - links(seq[-1], n + 1) < j and (
                 g.seq_oriented or n - links(seq[0], n + 1) < j
             ):
                 break  # nothing from here on can extend the head
-            prev = j
             op = ins[j]
             result = g._try_extend(j, op)
             if result == "stop" or (result == "skip" and not g.classify(j, op)):
                 break
-            slot = 2 * j
-            for q in op.qubits:
-                if q in seq_set or q in pending:
-                    nxt = n - qnext[slot]
-                    if nxt < end:
-                        heappush(heap, nxt)
-                slot += 1
-            for b in _clbits(op):
-                if ~b in pending:
-                    nxt = n - cnext.get((n - j, b), 0)
-                    if nxt < end:
-                        heappush(heap, nxt)
+            # Walk each wire on from the op that makes it active.
+            for w in op.qubits if op.clbit is None and op.condition is None else _wires(op):
+                if w not in walked and (w in seq_set or w in pending):
+                    add(w, j + 1)
         return g.finish(self.min_gates)
 
     def accept(self, window: list[Instruction]) -> None:
         """Splice `window`, the pending candidate's positions as `_window`
         lays them out, into the instruction list, and rescan from the chain's
-        start.  The seed states move with their ops, and the index is
-        rewritten over the window: O(|window|) plus the list's own splice.
+        start.  The seed states move with their ops, and the use table and
+        the links are refreshed over the window: O(|window|) plus the list's
+        own splice.
 
         The result is read from `circuit`, which builds a new `Circuit`."""
         cand = self._pending
@@ -471,22 +428,9 @@ class ChainScanner:
         ins = self.instructions
         s, e = cand.start_index, cand.end_index
         n = len(ins)
-        m = len(window)
-        n2 = n + m - (e + 1 - s)
         # The replacement is what the window holds beyond the ops it kept.
-        added = m - (e + 1 - s) + len(cand.gate_indices)
+        added = len(window) - (e + 1 - s) + len(cand.gate_indices)
         self._state[s : e + 1] = _window(self._state, cand, [_REPLACED] * added)
-        # Each wire's next use past the window, from its last use inside it.
-        qnext, cnext = self._qnext, self._cnext
-        after: dict[int, int] = {}
-        for i in range(s, e + 1):
-            op = ins[i]
-            if op.gate is Gate.BARRIER:
-                continue
-            for k, q in enumerate(op.qubits):
-                after[q] = qnext[2 * i + k]
-            for b in _clbits(op):
-                after[~b] = cnext.get((n - i, b), 0)
         # Entries before the window are never read again: drop them, and the
         # last links inside it, which the window's own replace.
         barriers = self._barriers
@@ -498,30 +442,9 @@ class ChainScanner:
             v, q, kind = heappop(links)
             if tables[kind].get(q) == -v:
                 del tables[kind][q]
+        self.uses.splice(ins, s, e, window)
         ins[s : e + 1] = window
-        slots = array("i", bytes(8 * m))
-        BARRIER, CX, CZ = Gate.BARRIER, Gate.CX, Gate.CZ
-        for k in range(m - 1, -1, -1):
-            op = window[k]
-            v = n2 - s - k
-            if op.gate is BARRIER:
-                continue
-            for slot, q in enumerate(op.qubits, 2 * k):
-                slots[slot] = after.get(q, 0)
-                after[q] = v
-            if op.condition is None and op.clbit is None:
-                # Walking backwards, the first link met is the window's last.
-                if op.gate is CX or op.gate is CZ:
-                    kind = int(op.gate is CZ)  # a CX links through its control, a CZ both
-                    for q in op.qubits[: 1 + kind]:
-                        if q not in tables[kind]:
-                            tables[kind][q] = v
-                            heappush(links, (-v, q, kind))
-                continue
-            for b in dict.fromkeys(_clbits(op)):
-                cnext[(v, b)] = after.get(~b, 0)
-                after[~b] = v
-        qnext[2 * s : 2 * e + 2] = slots
+        self._index_links(s, s + len(window))
         self._pos = s
 
     def skip(self) -> None:

@@ -16,14 +16,12 @@ pipeline gates, verifies and splices them like chain rewrites.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush
 from typing import ClassVar, Literal, Sequence
 
 from .chains import ChainKind
-from .ir import Circuit, Condition, Gate, Instruction, cx, h, measure
+from .ir import Circuit, Condition, Gate, Instruction, UseTable, UseWalk, cx, h, measure
 from .ir import x as x_gate
 
 
@@ -51,7 +49,7 @@ class GhzSite:
         return self.gate_indices[-1]
 
 
-def detect_ghz(c: Circuit) -> list[GhzSite]:
+def detect_ghz(c: Circuit, uses: UseTable | None = None) -> list[GhzSite]:
     """Find GHZ-preparation sites: H on a fresh qubit, then CX gates onto fresh
     targets forming a pure chain or a pure fan-out.
 
@@ -61,21 +59,17 @@ def detect_ghz(c: Circuit) -> list[GhzSite]:
     in gate indices.
 
     Only instructions on member qubits can extend or end a site, so a site is
-    grown by merging the members' next uses from per-qubit position lists:
-    each fresh H costs the gates of its site plus the one that ends it.
+    grown by walking the members' uses in `c`'s use table (`uses`, built
+    here unless one over `c`, never spliced, is handed in): each fresh H
+    costs the gates of its site plus the one that ends it.
     """
     instrs = c.instructions
-    uses: dict[int, list[int]] = {}  # positions of the instructions on each qubit
-    for i, ins in enumerate(instrs):
-        for q in ins.qubits:
-            positions = uses.get(q)
-            if positions is None:
-                uses[q] = [i]
-            else:
-                positions.append(i)
-    # Each qubit's first use, in position order: dicts keep insertion order.
-    fresh_h = [i for i in (p[0] for p in uses.values())
-               if instrs[i].gate is Gate.H and instrs[i].condition is None]
+    table = UseTable(instrs) if uses is None else uses
+    n = len(instrs)
+    # Each qubit's first use is the last entry of its uses.
+    first = {q: n - u[-1] for q, u in table.by_wire.items() if q >= 0}
+    fresh_h = sorted(i for i in first.values()
+                     if instrs[i].gate is Gate.H and instrs[i].condition is None)
 
     sites: list[GhzSite] = []
     for h_idx in fresh_h:
@@ -84,27 +78,23 @@ def detect_ghz(c: Circuit) -> list[GhzSite]:
         gate_indices = [h_idx]
         shape: str | None = None
         last = root
-        heap = uses[root][1:2]  # the next position on each member
-        while heap:
-            j = heappop(heap)
+        walk = UseWalk(table, n)  # the uses of the members
+        walk.add(root, h_idx + 1)
+        for j in walk:
             op = instrs[j]
             if op.gate is not Gate.CX or op.condition is not None:
                 break
             ctrl, tgt = op.qubits
             extends_chain = ctrl == last and shape in (None, "chain")
             extends_fanout = ctrl == root and shape in (None, "fanout")
-            if uses[tgt][0] != j or not (extends_chain or extends_fanout):
+            if first[tgt] != j or not (extends_chain or extends_fanout):
                 break  # the target is not fresh, or the pattern does not continue
             if shape is None and len(members) >= 2:
                 shape = "chain" if ctrl == last else "fanout"
             members.append(tgt)
             gate_indices.append(j)
             last = tgt
-            for member in op.qubits:
-                positions = uses[member]
-                k = bisect_right(positions, j)
-                if k < len(positions):
-                    heappush(heap, positions[k])
+            walk.add(tgt, j + 1)
         if len(members) >= 2:
             sites.append(GhzSite(h_idx, tuple(members), tuple(gate_indices), shape or "chain"))
     return sites

@@ -11,15 +11,25 @@ layer after the latest earlier instruction it depends on.  Dependencies are
 shared qubits, the classical bit a measurement writes, and (for conditioned
 gates) the bits the condition reads.  Barriers order the instructions on their
 qubits but occupy no layer themselves.
+
+The passes find what a rewrite touches in one per-wire use table per
+instruction list (`UseTable`): for each qubit and each classical bit, the
+positions that use it, counted from the end so that a splice leaves the
+entries past its window valid.  The chain scanner, the depth gate
+(`DepthIndex`) and GHZ detection all read it through one merge walk
+(`UseWalk`).  Whoever splices the list - the chain scanner - refreshes the
+table over the window, after the other readers have taken the rewrite in,
+and drops the entries before the rewrite's start: nothing reads them again,
+so rewrites come with non-decreasing starts.
 """
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 
 class Gate(Enum):
@@ -256,6 +266,92 @@ def _wires(ins: Instruction) -> tuple[int, ...]:
     return ins.qubits + bits
 
 
+class UseTable:
+    """Per wire - qubit q as q, classical bit b as ~b - the positions of an
+    instruction list that use it: `by_wire[w]`, counted from the end of the
+    list and ascending, so the earliest use is last (see the module note)."""
+
+    def __init__(self, ins: Sequence[Instruction]) -> None:
+        self.n = len(ins)
+        self.cut = 0
+        self.by_wire: dict[int, array] = {}
+        self._record(ins, 0)
+
+    def _record(self, ops: Sequence[Instruction], first: int) -> None:
+        """Add the uses of `ops`, at positions first.., from the last back."""
+        by_wire, n = self.by_wire, self.n
+        for p in range(first + len(ops) - 1, first - 1, -1):
+            op = ops[p - first]
+            for w in op.qubits if op.clbit is None and op.condition is None else _wires(op):
+                u = by_wire.get(w)
+                if u is None:
+                    by_wire[w] = array("i", (n - p,))
+                else:
+                    u.append(n - p)
+
+    def splice(
+        self, ins: Sequence[Instruction], start: int, end: int, window: Sequence[Instruction]
+    ) -> None:
+        """Take in the rewrite that replaces positions start..end of `ins`
+        by `window`, before `ins` itself is spliced: O(|window|) plus the
+        ops since the last start, each dropped once."""
+        for i in range(self.cut, end + 1):  # in order, so each is its wires' earliest
+            for w in _wires(ins[i]):
+                self.by_wire[w].pop()
+        self.n = len(ins) + len(window) - (end + 1 - start)
+        self._record(window, start)
+        self.cut = start
+
+
+class UseWalk:
+    """The uses of some wires merged in position order, below `stop`.
+
+    `add(w, p)` walks wire w's uses from position p on, also in mid-walk;
+    iterating yields each position once, however many walked wires use it.
+    A walked wire's cursor, read by `at(w)`, is the index in `by_wire[w]` of
+    its first use not yielded (-1: none): once the walk is done, its first
+    use at or after `stop`.  The heap holds (position << 32 | slot) ints.
+    """
+
+    __slots__ = ("_by_wire", "_n", "stop", "walked", "_heap", "_uses", "_next")
+
+    def __init__(self, table: UseTable, stop: int) -> None:
+        self._by_wire = table.by_wire
+        self._n = table.n
+        self.stop = stop
+        self.walked: dict[int, int] = {}
+        self._heap: list[int] = []
+        self._uses: list[Sequence[int]] = []  # per slot: the wire's uses
+        self._next: list[int] = []  # per slot: its cursor
+
+    def add(self, w: int, p: int) -> None:
+        u = self._by_wire.get(w, ())
+        n = self._n
+        k = bisect_right(u, n - p) - 1
+        slot = self.walked[w] = len(self._uses)
+        self._uses.append(u)
+        self._next.append(k)
+        if k >= 0 and n - u[k] < self.stop:
+            heappush(self._heap, (n - u[k]) << 32 | slot)
+
+    def at(self, w: int) -> int:
+        return self._next[self.walked[w]]
+
+    def __iter__(self) -> Iterator[int]:
+        heap, uses, cursor, n, stop = self._heap, self._uses, self._next, self._n, self.stop
+        pop, push = heappop, heappush
+        last = -1
+        while heap:
+            e = pop(heap)
+            slot = e & 0xFFFFFFFF
+            k = cursor[slot] = cursor[slot] - 1
+            if k >= 0 and n - uses[slot][k] < stop:
+                push(heap, (n - uses[slot][k]) << 32 | slot)
+            if e >> 32 != last:
+                last = e >> 32
+                yield last
+
+
 class DepthIndex:
     """Exact `depth_of` of an instruction list under a sequence of rewrites,
     each judged by the operations it can move.
@@ -264,13 +360,14 @@ class DepthIndex:
     places a block after position `end`.  The index holds, per position, the
     op's ASAP layer and its tail (the longest path from the op to the end,
     with `depth_of`'s dependencies: a barrier is a zero-cost sync and a
-    classical bit's readers wait for its single writer), and per wire the
-    positions that use it.  `admits` walks, in position order up to `end`,
-    only the ops on dirty wires - at first those of the ops taken out; an op
-    whose layer changes dirties the wires it writes - then schedules the
-    block, and adds to each dirty wire's front the stored tail of its first
-    use after `end`.  Every other op keeps its layer and every other path its
-    length, both bounded by `depth`, so "no deeper" is decided exactly.
+    classical bit's readers wait for its single writer), and reads the
+    positions that use each wire from the list's `UseTable`.  `admits` walks,
+    in position order up to `end`, only the ops on dirty wires - at first
+    those of the ops taken out; an op whose layer changes dirties the wires
+    it writes - then schedules the block, and adds to each dirty wire's front
+    the stored tail of its first use after `end`.  Every other op keeps its
+    layer and every other path its length, both bounded by `depth`, so "no
+    deeper" is decided exactly.
 
     The exact depth is kept as the maximum over the paths that cross a cut:
     a qubit's front plus the tail of its first use at or after the cut, and a
@@ -278,23 +375,31 @@ class DepthIndex:
     multiset of those terms is `_terms`.  `accept` moves the cut to the
     rewrite's start, swaps the window's entries, recomputes the tails over the
     window only and reads the new depth off `_terms`.  Nothing before the cut
-    is read again, so rewrites must come with non-decreasing starts.
-    Positions are stored counted from the end of the list, which keeps the
-    entries past a window valid across its splice; layers past the last
-    accepted start are recomputed forward as later rewrites need them.
+    is read again, so rewrites must come with non-decreasing starts.  Tails
+    are stored by position, layers past the last accepted start are
+    recomputed forward as later rewrites need them.
 
-    The index is built from the first list it is asked about and must be
-    handed that list, as `accept`s change it, from then on.
+    The index is built from the first list it is asked about, with that
+    list's use table (`uses_of`), and must be handed that list, as `accept`s
+    change it, from then on.  It never changes the table: whoever splices the
+    list refreshes it (`UseTable.splice`) after each `accept`.
     """
 
     def __init__(self) -> None:
         self.depth = 0
+        self.uses: UseTable | None = None
         self._built = False
+
+    def uses_of(self, ins: Sequence[Instruction]) -> UseTable:
+        """The use table of `ins`, built on the first call."""
+        if self.uses is None:
+            self.uses = UseTable(ins)
+        return self.uses
 
     def _build(self, ins: Sequence[Instruction]) -> None:
         n = len(ins)
+        self._uses = self.uses_of(ins).by_wire
         self._tail = array("i", bytes(4 * n))
-        self._uses: dict[int, array] = {}  # ascending from the end: the earliest use is last
         self._writer: dict[int, int] = {}  # bit -> its writer's position from the end
         self._sweep_back(ins, 0, n, {}, {})
         self._layer = array("i", bytes(4 * n))
@@ -317,10 +422,10 @@ class DepthIndex:
         after: dict[int, int],
         readers: dict[int, int],
     ) -> None:
-        """Tails and uses of `ops`, at positions `first`.. of a list of
-        length n, from the last back: `after` holds each qubit's next tail,
-        `readers` each bit's largest tail among its readers so far."""
-        tail, uses, writer = self._tail, self._uses, self._writer
+        """Tails of `ops`, at positions `first`.. of a list of length n,
+        from the last back: `after` holds each qubit's next tail, `readers`
+        each bit's largest tail among its readers so far."""
+        tail, writer = self._tail, self._writer
         BARRIER = Gate.BARRIER
         for p in range(first + len(ops) - 1, first - 1, -1):
             op = ops[p - first]
@@ -343,12 +448,6 @@ class DepthIndex:
                 for b in op.condition.bits:
                     if t > readers.get(b, 0):
                         readers[b] = t
-            for w in op.qubits if op.clbit is None and op.condition is None else _wires(op):
-                u = uses.get(w)
-                if u is None:
-                    uses[w] = array("i", (n - p,))
-                else:
-                    u.append(n - p)
 
     def _add(self, value: int) -> None:
         self._terms[value] = self._terms.get(value, 0) + 1
@@ -360,10 +459,15 @@ class DepthIndex:
         else:
             del self._terms[value]
 
+    def _first(self, w: int, j: int, n: int) -> int:
+        """Index in wire w's uses of its first use at or after position j,
+        -1 if none, in a list of length n."""
+        return bisect_right(self._uses.get(w, ()), n - j) - 1
+
     def _qterm(self, q: int, n: int) -> int:
         """Qubit q's crossing term at the cut, in a list of length n."""
-        u = self._uses[q]
-        return self._front.get(q, 0) + (self._tail[n - u[-1]] if u else 0)
+        k = self._first(q, self._cut, n)
+        return self._front.get(q, 0) + (self._tail[n - self._uses[q][k]] if k >= 0 else 0)
 
     def _learn(self, ins: Sequence[Instruction], upto: int) -> None:
         """Make the layers exact below position `upto` (forward ASAP)."""
@@ -442,40 +546,15 @@ class DepthIndex:
         layer, tail, uses = self._layer, self._tail, self._uses
         gone = set(removed)
         dirty: dict[int, int] = {}  # wire -> its front so far in the rewritten order
-        # wire -> index in its uses of the first use not walked yet (-1: none)
-        at: dict[int, int] = {}
-        heap: list[tuple[int, int]] = []  # (position, wire) of the uses to walk
-
-        def watch(w: int, j: int) -> int:
-            """Walk w's uses from position j on; returns the index of its
-            last use before j (len(u) if none)."""
-            u = uses.get(w, ())
-            k = bisect_right(u, n - j)
-            at[w] = k - 1
-            if k and n - u[k - 1] <= end:
-                heappush(heap, (n - u[k - 1], w))
-            return k
-
+        walk = UseWalk(self.uses, end + 1)  # the uses of the dirty wires
         for i in gone:
-            op = ins[i]
-            for w in op.qubits if op.clbit is None and op.condition is None else _wires(op):
+            for w in _wires(ins[i]):
                 if w not in dirty:
-                    k = watch(w, start)
-                    if w >= 0:
-                        u = uses[w]
-                        dirty[w] = layer[n - u[k]] if k < len(u) else self._front.get(w, 0)
-                    else:
-                        dirty[w] = self._front_at(w, start, n)
-        last = -1
-        while heap:
-            j, w = heappop(heap)
-            k = at[w] - 1
-            at[w] = k
-            if k >= 0 and n - uses[w][k] <= end:
-                heappush(heap, (n - uses[w][k], w))
-            if j == last or j in gone:
+                    walk.add(w, start)
+                    dirty[w] = self._front_at(w, start, n)
+        for j in walk:
+            if j in gone:
                 continue
-            last = j
             op = ins[j]
             t = self._layer_at(op, dirty, j, n)
             changed = t != layer[j]
@@ -484,17 +563,17 @@ class DepthIndex:
                     dirty[x] = t
                 elif changed:
                     dirty[x] = t
-                    watch(x, j + 1)
+                    walk.add(x, j + 1)
         for op in block:
             t = self._layer_at(op, dirty, end + 1, n)
             for x in op.qubits if op.clbit is None else (*op.qubits, ~op.clbit):
                 if x not in dirty:
-                    watch(x, end + 1)
+                    walk.add(x, end + 1)
                 dirty[x] = t
         # Each dirty wire's front plus the longest path leaving it after `end`.
         worst = 0
         for w, f in dirty.items():
-            k = at[w]
+            k = walk.at(w)
             if k >= 0 and w >= 0:
                 f += tail[n - uses[w][k]]
             elif k >= 0:  # a bit: its readers after `end`
@@ -505,39 +584,40 @@ class DepthIndex:
         return worst <= self.depth
 
     def _cut_to(self, ins: Sequence[Instruction], s: int) -> None:
-        """Move the cut forward to position s."""
+        """Move the cut forward to position s; the table still holds the
+        uses from the old cut on."""
         self._learn(ins, s)
         n = len(ins)
         layer, tail, uses, front = self._layer, self._tail, self._uses, self._front
+        last: dict[int, int] = {}  # qubit -> its last use before s
         for i in range(self._cut, s):
             op = ins[i]
-            f = layer[i]
             for q in op.qubits:
-                self._drop(self._qterm(q, n))
-                uses[q].pop()
-                front[q] = f
-                self._add(self._qterm(q, n))
+                if q not in last:
+                    self._drop(self._qterm(q, n))
+                last[q] = i
             if op.condition is not None:
                 for b in dict.fromkeys(op.condition.bits):
-                    uses[~b].pop()
-                    w = front.get(~b)
-                    if w is not None:
-                        self._drop(w + tail[i])
+                    f = front.get(~b)
+                    if f is not None:
+                        self._drop(f + tail[i])
             elif op.clbit is not None:
-                u = uses[~op.clbit]
-                u.pop()
-                front[~op.clbit] = f
+                f = front[~op.clbit] = layer[i]
                 del self._writer[op.clbit]
-                for v in u:  # the readers after the writer
+                u = uses[~op.clbit]
+                for v in u[: bisect_left(u, n - i)]:  # the readers after the writer
                     self._add(f + tail[n - v])
-        self._cut = max(self._cut, s)
+        self._cut = s
+        for q, i in last.items():
+            front[q] = layer[i]
+            self._add(self._qterm(q, n))
 
     def accept(
         self, ins: Sequence[Instruction], start: int, end: int, window: Sequence[Instruction]
     ) -> None:
         """Take in the rewrite that replaces positions start..end of `ins` by
-        `window`, before `ins` itself is spliced; `depth` becomes exact for
-        the rewritten list."""
+        `window`, before `ins` and its use table are spliced; `depth` becomes
+        exact for the rewritten list."""
         if not self._built:
             self._build(ins)
         if start < self._cut:
@@ -552,10 +632,8 @@ class DepthIndex:
         qubits = [w for w in wires if w >= 0]
         # Drop the terms that cross the cut into the old window.
         for q in qubits:
-            if q not in uses:
-                uses[q] = array("i")
-                self._add(self._qterm(q, n))
-            self._drop(self._qterm(q, n))
+            if q in uses:
+                self._drop(self._qterm(q, n))
         for i, op in enumerate(old, start):
             if op.condition is not None:
                 for b in dict.fromkeys(op.condition.bits):
@@ -564,25 +642,21 @@ class DepthIndex:
                         self._drop(f + tail[i])
             elif op.clbit is not None:
                 del writer[op.clbit]
-        for w in wires:
-            u = uses.setdefault(w, array("i"))
-            while u and n - u[-1] <= end:
-                u.pop()
+        past = {w: self._first(w, end + 1, n) for w in wires}  # first use after `end`
         zeros = array("i", bytes(4 * m))
         self._layer[start : end + 1] = zeros
         tail[start : end + 1] = zeros
         # Tails over the new window, backwards from the unchanged suffix.
-        after = {q: tail[n2 - uses[q][-1]] if uses[q] else 0 for q in qubits}
-        readers = {
-            op.clbit: max((tail[n2 - v] for v in uses[~op.clbit]), default=0)
-            for op in window
-            if op.clbit is not None
-        }
+        after = {q: tail[n2 - uses[q][past[q]]] if past[q] >= 0 else 0 for q in qubits}
+        readers = {}  # each written bit's largest tail among its readers past the window
+        for b in (op.clbit for op in window if op.clbit is not None):
+            readers[b] = max((tail[n2 - v] for v in uses.get(~b, ())[: past[~b] + 1]), default=0)
         self._sweep_back(window, start, n2, after, readers)
-        # Add the terms that cross the cut into the new window.
+        # Add the terms that cross the cut into the new window: `after` now
+        # holds each qubit's tail at its first use from the cut on.
         top = 0
         for q in qubits:
-            t = self._qterm(q, n2)
+            t = front.get(q, 0) + after[q]
             self._add(t)
             top = max(top, t)
         for p, op in enumerate(window, start):

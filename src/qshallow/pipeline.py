@@ -9,12 +9,14 @@ exact and never schedules the whole circuit: an `ir.DepthIndex`, built once
 per list, walks only the operations the rewrite can move.  A rewrite is laid
 out once (`chains._window`); that window is verified and spliced in place.
 
-GHZ sites (`detect_ghz`, checked from |0...0>) are on fresh qubits, so no
-dependency path meets two blocks: each site is gated on its own against the
-pass's input and the blocks kept are spliced at once.  Chains (`ChainScanner`,
-checked as unitaries) come one at a time, each against the depth the last
-accept left, which the index takes in over the rewritten window.  When the
-GHZ pass keeps no block, the chain pass reuses its index.
+Each list gets one per-wire use table (`ir.UseTable`), held by the index.
+GHZ sites (`detect_ghz` on the input's table, checked from |0...0>) are on
+fresh qubits, so no dependency path meets two blocks: each site is gated on
+its own against the pass's input and the blocks kept are spliced at once.
+Chains (`ChainScanner` on the same table, checked as unitaries) come one at
+a time, each against the depth the last accept left, which the index takes
+in over the rewritten window; the scanner refreshes the table.  When the GHZ
+pass keeps no block, the chain pass reuses its index and table.
 
 With `verify`, `stabilizer` checks every rewrite applied exactly, at any
 width: a GHZ block must prepare its site's state in every measurement branch,
@@ -155,14 +157,16 @@ def gate_ghz_sites(
     c: Circuit, config: PassConfig, index: DepthIndex | None = None
 ) -> tuple[Circuit, list[GateDecision], Coverage | None]:
     """Rebuild the detected GHZ sites as `config.ghz_mode` says, gated per
-    `config.chain_mode` (with `index`, if given, over `c`'s instructions).
-    Returns like `gate_and_apply`, one decision per site.
+    `config.chain_mode` (with `index`, if given, over `c`'s instructions; its
+    use table serves detection).  Returns like `gate_and_apply`, one decision
+    per site.
     """
     coverage = Coverage() if config.verify else None
     if config.ghz_mode is GhzMode.OFF:
         return c, [], coverage
     ins = c.instructions
-    sites = ghz.detect_ghz(c)
+    index = DepthIndex() if index is None else index
+    sites = ghz.detect_ghz(c, index.uses_of(ins))
     blocks = ghz.site_blocks(sites, config.ghz_mode, c.num_clbits)
     # A site without a block keeps its gates, so its window does not change.
     decisions = [
@@ -172,7 +176,6 @@ def gate_ghz_sites(
     kept = [(d.candidate, b) for d, b in zip(decisions, blocks) if d.applied and b is not None]
     if kept and config.chain_mode is ChainMode.CONSERVATIVE:
         # No dependency path meets two blocks, so each site is gated alone.
-        index = DepthIndex() if index is None else index
         kept = [
             (site, block)
             for site, block in kept
@@ -198,7 +201,8 @@ def gate_and_apply(
     c: Circuit, config: PassConfig, index: DepthIndex | None = None
 ) -> tuple[Circuit, list[GateDecision], Coverage | None]:
     """Scan for chains and apply their decompositions per the configured mode
-    (in conservative mode, gated by `index` over `c`'s instructions if given).
+    (in conservative mode, gated by `index` over `c`'s instructions if given;
+    the scanner reads its use table in every mode).
 
     Returns the rewritten circuit, one decision record per candidate in
     discovery order, and, if `config.verify` is set, the `Coverage` of the
@@ -209,30 +213,28 @@ def gate_and_apply(
     if config.chain_mode is ChainMode.OFF:
         return c, [], coverage
 
-    scanner = ChainScanner(c, min_gates=config.min_chain_gates)
+    index = DepthIndex() if index is None else index
+    scanner = ChainScanner(c, config.min_chain_gates, index.uses_of(c.instructions))
     decisions: list[GateDecision] = []
     if config.chain_mode is not ChainMode.CONSERVATIVE:
         index = None
-    elif index is None:
-        index = DepthIndex()
     while (cand := scanner.next()) is not None:
         ins = scanner.instructions
         replacement = _replacement_for(cand, config.cz_to_cx)
         decision = _window_gate(ins, cand, replacement, config.chain_mode)
-        if decision.applied:
-            window = _window(ins, cand, replacement)
         if decision.applied and index is not None:
-            # The window ends with the replacement and the moved-after ops.
-            block = window[len(window) - len(replacement) - len(cand.moved_after) :]
+            # The block placed after the chain: the replacement, then the moved-after ops.
+            block = [*replacement, *(ins[i] for i in cand.moved_after)]
             removed = (*cand.gate_indices, *cand.moved_after)
             applied = index.admits(ins, cand.start_index, cand.end_index, removed, block)
             decision = replace(decision, applied=applied)
         if decision.applied:
+            window = _window(ins, cand, replacement)
             if coverage is not None:
                 _verify_rewrite(ins, cand, window, coverage)
             if index is not None:
                 index.accept(ins, cand.start_index, cand.end_index, window)
-            scanner.accept(window)
+            scanner.accept(window)  # splices the list and its use table
         else:
             scanner.skip()
         decisions.append(decision)

@@ -20,16 +20,19 @@ its message, kind and span do not depend on the path.  No token list of the
 whole file is ever built; line and column are computed from the offset only
 when an error is raised.
 
-On emission every classical bit becomes its own one-bit register named m<k>,
-so single-bit `if` comparisons stay expressible.  A parity condition over k
-bits is lowered to k consecutive single-bit-conditioned copies of the gate
-(exact for the self-inverse gates the rewrite passes emit, since
-X^m1 · X^m2 = X^(m1 xor m2)).
+On emission every classical bit that a condition reads becomes its own
+one-bit register, so single-bit `if` comparisons stay expressible; each run
+of the other bits between them becomes one register.  Registers are declared
+in bit order and named m<k> after their first bit k, so re-parsing keeps the
+flat bit numbering.  A parity condition over k bits is lowered to k
+consecutive single-bit-conditioned copies of the gate (exact for the
+self-inverse gates the rewrite passes emit, since X^m1 · X^m2 = X^(m1 xor m2)).
 """
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -472,11 +475,16 @@ def emit(c: Circuit) -> str:
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     if c.num_qubits > 0:
         lines.append(f"qreg q[{c.num_qubits}];")
-    for k in range(c.num_clbits):
-        lines.append(f"creg m{k}[1];")
+    bits = c.num_clbits
+    read = {b for ins in c.instructions if ins.condition is not None for b in ins.condition.bits}
+    # The first bit of each register: every read bit, and each run of others.
+    firsts = sorted({0, *read, *(b + 1 for b in read)} - {bits}) if bits else []
+    for first, end in zip(firsts, [*firsts[1:], bits]):
+        lines.append(f"creg m{first}[{end - first}];")
     for ins in c.instructions:
         if ins.gate is Gate.MEASURE:
-            lines.append(f"measure q[{ins.qubits[0]}] -> m{ins.clbit}[0];")
+            first = firsts[bisect_right(firsts, ins.clbit) - 1]
+            lines.append(f"measure q[{ins.qubits[0]}] -> m{first}[{ins.clbit - first}];")
         elif ins.gate is Gate.BARRIER:
             operands = ",".join(f"q[{q}]" for q in ins.qubits)
             lines.append(f"barrier {operands};")

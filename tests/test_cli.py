@@ -215,6 +215,50 @@ def test_huge_register_compiles_like_chains_off(tmp_path, chains):
     assert json.loads((tmp_path / f"{chains}.json").read_text())["chains_found"] == 1
 
 
+def test_huge_classical_register_emits_one_register(tmp_path):
+    # No condition reads its bits, so the 3,000,000 bits stay one register.
+    src = tmp_path / "huge.qasm"
+    src.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n'
+                   "creg c[3000000];\nh q[0];\n")
+    out = tmp_path / "out.qasm"
+    assert main(["compile", "--in", str(src), "--out", str(out)]) == 0
+    assert out.stat().st_size < 1024
+    assert parse(out.read_text()).num_clbits == 3_000_000
+
+
+def test_compile_reaches_the_traced_functions(tmp_path, monkeypatch):
+    # An external span recorder times a compile by replacing these module
+    # attributes, so the pipeline must look each one up there.
+    from qshallow import chains, ghz, pipeline
+
+    targets = [
+        (ghz, "detect_ghz"),
+        (chains.ChainScanner, "next"),
+        (chains.ChainScanner, "accept"),
+        (pipeline, "gate_and_apply"),
+        (pipeline, "depth_of"),
+        (pipeline, "decompose_forward"),
+    ]
+    calls = {name: 0 for _, name in targets}
+    for owner, name in targets:
+        def counting(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    # A GHZ site, then a 16-gate CX chain the conservative gate applies.
+    body = [Instruction(Gate.H, (0,)), Instruction(Gate.CX, (0, 1))]
+    body += [Instruction(Gate.CX, (q, q + 1)) for q in range(2, 18)]
+    src = tmp_path / "in.qasm"
+    src.write_text(emit(Circuit(19, 0, tuple(body))))
+    report = tmp_path / "r.json"
+    rc = main(["compile", "--in", str(src), "--out", str(tmp_path / "out.qasm"),
+               "--ghz", "robust", "--chains", "conservative", "--report", str(report)])
+    assert rc == 0
+    assert json.loads(report.read_text())["chains_applied"] == 1
+    assert all(calls.values()), calls
+
+
 def test_fast_chain_mode_is_a_usage_error(tmp_path, ghz16):
     # Usage errors exit 1, as parse errors do: 2 means a verification failure.
     with pytest.raises(SystemExit) as exc:

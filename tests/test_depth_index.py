@@ -1,18 +1,20 @@
-"""The incremental depth gate (`ir.DepthIndex`) and the scanner's in-place
-accept, each against a from-scratch reference: `depth_of` of the rewritten
-list, and indexes built anew on the list the accepts left."""
+"""The incremental depth gate (`ir.DepthIndex`), the scanner's in-place
+accept and the use table they share (`ir.UseTable`), each against a
+from-scratch reference: `depth_of` of the rewritten list, and indexes and
+tables built anew on the list the accepts left."""
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qshallow.chains import ChainScanner, _clbits, _window
+from qshallow.chains import ChainScanner, _window
 from qshallow.ghz import build_ghz_parallel
 from qshallow.ir import (
     Circuit,
     Condition,
     DepthIndex,
-    Gate,
     Instruction,
+    UseTable,
     barrier,
     cx,
     cz,
@@ -22,7 +24,7 @@ from qshallow.ir import (
     rz,
     x,
 )
-from qshallow.pipeline import ChainMode, PassConfig, _replacement_for
+from qshallow.pipeline import ChainMode, _replacement_for
 
 SPARE = 6  # qubits no body op touches, for GHZ blocks on fresh qubits
 
@@ -53,36 +55,43 @@ def _body(data, n: int, size: int, bits: list[int]) -> list[Instruction]:
     return body
 
 
+def _table_view(table: UseTable, start: int):
+    """The positions the table lists per wire from position `start` on."""
+    n = table.n
+    uses = {w: [n - v for v in u if n - v >= start] for w, u in table.by_wire.items()}
+    return {w: p for w, p in uses.items() if p}
+
+
 def _depth_view(index: DepthIndex, ins, start: int):
-    """Everything the index holds about positions `start` on, layers in full."""
+    """Everything the index holds about positions `start` on, layers in full,
+    and the use table it reads."""
     n = len(ins)
     index._learn(ins, n)
-    uses = {w: [n - v for v in u if n - v >= start] for w, u in index._uses.items()}
     return (
         index.depth,
         list(index._layer),
         list(index._tail[start:]),
-        {w: p for w, p in uses.items() if p},
+        _table_view(index.uses, start),
         {b: n - v for b, v in index._writer.items() if n - v >= start},
     )
 
 
 def _scan_view(scanner: ChainScanner, start: int):
-    """The scanner's next-use index from position `start` on, as positions."""
-    ins = scanner.instructions
-    n = len(ins)
+    """The use table and the scanner's own index from position `start` on,
+    as positions."""
+    n = len(scanner.instructions)
     return (
-        [n - v for v in scanner._qnext[2 * start :]],
-        {
-            (j, b): n - scanner._cnext.get((n - j, b), 0)
-            for j in range(start, n)
-            if ins[j].gate is not Gate.BARRIER
-            for b in _clbits(ins[j])
-        },
+        _table_view(scanner.uses, start),
         [n - v for v in scanner._barriers if n - v > start],
         [{q: n - v for q, v in t.items() if n - v >= start}
          for t in (scanner._last_cx_control, scanner._last_cz)],
     )
+
+
+def _assert_table_refreshed(table: UseTable, ins, start: int) -> None:
+    """The table holds just what a fresh build lists from `start` on."""
+    assert table.n == len(ins)
+    assert _table_view(table, 0) == _table_view(UseTable(ins), start)
 
 
 def _fresh_index(ins) -> DepthIndex:
@@ -126,9 +135,11 @@ def test_gate_and_accept_match_depth_of(data):
         assert index.depth == base
         if data.draw(st.booleans()):
             index.accept(ins, start, end, window)
+            index.uses.splice(ins, start, end, window)  # as the list's owner does
             ins = rewritten
             assert index.depth == depth_of(ins)
             floor = last_accept = start
+            _assert_table_refreshed(index.uses, ins, last_accept)
         else:
             floor = data.draw(st.integers(start, start + 1))
     if index._built:
@@ -149,37 +160,45 @@ def _chain_rich(data) -> Circuit:
     return Circuit(n, len(bits) + 2, tuple(body))
 
 
+@pytest.mark.parametrize("mode", [ChainMode.CONSERVATIVE, ChainMode.ALWAYS], ids=lambda m: m.value)
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.data())
-def test_scanner_and_gate_refresh_match_a_rebuild(data):
+@given(data=st.data())
+def test_scanner_and_gate_refresh_match_a_rebuild(mode, data):
+    # Conservative: the scanner and the gate share one table, which only the
+    # scanner's accept refreshes.  Always: the scanner reads its table alone.
     c = _chain_rich(data)
-    config = PassConfig(chain_mode=ChainMode.CONSERVATIVE, cz_to_cx=data.draw(st.booleans()))
-    scanner = ChainScanner(c, 2)
-    index = DepthIndex()
+    cz_to_cx = data.draw(st.booleans())
+    index = DepthIndex() if mode is ChainMode.CONSERVATIVE else None
+    scanner = ChainScanner(c, 2, None if index is None else index.uses_of(c.instructions))
     last_accept = 0
     while (cand := scanner.next()) is not None:
         ins = scanner.instructions
-        replacement = _replacement_for(cand, config.cz_to_cx)
+        replacement = _replacement_for(cand, cz_to_cx)
         moved = [ins[i] for i in cand.moved_after]
         window = _window(ins, cand, replacement)
         rewritten = ins[: cand.start_index] + window + ins[cand.end_index + 1 :]
-        removed = (*cand.gate_indices, *cand.moved_after)
-        verdict = index.admits(
-            ins, cand.start_index, cand.end_index, removed, [*replacement, *moved]
-        )
-        assert verdict == (depth_of(rewritten) <= depth_of(ins))
+        if index is not None:
+            removed = (*cand.gate_indices, *cand.moved_after)
+            verdict = index.admits(
+                ins, cand.start_index, cand.end_index, removed, [*replacement, *moved]
+            )
+            assert verdict == (depth_of(rewritten) <= depth_of(ins))
         if not data.draw(st.booleans()):
             scanner.skip()
             continue
-        index.accept(ins, cand.start_index, cand.end_index, window)
+        if index is not None:
+            index.accept(ins, cand.start_index, cand.end_index, window)
         scanner.accept(window)
         assert scanner.instructions == rewritten
-        assert index.depth == depth_of(rewritten)
         last_accept = cand.start_index
+        _assert_table_refreshed(scanner.uses, rewritten, last_accept)
         rebuilt = ChainScanner(Circuit(c.num_qubits, c.num_clbits, tuple(rewritten)), 2)
         assert _scan_view(scanner, last_accept) == _scan_view(rebuilt, last_accept)
+        if index is not None:
+            assert index.uses is scanner.uses
+            assert index.depth == depth_of(rewritten)
     ins = scanner.instructions
-    if index._built:
+    if index is not None and index._built:
         assert _depth_view(index, ins, last_accept) == _depth_view(_fresh_index(ins), ins, last_accept)
 
 

@@ -16,7 +16,7 @@ from qshallow.bench import (
     gen_random,
 )
 from qshallow import ghz, ir
-from qshallow.chains import ChainKind
+from qshallow.chains import ChainKind, find_chains
 from qshallow.ir import (
     Circuit,
     Condition,
@@ -73,6 +73,19 @@ def _count_index_builds(monkeypatch) -> list[int]:
         return build(self, instructions)
 
     monkeypatch.setattr(ir.DepthIndex, "_build", counting)
+    return calls
+
+
+def _count_table_builds(monkeypatch) -> list[int]:
+    """Record the length of every list a per-wire use table is built over."""
+    calls = []
+    init = ir.UseTable.__init__
+
+    def counting(self, instructions):
+        calls.append(len(instructions))
+        init(self, instructions)
+
+    monkeypatch.setattr(ir.UseTable, "__init__", counting)
     return calls
 
 
@@ -382,6 +395,47 @@ class TestCompileCircuit:
         assert stats(result.circuit).depth == 4
         out_gates = {ins.gate.value for ins in result.circuit.instructions}
         assert out_gates == {"h", "cx"}
+
+
+class TestUseTableBuilds:
+    """One use table per instruction list per compile: the chain scanner,
+    the depth gate and GHZ detection read the same one."""
+
+    def test_conservative_chain_pass_builds_one(self, monkeypatch):
+        builds = _count_table_builds(monkeypatch)
+        c = gen_ansatz(AnsatzSpec("two_local", 1000, 26, "linear", 1))
+        result = compile_circuit(c, PassConfig(chain_mode=ChainMode.CONSERVATIVE))
+        assert len(result.decisions) > 0
+        assert builds == [len(c.instructions)]
+
+    def test_ghz_pass_then_chain_pass_builds_two(self, monkeypatch):
+        # Detection and the GHZ gate share the input's table; the block kept
+        # changes the list, so the chain pass builds its own.
+        builds = _count_table_builds(monkeypatch)
+        c = gen_ghz_standard(2000)
+        config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE)
+        result = compile_circuit(c, config)
+        assert result.decisions[0].applied
+        assert builds == [2000, len(result.circuit.instructions)]
+
+    def test_ghz_pass_keeping_nothing_shares_its_table(self, monkeypatch):
+        builds = _count_table_builds(monkeypatch)
+        c = gen_cx_chain(17)  # no fresh H: no GHZ site
+        config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE)
+        result = compile_circuit(c, config)
+        assert [d.applied for d in result.decisions] == [True]
+        assert builds == [len(c.instructions)]
+
+    def test_one_per_scanner(self, monkeypatch):
+        builds = _count_table_builds(monkeypatch)
+        c = gen_intertwined(3, 8)
+        assert len(find_chains(c, 2)) >= 2
+        assert builds == [len(c.instructions)]
+        builds.clear()
+        config = PassConfig(chain_mode=ChainMode.ALWAYS, min_chain_gates=2)
+        _, decisions, _ = gate_and_apply(c, config)
+        assert sum(d.applied for d in decisions) >= 2
+        assert builds == [len(c.instructions)]
 
 
 class TestConfig:

@@ -179,6 +179,29 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit(Circuit(1, 0, (cx(0, 5),)))
 
+    def test_unread_bits_share_a_register(self):
+        # Bits 0-2 and 4-5 are read by no condition; bit 3 is.
+        c = Circuit(2, 6, (measure(0, 1), measure(1, 5), x(0, condition=Condition((3,)))))
+        text = emit(c)
+        cregs = [line for line in text.splitlines() if line.startswith("creg")]
+        assert cregs == ["creg m0[3];", "creg m3[1];", "creg m4[2];"]
+        assert "measure q[0] -> m0[1];" in text and "measure q[1] -> m4[1];" in text
+        back = parse(text)
+        assert (back.num_clbits, back.instructions) == (c.num_clbits, c.instructions)
+
+    def test_reparse_keeps_every_measured_bit(self):
+        circuits = [_random_dynamic_circuit(s) for s in range(300)]
+        unread = 0
+        for c in circuits:
+            back = parse(emit(c))
+            assert back.num_clbits == c.num_clbits
+            measured = [(op.qubits, op.clbit) for op in c.instructions if op.clbit is not None]
+            assert [(op.qubits, op.clbit) for op in back.instructions
+                    if op.clbit is not None] == measured
+            read = {b for op in c.instructions if op.condition for b in op.condition.bits}
+            unread += any(b not in read for _, b in measured)
+        assert unread > 50
+
 
 _angle = st.floats(min_value=-10, max_value=10, allow_nan=False)
 _q6 = st.integers(0, 5)
