@@ -30,7 +30,6 @@ from .ir import (
 from .qasm import ParseError, SourceSpan, emit, parse
 from .ghz import (
     GhzMode,
-    GhzSite,
     build_ghz_log,
     build_ghz_parallel,
     detect_ghz,
@@ -79,7 +78,6 @@ __all__ = [
     "Gate",
     "GateDecision",
     "GhzMode",
-    "GhzSite",
     "Instruction",
     "ParseError",
     "PassConfig",

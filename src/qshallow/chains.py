@@ -42,29 +42,21 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .ir import (
-    Circuit,
-    DIAGONAL_GATES,
-    Gate,
-    Instruction,
-    UseTable,
-    UseWalk,
-    _splice,
-    _wires,
-    cx,
-    cz,
-    h,
-)
+from .ir import Circuit, Gate, Instruction, UseTable, UseWalk, _wires, cx, cz, h
 
 
 class ChainKind(Enum):
     CX = "cx"
     CZ = "cz"
-    GHZ = "ghz"  # a GHZ site (`ghz.GhzSite`), rewritten by the same driver
+    GHZ = "ghz"  # a GHZ site (`ghz.detect_ghz`), rewritten by the same driver
 
 
 @dataclass(frozen=True)
 class ChainCandidate:
+    """One rewrite site.  For a GHZ site `start_index` is the fresh H,
+    `qubit_seq` the members, root first, and `moved_after` is empty: no op
+    between its gates touches a member, so none has to move."""
+
     kind: ChainKind
     gate_indices: tuple[int, ...]
     qubit_seq: tuple[int, ...]
@@ -77,13 +69,6 @@ class ChainCandidate:
 
 
 # -- commutation ------------------------------------------------------------
-
-_AXIS = {
-    Gate.X: "x", Gate.RX: "x",
-    Gate.Y: "y", Gate.RY: "y",
-    Gate.Z: "z", Gate.RZ: "z",
-    Gate.H: "h",
-}
 
 
 def commutes(a: Instruction, b: Instruction) -> bool:
@@ -107,14 +92,14 @@ def commutes(a: Instruction, b: Instruction) -> bool:
         if ins.gate in (Gate.BARRIER, Gate.MEASURE) or ins.condition is not None:
             return False
     ga, gb = a.gate, b.gate
-    if ga in DIAGONAL_GATES and gb in DIAGONAL_GATES:
+    if ga.is_diagonal and gb.is_diagonal:
         return True
-    if ga in _AXIS and gb in _AXIS:  # same qubit, single-qubit gates
-        return _AXIS[ga] == _AXIS[gb]
+    if ga.axis and gb.axis:  # same qubit, single-qubit gates
+        return ga.axis == gb.axis
     # Exactly one of them is single-qubit, the other CX/CZ.
-    if ga in _AXIS or gb in _AXIS:
-        single, multi = (a, b) if ga in _AXIS else (b, a)
-        axis = _AXIS[single.gate]
+    if ga.axis or gb.axis:
+        single, multi = (a, b) if ga.axis else (b, a)
+        axis = single.gate.axis
         q = single.qubits[0]
         if multi.gate is Gate.CZ:
             return axis == "z"
@@ -138,7 +123,7 @@ def commutes(a: Instruction, b: Instruction) -> bool:
 
 
 def _is_diagonal_on(ins: Instruction, q: int) -> bool:
-    return ins.gate in DIAGONAL_GATES and ins.condition is None and q in ins.qubits
+    return ins.gate.is_diagonal and ins.condition is None and q in ins.qubits
 
 
 class _Growth:
@@ -159,7 +144,6 @@ class _Growth:
     """
 
     def __init__(self, instructions: list[Instruction], state: list[int], seed: int):
-        self.instructions = instructions
         self.state = state
         self.seed = seed
         first = instructions[seed]
@@ -276,21 +260,11 @@ class _Growth:
 _FREE, _SKIPPED, _REPLACED = 0, 1, 2
 
 
-def _rewrite(items: Sequence, rewrites: Sequence[tuple]) -> list:
-    """`items` laid out with each (candidate, replacement) rewrite: the
-    candidate's gates and moved-after ops leave their positions, and the
-    replacement followed by the moved-after ops takes its last gate's
-    position (the ops moved before stay put).  Candidates must not overlap."""
-    blocks: dict[int, Sequence] = {}
-    for cand, replacement in rewrites:
-        blocks.update(dict.fromkeys((*cand.gate_indices, *cand.moved_after), ()))
-        blocks[cand.end_index] = [*replacement, *(items[i] for i in cand.moved_after)]
-    return _splice(items, blocks)
-
-
-def _window(items: Sequence, cand, replacement: Sequence) -> list:
-    """Positions `cand.start_index`..`cand.end_index` of `items` as `_rewrite`
-    lays them out: the ops that stay, the replacement, the moved-after ops."""
+def _window(items: Sequence, cand: ChainCandidate, replacement: Sequence) -> list:
+    """Positions `cand.start_index`..`cand.end_index` of `items` rewritten.
+    Every rewrite is laid out so: the candidate's gates and moved-after ops
+    leave their positions, the replacement followed by the moved-after ops
+    takes its last gate's position, and the ops moved before stay put."""
     gone = {*cand.gate_indices, *cand.moved_after}
     stay = (items[i] for i in range(cand.start_index, cand.end_index + 1) if i not in gone)
     return [*stay, *replacement, *(items[i] for i in cand.moved_after)]
@@ -346,7 +320,7 @@ class ChainScanner:
         walking back: a qubit's link recorded already is a later one."""
         ins, n = self.instructions, len(self.instructions)
         tables, links = (self._last_cx_control, self._last_cz), self._links
-        BARRIER, CX, CZ = Gate.BARRIER, Gate.CX, Gate.CZ
+        BARRIER, CZ = Gate.BARRIER, Gate.CZ
         for p in range(stop - 1, first - 1, -1):
             op = ins[p]
             gate = op.gate
@@ -354,7 +328,7 @@ class ChainScanner:
                 # Growth stops at the first barrier after its seed, so a link
                 # that runs across a barrier is never followed.
                 self._barriers.append(n - p)
-            elif (gate is CX or gate is CZ) and op.condition is None:
+            elif gate.arity == 2 and op.condition is None:
                 kind = gate is CZ  # a CX links through its control, a CZ both
                 for q in op.qubits if kind else op.qubits[:1]:
                     if q not in tables[kind]:
@@ -369,7 +343,7 @@ class ChainScanner:
             i = self._pos
             ins = self.instructions[i]
             if (
-                ins.gate in (Gate.CX, Gate.CZ)
+                ins.gate.arity == 2
                 and ins.condition is None
                 and self._state[i] == _FREE
             ):

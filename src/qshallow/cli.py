@@ -15,6 +15,8 @@ from typing import Sequence
 
 from . import __version__
 from .bench import (
+    ANSATZ_FAMILIES,
+    ENTANGLEMENTS,
     AnsatzSpec,
     RNG_IDENTIFIER,
     gen_ansatz,
@@ -221,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="gate for every rewrite: conservative applies a GHZ site or "
                                 "chain only if its window gets shallower and the circuit no "
                                 "deeper; always applies all; off skips chains, applies GHZ sites")
-    p_compile.add_argument("--min-chain-gates", type=int, default=5)
+    p_compile.add_argument("--min-chain-gates", type=int, default=5,
+                           help="fewest gates a chain needs to be rewritten (at least 2)")
     p_compile.add_argument("--cz-to-cx", action="store_true",
                            help="lower rewritten CZ chains to H/CX form")
     p_compile.add_argument("--verify", action="store_true",
@@ -232,24 +235,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.set_defaults(func=cmd_compile)
 
     p_depth = sub.add_parser("depth", help="print depth/gate statistics as JSON")
-    p_depth.add_argument("--in", dest="infile", required=True)
+    p_depth.add_argument("--in", dest="infile", required=True, help="input QASM file")
     p_depth.set_defaults(func=cmd_depth)
 
     p_bench = sub.add_parser("bench", help="run a benchmark suite, emit CSV")
-    p_bench.add_argument("--suite", choices=["ghz", "chains", "vqe"], required=True)
+    p_bench.add_argument("--suite", choices=["ghz", "chains", "vqe"], required=True,
+                         help="circuit family: GHZ preparations, plain CX/CZ chains or ansatze")
     p_bench.add_argument("--n-range", required=True,
                          help="qubit counts as start:stop:step (stop exclusive)")
     p_bench.add_argument("--reps", default="1", help="comma-separated repetition counts (vqe)")
-    p_bench.add_argument("--family", choices=["efficient_su2", "real_amplitudes", "two_local"],
-                         default="two_local")
-    p_bench.add_argument("--entanglement",
-                         choices=["linear", "reverse_linear", "circular", "sca", "full"],
-                         default="linear")
-    p_bench.add_argument("--seed", type=int, default=7)
+    p_bench.add_argument("--family", choices=ANSATZ_FAMILIES, default="two_local",
+                         help="ansatz family (vqe)")
+    p_bench.add_argument("--entanglement", choices=ENTANGLEMENTS, default="linear",
+                         help="ansatz entanglement layout (vqe)")
+    p_bench.add_argument("--seed", type=int, default=7, help="ansatz angle seed (vqe)")
     p_bench.add_argument("--chains", choices=[m.value for m in ChainMode],
-                         default="conservative")
-    p_bench.add_argument("--min-chain-gates", type=int, default=5)
-    p_bench.add_argument("--cz-to-cx", action="store_true")
+                         default="conservative",
+                         help="gate for the chain rewrites, as for compile")
+    p_bench.add_argument("--min-chain-gates", type=int, default=5,
+                         help="fewest gates a chain needs to be rewritten, as for compile")
+    p_bench.add_argument("--cz-to-cx", action="store_true",
+                         help="lower rewritten CZ chains to H/CX form")
     p_bench.add_argument("--csv", help="write CSV here instead of stdout")
     p_bench.set_defaults(func=cmd_bench)
     return parser

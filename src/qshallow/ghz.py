@@ -16,11 +16,10 @@ pipeline gates, verifies and splices them like chain rewrites.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Literal, Sequence
+from typing import Sequence
 
-from .chains import ChainKind
+from .chains import ChainCandidate, ChainKind
 from .ir import Circuit, Condition, Gate, Instruction, UseTable, UseWalk, cx, h, measure
 from .ir import x as x_gate
 
@@ -31,27 +30,10 @@ class GhzMode(Enum):
     PARALLEL = "parallel"
 
 
-@dataclass(frozen=True)
-class GhzSite:
-    """A site in a chain candidate's shape: `start_index` is the fresh H and
-    `qubit_seq` the members, root first.  No op between its gates touches a
-    member, so none has to move."""
-
-    start_index: int
-    qubit_seq: tuple[int, ...]
-    gate_indices: tuple[int, ...]
-    shape: Literal["chain", "fanout"]
-    kind: ClassVar[ChainKind] = ChainKind.GHZ
-    moved_after: ClassVar[tuple[int, ...]] = ()
-
-    @property
-    def end_index(self) -> int:
-        return self.gate_indices[-1]
-
-
-def detect_ghz(c: Circuit, uses: UseTable | None = None) -> list[GhzSite]:
+def detect_ghz(c: Circuit, uses: UseTable | None = None) -> list[ChainCandidate]:
     """Find GHZ-preparation sites: H on a fresh qubit, then CX gates onto fresh
-    targets forming a pure chain or a pure fan-out.
+    targets forming a pure chain or a pure fan-out.  Each is a `ChainKind.GHZ`
+    candidate: its start is the H, its qubits the members, root first.
 
     A site ends at the first instruction that touches a member qubit without
     extending the pattern.  Instructions on unrelated qubits may interleave.
@@ -71,7 +53,7 @@ def detect_ghz(c: Circuit, uses: UseTable | None = None) -> list[GhzSite]:
     fresh_h = sorted(i for i in first.values()
                      if instrs[i].gate is Gate.H and instrs[i].condition is None)
 
-    sites: list[GhzSite] = []
+    sites: list[ChainCandidate] = []
     for h_idx in fresh_h:
         root = instrs[h_idx].qubits[0]
         members = [root]
@@ -96,7 +78,8 @@ def detect_ghz(c: Circuit, uses: UseTable | None = None) -> list[GhzSite]:
             last = tgt
             walk.add(tgt, j + 1)
         if len(members) >= 2:
-            sites.append(GhzSite(h_idx, tuple(members), tuple(gate_indices), shape or "chain"))
+            site = ChainCandidate(ChainKind.GHZ, tuple(gate_indices), tuple(members), h_idx, ())
+            sites.append(site)
     return sites
 
 
@@ -156,7 +139,7 @@ def build_ghz_parallel(members: Sequence[int], fresh_clbits: Sequence[int]) -> l
 
 
 def site_blocks(
-    sites: Sequence[GhzSite], mode: GhzMode, clbit: int
+    sites: Sequence[ChainCandidate], mode: GhzMode, clbit: int
 ) -> list[list[Instruction] | None]:
     """Each site's construction in `mode`, fresh classical bits numbered from
     `clbit` in site order; None where the fusion scheme lacks a middle qubit."""

@@ -24,9 +24,10 @@ so rewrites come with non-decreasing starts.
 """
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Iterator, Mapping, Sequence
@@ -46,17 +47,17 @@ class Gate(Enum):
     BARRIER = "barrier"
 
     def __init__(self, value: str) -> None:
-        # Plain attributes: reading one costs no Python-level `Enum.__hash__`,
-        # as a dict or set lookup of the member would.
+        # Every gate fact the passes read, as plain attributes: reading one
+        # costs no Python-level `Enum.__hash__`, as a dict or set lookup of
+        # the member would.
         #: Qubit operands the gate takes; None for a barrier, which takes any.
         self.arity = 2 if value in ("cx", "cz") else None if value == "barrier" else 1
         self.is_rotation = value in ("rx", "ry", "rz")
-
-
-ROTATION_GATES = frozenset(g for g in Gate if g.is_rotation)
-TWO_QUBIT_GATES = frozenset({Gate.CX, Gate.CZ})
-#: Gates diagonal in the computational basis; any two of these commute.
-DIAGONAL_GATES = frozenset({Gate.Z, Gate.RZ, Gate.CZ})
+        #: Diagonal in the computational basis; any two such gates commute.
+        self.is_diagonal = value in ("z", "rz", "cz")
+        #: A single-qubit unitary's Pauli axis ("x", "y", "z"; a rotation's
+        #: is its generator's), "h" for H; None for every other gate.
+        self.axis = value[-1] if value in ("h", "x", "y", "z", "rx", "ry", "rz") else None
 
 
 @dataclass(frozen=True)
@@ -149,12 +150,7 @@ class DepthReport:
     measure_count: int
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "depth": self.depth,
-            "gate_count": self.gate_count,
-            "two_qubit_count": self.two_qubit_count,
-            "measure_count": self.measure_count,
-        }
+        return asdict(self)
 
 
 def validate(c: Circuit) -> list[str]:
@@ -179,6 +175,8 @@ def validate(c: Circuit) -> list[str]:
             errors.append("duplicate operand")
         if (ins.angle is not None) != ins.gate.is_rotation:
             errors.append("angle present iff gate is a rotation")
+        elif ins.angle is not None and not math.isfinite(ins.angle):
+            errors.append("angle must be finite")
         if (ins.clbit is not None) != (ins.gate is Gate.MEASURE):
             errors.append("clbit present iff gate is a measurement")
         if ins.gate is Gate.MEASURE:
@@ -689,7 +687,7 @@ def stats(c: Circuit) -> DepthReport:
             measures += 1
         elif ins.gate is not Gate.BARRIER:
             gate_count += 1
-            if ins.gate in TWO_QUBIT_GATES:
+            if ins.gate.arity == 2:
                 two_qubit += 1
     return DepthReport(depth(c), gate_count, two_qubit, measures)
 

@@ -6,8 +6,9 @@ of its window - its gates plus the next `DEPTH_SCOPE` operations - and the
 rewritten whole circuit must be no deeper than the current one, as no bounded
 window sees context before it that skews the schedule.  That second test is
 exact and never schedules the whole circuit: an `ir.DepthIndex`, built once
-per list, walks only the operations the rewrite can move.  A rewrite is laid
-out once (`chains._window`); that window is verified and spliced in place.
+per list, walks only the operations the rewrite can move.  Every rewrite is
+laid out by one rule (`chains._window`): a chain's window is verified and
+spliced in place, the GHZ blocks kept are spliced at once (`ir._splice`).
 
 Each list gets one per-wire use table (`ir.UseTable`), held by the index.
 GHZ sites (`detect_ghz` on the input's table, checked from |0...0>) are on
@@ -44,14 +45,13 @@ from .chains import (
     ChainCandidate,
     ChainKind,
     ChainScanner,
-    _rewrite,
     _window,
     decompose_cz,
     decompose_cz_to_cx,
     decompose_forward,
 )
-from .ghz import GhzMode, GhzSite
-from .ir import Circuit, DepthIndex, Gate, Instruction, depth_of
+from .ghz import GhzMode
+from .ir import Circuit, DepthIndex, Gate, Instruction, _splice, depth_of
 from .stabilizer import NoPauliForm, prepares_same, same_unitary
 
 #: Operations after a candidate's last gate that its window includes.
@@ -79,7 +79,7 @@ class PassConfig:
 
 @dataclass(frozen=True)
 class GateDecision:
-    candidate: ChainCandidate | GhzSite
+    candidate: ChainCandidate
     depth_before: int
     depth_after: int
     applied: bool
@@ -100,7 +100,7 @@ class Coverage:
 class VerificationError(Exception):
     """A rewrite failed its exact equivalence check; the original circuit stands."""
 
-    def __init__(self, message: str, candidate: ChainCandidate | GhzSite | None = None):
+    def __init__(self, message: str, candidate: ChainCandidate | None = None):
         super().__init__(message)
         self.candidate = candidate
 
@@ -127,7 +127,7 @@ def _window_gate(
 
 def _verify_rewrite(
     ins: Sequence[Instruction],
-    cand: ChainCandidate | GhzSite,
+    cand: ChainCandidate,
     after: Sequence[Instruction],
     coverage: Coverage,
 ) -> None:
@@ -137,7 +137,7 @@ def _verify_rewrite(
     site's state from |0...0>; a chain window must be the same unitary in
     deferred form.  Only a window with no such form is skipped."""
     try:
-        if isinstance(cand, GhzSite):
+        if cand.kind is ChainKind.GHZ:
             proven = prepares_same([ins[i] for i in cand.gate_indices], after)
         else:
             proven = same_unitary(ins[cand.start_index : cand.end_index + 1], after)
@@ -193,7 +193,10 @@ def gate_ghz_sites(
         for site, block in kept:
             _verify_rewrite(ins, site, block, coverage)
     fresh = sum(op.gate is Gate.MEASURE for _, block in kept for op in block)
-    rewritten = _rewrite(ins, kept)
+    # Laid out as `_window` lays out a rewrite; a GHZ site moves no op.
+    layout = {i: () for site, _ in kept for i in site.gate_indices}
+    layout.update({site.end_index: block for site, block in kept})
+    rewritten = _splice(ins, layout)
     return Circuit(c.num_qubits, c.num_clbits + fresh, tuple(rewritten)), decisions, coverage
 
 

@@ -36,14 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ir import (
-    Circuit,
-    Condition,
-    Gate,
-    Instruction,
-    ROTATION_GATES,
-    TWO_QUBIT_GATES,
-)
+from .ir import Circuit, Condition, Gate, Instruction
 
 
 @dataclass(frozen=True)
@@ -86,11 +79,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_GATE_BY_NAME = {
-    "h": Gate.H, "x": Gate.X, "y": Gate.Y, "z": Gate.Z,
-    "rx": Gate.RX, "ry": Gate.RY, "rz": Gate.RZ,
-    "cx": Gate.CX, "cz": Gate.CZ,
-}
+# The unitary gates, by name: looked up by string, so no enum member is hashed.
+_GATE_BY_NAME = {g.value: g for g in Gate if g.axis is not None or g.arity == 2}
 
 
 class _Token(NamedTuple):
@@ -121,12 +111,6 @@ _OPERAND = rf"({_ID})\[(\d{{1,9}})\]"
 _FAST_GATE = re.compile(
     rf"\s*([a-z]+)(?:\(([+-]?(?:{_REAL}|{_INT}))\)\s*|\s+){_OPERAND}(?:\s*,\s*{_OPERAND})?\s*;"
 )
-# name -> (gate, takes an angle, takes two qubits); looked up by string so
-# the hot loop hashes no enum members.
-_FAST_GATES = {
-    name: (gate, gate in ROTATION_GATES, gate in TWO_QUBIT_GATES)
-    for name, gate in _GATE_BY_NAME.items()
-}
 
 
 class _Parser:
@@ -176,7 +160,7 @@ class _Parser:
         append = self.instructions.append
         gate_match = _FAST_GATE.match
         pos = self.offset
-        while (m := gate_match(text, pos)) is not None and m.group(1) in _FAST_GATES:
+        while (m := gate_match(text, pos)) is not None and m.group(1) in _GATE_BY_NAME:
             ins = self._fast_gate(m)
             if ins is None:
                 break
@@ -192,7 +176,8 @@ class _Parser:
 
     def _fast_gate(self, m: re.Match) -> Instruction | None:
         name, angle_text, reg0, idx0, reg1, idx1 = m.groups()
-        gate, rotation, two_qubit = _FAST_GATES[name]
+        gate = _GATE_BY_NAME[name]
+        rotation, two_qubit = gate.is_rotation, gate.arity == 2
         if (angle_text is not None) != rotation or (reg1 is not None) != two_qubit:
             return None
         q0 = self._fast_qubit(reg0, idx0)
@@ -371,14 +356,14 @@ class _Parser:
             )
         angle: float | None = None
         if self.peek().text == "(":
-            if gate not in ROTATION_GATES:
+            if not gate.is_rotation:
                 raise self.error(
                     f"gate {name.text!r} takes no parameter", name, "semantic"
                 )
             self.advance()
             angle = self._angle_expr()
             self.expect("PUNCT", ")")
-        elif gate in ROTATION_GATES:
+        elif gate.is_rotation:
             raise self.error(f"gate {name.text!r} needs an angle", name, "semantic")
 
         args: list[list[int]] = []
@@ -390,13 +375,12 @@ class _Parser:
             break
         self.expect("PUNCT", ";")
 
-        arity = 2 if gate in (Gate.CX, Gate.CZ) else 1
-        if len(args) != arity:
+        if len(args) != gate.arity:
             raise self.error(
-                f"gate {name.text!r} expects {arity} argument(s), got {len(args)}",
+                f"gate {name.text!r} expects {gate.arity} argument(s), got {len(args)}",
                 name, "semantic",
             )
-        if arity == 2:
+        if gate.arity == 2:
             if len(args[0]) != 1 or len(args[1]) != 1:
                 raise self.error(
                     "register broadcast is not supported for two-qubit gates",
@@ -464,7 +448,7 @@ def _format_angle(angle: float) -> str:
 def _gate_text(ins: Instruction) -> str:
     name = ins.gate.value
     operands = ",".join(f"q[{q}]" for q in ins.qubits)
-    if ins.gate in ROTATION_GATES:
+    if ins.gate.is_rotation:
         return f"{name}({_format_angle(ins.angle)}) {operands};"
     return f"{name} {operands};"
 
@@ -489,7 +473,7 @@ def emit(c: Circuit) -> str:
             operands = ",".join(f"q[{q}]" for q in ins.qubits)
             lines.append(f"barrier {operands};")
         elif ins.condition is not None:
-            if ins.gate in ROTATION_GATES and len(ins.condition.bits) > 1:
+            if ins.gate.is_rotation and len(ins.condition.bits) > 1:
                 raise ValueError(
                     "multi-bit parity conditions on rotations cannot be lowered "
                     "to single-bit conditionals"

@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from enum import Enum
 from pathlib import Path
 
 import pytest
 
 import qshallow
-from qshallow.bench import gen_cx_chain, gen_ghz_standard
+from qshallow.bench import AnsatzSpec, gen_ansatz, gen_cx_chain, gen_ghz_standard
 from qshallow.cli import main
 from qshallow.qasm import emit, parse
 from qshallow.ir import Circuit, Condition, Gate, Instruction, measure, stats
@@ -257,6 +258,41 @@ def test_compile_reaches_the_traced_functions(tmp_path, monkeypatch):
     assert rc == 0
     assert json.loads(report.read_text())["chains_applied"] == 1
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize(
+    "circuit, flags",
+    [
+        (gen_ghz_standard(16), ["--ghz", "parallel", "--chains", "conservative", "--verify"]),
+        (gen_ansatz(AnsatzSpec("two_local", 8, 2, "circular", 3)),
+         ["--chains", "conservative", "--min-chain-gates", "2"]),
+    ],
+    ids=["ghz_parallel_verify", "chains"],
+)
+def test_compile_hashes_no_gate(tmp_path, monkeypatch, circuit, flags):
+    # Every gate fact is a member attribute: a compile, its report and its
+    # output look no `Gate` up in a set or a dict.
+    hashed = []
+    enum_hash = Enum.__hash__
+
+    def counting(self):
+        if type(self) is Gate:
+            hashed.append(self)
+        return enum_hash(self)
+
+    monkeypatch.setattr(Enum, "__hash__", counting)
+    hash(Gate.CX)
+    assert hashed == [Gate.CX]  # the wrapper sees Gate's hashes
+    hashed.clear()
+    src = tmp_path / "in.qasm"
+    src.write_text(emit(circuit))
+    report = tmp_path / "r.json"
+    rc = main(["compile", "--in", str(src), "--out", str(tmp_path / "out.qasm"),
+               "--report", str(report), *flags])
+    assert rc == 0
+    decisions = json.loads(report.read_text())["decisions"]
+    assert any(d["applied"] for d in decisions)
+    assert hashed == []
 
 
 def test_fast_chain_mode_is_a_usage_error(tmp_path, ghz16):

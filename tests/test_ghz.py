@@ -17,13 +17,13 @@ from qshallow.bench import (
     gen_intertwined,
     gen_random,
 )
+from qshallow.chains import ChainCandidate, ChainKind
 from qshallow.ghz import (
     GhzMode,
     build_ghz_log,
     build_ghz_parallel,
     detect_ghz,
 )
-from qshallow.ghz import GhzSite
 from qshallow.ir import (
     Circuit,
     Condition,
@@ -82,20 +82,30 @@ def _rebuilt(c: Circuit, mode: GhzMode) -> Circuit:
     return compile_circuit(c, PassConfig(ghz_mode=mode, chain_mode=ChainMode.OFF)).circuit
 
 
+def _shape(c: Circuit, site: ChainCandidate) -> str:
+    """A site is a fan-out when every CX control is the root; a site of one CX
+    is a chain."""
+    controls = {c.instructions[i].qubits[0] for i in site.gate_indices[1:]}
+    return "fanout" if len(site.gate_indices) > 2 and controls == {site.qubit_seq[0]} else "chain"
+
+
 class TestDetect:
     def test_chain_site(self):
-        sites = detect_ghz(circ(3, h(0), cx(0, 1), cx(1, 2)))
+        c = circ(3, h(0), cx(0, 1), cx(1, 2))
+        sites = detect_ghz(c)
         assert len(sites) == 1
         site = sites[0]
-        assert site.shape == "chain"
+        assert site.kind is ChainKind.GHZ and site.moved_after == ()
+        assert _shape(c, site) == "chain"
         assert site.qubit_seq == (0, 1, 2)
         assert site.start_index == 0 and site.end_index == 2
         assert site.gate_indices == (0, 1, 2)
 
     def test_fanout_site(self):
-        sites = detect_ghz(circ(3, h(0), cx(0, 1), cx(0, 2)))
+        c = circ(3, h(0), cx(0, 1), cx(0, 2))
+        sites = detect_ghz(c)
         assert len(sites) == 1
-        assert sites[0].shape == "fanout"
+        assert _shape(c, sites[0]) == "fanout"
         assert sites[0].qubit_seq == (0, 1, 2)
 
     def test_stale_target_is_no_site(self):
@@ -262,7 +272,7 @@ class TestApplyPass:
 # -- detection against the forward scan over every later instruction ----------
 
 
-def _forward_scan_detect(c: Circuit) -> list[GhzSite]:
+def _forward_scan_detect(c: Circuit) -> list[ChainCandidate]:
     """Reference detection: from each fresh H, walk every later instruction
     until one touches a member without extending the pattern."""
     first_use: dict[int, int] = {}
@@ -271,7 +281,7 @@ def _forward_scan_detect(c: Circuit) -> list[GhzSite]:
             first_use.setdefault(q, i)
 
     claimed: set[int] = set()
-    sites: list[GhzSite] = []
+    sites: list[ChainCandidate] = []
     for h_idx, ins in enumerate(c.instructions):
         if ins.gate is not Gate.H or ins.condition is not None or h_idx in claimed:
             continue
@@ -304,7 +314,9 @@ def _forward_scan_detect(c: Circuit) -> list[GhzSite]:
                 break
         if len(members) >= 2:
             claimed.update(gate_indices)
-            sites.append(GhzSite(h_idx, tuple(members), tuple(gate_indices), shape or "chain"))
+            sites.append(
+                ChainCandidate(ChainKind.GHZ, tuple(gate_indices), tuple(members), h_idx, ())
+            )
     return sites
 
 
@@ -393,8 +405,9 @@ def test_detect_matches_forward_scan(block):
 
 def test_detect_corpus_exercises_every_shape():
     circuits = [_ghz_rich_circuit(s) for s in range(2000)]
-    sites = [site for c in circuits for site in detect_ghz(c)]
-    assert {site.shape for site in sites} == {"chain", "fanout"}
+    found = [(c, site) for c in circuits for site in detect_ghz(c)]
+    sites = [site for _, site in found]
+    assert {_shape(c, site) for c, site in found} == {"chain", "fanout"}
     assert sum(len(site.qubit_seq) >= 4 for site in sites) > 100
     interleaved = [site for site in sites if max(site.gate_indices) - site.start_index
                    >= len(site.gate_indices)]
@@ -448,7 +461,7 @@ def test_detect_reads_scale_near_linearly(shape, monkeypatch):
 # -- the GHZ pass through the shared gate --------------------------------------
 
 
-def _reference_block(site: GhzSite, mode: GhzMode, clbit: int):
+def _reference_block(site: ChainCandidate, mode: GhzMode, clbit: int):
     if mode is GhzMode.ROBUST:
         return build_ghz_log(site.qubit_seq)
     if len(site.qubit_seq) < 3:

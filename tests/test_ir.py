@@ -64,6 +64,12 @@ class TestValidate:
         with pytest.raises(ValueError, match="angle present iff gate is a rotation"):
             circ(1, Instruction(Gate.RX, (0,)))
 
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), float("-inf")])
+    def test_angle_must_be_finite(self, angle):
+        # `emit` would write `rx(nan)`, which no reader takes back.
+        with pytest.raises(ValueError, match="instruction 1 \\(rx\\): angle must be finite"):
+            circ(2, cx(0, 1), rx(1, angle))
+
     def test_measure_condition_forbidden(self):
         bad = Instruction(Gate.MEASURE, (0,), clbit=0, condition=Condition((0,)))
         with pytest.raises(ValueError, match="must not be conditioned"):

@@ -40,7 +40,7 @@ from qshallow.pipeline import (
     compile_circuit,
     gate_and_apply,
 )
-from qshallow.ghz import GhzMode, GhzSite, detect_ghz
+from qshallow.ghz import GhzMode, detect_ghz
 from qshallow.sim import equivalent_unitary
 
 
@@ -305,7 +305,7 @@ class TestVerification:
         c = gen_ghz_standard(6)
         with pytest.raises(VerificationError) as err:
             compile_circuit(c, PassConfig(ghz_mode=GhzMode.ROBUST, verify=True))
-        assert isinstance(err.value.candidate, GhzSite)
+        assert err.value.candidate.kind is ChainKind.GHZ
         assert err.value.candidate == detect_ghz(c)[0]
 
     def test_wide_windows_verified(self):
