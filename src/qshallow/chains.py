@@ -8,9 +8,19 @@ descending index patterns are the same structure and share one decomposition.
 The scanner tolerates interleaved gates that can be displaced out of the chain
 window: an operation may move before the chain if it commutes with every chain
 gate (and every deferred operation) it would cross leftwards, or after the
-chain if it commutes with everything it crosses rightwards.  Every move is
-justified by the explicit commutation table below, which is checked against
-the brute-force oracle; an operation that can move neither way ends the chain.
+chain if it commutes with everything it crosses rightwards; an operation that
+can move neither way ends the chain.
+
+Commutation is a per-wire property.  An operation carries one letter per wire
+it uses (`ir.Letter`, read off `Gate.letters` by operand position): Z for a
+CX control, CZ, z and rz; X for a CX target, x and rx; Y for y and ry; H for
+h; OPAQUE on every qubit of a measurement, a barrier or a conditioned
+operation.  A condition READs its bits; the bit a measurement writes is
+OPAQUE.  Two operations commute exactly when every wire they share carries
+the same letter in both and that letter is not OPAQUE (`commutes`, checked
+against the brute-force oracle).  A growth merges all it holds into one
+letter per wire, a mixed wire turning OPAQUE, so testing an operation against
+the chain and every deferred operation costs O(its wires).
 
 Growth visits only the operations that can matter.  A wire - a qubit or a
 classical bit - is active while the chain or one of its deferred operations
@@ -18,10 +28,22 @@ uses it; an operation on no active wire commutes with everything the chain
 holds and moves before it without changing any state.  A chain is grown by a
 walk of the list's per-wire use table (`ir.UseTable`, which the depth gate
 and GHZ detection read too): the uses of its active wires, merged in
-position order, rather than every later instruction.  Growth stops at the
-next barrier, or as soon as no later operation can extend the head.
-Detection then costs the operations on active wires up to the chain's last
-extension; an accepted rewrite refreshes the table over its window only.
+position order, rather than every later instruction.  A wire that only
+deferred operations hold is walked only at its uses whose letter differs from
+theirs: the other uses commute with all it holds, and the walk meets them
+through any other active wire where they do not.  The table keeps each such
+wire's runs of one letter, so a run is passed in one step; when the wire
+turns OPAQUE or joins the chain, its walk restarts at every use from there.
+Growth stops at the next barrier, as soon as no later operation can extend
+the head, or once the head holds a deferred operation that is not Z there:
+every link acts as Z on the head, so none could cross it.  Detection then
+costs the operations on active wires up to the chain's last extension; an
+accepted rewrite refreshes the table over its window only.
+
+A rewrite whose replacement touches the same qubit sets in the same order as
+the chain gates - a CX chain on fewer than five qubits, a 2-gate CZ chain -
+leaves its window's depth as it is, so the pipeline's window gate schedules
+that window once (`pipeline._window_gate`).
 
 Decompositions:
 
@@ -42,7 +64,9 @@ from enum import Enum
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .ir import Circuit, Gate, Instruction, UseTable, UseWalk, _wires, cx, cz, h
+from .ir import Circuit, Gate, Instruction, Letter, UseTable, UseWalk, _letters, _wires, cx, cz, h
+
+_OPAQUE, _Z = Letter.OPAQUE, Letter.Z
 
 
 class ChainKind(Enum):
@@ -71,52 +95,30 @@ class ChainCandidate:
 # -- commutation ------------------------------------------------------------
 
 
+def _agrees(held: dict[int, int], op: Instruction) -> bool:
+    """Whether `op` commutes with every op whose letters `held` merges: per
+    wire, their common `Letter`, OPAQUE where they differ."""
+    letters = op.gate.letters if op.condition is None else ()
+    if letters:
+        for q, letter in zip(op.qubits, letters):
+            if held.get(q, letter) != letter:
+                return False
+        return True
+    for w, letter in zip(_wires(op), _letters(op)):
+        if w in held and (letter == _OPAQUE or held[w] != letter):
+            return False
+    return True
+
+
 def commutes(a: Instruction, b: Instruction) -> bool:
-    """Structural commutation test, exact for generic rotation angles.
+    """Structural commutation test, exact for generic rotation angles: every
+    wire the two share carries the same non-OPAQUE `Letter` in both.
 
     Barriers never commute with anything sharing a qubit (they are ordering
     points); measurements and conditioned gates commute only when they share
     no qubit and no classical read/write pair.
     """
-    # Only a measurement writes a bit: a classical link needs one.
-    wa, wb = a.clbit, b.clbit
-    if wa is not None and (
-        wa == wb or (b.condition is not None and wa in b.condition.bits)
-    ):
-        return False
-    if wb is not None and a.condition is not None and wb in a.condition.bits:
-        return False
-    if set(a.qubits).isdisjoint(b.qubits):
-        return True
-    for ins in (a, b):
-        if ins.gate in (Gate.BARRIER, Gate.MEASURE) or ins.condition is not None:
-            return False
-    ga, gb = a.gate, b.gate
-    if ga.is_diagonal and gb.is_diagonal:
-        return True
-    if ga.axis and gb.axis:  # same qubit, single-qubit gates
-        return ga.axis == gb.axis
-    # Exactly one of them is single-qubit, the other CX/CZ.
-    if ga.axis or gb.axis:
-        single, multi = (a, b) if ga.axis else (b, a)
-        axis = single.gate.axis
-        q = single.qubits[0]
-        if multi.gate is Gate.CZ:
-            return axis == "z"
-        return axis == "x" if q == multi.qubits[1] else axis == "z"
-    # Both two-qubit.
-    if ga is Gate.CX and gb is Gate.CX:
-        if a.qubits == b.qubits:
-            return True
-        (ca, ta), (cb, tb) = a.qubits, b.qubits
-        if ca == cb and ta != tb:
-            return True
-        if ta == tb and ca != cb:
-            return True
-        return False
-    # CX against CZ: the CZ is diagonal, so only the CX target matters.
-    cx_ins, cz_ins = (a, b) if ga is Gate.CX else (b, a)
-    return cx_ins.qubits[1] not in cz_ins.qubits
+    return _agrees(dict(zip(_wires(a), _letters(a))), b)
 
 
 # -- chain growth -----------------------------------------------------------
@@ -130,17 +132,17 @@ class _Growth:
     """State for growing one chain from a seed, classifying interleaved ops.
 
     `_try_extend` and `classify` are the whole policy: the scanner feeds them
-    ops in position order and stops where they say.  Commutation checks are
-    looked up per wire.  Chain gates are unconditioned CX/CZ without
-    classical bits, so an op has to be tested only against the chain gates on
-    its qubits; deferred ops are indexed by qubit and by classical bit (bit b
-    under the key ~b), so an op is tested only against the deferred ops it
-    shares a wire with.  Disjoint pairs commute trivially.
+    ops in position order and stops where they say.  Commutation is a
+    per-wire test: `held` maps each wire of a chain gate or deferred op to
+    their merged `Letter`, `pending` each wire of a deferred op to the
+    deferred ops' merged letter, so testing an op against everything held
+    costs O(its wires).
 
-    The wires of `seq_set` and the keys of `pending_by_wire` are the active
-    wires.  An op on none of them can neither extend the chain nor fail to
-    commute with what it holds: it moves before the chain and leaves this
-    state untouched, which is why the scanner may skip it.
+    The wires of `seq_set` and the keys of `pending` are the active wires.
+    An op on none of them can neither extend the chain nor fail to commute
+    with what it holds: it moves before the chain and leaves this state
+    untouched, which is why the scanner may skip it.  So may it skip an op
+    whose active wires are all deferred-only and carry the op's own letter.
     """
 
     def __init__(self, instructions: list[Instruction], state: list[int], seed: int):
@@ -153,33 +155,22 @@ class _Growth:
         self.seq_set: set[int] = set(first.qubits)
         self.seq_oriented = self.is_cz is False  # CZ orientation settles on gate 2
         self.pending_after: list[tuple[int, Instruction]] = []
-        self.gates_by_qubit: dict[int, list[Instruction]] = {
-            q: [first] for q in first.qubits
-        }
-        self.pending_by_wire: dict[int, list[Instruction]] = {}
+        self.held: dict[int, int] = dict(zip(first.qubits, first.gate.letters))
+        self.pending: dict[int, int] = {}
 
     @property
     def head(self) -> int:
         return self.seq[-1]
 
-    def _commutes_with_chain(self, op: Instruction) -> bool:
-        for q in op.qubits:
-            for g in self.gates_by_qubit.get(q, ()):
-                if not commutes(op, g):
-                    return False
-        return True
-
-    def _commutes_with_pending(self, op: Instruction) -> bool:
-        for w in _wires(op):
-            for p in self.pending_by_wire.get(w, ()):
-                if not commutes(op, p):
-                    return False
-        return True
-
     def _defer(self, pos: int, op: Instruction) -> None:
+        """Record `op` as moved after the chain; a wire whose merged letters
+        differ turns OPAQUE."""
         self.pending_after.append((pos, op))
-        for w in _wires(op):
-            self.pending_by_wire.setdefault(w, []).append(op)
+        pending, held = self.pending, self.held
+        letters = op.gate.letters if op.condition is None else ()
+        for w, letter in zip(op.qubits, letters) if letters else zip(_wires(op), _letters(op)):
+            pending[w] = letter if pending.get(w, letter) == letter else _OPAQUE
+            held[w] = letter if held.get(w, letter) == letter else _OPAQUE
 
     def _try_extend(self, pos: int, op: Instruction) -> str:
         """Returns 'extended', 'skip' (not a continuation) or 'stop'."""
@@ -214,13 +205,14 @@ class _Growth:
                 return "stop"  # target hits an earlier chain qubit: cycle
             new = tgt
         # Deferred operations will cross this new gate on their way out.
-        if not self._commutes_with_pending(op):
+        if not _agrees(self.pending, op):
             return "stop"
         self.gate_positions.append(pos)
         self.seq.append(new)
         self.seq_set.add(new)
-        for q in op.qubits:
-            self.gates_by_qubit.setdefault(q, []).append(op)
+        held = self.held
+        for q, letter in zip(op.qubits, op.gate.letters):
+            held[q] = letter if held.get(q, letter) == letter else _OPAQUE
         return "extended"
 
     def classify(self, pos: int, op: Instruction) -> bool:
@@ -232,13 +224,12 @@ class _Growth:
         """
         if op.gate is Gate.BARRIER:
             return False  # never detect across barriers
-        if self.head in op.qubits and not _is_diagonal_on(op, self.head):
+        head = self.seq[-1]
+        if head in op.qubits and not _is_diagonal_on(op, head):
             # No continuation through the head can commute with this op, so
             # deferring it would just stall the scan; move it out or stop.
-            return self._commutes_with_chain(op) and self._commutes_with_pending(op)
-        if any(q in self.seq_set for q in op.qubits):
-            self._defer(pos, op)
-        elif not (self._commutes_with_chain(op) and self._commutes_with_pending(op)):
+            return _agrees(self.held, op)
+        if not self.seq_set.isdisjoint(op.qubits) or not _agrees(self.held, op):
             self._defer(pos, op)
         return True
 
@@ -355,11 +346,16 @@ class ChainScanner:
         return None
 
     def _grow(self, seed: int) -> ChainCandidate | None:
-        """Grow a chain from `seed`, visiting only ops on active wires.
+        """Grow a chain from `seed`, visiting only the ops that can matter.
 
-        Every op skipped lies on no active wire when the walk passes it, so
-        the policy would have moved it before the chain; the ops it does see,
-        it sees in position order up to the last extension.
+        A chain wire is walked at every use.  A wire that only deferred ops
+        hold is walked only at its uses whose letter differs from theirs: an
+        op with their letter there commutes with all they hold on it, and
+        the walk meets it through any other active wire where it does not.
+        When such a wire turns OPAQUE or joins the chain, its walk restarts
+        at every use from the current position.  Every op skipped is one the
+        policy would move before the chain without changing any state; the
+        ops it does see, it sees in position order up to the last extension.
         """
         ins = self.instructions
         n = len(ins)
@@ -368,8 +364,9 @@ class ChainScanner:
         walk = UseWalk(self.uses, n - self._barriers[k - 1] if k else n)
         # Past the last link of the head, nothing can extend the chain.
         links = (self._last_cz if g.is_cz else self._last_cx_control).get
-        seq, seq_set, pending = g.seq, g.seq_set, g.pending_by_wire
-        add, walked = walk.add, walk.walked
+        seq, seq_set, pending = g.seq, g.seq_set, g.pending
+        add, unskip, walked, skips = walk.add, walk.unskip, walk.walked, walk.skips
+        runs_of = self.uses.runs_of
         for q in seq:
             add(q, seed + 1)
         for j in walk:
@@ -379,12 +376,28 @@ class ChainScanner:
                 break  # nothing from here on can extend the head
             op = ins[j]
             result = g._try_extend(j, op)
-            if result == "stop" or (result == "skip" and not g.classify(j, op)):
+            if result == "extended":
+                if pending.get(seq[-1], _Z) != _Z:
+                    break  # every later link acts as Z on the head: none can cross
+            elif result == "stop" or not g.classify(j, op):
                 break
-            # Walk each wire on from the op that makes it active.
+            # Walk each wire on from the op that makes it active, or restart
+            # it where its skip no longer holds.
             for w in op.qubits if op.clbit is None and op.condition is None else _wires(op):
-                if w not in walked and (w in seq_set or w in pending):
+                slot = walked.get(w)
+                if slot is not None:
+                    skip = skips[slot]
+                    # Walked at every use already, or its skip still holds.
+                    if not skip or w not in seq_set and pending[w] == skip:
+                        continue
+                    unskip(w, j + 1)  # its letter turned OPAQUE, or it joined the chain
+                elif w in seq_set:
                     add(w, j + 1)
+                elif w in pending:
+                    letter = pending[w]
+                    if letter:
+                        runs_of(w, ins)
+                    add(w, j + 1, letter)
         return g.finish(self.min_gates)
 
     def accept(self, window: list[Instruction]) -> None:

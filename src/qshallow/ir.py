@@ -20,7 +20,9 @@ entries past its window valid.  The chain scanner, the depth gate
 (`UseWalk`).  Whoever splices the list - the chain scanner - refreshes the
 table over the window, after the other readers have taken the rewrite in,
 and drops the entries before the rewrite's start: nothing reads them again,
-so rewrites come with non-decreasing starts.
+so rewrites come with non-decreasing starts.  For the wires the scanner asks
+about, the table also keeps each use's commutation `Letter` in runs, so a
+walk can pass over the uses that commute with what it holds.
 """
 from __future__ import annotations
 
@@ -31,6 +33,28 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Iterator, Mapping, Sequence
+
+
+class Letter:
+    """Commutation letters: how an operation acts on one wire it uses.
+
+    Two operations commute exactly when every wire they share carries the
+    same letter in both, and that letter is not OPAQUE.  Z is diagonal in the
+    computational basis (a CX control, CZ, z, rz), X, Y and H act along that
+    axis of one qubit (a CX target, x and rx; y and ry; h).  A measurement, a
+    barrier and every conditioned operation are OPAQUE on their qubits; a
+    condition READs its bits, and the bit a measurement writes is OPAQUE.
+    The letters are small ints, stored in `UseTable`'s per-use arrays."""
+
+    OPAQUE = 0
+    Z = 1
+    X = 2
+    Y = 3
+    H = 4
+    READ = 5
+
+
+_LETTER = {"z": Letter.Z, "x": Letter.X, "y": Letter.Y, "h": Letter.H}
 
 
 class Gate(Enum):
@@ -55,9 +79,15 @@ class Gate(Enum):
         self.is_rotation = value in ("rx", "ry", "rz")
         #: Diagonal in the computational basis; any two such gates commute.
         self.is_diagonal = value in ("z", "rz", "cz")
-        #: A single-qubit unitary's Pauli axis ("x", "y", "z"; a rotation's
-        #: is its generator's), "h" for H; None for every other gate.
-        self.axis = value[-1] if value in ("h", "x", "y", "z", "rx", "ry", "rz") else None
+        #: The `Letter` of each qubit operand when unconditioned (a rotation's
+        #: is its generator's); empty for a measurement and a barrier, which
+        #: are OPAQUE on every qubit.
+        self.letters = (
+            (Letter.Z, Letter.X) if value == "cx"
+            else (Letter.Z, Letter.Z) if value == "cz"
+            else () if value in ("measure", "barrier")
+            else (_LETTER[value[-1]],)
+        )
 
 
 @dataclass(frozen=True)
@@ -264,20 +294,45 @@ def _wires(ins: Instruction) -> tuple[int, ...]:
     return ins.qubits + bits
 
 
+def _letters(ins: Instruction) -> tuple[int, ...]:
+    """The `Letter` of each wire of `_wires(ins)`, in that order."""
+    if ins.condition is None and ins.gate.letters:
+        return ins.gate.letters
+    bits = () if ins.clbit is None else (Letter.OPAQUE,)
+    if ins.condition is not None:
+        bits += (Letter.READ,) * len(dict.fromkeys(ins.condition.bits))
+    return (Letter.OPAQUE,) * len(ins.qubits) + bits
+
+
+def _push_run(r: array, letter: int) -> None:
+    """Append to a wire's `UseTable.runs` the entry of its next earlier use."""
+    if r:
+        last = r[-1]  # the next later use: same letter, same run end
+        r.append(last if last & 7 == letter else len(r) << 3 | letter)
+    else:
+        r.append(letter)
+
+
 class UseTable:
     """Per wire - qubit q as q, classical bit b as ~b - the positions of an
     instruction list that use it: `by_wire[w]`, counted from the end of the
-    list and ascending, so the earliest use is last (see the module note)."""
+    list and ascending, so the earliest use is last (see the module note).
+
+    `runs[w]`, built on demand by `runs_of`, runs parallel to it: entry k
+    holds use k's `Letter` in its low three bits and, above them, 1 + the
+    index of the first later use with another letter (0: none), so a walk
+    passes a run of one letter in one step."""
 
     def __init__(self, ins: Sequence[Instruction]) -> None:
         self.n = len(ins)
         self.cut = 0
         self.by_wire: dict[int, array] = {}
+        self.runs: dict[int, array] = {}
         self._record(ins, 0)
 
     def _record(self, ops: Sequence[Instruction], first: int) -> None:
         """Add the uses of `ops`, at positions first.., from the last back."""
-        by_wire, n = self.by_wire, self.n
+        by_wire, runs, n = self.by_wire, self.runs, self.n
         for p in range(first + len(ops) - 1, first - 1, -1):
             op = ops[p - first]
             for w in op.qubits if op.clbit is None and op.condition is None else _wires(op):
@@ -286,6 +341,29 @@ class UseTable:
                     by_wire[w] = array("i", (n - p,))
                 else:
                     u.append(n - p)
+        if runs:  # a splice: extend the runs built so far
+            for op in reversed(ops):
+                for w, letter in zip(_wires(op), _letters(op)):
+                    r = runs.get(w)
+                    if r is not None:
+                        _push_run(r, letter)
+
+    def runs_of(self, w: int, ins: Sequence[Instruction]) -> array:
+        """Wire w's `runs`, built on the first call from the list `ins` the
+        table indexes, and kept up to date by `splice` from then on."""
+        r = self.runs.get(w)
+        if r is None:
+            r = self.runs[w] = array("i")
+            n = self.n
+            for v in self.by_wire.get(w, ()):
+                op = ins[n - v]
+                letters = op.gate.letters if op.condition is None else ()
+                if letters:  # w is one of its qubits
+                    letter = letters[0] if op.qubits[0] == w else letters[1]
+                else:
+                    letter = _letters(op)[_wires(op).index(w)]
+                _push_run(r, letter)
+        return r
 
     def splice(
         self, ins: Sequence[Instruction], start: int, end: int, window: Sequence[Instruction]
@@ -293,9 +371,13 @@ class UseTable:
         """Take in the rewrite that replaces positions start..end of `ins`
         by `window`, before `ins` itself is spliced: O(|window|) plus the
         ops since the last start, each dropped once."""
+        by_wire, runs = self.by_wire, self.runs
         for i in range(self.cut, end + 1):  # in order, so each is its wires' earliest
             for w in _wires(ins[i]):
-                self.by_wire[w].pop()
+                by_wire[w].pop()
+                r = runs.get(w)
+                if r is not None:
+                    r.pop()
         self.n = len(ins) + len(window) - (end + 1 - start)
         self._record(window, start)
         self.cut = start
@@ -304,45 +386,78 @@ class UseTable:
 class UseWalk:
     """The uses of some wires merged in position order, below `stop`.
 
-    `add(w, p)` walks wire w's uses from position p on, also in mid-walk;
-    iterating yields each position once, however many walked wires use it.
+    `add(w, p, skip)` walks wire w's uses from position p on, also in
+    mid-walk, passing over each use whose `Letter` is `skip` (OPAQUE: none)
+    in one step per run; a wire walked with a skip needs its runs built
+    (`UseTable.runs_of`), and `unskip` walks it at every use from then on.
+    `walked[w]` is wire w's slot, `skips[slot]` the letter it passes over.
+    Iterating yields each position once, however many walked wires use it.
     A walked wire's cursor, read by `at(w)`, is the index in `by_wire[w]` of
-    its first use not yielded (-1: none): once the walk is done, its first
-    use at or after `stop`.  The heap holds (position << 32 | slot) ints.
+    its first use neither yielded nor passed over (-1: none): once the walk
+    is done, its first use at or after `stop` that its skip lets through.
+    The heap holds (position << 32 | slot) ints.
     """
 
-    __slots__ = ("_by_wire", "_n", "stop", "walked", "_heap", "_uses", "_next")
+    __slots__ = (
+        "_by_wire", "_runs_by_wire", "_n", "stop", "walked", "skips", "_heap", "_uses",
+        "_runs", "_next",
+    )
 
     def __init__(self, table: UseTable, stop: int) -> None:
         self._by_wire = table.by_wire
+        self._runs_by_wire = table.runs
         self._n = table.n
         self.stop = stop
         self.walked: dict[int, int] = {}
+        self.skips: list[int] = []  # per slot: the letter passed over
         self._heap: list[int] = []
         self._uses: list[Sequence[int]] = []  # per slot: the wire's uses
+        self._runs: dict[int, array] = {}  # per slot with a skip: the wire's runs
         self._next: list[int] = []  # per slot: its cursor
 
-    def add(self, w: int, p: int) -> None:
+    def add(self, w: int, p: int, skip: int = Letter.OPAQUE) -> None:
         u = self._by_wire.get(w, ())
         n = self._n
         k = bisect_right(u, n - p) - 1
         slot = self.walked[w] = len(self._uses)
+        if skip:
+            r = self._runs[slot] = self._runs_by_wire[w]
+            if k >= 0 and r[k] & 7 == skip:
+                k = (r[k] >> 3) - 1
         self._uses.append(u)
+        self.skips.append(skip)
         self._next.append(k)
         if k >= 0 and n - u[k] < self.stop:
             heappush(self._heap, (n - u[k]) << 32 | slot)
+
+    def unskip(self, w: int, p: int) -> None:
+        """Walk wire w, walked with a skip, at every use from position p on,
+        p no later than its next use."""
+        slot = self.walked[w]
+        k = bisect_right(self._uses[slot], self._n - p) - 1
+        if self._next[slot] == k:  # it passed over nothing since p: keep its cursor
+            self.skips[slot] = Letter.OPAQUE
+            return
+        # Its use in the heap is yielded anyway, by a new slot; past it, the
+        # old slot pushes nothing more.
+        self._next[slot] = 0
+        self.add(w, p)
 
     def at(self, w: int) -> int:
         return self._next[self.walked[w]]
 
     def __iter__(self) -> Iterator[int]:
-        heap, uses, cursor, n, stop = self._heap, self._uses, self._next, self._n, self.stop
+        heap, uses, runs, skips, cursor = self._heap, self._uses, self._runs, self.skips, self._next
+        n, stop = self._n, self.stop
         pop, push = heappop, heappush
         last = -1
         while heap:
             e = pop(heap)
             slot = e & 0xFFFFFFFF
-            k = cursor[slot] = cursor[slot] - 1
+            k = cursor[slot] - 1
+            if skips[slot] and k >= 0 and runs[slot][k] & 7 == skips[slot]:
+                k = (runs[slot][k] >> 3) - 1
+            cursor[slot] = k
             if k >= 0 and n - uses[slot][k] < stop:
                 push(heap, (n - uses[slot][k]) << 32 | slot)
             if e >> 32 != last:

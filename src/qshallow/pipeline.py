@@ -112,16 +112,31 @@ def _replacement_for(candidate: ChainCandidate, cz_to_cx: bool) -> list[Instruct
     return decompose_forward(candidate.qubit_seq)
 
 
+def _schedules_alike(a: Sequence[Instruction], b: Sequence[Instruction]) -> bool:
+    """Whether `depth_of` sees `a` and `b` alike: it reads only each op's
+    qubit set, its bits and whether it is a barrier."""
+    return len(a) == len(b) and all(
+        (x.qubits == y.qubits or set(x.qubits) == set(y.qubits))
+        and x.clbit == y.clbit
+        and x.condition == y.condition
+        and (x.gate is Gate.BARRIER) == (y.gate is Gate.BARRIER)
+        for x, y in zip(a, b)
+    )
+
+
 def _window_gate(
     ins: Sequence[Instruction], cand, replacement: Sequence[Instruction], mode: ChainMode
 ) -> GateDecision:
     """Window depths before and after the rewrite, and whether it passes.  Ops
     displaced out of a chain are the same on both sides and stay out: counting
-    them would let an unrelated chain's depth mask a genuine improvement."""
+    them would let an unrelated chain's depth mask a genuine improvement.  A
+    replacement that schedules as the gates do - a CX chain on fewer than
+    five qubits, a 2-gate CZ chain - is the same window: it is scheduled once."""
     tail_start = cand.end_index + 1
     tail = ins[tail_start : tail_start + DEPTH_SCOPE]
-    before = depth_of([*(ins[i] for i in cand.gate_indices), *tail])
-    after = depth_of([*replacement, *tail])
+    gates = [ins[i] for i in cand.gate_indices]
+    before = depth_of([*gates, *tail])
+    after = before if _schedules_alike(gates, replacement) else depth_of([*replacement, *tail])
     return GateDecision(cand, before, after, mode is not ChainMode.CONSERVATIVE or after < before)
 
 

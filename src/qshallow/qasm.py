@@ -80,7 +80,7 @@ _TOKEN_RE = re.compile(
 )
 
 # The unitary gates, by name: looked up by string, so no enum member is hashed.
-_GATE_BY_NAME = {g.value: g for g in Gate if g.axis is not None or g.arity == 2}
+_GATE_BY_NAME = {g.value: g for g in Gate if g.letters}
 
 
 class _Token(NamedTuple):

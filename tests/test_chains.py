@@ -25,6 +25,7 @@ from qshallow.chains import (
     ChainKind,
     ChainScanner,
     _Growth,
+    _agrees,
     _window,
     commutes,
     decompose_cz,
@@ -40,6 +41,7 @@ from qshallow.ir import (
     barrier,
     cx,
     cz,
+    depth_of,
     h,
     measure,
     rx,
@@ -50,8 +52,17 @@ from qshallow.ir import (
     y,
     z,
 )
-from qshallow.ghz import GhzMode
-from qshallow.pipeline import ChainMode, PassConfig, compile_circuit
+from qshallow.ghz import GhzMode, detect_ghz, site_blocks
+from qshallow.pipeline import (
+    DEPTH_SCOPE,
+    ChainMode,
+    GateDecision,
+    PassConfig,
+    _replacement_for,
+    _schedules_alike,
+    _window_gate,
+    compile_circuit,
+)
 from qshallow.qasm import emit
 from qshallow.sim import equivalent_unitary, unitary
 
@@ -61,12 +72,6 @@ def circ(n, *instructions, clbits=0):
 
 
 # -- commutation table --------------------------------------------------------
-
-
-def _oracle_commutes(a: Instruction, b: Instruction, n: int) -> bool:
-    ua = unitary(Circuit(n, 0, (a,)))
-    ub = unitary(Circuit(n, 0, (b,)))
-    return bool(np.allclose(ua @ ub, ub @ ua, atol=1e-10))
 
 
 def _all_gates_on(n: int) -> list[Instruction]:
@@ -80,13 +85,63 @@ def _all_gates_on(n: int) -> list[Instruction]:
     return gates
 
 
-def test_commutation_table_agrees_with_oracle_on_three_qubits():
-    # Exhaustive over every supported gate pair on 3 qubits with generic
-    # rotation angles; the structural table must match the matrix commutator.
+def _all_ops_on_three_qubits_two_bits() -> list[Instruction]:
+    """The 30 gates on 3 qubits, plain and under each 1- and 2-bit condition,
+    every barrier and every measurement onto one of 2 bits: 133 ops."""
     gates = _all_gates_on(3)
-    for a in gates:
-        for b in gates:
-            assert commutes(a, b) == _oracle_commutes(a, b, 3), (a, b)
+    ops = list(gates)
+    for bits in ((0,), (1,), (0, 1)):
+        ops += [dataclasses.replace(g, condition=Condition(bits)) for g in gates]
+    for k in (1, 2, 3):
+        ops += [barrier(*qs) for qs in itertools.combinations(range(3), k)]
+    ops += [measure(q, b) for q in range(3) for b in range(2)]
+    return ops
+
+
+def _reference_commutes(a: Instruction, b: Instruction, unitaries: dict) -> bool:
+    """Brute force: two unitary gates commute iff their matrices do; a
+    barrier, a measurement or a conditioned gate commutes only with an op
+    that shares none of its qubits and no bit one writes and the other uses."""
+    def writes(op):
+        return set() if op.clbit is None else {op.clbit}
+
+    def reads(op):
+        return set() if op.condition is None else set(op.condition.bits)
+
+    if writes(a) & (writes(b) | reads(b)) or writes(b) & reads(a):
+        return False
+    if any(op.gate in (Gate.BARRIER, Gate.MEASURE) or op.condition for op in (a, b)):
+        return set(a.qubits).isdisjoint(b.qubits)
+    ua, ub = unitaries[a], unitaries[b]
+    return bool(np.allclose(ua @ ub, ub @ ua, atol=1e-10))
+
+
+def test_commutation_table_agrees_with_oracle_on_three_qubits():
+    # Exhaustive over every pair of 133 ops on 3 qubits and 2 bits, generic
+    # rotation angles: the per-wire letter rule must match the matrix
+    # commutator on unitary gates and the ordering rule on the rest.
+    ops = _all_ops_on_three_qubits_two_bits()
+    assert len(ops) == 133
+    unitaries = {g: unitary(Circuit(3, 0, (g,))) for g in _all_gates_on(3)}
+    for a in ops:
+        for b in ops:
+            assert commutes(a, b) == _reference_commutes(a, b, unitaries), (a, b)
+
+
+def test_merged_letters_agree_with_each_op_merged():
+    # A growth keeps one letter per wire for all it holds: an op agrees with
+    # the merge iff it commutes with every op merged into it.
+    rng = random.Random(3)
+    ops = _all_ops_on_three_qubits_two_bits()
+    seed = cx(3, 4)
+    for _ in range(4000):
+        g = _Growth([seed], [0], 0)
+        held = rng.sample(ops, rng.randint(1, 4))
+        for i, op in enumerate(held):
+            g._defer(i + 1, op)
+        op = rng.choice(ops)
+        assert _agrees(g.pending, op) == all(commutes(op, h) for h in held), (held, op)
+        assert _agrees(g.held, op) == all(commutes(op, h) for h in (seed, *held)), (held, op)
 
 
 @pytest.mark.parametrize(
@@ -614,6 +669,35 @@ def test_index_walk_matches_linear_walk(block, monkeypatch):
                 assert emit(got.circuit) == emit(want.circuit), (c, cfg)
 
 
+@pytest.mark.parametrize("block", range(_DIFF_BLOCKS))
+def test_window_gate_equals_two_schedules(block):
+    """Every chain candidate of the differential corpus, with each of its
+    replacements, and every GHZ site, with its blocks or its own gates: the
+    gate decides as scheduling the window before and after does."""
+    alike = 0
+    for c in _diff_circuits(block):
+        ins = c.instructions
+        cases = [
+            (cand, _replacement_for(cand, cz_to_cx))
+            for cand in find_chains(c, 2)
+            for cz_to_cx in (False, True)
+        ]
+        sites = detect_ghz(c)
+        for mode in (GhzMode.ROBUST, GhzMode.PARALLEL):
+            for site, rebuilt in zip(sites, site_blocks(sites, mode, c.num_clbits)):
+                cases.append((site, rebuilt or [ins[i] for i in site.gate_indices]))
+        for cand, replacement in cases:
+            gates = [ins[i] for i in cand.gate_indices]
+            tail = list(ins[cand.end_index + 1 : cand.end_index + 1 + DEPTH_SCOPE])
+            before, after = depth_of(gates + tail), depth_of([*replacement, *tail])
+            for mode in (ChainMode.CONSERVATIVE, ChainMode.ALWAYS):
+                applied = mode is ChainMode.ALWAYS or after < before
+                want = GateDecision(cand, before, after, applied)
+                assert _window_gate(ins, cand, replacement, mode) == want, (c, cand)
+            alike += _schedules_alike(gates, replacement)
+    assert alike > 100  # the one-schedule rule is exercised
+
+
 def test_differential_corpus_exercises_every_feature():
     circuits = [c for b in range(_DIFF_BLOCKS) for c in _diff_circuits(b)]
     ops = [ins for c in circuits for ins in c.instructions]
@@ -662,3 +746,23 @@ def test_growth_visits_scale_near_linearly(shape, monkeypatch):
         find_chains(shape(n), 2)
         counts.append(visits)
     assert counts[1] <= 2.5 * counts[0], counts
+
+
+def test_growth_visits_on_full_entanglement(monkeypatch):
+    # Every CX of a full-entanglement layer seeds a growth, and the fan-outs
+    # it crosses act as Z on their shared control: a walk that passes over
+    # the uses that commute with what it defers, and stops once the head
+    # holds a deferred X, offers the policy 39,680 ops here (203,240 when
+    # every use of an active wire was offered).
+    visits = 0
+    try_extend = _Growth._try_extend
+
+    def counting(self, pos, op):
+        nonlocal visits
+        visits += 1
+        return try_extend(self, pos, op)
+
+    monkeypatch.setattr(_Growth, "_try_extend", counting)
+    c = gen_ansatz(AnsatzSpec("two_local", 32, 4, "full", 7))
+    assert find_chains(c, 5) == []
+    assert visits <= 50_000, visits

@@ -103,6 +103,33 @@ def test_cli_import_loads_no_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_main_builds_one_parser_per_process(tmp_path, ghz16, monkeypatch):
+    # Importing the CLI builds no parser; the first call builds one, which
+    # every later call, usage errors included, parses with.
+    code = "import qshallow.cli as c; print(c._parser.cache_info().currsize)"
+    src = str(Path(qshallow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "0"
+
+    from qshallow import cli
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["depth", "--in", str(ghz16)]) == 0
+        with pytest.raises(SystemExit):
+            main(["compile", "--in", str(ghz16), "--out", "x.qasm", "--chains", "fast"])
+        assert builds == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_compile_parse_error_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0;\nqreg q[1];\nt q[0];\n")

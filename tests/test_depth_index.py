@@ -15,6 +15,8 @@ from qshallow.ir import (
     DepthIndex,
     Instruction,
     UseTable,
+    _letters,
+    _wires,
     barrier,
     cx,
     cz,
@@ -88,10 +90,36 @@ def _scan_view(scanner: ChainScanner, start: int):
     )
 
 
+def _runs_view(table: UseTable, w: int):
+    """Wire w's uses in the table, each as (position, letter, position of the
+    first later use with another letter or None), in position order."""
+    n, u, r = table.n, table.by_wire[w], table.runs[w]
+    return sorted(
+        (n - u[k], r[k] & 7, n - u[(r[k] >> 3) - 1] if r[k] >> 3 else None)
+        for k in range(len(u))
+    )
+
+
+def _expected_runs(ins, w: int, start: int):
+    """`_runs_view` worked out from the list: wire w's uses from `start` on."""
+    uses = [
+        (p, _letters(op)[_wires(op).index(w)])
+        for p, op in enumerate(ins)
+        if p >= start and w in _wires(op)
+    ]
+    return [
+        (p, letter, next((q for q, other in uses[i + 1 :] if other != letter), None))
+        for i, (p, letter) in enumerate(uses)
+    ]
+
+
 def _assert_table_refreshed(table: UseTable, ins, start: int) -> None:
-    """The table holds just what a fresh build lists from `start` on."""
+    """The table holds just what a fresh build lists from `start` on, and
+    every wire's letter runs built so far are those of the list."""
     assert table.n == len(ins)
     assert _table_view(table, 0) == _table_view(UseTable(ins), start)
+    for w in table.runs:
+        assert _runs_view(table, w) == _expected_runs(ins, w, start), w
 
 
 def _fresh_index(ins) -> DepthIndex:
@@ -200,6 +228,30 @@ def test_scanner_and_gate_refresh_match_a_rebuild(mode, data):
     ins = scanner.instructions
     if index is not None and index._built:
         assert _depth_view(index, ins, last_accept) == _depth_view(_fresh_index(ins), ins, last_accept)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_letter_runs_follow_splices(data):
+    # Runs built on demand, before or between splices with non-decreasing
+    # starts, equal the letters and run ends worked out from the list.
+    n = data.draw(st.integers(1, 5))
+    bits: list[int] = []
+    ins = _body(data, n, data.draw(st.integers(1, 30)), bits)
+    table = UseTable(ins)
+    start = 0
+    for _ in range(data.draw(st.integers(1, 4))):
+        for w in data.draw(st.lists(st.sampled_from(sorted(table.by_wire)), max_size=4)):
+            table.runs_of(w, ins)
+        _assert_table_refreshed(table, ins, start)
+        if start >= len(ins):
+            break
+        start = data.draw(st.integers(start, len(ins) - 1))
+        end = data.draw(st.integers(start, len(ins) - 1))
+        window = _body(data, n, data.draw(st.integers(0, 6)), bits)
+        table.splice(ins, start, end, window)
+        ins = [*ins[:start], *window, *ins[end + 1 :]]
+    _assert_table_refreshed(table, ins, start)
 
 
 def test_moved_after_measurement_is_gated_exactly():
