@@ -43,7 +43,7 @@ accepted rewrite refreshes the table over its window only.
 A rewrite whose replacement touches the same qubit sets in the same order as
 the chain gates - a CX chain on fewer than five qubits, a 2-gate CZ chain -
 leaves its window's depth as it is, so the pipeline's window gate schedules
-that window once (`pipeline._window_gate`).
+that window once (`pipeline._gate`).
 
 Decompositions:
 
@@ -154,7 +154,7 @@ class _Growth:
         self.seq: list[int] = list(first.qubits)
         self.seq_set: set[int] = set(first.qubits)
         self.seq_oriented = self.is_cz is False  # CZ orientation settles on gate 2
-        self.pending_after: list[tuple[int, Instruction]] = []
+        self.pending_after: list[int] = []
         self.held: dict[int, int] = dict(zip(first.qubits, first.gate.letters))
         self.pending: dict[int, int] = {}
 
@@ -165,7 +165,7 @@ class _Growth:
     def _defer(self, pos: int, op: Instruction) -> None:
         """Record `op` as moved after the chain; a wire whose merged letters
         differ turns OPAQUE."""
-        self.pending_after.append((pos, op))
+        self.pending_after.append(pos)
         pending, held = self.pending, self.held
         letters = op.gate.letters if op.condition is None else ()
         for w, letter in zip(op.qubits, letters) if letters else zip(_wires(op), _letters(op)):
@@ -242,7 +242,7 @@ class _Growth:
             gate_indices=tuple(self.gate_positions),
             qubit_seq=tuple(self.seq),
             start_index=self.seed,
-            moved_after=tuple(i for i, _ in self.pending_after if i < last),
+            moved_after=tuple(i for i in self.pending_after if i < last),
         )
 
 

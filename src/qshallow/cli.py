@@ -97,8 +97,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         fh.write(emit(result.circuit))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(_report(circuit, result), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(_report(circuit, result), indent=2) + "\n")
     return 0
 
 

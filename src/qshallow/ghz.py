@@ -12,7 +12,8 @@ ways:
 
 Both substitutions are state-preparation identities: they hold from |0...0>,
 which is why detection insists every member qubit is fresh.  The compile
-pipeline gates, verifies and splices them like chain rewrites.
+pipeline picks a site's construction as it does a chain's
+(`pipeline._replacement_for`), then gates, verifies and splices it.
 """
 from __future__ import annotations
 
@@ -137,20 +138,3 @@ def build_ghz_parallel(members: Sequence[int], fresh_clbits: Sequence[int]) -> l
         out.append(cx(data[k], f))
     return out
 
-
-def site_blocks(
-    sites: Sequence[ChainCandidate], mode: GhzMode, clbit: int
-) -> list[list[Instruction] | None]:
-    """Each site's construction in `mode`, fresh classical bits numbered from
-    `clbit` in site order; None where the fusion scheme lacks a middle qubit."""
-    blocks: list[list[Instruction] | None] = []
-    for site in sites:
-        if mode is GhzMode.ROBUST:
-            blocks.append(build_ghz_log(site.qubit_seq))
-        elif len(site.qubit_seq) < 3:
-            blocks.append(None)
-        else:
-            k = len(site.qubit_seq) // 2
-            blocks.append(build_ghz_parallel(site.qubit_seq, range(clbit, clbit + k)))
-            clbit += k
-    return blocks

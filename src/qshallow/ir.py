@@ -32,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 
 class Letter:
@@ -572,6 +572,18 @@ class DepthIndex:
         else:
             del self._terms[value]
 
+    def _read_terms(self, op: Instruction, p: int, apply: Callable[[int], None]) -> int:
+        """Hand `apply` the terms of conditioned `op` at position p: each
+        distinct condition bit's front, where it has one, plus the op's tail.
+        Returns the largest, 0 if none."""
+        top = 0
+        for b in dict.fromkeys(op.condition.bits):
+            f = self._front.get(~b)
+            if f is not None:
+                apply(f + self._tail[p])
+                top = max(top, f + self._tail[p])
+        return top
+
     def _first(self, w: int, j: int, n: int) -> int:
         """Index in wire w's uses of its first use at or after position j,
         -1 if none, in a list of length n."""
@@ -710,10 +722,7 @@ class DepthIndex:
                     self._drop(self._qterm(q, n))
                 last[q] = i
             if op.condition is not None:
-                for b in dict.fromkeys(op.condition.bits):
-                    f = front.get(~b)
-                    if f is not None:
-                        self._drop(f + tail[i])
+                self._read_terms(op, i, self._drop)
             elif op.clbit is not None:
                 f = front[~op.clbit] = layer[i]
                 del self._writer[op.clbit]
@@ -749,10 +758,7 @@ class DepthIndex:
                 self._drop(self._qterm(q, n))
         for i, op in enumerate(old, start):
             if op.condition is not None:
-                for b in dict.fromkeys(op.condition.bits):
-                    f = front.get(~b)
-                    if f is not None:
-                        self._drop(f + tail[i])
+                self._read_terms(op, i, self._drop)
             elif op.clbit is not None:
                 del writer[op.clbit]
         past = {w: self._first(w, end + 1, n) for w in wires}  # first use after `end`
@@ -774,11 +780,7 @@ class DepthIndex:
             top = max(top, t)
         for p, op in enumerate(window, start):
             if op.condition is not None:
-                for b in dict.fromkeys(op.condition.bits):
-                    f = front.get(~b)
-                    if f is not None:
-                        self._add(f + tail[p])
-                        top = max(top, f + tail[p])
+                top = max(top, self._read_terms(op, p, self._add))
         self._known = start
         self._ahead.clear()
         d = self.depth

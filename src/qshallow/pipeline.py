@@ -1,23 +1,27 @@
 """Gated GHZ and chain rewrites, and the full compile pipeline.
 
-Every rewrite takes the same steps; only the candidate source and the check
-differ.  In conservative mode a rewrite must strictly reduce the depth
-of its window - its gates plus the next `DEPTH_SCOPE` operations - and the
-rewritten whole circuit must be no deeper than the current one, as no bounded
-window sees context before it that skews the schedule.  That second test is
-exact and never schedules the whole circuit: an `ir.DepthIndex`, built once
-per list, walks only the operations the rewrite can move.  Every rewrite is
-laid out by one rule (`chains._window`): a chain's window is verified and
-spliced in place, the GHZ blocks kept are spliced at once (`ir._splice`).
+Every candidate - a GHZ site or a CX/CZ chain, each a `ChainCandidate` -
+takes one path: `_replacement_for` builds its rewrite, `_gate` decides it,
+`_verify_rewrite` proves it, and the pass takes it in, laid out by one rule
+(`chains._window`; a GHZ site moves no op).  Only the candidate source and
+the check differ.  A site whose rewrite is None keeps its gates.
+
+In conservative mode a rewrite must strictly reduce the depth of its window -
+its gates plus the next `DEPTH_SCOPE` operations - and the rewritten whole
+circuit must be no deeper than the current one, as no bounded window sees
+context before it that skews the schedule.  That second test is exact and
+never schedules the whole circuit: an `ir.DepthIndex`, built once per list,
+walks only the operations the rewrite can move.
 
 Each list gets one per-wire use table (`ir.UseTable`), held by the index.
 GHZ sites (`detect_ghz` on the input's table, checked from |0...0>) are on
 fresh qubits, so no dependency path meets two blocks: each site is gated on
-its own against the pass's input and the blocks kept are spliced at once.
-Chains (`ChainScanner` on the same table, checked as unitaries) come one at
-a time, each against the depth the last accept left, which the index takes
-in over the rewritten window; the scanner refreshes the table.  When the GHZ
-pass keeps no block, the chain pass reuses its index and table.
+its own against the pass's input and the blocks kept are spliced at once
+(`ir._splice`).  Chains (`ChainScanner` on the same table, checked as
+unitaries) come one at a time, each against the depth the last accept left,
+which the index takes in over the rewritten window; the scanner refreshes
+the table.  When the GHZ pass keeps no block, the chain pass reuses its
+index and table.
 
 With `verify`, `stabilizer` checks every rewrite applied exactly, at any
 width: a GHZ block must prepare its site's state in every measurement branch,
@@ -36,7 +40,7 @@ Modes (`chain_mode` gates every rewrite):
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -105,11 +109,24 @@ class VerificationError(Exception):
         self.candidate = candidate
 
 
-def _replacement_for(candidate: ChainCandidate, cz_to_cx: bool) -> list[Instruction]:
+def _replacement_for(
+    candidate: ChainCandidate, config: PassConfig, clbit: int = 0
+) -> list[Instruction] | None:
+    """The rewrite of `candidate` under `config`: a CX chain's forward
+    decomposition, a CZ chain's (lowered to CX with `cz_to_cx`), a GHZ site's
+    construction in `ghz_mode`, its fresh bits numbered from `clbit`.  None
+    where the site keeps its gates: GHZ rebuilding is off, or the fusion
+    scheme lacks a middle qubit."""
+    seq = candidate.qubit_seq
+    if candidate.kind is ChainKind.CX:
+        return decompose_forward(seq)
     if candidate.kind is ChainKind.CZ:
-        builder = decompose_cz_to_cx if cz_to_cx else decompose_cz
-        return builder(candidate.qubit_seq)
-    return decompose_forward(candidate.qubit_seq)
+        return decompose_cz_to_cx(seq) if config.cz_to_cx else decompose_cz(seq)
+    if config.ghz_mode is GhzMode.ROBUST:
+        return ghz.build_ghz_log(seq)
+    if config.ghz_mode is GhzMode.OFF or len(seq) < 3:
+        return None
+    return ghz.build_ghz_parallel(seq, range(clbit, clbit + len(seq) // 2))
 
 
 def _schedules_alike(a: Sequence[Instruction], b: Sequence[Instruction]) -> bool:
@@ -124,11 +141,18 @@ def _schedules_alike(a: Sequence[Instruction], b: Sequence[Instruction]) -> bool
     )
 
 
-def _window_gate(
-    ins: Sequence[Instruction], cand, replacement: Sequence[Instruction], mode: ChainMode
+def _gate(
+    ins: Sequence[Instruction],
+    cand: ChainCandidate,
+    replacement: Sequence[Instruction] | None,
+    mode: ChainMode,
+    index: DepthIndex | None = None,
 ) -> GateDecision:
-    """Window depths before and after the rewrite, and whether it passes.  Ops
-    displaced out of a chain are the same on both sides and stay out: counting
+    """Window depths before and after the rewrite, and whether it passes: in
+    conservative mode the window must get strictly shallower, and then, with
+    `index` over `ins`, the whole list must stay no deeper.  A None
+    replacement keeps the gates and is never applied.  Ops displaced out of a
+    chain are the same on both sides and stay out of the window: counting
     them would let an unrelated chain's depth mask a genuine improvement.  A
     replacement that schedules as the gates do - a CX chain on fewer than
     five qubits, a 2-gate CZ chain - is the same window: it is scheduled once."""
@@ -136,8 +160,17 @@ def _window_gate(
     tail = ins[tail_start : tail_start + DEPTH_SCOPE]
     gates = [ins[i] for i in cand.gate_indices]
     before = depth_of([*gates, *tail])
+    if replacement is None:
+        return GateDecision(cand, before, before, False)
     after = before if _schedules_alike(gates, replacement) else depth_of([*replacement, *tail])
-    return GateDecision(cand, before, after, mode is not ChainMode.CONSERVATIVE or after < before)
+    conservative = mode is ChainMode.CONSERVATIVE
+    applied = not conservative or after < before
+    if applied and conservative and index is not None:
+        # The block placed after the chain: the replacement, then the moved-after ops.
+        block = [*replacement, *(ins[i] for i in cand.moved_after)]
+        removed = (*cand.gate_indices, *cand.moved_after)
+        applied = index.admits(ins, cand.start_index, cand.end_index, removed, block)
+    return GateDecision(cand, before, after, applied)
 
 
 def _verify_rewrite(
@@ -181,38 +214,24 @@ def gate_ghz_sites(
         return c, [], coverage
     ins = c.instructions
     index = DepthIndex() if index is None else index
-    sites = ghz.detect_ghz(c, index.uses_of(ins))
-    blocks = ghz.site_blocks(sites, config.ghz_mode, c.num_clbits)
-    # A site without a block keeps its gates, so its window does not change.
-    decisions = [
-        _window_gate(ins, site, block or [ins[i] for i in site.gate_indices], config.chain_mode)
-        for site, block in zip(sites, blocks)
-    ]
-    kept = [(d.candidate, b) for d, b in zip(decisions, blocks) if d.applied and b is not None]
-    if kept and config.chain_mode is ChainMode.CONSERVATIVE:
-        # No dependency path meets two blocks, so each site is gated alone.
-        kept = [
-            (site, block)
-            for site, block in kept
-            if index.admits(ins, site.start_index, site.end_index, site.gate_indices, block)
-        ]
-    kept_at = {site.start_index for site, _ in kept}
-    decisions = [replace(d, applied=d.candidate.start_index in kept_at) for d in decisions]
-    if not kept:
+    decisions: list[GateDecision] = []
+    layout: dict[int, Sequence[Instruction]] = {}
+    clbit = c.num_clbits  # the next fresh bit
+    # No dependency path meets two blocks: each site is gated against the input.
+    for site in ghz.detect_ghz(c, index.uses_of(ins)):
+        block = _replacement_for(site, config, clbit)
+        decision = _gate(ins, site, block, config.chain_mode, index)
+        decisions.append(decision)
+        if decision.applied:
+            if coverage is not None:
+                _verify_rewrite(ins, site, block, coverage)
+            # Laid out as `_window` lays out a rewrite; a GHZ site moves no op.
+            layout.update(dict.fromkeys(site.gate_indices, ()))
+            layout[site.end_index] = block
+            clbit += sum(op.gate is Gate.MEASURE for op in block)
+    if not layout:
         return c, decisions, coverage
-    if config.ghz_mode is GhzMode.PARALLEL and len(kept) < len(sites) - blocks.count(None):
-        # Number the fresh bits of the blocks kept without gaps.
-        kept_sites = [site for site, _ in kept]
-        kept = list(zip(kept_sites, ghz.site_blocks(kept_sites, config.ghz_mode, c.num_clbits)))
-    if coverage is not None:
-        for site, block in kept:
-            _verify_rewrite(ins, site, block, coverage)
-    fresh = sum(op.gate is Gate.MEASURE for _, block in kept for op in block)
-    # Laid out as `_window` lays out a rewrite; a GHZ site moves no op.
-    layout = {i: () for site, _ in kept for i in site.gate_indices}
-    layout.update({site.end_index: block for site, block in kept})
-    rewritten = _splice(ins, layout)
-    return Circuit(c.num_qubits, c.num_clbits + fresh, tuple(rewritten)), decisions, coverage
+    return Circuit(c.num_qubits, clbit, tuple(_splice(ins, layout))), decisions, coverage
 
 
 def gate_and_apply(
@@ -238,14 +257,8 @@ def gate_and_apply(
         index = None
     while (cand := scanner.next()) is not None:
         ins = scanner.instructions
-        replacement = _replacement_for(cand, config.cz_to_cx)
-        decision = _window_gate(ins, cand, replacement, config.chain_mode)
-        if decision.applied and index is not None:
-            # The block placed after the chain: the replacement, then the moved-after ops.
-            block = [*replacement, *(ins[i] for i in cand.moved_after)]
-            removed = (*cand.gate_indices, *cand.moved_after)
-            applied = index.admits(ins, cand.start_index, cand.end_index, removed, block)
-            decision = replace(decision, applied=applied)
+        replacement = _replacement_for(cand, config)
+        decision = _gate(ins, cand, replacement, config.chain_mode, index)
         if decision.applied:
             window = _window(ins, cand, replacement)
             if coverage is not None:

@@ -52,15 +52,15 @@ from qshallow.ir import (
     y,
     z,
 )
-from qshallow.ghz import GhzMode, detect_ghz, site_blocks
+from qshallow.ghz import GhzMode, detect_ghz
 from qshallow.pipeline import (
     DEPTH_SCOPE,
     ChainMode,
     GateDecision,
     PassConfig,
     _replacement_for,
+    _gate,
     _schedules_alike,
-    _window_gate,
     compile_circuit,
 )
 from qshallow.qasm import emit
@@ -672,29 +672,30 @@ def test_index_walk_matches_linear_walk(block, monkeypatch):
 @pytest.mark.parametrize("block", range(_DIFF_BLOCKS))
 def test_window_gate_equals_two_schedules(block):
     """Every chain candidate of the differential corpus, with each of its
-    replacements, and every GHZ site, with its blocks or its own gates: the
-    gate decides as scheduling the window before and after does."""
+    replacements, and every GHZ site, with each of its constructions or None:
+    the gate decides as scheduling the window before and after does, and
+    never applies None."""
     alike = 0
     for c in _diff_circuits(block):
         ins = c.instructions
         cases = [
-            (cand, _replacement_for(cand, cz_to_cx))
+            (cand, _replacement_for(cand, PassConfig(cz_to_cx=cz_to_cx)))
             for cand in find_chains(c, 2)
             for cz_to_cx in (False, True)
         ]
-        sites = detect_ghz(c)
         for mode in (GhzMode.ROBUST, GhzMode.PARALLEL):
-            for site, rebuilt in zip(sites, site_blocks(sites, mode, c.num_clbits)):
-                cases.append((site, rebuilt or [ins[i] for i in site.gate_indices]))
+            config = PassConfig(ghz_mode=mode)
+            cases += [(s, _replacement_for(s, config, c.num_clbits)) for s in detect_ghz(c)]
         for cand, replacement in cases:
             gates = [ins[i] for i in cand.gate_indices]
             tail = list(ins[cand.end_index + 1 : cand.end_index + 1 + DEPTH_SCOPE])
-            before, after = depth_of(gates + tail), depth_of([*replacement, *tail])
+            before = depth_of(gates + tail)
+            after = before if replacement is None else depth_of([*replacement, *tail])
             for mode in (ChainMode.CONSERVATIVE, ChainMode.ALWAYS):
-                applied = mode is ChainMode.ALWAYS or after < before
+                applied = replacement is not None and (mode is ChainMode.ALWAYS or after < before)
                 want = GateDecision(cand, before, after, applied)
-                assert _window_gate(ins, cand, replacement, mode) == want, (c, cand)
-            alike += _schedules_alike(gates, replacement)
+                assert _gate(ins, cand, replacement, mode) == want, (c, cand)
+            alike += replacement is not None and _schedules_alike(gates, replacement)
     assert alike > 100  # the one-schedule rule is exercised
 
 

@@ -43,6 +43,17 @@ def test_compile_ghz_robust_report(tmp_path, ghz16):
     assert stats(compiled).depth == 5
 
 
+def test_compile_report_is_indented_json_with_one_newline(tmp_path, ghz16):
+    report_path = tmp_path / "report.json"
+    rc = main([
+        "compile", "--in", str(ghz16), "--out", str(tmp_path / "out.qasm"),
+        "--ghz", "parallel", "--verify", "--report", str(report_path),
+    ])
+    assert rc == 0
+    text = report_path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 def test_compile_chain_conservative(tmp_path):
     src = tmp_path / "chain.qasm"
     src.write_text(emit(gen_cx_chain(16)))
@@ -367,7 +378,7 @@ def test_compile_verification_failure_exit_2(tmp_path, monkeypatch):
     from qshallow import pipeline
     from qshallow.ir import cz
 
-    def wrong(candidate, cz_to_cx):
+    def wrong(candidate, config, clbit=0):
         return [cz(candidate.qubit_seq[0], candidate.qubit_seq[1])]
 
     monkeypatch.setattr(pipeline, "_replacement_for", wrong)

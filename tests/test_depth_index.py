@@ -26,7 +26,7 @@ from qshallow.ir import (
     rz,
     x,
 )
-from qshallow.pipeline import ChainMode, _replacement_for
+from qshallow.pipeline import ChainMode, PassConfig, _replacement_for
 
 SPARE = 6  # qubits no body op touches, for GHZ blocks on fresh qubits
 
@@ -201,7 +201,7 @@ def test_scanner_and_gate_refresh_match_a_rebuild(mode, data):
     last_accept = 0
     while (cand := scanner.next()) is not None:
         ins = scanner.instructions
-        replacement = _replacement_for(cand, cz_to_cx)
+        replacement = _replacement_for(cand, PassConfig(cz_to_cx=cz_to_cx))
         moved = [ins[i] for i in cand.moved_after]
         window = _window(ins, cand, replacement)
         rewritten = ins[: cand.start_index] + window + ins[cand.end_index + 1 :]
@@ -264,7 +264,7 @@ def test_moved_after_measurement_is_gated_exactly():
     cand = scanner.next()
     assert cand.moved_after == (2,)
     ins = scanner.instructions
-    replacement = _replacement_for(cand, False)
+    replacement = _replacement_for(cand, PassConfig())
     window = _window(ins, cand, replacement)
     rewritten = [*ins[: cand.start_index], *window, *ins[cand.end_index + 1 :]]
     assert window == [*replacement, ins[2]]  # no op stays in the window

@@ -17,6 +17,7 @@ from qshallow.bench import (
     gen_intertwined,
     gen_random,
 )
+from qshallow import ghz
 from qshallow.chains import ChainCandidate, ChainKind
 from qshallow.ghz import (
     GhzMode,
@@ -602,6 +603,23 @@ class TestGatedPass:
         # The fresh bits of the block kept start right after the input's.
         measured = sorted(op.clbit for op in out.instructions if op.gate is Gate.MEASURE)
         assert measured == list(range(out.num_clbits))
+
+    def test_each_site_is_built_once(self, monkeypatch):
+        # The late site wins its window but is dropped by the exact gate; the
+        # site kept numbers its fresh bits from the input's without a rebuild.
+        c = circ(16, *_late_root(0), *_ghz_chain(range(8, 16)))
+        built = []
+
+        def counting(members, fresh_clbits, _build=ghz.build_ghz_parallel):
+            built.append((tuple(members), tuple(fresh_clbits)))
+            return _build(members, fresh_clbits)
+
+        monkeypatch.setattr(ghz, "build_ghz_parallel", counting)
+        config = PassConfig(ghz_mode=GhzMode.PARALLEL, chain_mode=ChainMode.CONSERVATIVE)
+        out, decisions, _ = gate_ghz_sites(c, config)
+        assert [d.applied for d in decisions] == [False, True]
+        assert built == [(tuple(range(8)), (0, 1, 2, 3)), (tuple(range(8, 16)), (0, 1, 2, 3))]
+        assert out.num_clbits == 4
 
     @pytest.mark.parametrize("k", [50, 100])
     def test_rechecks_do_not_grow_with_sites(self, k, monkeypatch):

@@ -16,7 +16,14 @@ from qshallow.bench import (
     gen_random,
 )
 from qshallow import ghz, ir
-from qshallow.chains import ChainKind, find_chains
+from qshallow.chains import (
+    ChainCandidate,
+    ChainKind,
+    decompose_cz,
+    decompose_cz_to_cx,
+    decompose_forward,
+    find_chains,
+)
 from qshallow.ir import (
     Circuit,
     Condition,
@@ -37,6 +44,7 @@ from qshallow.pipeline import (
     GateDecision,
     PassConfig,
     VerificationError,
+    _replacement_for,
     compile_circuit,
     gate_and_apply,
 )
@@ -100,6 +108,30 @@ def _count_validate(monkeypatch) -> list[Circuit]:
 
     monkeypatch.setattr(ir, "validate", counting)
     return calls
+
+
+@pytest.mark.parametrize("cz_to_cx", [False, True])
+@pytest.mark.parametrize("ghz_mode", list(GhzMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("kind", list(ChainKind), ids=lambda k: k.value)
+def test_replacement_rule_picks_each_construction(kind, ghz_mode, cz_to_cx):
+    config = PassConfig(ghz_mode=ghz_mode, cz_to_cx=cz_to_cx)
+    members = (3, 1, 4, 0, 2)
+    got = _replacement_for(ChainCandidate(kind, (0, 1, 2, 3, 4), members, 0, ()), config, clbit=7)
+    if kind is ChainKind.CX:
+        assert got == decompose_forward(members)
+    elif kind is ChainKind.CZ:
+        assert got == (decompose_cz_to_cx if cz_to_cx else decompose_cz)(members)
+    elif ghz_mode is GhzMode.ROBUST:
+        assert got == ghz.build_ghz_log(members)
+    elif ghz_mode is GhzMode.PARALLEL:
+        assert got == ghz.build_ghz_parallel(members, [7, 8])
+        # The fresh bits start at `clbit`.
+        assert [op.clbit for op in got if op.gate is Gate.MEASURE] == [7, 8]
+        # A 2-member site lacks a middle qubit to fuse on: it keeps its gates.
+        pair = ChainCandidate(kind, (0, 1), (5, 6), 0, ())
+        assert _replacement_for(pair, config, clbit=7) is None
+    else:
+        assert got is None  # rebuilding is off
 
 
 class TestScopedDepth:
@@ -286,7 +318,7 @@ class TestVerification:
     def test_bogus_decomposition_caught(self, monkeypatch):
         from qshallow import pipeline
 
-        def wrong(candidate, cz_to_cx):
+        def wrong(candidate, config, clbit=0):
             return [cz(candidate.qubit_seq[0], candidate.qubit_seq[1])]
 
         monkeypatch.setattr(pipeline, "_replacement_for", wrong)
