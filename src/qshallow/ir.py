@@ -184,14 +184,32 @@ class DepthReport:
 
 
 def validate(c: Circuit) -> list[str]:
-    """Return all invariant violations; an empty list means the circuit is valid."""
+    """Return all invariant violations; an empty list means the circuit is valid.
+
+    An unconditioned unitary gate that passes every check it is subject to -
+    arity, range, distinct operands, an angle exactly on a rotation, a finite
+    angle - takes one short branch; anything else, or any failure, goes
+    through the full list of checks, which words every message."""
     errors: list[str] = []
-    if c.num_qubits < 0:
+    n = c.num_qubits
+    if n < 0:
         errors.append("num_qubits must be non-negative")
     if c.num_clbits < 0:
         errors.append("num_clbits must be non-negative")
     written: set[int] = set()
+    isfinite = math.isfinite
     for i, ins in enumerate(c.instructions):
+        gate, qubits, angle = ins.gate, ins.qubits, ins.angle
+        if gate.letters and ins.condition is None and ins.clbit is None and (
+            angle is not None and isfinite(angle) if gate.is_rotation else angle is None
+        ):
+            if len(qubits) == 1 == gate.arity:
+                if 0 <= qubits[0] < n:
+                    continue
+            elif len(qubits) == 2 == gate.arity:
+                a, b = qubits
+                if a != b and 0 <= a < n and 0 <= b < n:
+                    continue
         mark = len(errors)
         expected = ins.gate.arity
         if expected is not None and len(ins.qubits) != expected:

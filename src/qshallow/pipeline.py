@@ -21,7 +21,8 @@ its own against the pass's input and the blocks kept are spliced at once
 unitaries) come one at a time, each against the depth the last accept left,
 which the index takes in over the rewritten window; the scanner refreshes
 the table.  When the GHZ pass keeps no block, the chain pass reuses its
-index and table.
+index and table.  A layered circuit repeats its chains: the chain pass
+builds each distinct rewrite (kind and qubit sequence) once and shares it.
 
 With `verify`, `stabilizer` checks every rewrite applied exactly, at any
 width: a GHZ block must prepare its site's state in every measurement branch,
@@ -255,9 +256,15 @@ def gate_and_apply(
     decisions: list[GateDecision] = []
     if config.chain_mode is not ChainMode.CONSERVATIVE:
         index = None
+    # Each distinct chain's rewrite, built once: read only, as `_gate`,
+    # `_window` and the verifier copy what they take from it.
+    built: dict[tuple[str, tuple[int, ...]], list[Instruction]] = {}
     while (cand := scanner.next()) is not None:
         ins = scanner.instructions
-        replacement = _replacement_for(cand, config)
+        key = (cand.kind.value, cand.qubit_seq)
+        replacement = built.get(key)
+        if replacement is None:
+            replacement = built[key] = _replacement_for(cand, config)
         decision = _gate(ins, cand, replacement, config.chain_mode, index)
         if decision.applied:
             window = _window(ins, cand, replacement)

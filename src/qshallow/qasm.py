@@ -18,7 +18,15 @@ gate forms (`pi` angles, register broadcast, comments inside a statement).
 The fast path never raises, so every ParseError comes from the grammar and
 its message, kind and span do not depend on the path.  No token list of the
 whole file is ever built; line and column are computed from the offset only
-when an error is raised.
+when an error is raised.  Digits and spaces are ASCII only, on both paths.
+
+The fast path resolves each statement shape - gate name, whether an angle is
+present, operands - once per parse: a repeated gate appends one shared
+`Instruction`, and a rotation still reads and checks its own angle.  A
+failed resolution is never kept, so that statement reaches the grammar.
+
+The writer formats the angle-free text of each distinct gate and operand
+list once per call; a rotation's angle is formatted per statement.
 
 On emission every classical bit that a condition reads becomes its own
 one-bit register, so single-bit `if` comparisons stay expressible; each run
@@ -76,7 +84,7 @@ _TOKEN_RE = re.compile(
     | (?P<EQ>==)
     | (?P<PUNCT>[;,\[\]()*/+{{}}-])
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 # The unitary gates, by name: looked up by string, so no enum member is hashed.
@@ -109,7 +117,8 @@ def _scan(text: str, offset: int) -> _Token:
 # as the tokenizer reads it.
 _OPERAND = rf"({_ID})\[(\d{{1,9}})\]"
 _FAST_GATE = re.compile(
-    rf"\s*([a-z]+)(?:\(([+-]?(?:{_REAL}|{_INT}))\)\s*|\s+){_OPERAND}(?:\s*,\s*{_OPERAND})?\s*;"
+    rf"\s*([a-z]+)(?:\(([+-]?(?:{_REAL}|{_INT}))\)\s*|\s+){_OPERAND}(?:\s*,\s*{_OPERAND})?\s*;",
+    re.ASCII,
 )
 
 
@@ -124,6 +133,8 @@ class _Parser:
         self.num_clbits = 0
         self.instructions: list[Instruction] = []
         self.written_clbits: set[int] = set()
+        #: Fast-path resolutions by statement shape; see `fast_statements`.
+        self._resolved: dict[tuple, Instruction | tuple[Gate, tuple[int, ...]]] = {}
 
     # -- token helpers ------------------------------------------------------
 
@@ -154,17 +165,30 @@ class _Parser:
         """Read gate statements from the offset until one needs the grammar.
 
         Leaves the offset at the start of that statement (or at the end of
-        the text) and changes no state for it.
+        the text) and changes no state for it.  Each statement shape is
+        resolved once per parse, as the module note says.
         """
         text = self.text
         append = self.instructions.append
         gate_match = _FAST_GATE.match
+        resolved = self._resolved
         pos = self.offset
-        while (m := gate_match(text, pos)) is not None and m.group(1) in _GATE_BY_NAME:
-            ins = self._fast_gate(m)
-            if ins is None:
-                break
-            append(ins)
+        while (m := gate_match(text, pos)) is not None:
+            name, angle_text, reg0, idx0, reg1, idx1 = m.groups()
+            shape = (name, angle_text is not None, reg0, idx0, reg1, idx1)
+            hit = resolved.get(shape)
+            if hit is None:
+                hit = self._fast_resolve(*shape)
+                if hit is None:
+                    break
+                resolved[shape] = hit
+            if angle_text is None:
+                append(hit)
+            else:
+                angle = float(angle_text)
+                if not math.isfinite(angle):
+                    break
+                append(Instruction(hit[0], hit[1], angle))
             pos = m.end()
         self.offset = pos
 
@@ -174,20 +198,25 @@ class _Parser:
             return None
         return entry[0] + int(index)
 
-    def _fast_gate(self, m: re.Match) -> Instruction | None:
-        name, angle_text, reg0, idx0, reg1, idx1 = m.groups()
-        gate = _GATE_BY_NAME[name]
+    def _fast_resolve(
+        self, name: str, has_angle: bool, reg0: str, idx0: str,
+        reg1: str | None, idx1: str | None,
+    ) -> Instruction | tuple[Gate, tuple[int, ...]] | None:
+        """A fast-path match checked against the register tables: the
+        `Instruction`, or a rotation's gate and qubits; None if the grammar
+        must read it.  Registers are never redeclared, so a resolution holds
+        for the rest of the parse."""
+        gate = _GATE_BY_NAME.get(name)
+        if gate is None:
+            return None
         rotation, two_qubit = gate.is_rotation, gate.arity == 2
-        if (angle_text is not None) != rotation or (reg1 is not None) != two_qubit:
+        if has_angle != rotation or (reg1 is not None) != two_qubit:
             return None
         q0 = self._fast_qubit(reg0, idx0)
         if q0 is None:
             return None
         if rotation:
-            angle = float(angle_text)
-            if not math.isfinite(angle):
-                return None
-            return Instruction(gate, (q0,), angle)
+            return gate, (q0,)
         if not two_qubit:
             return Instruction(gate, (q0,))
         q1 = self._fast_qubit(reg1, idx1)
@@ -445,12 +474,22 @@ def _format_angle(angle: float) -> str:
     return f"{angle:.17g}"
 
 
-def _gate_text(ins: Instruction) -> str:
+def _gate_text(ins: Instruction, fixed: dict[tuple[str, tuple[int, ...]], str]) -> str:
+    """One gate's statement.  `fixed` holds, per gate name and qubits, the
+    text that does not depend on the angle - the whole statement, or what
+    follows a rotation's angle - so a repeated gate is formatted once.  The
+    key hashes the name, not the `Gate`; an angle, -0.0 included, is
+    formatted every time."""
     name = ins.gate.value
-    operands = ",".join(f"q[{q}]" for q in ins.qubits)
+    key = (name, ins.qubits)
+    text = fixed.get(key)
+    if text is None:
+        operands = ",".join(f"q[{q}]" for q in ins.qubits)
+        text = f") {operands};" if ins.gate.is_rotation else f"{name} {operands};"
+        fixed[key] = text
     if ins.gate.is_rotation:
-        return f"{name}({_format_angle(ins.angle)}) {operands};"
-    return f"{name} {operands};"
+        return f"{name}({_format_angle(ins.angle)}{text}"
+    return text
 
 
 def emit(c: Circuit) -> str:
@@ -465,6 +504,7 @@ def emit(c: Circuit) -> str:
     firsts = sorted({0, *read, *(b + 1 for b in read)} - {bits}) if bits else []
     for first, end in zip(firsts, [*firsts[1:], bits]):
         lines.append(f"creg m{first}[{end - first}];")
+    fixed: dict[tuple[str, tuple[int, ...]], str] = {}
     for ins in c.instructions:
         if ins.gate is Gate.MEASURE:
             first = firsts[bisect_right(firsts, ins.clbit) - 1]
@@ -479,7 +519,7 @@ def emit(c: Circuit) -> str:
                     "to single-bit conditionals"
                 )
             for b in ins.condition.bits:
-                lines.append(f"if(m{b}==1) {_gate_text(ins)}")
+                lines.append(f"if(m{b}==1) {_gate_text(ins, fixed)}")
         else:
-            lines.append(_gate_text(ins))
+            lines.append(_gate_text(ins, fixed))
     return "\n".join(lines) + "\n"

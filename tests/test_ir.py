@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -91,6 +93,94 @@ class TestValidate:
             "instruction 0 (cx): qubit index 0 out of range; "
             "instruction 0 (cx): duplicate operand"
         )
+
+
+def _reference_validate(c) -> list[str]:
+    """`validate` as one list of checks per instruction, with no short
+    branch for a valid gate: the messages the short branch must leave as
+    they are."""
+    errors: list[str] = []
+    if c.num_qubits < 0:
+        errors.append("num_qubits must be non-negative")
+    if c.num_clbits < 0:
+        errors.append("num_clbits must be non-negative")
+    written: set[int] = set()
+    for i, ins in enumerate(c.instructions):
+        mark = len(errors)
+        expected = ins.gate.arity
+        if expected is not None and len(ins.qubits) != expected:
+            errors.append(f"expected {expected} qubit operand(s), got {len(ins.qubits)}")
+        if ins.gate is Gate.BARRIER and not ins.qubits:
+            errors.append("barrier needs at least one qubit")
+        for q in ins.qubits:
+            if not 0 <= q < c.num_qubits:
+                errors.append(f"qubit index {q} out of range")
+        if len(set(ins.qubits)) != len(ins.qubits):
+            errors.append("duplicate operand")
+        if (ins.angle is not None) != ins.gate.is_rotation:
+            errors.append("angle present iff gate is a rotation")
+        elif ins.angle is not None and not math.isfinite(ins.angle):
+            errors.append("angle must be finite")
+        if (ins.clbit is not None) != (ins.gate is Gate.MEASURE):
+            errors.append("clbit present iff gate is a measurement")
+        if ins.gate is Gate.MEASURE:
+            if ins.condition is not None:
+                errors.append("measurement must not be conditioned")
+            if ins.clbit is not None:
+                if not 0 <= ins.clbit < c.num_clbits:
+                    errors.append(f"clbit index {ins.clbit} out of range")
+                elif ins.clbit in written:
+                    errors.append(f"clbit {ins.clbit} written more than once")
+                else:
+                    written.add(ins.clbit)
+        if ins.condition is not None:
+            if not ins.condition.bits:
+                errors.append("condition needs at least one bit")
+            for b in ins.condition.bits:
+                if not 0 <= b < c.num_clbits:
+                    errors.append(f"condition bit {b} out of range")
+        if len(errors) > mark:
+            where = f"instruction {i} ({ins.gate.value})"
+            errors[mark:] = [f"{where}: {e}" for e in errors[mark:]]
+    return errors
+
+
+_likely_valid = st.one_of(
+    st.builds(h, st.integers(0, 3)),
+    st.builds(rx, st.integers(0, 3), st.sampled_from([0.0, -0.0, 2.5])),
+    st.builds(cx, st.integers(0, 3), st.integers(0, 3)),
+    st.builds(cz, st.integers(0, 3), st.integers(0, 3)),
+    st.builds(measure, st.integers(0, 3), st.integers(0, 2)),
+)
+#: Values for one field of an instruction, valid or not.
+_FIELD_VALUES = {
+    "gate": st.sampled_from(list(Gate)),
+    "qubits": st.lists(st.integers(-1, 4), max_size=3).map(tuple),
+    "angle": st.sampled_from([None, 0.0, -0.0, 1.5, float("nan"), float("inf")]),
+    "clbit": st.sampled_from([None, -1, 0, 1, 3]),
+    "condition": st.sampled_from([None, Condition(()), Condition((0,)), Condition((1, 4))]),
+}
+
+
+@st.composite
+def _near_valid_instructions(draw):
+    """A well-formed gate with up to two of its fields redrawn."""
+    ins = draw(_likely_valid)
+    for name in draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)), max_size=2)):
+        ins = dataclasses.replace(ins, **{name: draw(_FIELD_VALUES[name])})
+    return ins
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(-1, 4),
+    st.integers(-1, 3),
+    st.lists(_near_valid_instructions(), max_size=12),
+)
+def test_validate_matches_the_full_checks(num_qubits, num_clbits, body):
+    # A stand-in: a `Circuit` refuses to exist unless it is valid.
+    c = SimpleNamespace(num_qubits=num_qubits, num_clbits=num_clbits, instructions=tuple(body))
+    assert validate(c) == _reference_validate(c)
 
 
 class TestDepth:

@@ -428,6 +428,26 @@ class TestCompileCircuit:
         out_gates = {ins.gate.value for ins in result.circuit.instructions}
         assert out_gates == {"h", "cx"}
 
+    def test_each_distinct_chain_is_built_once(self, monkeypatch):
+        # Every layer's ladder runs over the same qubits: one build per pass,
+        # and a second compile builds it again.
+        from qshallow import pipeline
+
+        built = []
+
+        def counting(qubit_seq, _build=pipeline.decompose_forward):
+            built.append(tuple(qubit_seq))
+            return _build(qubit_seq)
+
+        monkeypatch.setattr(pipeline, "decompose_forward", counting)
+        c = gen_ansatz(AnsatzSpec("two_local", 16, 4, "linear", 1))
+        config = PassConfig(chain_mode=ChainMode.CONSERVATIVE)
+        for _ in range(2):
+            built.clear()
+            result = compile_circuit(c, config)
+            assert len(result.decisions) == 4
+            assert built == [tuple(range(16))]
+
 
 class TestUseTableBuilds:
     """One use table per instruction list per compile: the chain scanner,

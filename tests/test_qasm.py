@@ -225,6 +225,34 @@ def test_round_trip_identity_on_condition_free_circuits(body):
     assert parse(emit(c)).instructions == c.instructions
 
 
+def _one_at_a_time(c: Circuit) -> str:
+    """`emit`'s text for a condition-free, measurement-free circuit, each
+    statement formatted on its own."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
+    lines += [qasm._gate_text(ins, {}) for ins in c.instructions]
+    return "\n".join(lines) + "\n"
+
+
+def test_emit_formats_repeats_as_one_statement_at_a_time():
+    # `emit` formats each (gate, qubits) once: 0.0 and -0.0 stay apart.
+    body = []
+    for k in range(3):
+        body += [h(0), cx(0, 1), cx(1, 0), rz(0, 0.0), rz(0, -0.0), rz(0, 0.5 * k),
+                 Instruction(Gate.RX, (1,), angle=-0.0), Instruction(Gate.CZ, (0, 1)),
+                 Instruction(Gate.RY, (1,), angle=0.0), x(1), rz(1, -0.0)]
+    text = emit(Circuit(2, 0, tuple(body)))
+    assert text == _one_at_a_time(Circuit(2, 0, tuple(body)))
+    assert text.count("rz(0) q[0];") == 4 and text.count("rz(-0) q[0];") == 3
+    assert text.count("rx(-0) q[1];") == 3 and text.count("ry(0) q[1];") == 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_instr, max_size=40))
+def test_emit_matches_one_statement_at_a_time(body):
+    c = Circuit(6, 0, tuple(body))
+    assert emit(c) == _one_at_a_time(c)
+
+
 # -- fast path against the grammar ---------------------------------------------
 
 _NEVER = re.compile(r"(?!)")
@@ -428,11 +456,48 @@ def _render(tokens: list[str]) -> str:
     return out
 
 
+# A well-formed statement with the gate and operands of each malformed gate
+# statement, as near as one can be: the reader resolves each statement shape
+# once, and what it kept must not let the malformed one through.
+_TWINS = {
+    "rx q[0];": "rx(0.5) q[0];",
+    "h(0.5)q[0];": "h q[0];",
+    "cx q[0];": "cx q[0],q[1];",
+    "h q[0],q[1];": "h q[0]; h q[1];",
+    "rz(1)q[0],q[1];": "rz(1) q[0]; rz(1) q[1];",
+    "cz q[2],q[2];": "cz q[2],q[3];",
+    "x r[0];": "x q[0];",
+    "x q[5];": "x q[4];",
+    "x c0[0];": "x q[0];",
+    "if(c0==1)cx q[0],q[0];": "cx q[0],q[1];",
+    "H q[0];": "h q[0];",
+}
+
+
 @pytest.mark.parametrize("tokens", _MALFORMED, ids=_render)
 def test_failing_statement_reaches_the_grammar(tokens, monkeypatch):
-    text = _VARIED_HEADER + "measure q[0] -> c0[0];\n" + _render(tokens) + "\n"
+    stmt = _render(tokens)
+    twin = _TWINS.get(stmt, "")
+    text = _VARIED_HEADER + "measure q[0] -> c0[0];\n" + twin + " " + stmt + "\n"
     got = _assert_paths_agree(text, monkeypatch)
     assert got[0] == "error" and got[3] == 6, got
+    assert got[4] >= len(twin) + 2, got  # in the malformed statement, not its twin
+
+
+@pytest.mark.parametrize("body, bad", [
+    ("qreg q[\u0662]; h q[0];", "\u0662"),  # Arabic-Indic two
+    ("qreg q[2]; rz(\u0661.\u0665) q[\u0660];", "\u0661"),
+    ("qreg q[2]; rz(1.5) q[\u0660];", "\u0660"),
+    ("qreg q[2]; cx q[0],q[\uff11];", "\uff11"),  # fullwidth one
+    ("qreg q[2]; h\u00a0q[0];", "\u00a0"),  # no-break space
+    ("qreg q[2]; cx q[0],\u2003q[1];", "\u2003"),  # em space
+    ("qreg q[2]; h q[1];\u3000", "\u3000"),  # ideographic space
+    ("qreg q[2]; h q[1];\x1c", "\x1c"),  # a separator `str.isspace` takes
+])
+def test_non_ascii_digits_and_spaces_are_syntax_errors(body, bad, monkeypatch):
+    text = HEADER + body + "\n"
+    got = _assert_paths_agree(text, monkeypatch)
+    assert got == ("error", f"unexpected character {bad!r}", "syntax", 3, body.index(bad) + 1)
 
 
 @settings(max_examples=300, deadline=None)
