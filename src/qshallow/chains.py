@@ -40,11 +40,6 @@ every link acts as Z on the head, so none could cross it.  Detection then
 costs the operations on active wires up to the chain's last extension; an
 accepted rewrite refreshes the table over its window only.
 
-A rewrite whose replacement touches the same qubit sets in the same order as
-the chain gates - a CX chain on fewer than five qubits, a 2-gate CZ chain -
-leaves its window's depth as it is, so the pipeline's window gate schedules
-that window once (`pipeline._gate`).
-
 Decompositions:
 
 * `decompose_forward` - recursive halving of a CX chain, ascending or

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -110,6 +111,22 @@ class Instruction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubits", tuple(self.qubits))
+
+
+def _prechecked(gate: Gate, qubits: tuple[int, ...], angle: float | None = None) -> Instruction:
+    """`Instruction(gate, qubits, angle)` for a caller that has checked its
+    fields: `qubits` is already a tuple, and there is no bit and no
+    condition.  Sets the fields one by one, skipping the dataclass
+    `__init__` and `__post_init__`; equality, hash, repr and size are the
+    same (filling `__dict__` directly would add a dict to every instance)."""
+    ins = object.__new__(Instruction)
+    setfield = object.__setattr__
+    setfield(ins, "gate", gate)
+    setfield(ins, "qubits", qubits)
+    setfield(ins, "angle", angle)
+    setfield(ins, "clbit", None)
+    setfield(ins, "condition", None)
+    return ins
 
 
 def h(q: int) -> Instruction:
@@ -265,42 +282,116 @@ def _splice(items: Sequence, blocks: Mapping[int, Sequence]) -> list:
 
 def depth_of(instructions: Sequence[Instruction]) -> int:
     """ASAP layer count of an instruction sequence scheduled from scratch."""
-    qubit_avail: dict[int, int] = {}
-    clbit_written: dict[int, int] = {}
+    return fronts_of(instructions)[0]
+
+
+def fronts_of(instructions: Sequence[Instruction]) -> tuple[int, dict[int, int]]:
+    """`depth_of` of a sequence, and each wire's front after it: the layer
+    its last op ends at, qubit q as q and the bit b a measurement writes as
+    ~b."""
+    fronts: dict[int, int] = {}
     max_layer = 0
     for ins in instructions:
         if ins.gate is Gate.BARRIER:
             # Synchronize operand qubits at the latest layer among them, cost-free.
             layer = 0
             for q in ins.qubits:
-                a = qubit_avail.get(q, 0)
+                a = fronts.get(q, 0)
                 if a > layer:
                     layer = a
             for q in ins.qubits:
-                qubit_avail[q] = layer
+                fronts[q] = layer
             continue
         layer = 0
         for q in ins.qubits:
-            a = qubit_avail.get(q, 0)
+            a = fronts.get(q, 0)
             if a > layer:
                 layer = a
         if ins.condition is not None:
             for b in ins.condition.bits:
-                a = clbit_written.get(b, 0)
+                a = fronts.get(~b, 0)
                 if a > layer:
                     layer = a
         if ins.clbit is not None:
-            a = clbit_written.get(ins.clbit, 0)
+            a = fronts.get(~ins.clbit, 0)
             if a > layer:
                 layer = a
         layer += 1
         for q in ins.qubits:
-            qubit_avail[q] = layer
+            fronts[q] = layer
         if ins.clbit is not None:
-            clbit_written[ins.clbit] = layer
+            fronts[~ins.clbit] = layer
         if layer > max_layer:
             max_layer = layer
-    return max_layer
+    return max_layer, fronts
+
+
+def _sweep_back(
+    ops: Sequence[Instruction],
+    first: int,
+    n: int,
+    after: dict[int, int],
+    readers: dict[int, int],
+    tail: list[int] | array,
+    writer: dict[int, int],
+) -> None:
+    """Tails of `ops` - per op, the longest path from it to the end - at
+    positions `first`.. of a list of length n, from the last back, into
+    `tail`; `writer` gets each bit's writer's position from the end.
+    `after` holds each qubit's next tail, `readers` each bit's largest tail
+    among its readers so far; the sweep leaves them at the first use."""
+    BARRIER = Gate.BARRIER
+    for p in range(first + len(ops) - 1, first - 1, -1):
+        op = ops[p - first]
+        t = 0
+        for q in op.qubits:
+            a = after.get(q, 0)
+            if a > t:
+                t = a
+        if op.clbit is not None:
+            a = readers.get(op.clbit, 0)
+            if a > t:
+                t = a
+            writer[op.clbit] = n - p
+        if op.gate is not BARRIER:
+            t += 1
+        tail[p] = t
+        for q in op.qubits:
+            after[q] = t
+        if op.condition is not None:
+            for b in op.condition.bits:
+                if t > readers.get(b, 0):
+                    readers[b] = t
+
+
+def paths_of(instructions: Sequence[Instruction]) -> tuple[int, dict[int, int]]:
+    """`depth_of` of a sequence, and per wire the longest path through the
+    sequence that starts at that wire: at qubit q's first use, and at the
+    readers of bit b (as ~b)."""
+    after: dict[int, int] = {}
+    readers: dict[int, int] = {}
+    n = len(instructions)
+    _sweep_back(instructions, 0, n, after, readers, [0] * n, {})
+    # Every op has a qubit, so the longest path leaves some qubit's first use.
+    depth = max(after.values(), default=0)
+    for b, t in readers.items():
+        after[~b] = t
+    return depth, after
+
+
+def depth_joined(head: tuple[int, dict[int, int]], tail: tuple[int, dict[int, int]]) -> int:
+    """`depth_of([*h, *t])` from `fronts_of(h)` and `paths_of(t)`, each bit
+    written once in all: the longest path stays in one part or crosses at
+    a wire, from its front in `h` into its path in `t`.  O(wires of `t`)."""
+    depth, fronts = head
+    top, paths = tail
+    if depth > top:
+        top = depth
+    for w, p in paths.items():
+        f = fronts.get(w)
+        if f is not None and f + p > top:
+            top = f + p
+    return top
 
 
 def _wires(ins: Instruction) -> tuple[int, ...]:
@@ -492,13 +583,19 @@ class DepthIndex:
     op's ASAP layer and its tail (the longest path from the op to the end,
     with `depth_of`'s dependencies: a barrier is a zero-cost sync and a
     classical bit's readers wait for its single writer), and reads the
-    positions that use each wire from the list's `UseTable`.  `admits` walks,
-    in position order up to `end`, only the ops on dirty wires - at first
-    those of the ops taken out; an op whose layer changes dirties the wires
-    it writes - then schedules the block, and adds to each dirty wire's front
-    the stored tail of its first use after `end`.  Every other op keeps its
-    layer and every other path its length, both bounded by `depth`, so "no
-    deeper" is decided exactly.
+    positions that use each wire from the list's `UseTable`.  `admits` first
+    bounds the rewrite from below: it schedules the block on each wire's
+    front at `start` - an op that stays in the window can only push a front
+    later - and refuses as soon as a qubit's layer there plus the stored tail
+    of its first use after `end` exceeds `depth`, in O(the block's ops up to
+    there).  Only a block the bound does not refuse takes the walk: in
+    position order up to `end`, only the ops on dirty wires - at first those
+    of the ops taken out; an op whose layer changes dirties the wires it
+    writes - then the block, and adds to each dirty wire's front the stored
+    tail of its first use after `end`.  Every other op keeps its layer and
+    every other path its length, both bounded by `depth`, so "no deeper" is
+    decided exactly, and the bound, a lower bound of the same sums, never
+    changes the answer.
 
     The exact depth is kept as the maximum over the paths that cross a cut:
     a qubit's front plus the tail of its first use at or after the cut, and a
@@ -532,7 +629,7 @@ class DepthIndex:
         self._uses = self.uses_of(ins).by_wire
         self._tail = array("i", bytes(4 * n))
         self._writer: dict[int, int] = {}  # bit -> its writer's position from the end
-        self._sweep_back(ins, 0, n, {}, {})
+        _sweep_back(ins, 0, n, {}, {}, self._tail, self._writer)
         self._layer = array("i", bytes(4 * n))
         self._known = 0  # layers are exact below this position
         self._ahead: dict[int, int] = {}  # fronts at `_known`, for wires used past the cut
@@ -544,41 +641,6 @@ class DepthIndex:
                 self._add(self._qterm(w, n))
         self.depth = max(self._terms, default=0)
         self._built = True
-
-    def _sweep_back(
-        self,
-        ops: Sequence[Instruction],
-        first: int,
-        n: int,
-        after: dict[int, int],
-        readers: dict[int, int],
-    ) -> None:
-        """Tails of `ops`, at positions `first`.. of a list of length n,
-        from the last back: `after` holds each qubit's next tail, `readers`
-        each bit's largest tail among its readers so far."""
-        tail, writer = self._tail, self._writer
-        BARRIER = Gate.BARRIER
-        for p in range(first + len(ops) - 1, first - 1, -1):
-            op = ops[p - first]
-            t = 0
-            for q in op.qubits:
-                a = after.get(q, 0)
-                if a > t:
-                    t = a
-            if op.clbit is not None:
-                a = readers.get(op.clbit, 0)
-                if a > t:
-                    t = a
-                writer[op.clbit] = n - p
-            if op.gate is not BARRIER:
-                t += 1
-            tail[p] = t
-            for q in op.qubits:
-                after[q] = t
-            if op.condition is not None:
-                for b in op.condition.bits:
-                    if t > readers.get(b, 0):
-                        readers[b] = t
 
     def _add(self, value: int) -> None:
         self._terms[value] = self._terms.get(value, 0) + 1
@@ -670,6 +732,38 @@ class DepthIndex:
                 t = a
         return t if op.gate is Gate.BARRIER else t + 1
 
+    def _outgrows(self, block: Sequence[Instruction], start: int, end: int, n: int) -> bool:
+        """Whether `block`, scheduled on each wire's front at `start`, already
+        makes some qubit's front plus the stored tail of its first use after
+        `end` exceed `depth`.  An op that stays in the window can only push a
+        front later, so each layer here bounds the walk's from below, and the
+        sum is the one `admits` ends with: True means it refuses too."""
+        depth, tail, uses = self.depth, self._tail, self._uses
+        BARRIER = Gate.BARRIER
+        bound: dict[int, int] = {}  # wire -> its front so far, a lower bound
+        leaving: dict[int, int] = {}  # qubit -> tail of its first use after `end`
+        for op in block:
+            t = 0
+            for x in op.qubits if op.clbit is None and op.condition is None else _wires(op):
+                a = bound.get(x)
+                if a is None:
+                    # 0 for a measurement's own bit: no writer before `start`.
+                    a = bound[x] = self._front_at(x, start, n)
+                    if x >= 0:
+                        k = self._first(x, end + 1, n)
+                        leaving[x] = tail[n - uses[x][k]] if k >= 0 else 0
+                if a > t:
+                    t = a
+            if op.gate is not BARRIER:
+                t += 1
+            for q in op.qubits:
+                bound[q] = t
+                if t + leaving[q] > depth:
+                    return True
+            if op.clbit is not None:
+                bound[~op.clbit] = t
+        return False
+
     def admits(
         self,
         ins: Sequence[Instruction],
@@ -686,6 +780,8 @@ class DepthIndex:
             raise ValueError(f"rewrite at {start} starts before the cut at {self._cut}")
         self._learn(ins, end + 1)
         n = len(ins)
+        if self._outgrows(block, start, end, n):
+            return False
         layer, tail, uses = self._layer, self._tail, self._uses
         gone = set(removed)
         dirty: dict[int, int] = {}  # wire -> its front so far in the rewritten order
@@ -788,7 +884,7 @@ class DepthIndex:
         readers = {}  # each written bit's largest tail among its readers past the window
         for b in (op.clbit for op in window if op.clbit is not None):
             readers[b] = max((tail[n2 - v] for v in uses.get(~b, ())[: past[~b] + 1]), default=0)
-        self._sweep_back(window, start, n2, after, readers)
+        _sweep_back(window, start, n2, after, readers, tail, writer)
         # Add the terms that cross the cut into the new window: `after` now
         # holds each qubit's tail at its first use from the cut on.
         top = 0
@@ -809,20 +905,50 @@ class DepthIndex:
 
 def depth(c: Circuit) -> int:
     """ASAP depth of the circuit."""
-    return depth_of(c.instructions)
+    return stats(c).depth
 
 
 def stats(c: Circuit) -> DepthReport:
-    """Depth and gate/measurement counts."""
-    gate_count = 0
-    two_qubit = 0
-    measures = 0
-    for ins in c.instructions:
-        if ins.gate is Gate.MEASURE:
+    """Depth and gate/measurement counts, in one pass.  Fronts are indexed
+    by qubit and bit in lists, or in dicts where a register is far wider
+    than the instruction list."""
+    ins = c.instructions
+    wide = 8 * len(ins) + 4096
+    avail = [0] * c.num_qubits if c.num_qubits <= wide else defaultdict(int)
+    written = [0] * c.num_clbits if c.num_clbits <= wide else defaultdict(int)
+    BARRIER = Gate.BARRIER
+    top = gate_count = two_qubit = measures = 0
+    for op in ins:
+        qubits = op.qubits
+        if op.gate is BARRIER:
+            t = 0
+            for q in qubits:
+                if avail[q] > t:
+                    t = avail[q]
+            for q in qubits:
+                avail[q] = t
+            continue
+        # Any other op acts on one or two qubits.
+        t = avail[qubits[0]]
+        if len(qubits) == 2 and avail[qubits[1]] > t:
+            t = avail[qubits[1]]
+        clbit = op.clbit
+        if clbit is not None and written[clbit] > t:
+            t = written[clbit]
+        if op.condition is not None:
+            for b in op.condition.bits:
+                if written[b] > t:
+                    t = written[b]
+        t += 1
+        for q in qubits:
+            avail[q] = t
+        if t > top:
+            top = t
+        if clbit is not None:
+            written[clbit] = t
             measures += 1
-        elif ins.gate is not Gate.BARRIER:
+        else:
             gate_count += 1
-            if ins.gate.arity == 2:
+            if len(qubits) == 2:
                 two_qubit += 1
-    return DepthReport(depth(c), gate_count, two_qubit, measures)
-
+    return DepthReport(top, gate_count, two_qubit, measures)

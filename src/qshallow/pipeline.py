@@ -9,9 +9,14 @@ the check differ.  A site whose rewrite is None keeps its gates.
 In conservative mode a rewrite must strictly reduce the depth of its window -
 its gates plus the next `DEPTH_SCOPE` operations - and the rewritten whole
 circuit must be no deeper than the current one, as no bounded window sees
-context before it that skews the schedule.  That second test is exact and
-never schedules the whole circuit: an `ir.DepthIndex`, built once per list,
-walks only the operations the rewrite can move.
+context before it that skews the schedule.  The window test sweeps the
+`DEPTH_SCOPE` tail back once (`ir.paths_of`: per wire, the longest path
+entering the tail there) and joins it with each side's per-wire fronts
+(`ir.fronts_of`, `ir.depth_joined`), so no window is scheduled twice.  The
+whole-circuit test is exact and never schedules the whole circuit: an
+`ir.DepthIndex`, built once per list, first refuses a rewrite whose block
+alone, placed on the fronts before it, already makes a path longer than the
+circuit, and otherwise walks only the operations the rewrite can move.
 
 Each list gets one per-wire use table (`ir.UseTable`), held by the index.
 GHZ sites (`detect_ghz` on the input's table, checked from |0...0>) are on
@@ -22,7 +27,10 @@ unitaries) come one at a time, each against the depth the last accept left,
 which the index takes in over the rewritten window; the scanner refreshes
 the table.  When the GHZ pass keeps no block, the chain pass reuses its
 index and table.  A layered circuit repeats its chains: the chain pass
-builds each distinct rewrite (kind and qubit sequence) once and shares it.
+builds each distinct rewrite (kind and qubit sequence) once and shares it,
+and schedules each side of its window test - the chain's gates, the
+rewrite - once, so a repeated ladder's window costs O(its wires plus
+`DEPTH_SCOPE`).
 
 With `verify`, `stabilizer` checks every rewrite applied exactly, at any
 width: a GHZ block must prepare its site's state in every measurement branch,
@@ -56,7 +64,16 @@ from .chains import (
     decompose_forward,
 )
 from .ghz import GhzMode
-from .ir import Circuit, DepthIndex, Gate, Instruction, _splice, depth_of
+from .ir import (
+    Circuit,
+    DepthIndex,
+    Gate,
+    Instruction,
+    _splice,
+    depth_joined,
+    fronts_of,
+    paths_of,
+)
 from .stabilizer import NoPauliForm, prepares_same, same_unitary
 
 #: Operations after a candidate's last gate that its window includes.
@@ -130,16 +147,11 @@ def _replacement_for(
     return ghz.build_ghz_parallel(seq, range(clbit, clbit + len(seq) // 2))
 
 
-def _schedules_alike(a: Sequence[Instruction], b: Sequence[Instruction]) -> bool:
-    """Whether `depth_of` sees `a` and `b` alike: it reads only each op's
-    qubit set, its bits and whether it is a barrier."""
-    return len(a) == len(b) and all(
-        (x.qubits == y.qubits or set(x.qubits) == set(y.qubits))
-        and x.clbit == y.clbit
-        and x.condition == y.condition
-        and (x.gate is Gate.BARRIER) == (y.gate is Gate.BARRIER)
-        for x, y in zip(a, b)
-    )
+#: A side's schedule: its depth and per-wire fronts (`fronts_of`).
+_Schedule = tuple[int, dict[int, int]]
+#: Per distinct chain, keyed by kind and qubit sequence: the schedules of
+#: its gates and of its rewrite.
+_Sides = dict[tuple[str, tuple[int, ...]], tuple[_Schedule, _Schedule]]
 
 
 def _gate(
@@ -148,22 +160,33 @@ def _gate(
     replacement: Sequence[Instruction] | None,
     mode: ChainMode,
     index: DepthIndex | None = None,
+    sides: _Sides | None = None,
 ) -> GateDecision:
     """Window depths before and after the rewrite, and whether it passes: in
     conservative mode the window must get strictly shallower, and then, with
     `index` over `ins`, the whole list must stay no deeper.  A None
     replacement keeps the gates and is never applied.  Ops displaced out of a
     chain are the same on both sides and stay out of the window: counting
-    them would let an unrelated chain's depth mask a genuine improvement.  A
-    replacement that schedules as the gates do - a CX chain on fewer than
-    five qubits, a 2-gate CZ chain - is the same window: it is scheduled once."""
+    them would let an unrelated chain's depth mask a genuine improvement.
+
+    The window's tail is swept once and joined with each side's schedule.
+    With `sides`, the pass's cache, each side is scheduled once per
+    distinct chain: a chain's kind and qubit sequence fix its gates' qubit
+    sets, and under one config its rewrite.  A GHZ site's gates are not
+    fixed by its members, so its caller passes no cache."""
     tail_start = cand.end_index + 1
-    tail = ins[tail_start : tail_start + DEPTH_SCOPE]
-    gates = [ins[i] for i in cand.gate_indices]
-    before = depth_of([*gates, *tail])
+    tail = paths_of(ins[tail_start : tail_start + DEPTH_SCOPE])
+    key = (cand.kind.value, cand.qubit_seq)
+    pair = None if sides is None else sides.get(key)
+    if pair is None:
+        gates = fronts_of([ins[i] for i in cand.gate_indices])
+        pair = (gates, gates if replacement is None else fronts_of(replacement))
+        if sides is not None:
+            sides[key] = pair
+    before = depth_joined(pair[0], tail)
     if replacement is None:
         return GateDecision(cand, before, before, False)
-    after = before if _schedules_alike(gates, replacement) else depth_of([*replacement, *tail])
+    after = depth_joined(pair[1], tail)
     conservative = mode is ChainMode.CONSERVATIVE
     applied = not conservative or after < before
     if applied and conservative and index is not None:
@@ -259,13 +282,14 @@ def gate_and_apply(
     # Each distinct chain's rewrite, built once: read only, as `_gate`,
     # `_window` and the verifier copy what they take from it.
     built: dict[tuple[str, tuple[int, ...]], list[Instruction]] = {}
+    sides: _Sides = {}
     while (cand := scanner.next()) is not None:
         ins = scanner.instructions
         key = (cand.kind.value, cand.qubit_seq)
         replacement = built.get(key)
         if replacement is None:
             replacement = built[key] = _replacement_for(cand, config)
-        decision = _gate(ins, cand, replacement, config.chain_mode, index)
+        decision = _gate(ins, cand, replacement, config.chain_mode, index, sides)
         if decision.applied:
             window = _window(ins, cand, replacement)
             if coverage is not None:

@@ -60,7 +60,6 @@ from qshallow.pipeline import (
     PassConfig,
     _replacement_for,
     _gate,
-    _schedules_alike,
     compile_circuit,
 )
 from qshallow.qasm import emit
@@ -674,29 +673,31 @@ def test_window_gate_equals_two_schedules(block):
     """Every chain candidate of the differential corpus, with each of its
     replacements, and every GHZ site, with each of its constructions or None:
     the gate decides as scheduling the window before and after does, and
-    never applies None."""
-    alike = 0
+    never applies None.  Chain candidates share one side cache per circuit
+    and replacement rule, as in a pass; GHZ sites take none."""
+    shared = 0
     for c in _diff_circuits(block):
         ins = c.instructions
-        cases = [
-            (cand, _replacement_for(cand, PassConfig(cz_to_cx=cz_to_cx)))
-            for cand in find_chains(c, 2)
-            for cz_to_cx in (False, True)
-        ]
+        cases = []
+        for cz_to_cx in (False, True):
+            sides = {}
+            config = PassConfig(cz_to_cx=cz_to_cx)
+            cases += [(cand, _replacement_for(cand, config), sides) for cand in find_chains(c, 2)]
         for mode in (GhzMode.ROBUST, GhzMode.PARALLEL):
             config = PassConfig(ghz_mode=mode)
-            cases += [(s, _replacement_for(s, config, c.num_clbits)) for s in detect_ghz(c)]
-        for cand, replacement in cases:
+            cases += [(s, _replacement_for(s, config, c.num_clbits), None) for s in detect_ghz(c)]
+        for cand, replacement, sides in cases:
             gates = [ins[i] for i in cand.gate_indices]
             tail = list(ins[cand.end_index + 1 : cand.end_index + 1 + DEPTH_SCOPE])
             before = depth_of(gates + tail)
             after = before if replacement is None else depth_of([*replacement, *tail])
+            # Sides another candidate of the circuit scheduled.
+            shared += sides is not None and (cand.kind.value, cand.qubit_seq) in sides
             for mode in (ChainMode.CONSERVATIVE, ChainMode.ALWAYS):
                 applied = replacement is not None and (mode is ChainMode.ALWAYS or after < before)
                 want = GateDecision(cand, before, after, applied)
-                assert _gate(ins, cand, replacement, mode) == want, (c, cand)
-            alike += replacement is not None and _schedules_alike(gates, replacement)
-    assert alike > 100  # the one-schedule rule is exercised
+                assert _gate(ins, cand, replacement, mode, sides=sides) == want, (c, cand)
+    assert shared > 100  # the cached sides are exercised
 
 
 def test_differential_corpus_exercises_every_feature():

@@ -1,8 +1,12 @@
 """The incremental depth gate (`ir.DepthIndex`), the scanner's in-place
 accept and the use table they share (`ir.UseTable`), each against a
 from-scratch reference: `depth_of` of the rewritten list, and indexes and
-tables built anew on the list the accepts left."""
+tables built anew on the list the accepts left.  Also the other depth
+schedules - `stats`, and the window gate's sweep and join - against
+`depth_of`."""
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,8 @@ from qshallow.ir import (
     Circuit,
     Condition,
     DepthIndex,
+    DepthReport,
+    Gate,
     Instruction,
     UseTable,
     _letters,
@@ -20,10 +26,15 @@ from qshallow.ir import (
     barrier,
     cx,
     cz,
+    depth,
+    depth_joined,
     depth_of,
+    fronts_of,
     h,
     measure,
+    paths_of,
     rz,
+    stats,
     x,
 )
 from qshallow.pipeline import ChainMode, PassConfig, _replacement_for
@@ -128,9 +139,25 @@ def _fresh_index(ins) -> DepthIndex:
     return index
 
 
+def test_gate_and_accept_match_depth_of(monkeypatch):
+    # Both deciders are exercised: the lower bound refuses some rewrites,
+    # and the walk decides the rest.
+    decided = Counter()
+    outgrows = DepthIndex._outgrows
+
+    def counting(*args):
+        refused = outgrows(*args)
+        decided["bound" if refused else "walk"] += 1
+        return refused
+
+    monkeypatch.setattr(DepthIndex, "_outgrows", counting)
+    _gate_and_accept_match_depth_of()
+    assert decided["bound"] > 100 and decided["walk"] > 100, decided
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
-def test_gate_and_accept_match_depth_of(data):
+def _gate_and_accept_match_depth_of(data):
     n = data.draw(st.integers(1, 6))
     bits: list[int] = []
     ins = _body(data, n, data.draw(st.integers(1, 30)), bits)
@@ -301,3 +328,43 @@ def test_reader_waits_for_its_writer():
     ins = [*[h(2)] * 6, measure(2, 0), x(1, condition=Condition((0,))), cx(0, 3), cx(0, 1)]
     assert depth_of(ins) == 9
     _check_rewrites(ins, 8, 9, [((8,), [h(0)]), ((8,), [])])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_stats_match_depth_of_and_counts(data):
+    n = data.draw(st.integers(1, 6))
+    bits: list[int] = []
+    body = _body(data, n, data.draw(st.integers(0, 40)), bits)
+    c = Circuit(n, len(bits) + 2, tuple(body))
+    gates = [op for op in c.instructions if op.gate not in (Gate.MEASURE, Gate.BARRIER)]
+    want = DepthReport(
+        depth_of(c.instructions),
+        len(gates),
+        sum(op.gate.arity == 2 for op in gates),
+        sum(op.gate is Gate.MEASURE for op in c.instructions),
+    )
+    assert stats(c) == want
+    assert depth(c) == want.depth
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_window_join_matches_depth_of(data):
+    # Any split of a list, each bit written once in all: the head's fronts
+    # joined with the tail's paths give the depth of the whole.
+    n = data.draw(st.integers(1, 6))
+    bits: list[int] = []
+    head = _body(data, n, data.draw(st.integers(0, 20)), bits)
+    tail = _body(data, n, data.draw(st.integers(0, 20)), bits)
+    assert fronts_of(head)[0] == depth_of(head)
+    assert paths_of(tail)[0] == depth_of(tail)
+    assert depth_joined(fronts_of(head), paths_of(tail)) == depth_of([*head, *tail])
+
+
+def test_window_join_crosses_at_a_bit():
+    # Only the measured bit carries the longest path into the tail.
+    head = [h(0), h(0), h(0), measure(0, 0)]
+    tail = [x(1, condition=Condition((0,)))]
+    assert depth_of([*head, *tail]) == 5
+    assert depth_joined(fronts_of(head), paths_of(tail)) == 5

@@ -57,14 +57,18 @@ def circ(n, *instructions, clbits=0):
     return Circuit(n, clbits, tuple(instructions))
 
 
-def _count_depth_of(monkeypatch) -> list[int]:
-    """Record the length of every list the pipeline schedules."""
+def _count_window_work(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record the length of every tail the window gate sweeps and of every
+    side it schedules."""
     from qshallow import pipeline
 
-    calls = []
-    depth_of_ = pipeline.depth_of
-    monkeypatch.setattr(pipeline, "depth_of", lambda ins: calls.append(len(ins)) or depth_of_(ins))
-    return calls
+    sweeps, schedules = [], []
+    paths_of, fronts_of = pipeline.paths_of, pipeline.fronts_of
+    monkeypatch.setattr(pipeline, "paths_of", lambda ins: sweeps.append(len(ins)) or paths_of(ins))
+    monkeypatch.setattr(
+        pipeline, "fronts_of", lambda ins: schedules.append(len(ins)) or fronts_of(ins)
+    )
+    return sweeps, schedules
 
 
 def _count_index_builds(monkeypatch) -> list[int]:
@@ -589,15 +593,17 @@ class TestGatedPass:
     @pytest.mark.parametrize("mode", _GHZ_MODES)
     def test_deeper_site_is_dropped_alone(self, mode, monkeypatch):
         c = circ(16, *_late_root(0), *_ghz_chain(range(8, 16)))
-        calls = _count_depth_of(monkeypatch)
+        sweeps, schedules = _count_window_work(monkeypatch)
         builds = _count_index_builds(monkeypatch)
         config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE)
         out, decisions, _ = gate_ghz_sites(c, config)
         late, plain = decisions
         assert late.depth_after < late.depth_before and not late.applied
         assert plain.applied
-        # Only window schedules: the depth index, built once, gates each site.
-        assert len(calls) == 2 * 2 and max(calls) < len(c.instructions) - 8
+        # Only window work, per site one tail sweep and its two sides (GHZ
+        # sites share no cache): the depth index, built once, gates each site.
+        assert (len(sweeps), len(schedules)) == (2, 2 * 2)
+        assert max(sweeps + schedules) < len(c.instructions) - 8
         assert builds == [len(c.instructions)]
         assert depth(out) <= depth(c)
         # The fresh bits of the block kept start right after the input's.
@@ -629,12 +635,14 @@ class TestGatedPass:
             qs = range(64 * s, 64 * s + 64)
             body += [*_ghz_chain(qs), *(rz(q, 0.1) for q in qs), barrier(*qs)]
         c = circ(64 * k, *body)
-        calls = _count_depth_of(monkeypatch)
+        sweeps, schedules = _count_window_work(monkeypatch)
         builds = _count_index_builds(monkeypatch)
         config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE)
         out, decisions, _ = gate_ghz_sites(c, config)
         assert len(decisions) == k and all(d.applied for d in decisions)
-        assert len(calls) == 2 * k and max(calls) <= 64 + 100  # windows only
+        # Windows only: a site's tail, its gates and its block.
+        assert len(sweeps) == k and max(sweeps) <= 100
+        assert len(schedules) == 2 * k and max(schedules) <= 64
         assert builds == [len(c.instructions)]
         assert (depth(c), depth(out)) == (65, 1 + 6 + 1)
 

@@ -56,19 +56,20 @@ def circ(n, *instructions):
     return Circuit(n, 0, tuple(instructions))
 
 
-def _count_depth_of(monkeypatch) -> list[int]:
-    """Record the length of every list `pipeline.depth_of` schedules."""
+def _count_window_work(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record the length of every tail the window gate sweeps
+    (`pipeline.paths_of`) and of every side it schedules
+    (`pipeline.fronts_of`)."""
     from qshallow import pipeline
 
-    calls = []
-    depth_of = pipeline.depth_of
+    sweeps, schedules = [], []
+    for name, calls in (("paths_of", sweeps), ("fronts_of", schedules)):
+        def counting(instructions, _fn=getattr(pipeline, name), _calls=calls):
+            _calls.append(len(instructions))
+            return _fn(instructions)
 
-    def counting(instructions):
-        calls.append(len(instructions))
-        return depth_of(instructions)
-
-    monkeypatch.setattr(pipeline, "depth_of", counting)
-    return calls
+        monkeypatch.setattr(pipeline, name, counting)
+    return sweeps, schedules
 
 
 def _count_index_builds(monkeypatch) -> list[int]:
@@ -217,40 +218,46 @@ class TestModes:
         assert equivalent_unitary(c, out)
 
     def test_accepted_rewrite_scheduled_once(self, monkeypatch):
-        # Per candidate: the two window schedules and nothing else; the depth
-        # index judges the whole circuit, and takes in each accepted rewrite
-        # over its window, so it is built once for the pass.
-        calls = _count_depth_of(monkeypatch)
+        # Per candidate: one sweep of its tail, and each distinct chain's two
+        # sides scheduled once; the depth index judges the whole circuit, and
+        # takes in each accepted rewrite over its window, so it is built once
+        # for the pass.
+        sweeps, schedules = _count_window_work(monkeypatch)
         builds = _count_index_builds(monkeypatch)
         c = gen_intertwined(3, 8)
         config = PassConfig(chain_mode=ChainMode.CONSERVATIVE, min_chain_gates=2)
         out, decisions, _ = gate_and_apply(c, config)
         assert [d.applied for d in decisions] == [True, True, True]
-        assert len(calls) == 2 * 3
+        distinct = {(d.candidate.kind, d.candidate.qubit_seq) for d in decisions}
+        assert len(sweeps) == 3
+        assert len(schedules) == 2 * len(distinct)
         assert builds == [len(c.instructions)]
 
-        # Always mode has no depth index: only the two window schedules of
-        # the 16-gate chain and its 30-gate replacement.
-        calls.clear()
+        # Always mode has no depth index: only the empty tail's sweep and the
+        # schedules of the 16-gate chain and its 30-gate replacement.
+        sweeps.clear()
+        schedules.clear()
         builds.clear()
         gate_and_apply(gen_cx_chain(17), PassConfig(chain_mode=ChainMode.ALWAYS))
-        assert calls == [16, 30]
+        assert (sweeps, schedules) == ([0], [16, 30])
         assert builds == []
 
     def test_no_schedule_beyond_a_window(self, monkeypatch):
-        # 32 barrier-separated 16-gate chains, every one accepted: each
-        # schedule covers a candidate's gates or its 30-gate replacement plus
-        # DEPTH_SCOPE ops, and the pass builds its index once.
+        # 32 barrier-separated 16-gate chains on one ladder, every one
+        # accepted: each candidate sweeps at most DEPTH_SCOPE tail ops, the
+        # ladder and its 30-gate replacement are scheduled once for the pass,
+        # and the pass builds its index once.
         body = []
         for _ in range(32):
             body += [*(cx(i, i + 1) for i in range(16)), barrier(*range(17))]
         c = Circuit(17, 0, tuple(body))
-        calls = _count_depth_of(monkeypatch)
+        sweeps, schedules = _count_window_work(monkeypatch)
         builds = _count_index_builds(monkeypatch)
         out, decisions, _ = gate_and_apply(c, PassConfig(chain_mode=ChainMode.CONSERVATIVE))
         assert len(decisions) == 32 and all(d.applied for d in decisions)
-        assert len(calls) == 2 * 32
-        assert max(calls) <= 30 + DEPTH_SCOPE < len(c.instructions)
+        assert len(sweeps) == 32 and max(sweeps) <= DEPTH_SCOPE
+        assert schedules == [16, 30]
+        assert max(sweeps + schedules) <= 30 + DEPTH_SCOPE < len(c.instructions)
         assert builds == [len(c.instructions)]
         assert stats(out).depth == 32 * 8
 
@@ -447,6 +454,21 @@ class TestCompileCircuit:
             result = compile_circuit(c, config)
             assert len(result.decisions) == 4
             assert built == [tuple(range(16))]
+
+    def test_layered_refusals_come_from_the_bound(self, monkeypatch):
+        # Each ladder rewritten alone deepens the ansatz: the depth index's
+        # lower bound refuses all four, so it never walks an op (the walk
+        # would make 476 `DepthIndex._layer_at` calls).
+        calls = []
+        layer_at = ir.DepthIndex._layer_at
+        monkeypatch.setattr(
+            ir.DepthIndex, "_layer_at", lambda *args: calls.append(1) or layer_at(*args)
+        )
+        c = gen_ansatz(AnsatzSpec("two_local", 64, 4, "linear", 1))
+        result = compile_circuit(c, PassConfig(chain_mode=ChainMode.CONSERVATIVE))
+        assert [d.applied for d in result.decisions] == [False] * 4
+        assert all(d.depth_after < d.depth_before for d in result.decisions)
+        assert calls == []
 
 
 class TestUseTableBuilds:
