@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import asdict, dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -111,22 +110,6 @@ class Instruction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubits", tuple(self.qubits))
-
-
-def _prechecked(gate: Gate, qubits: tuple[int, ...], angle: float | None = None) -> Instruction:
-    """`Instruction(gate, qubits, angle)` for a caller that has checked its
-    fields: `qubits` is already a tuple, and there is no bit and no
-    condition.  Sets the fields one by one, skipping the dataclass
-    `__init__` and `__post_init__`; equality, hash, repr and size are the
-    same (filling `__dict__` directly would add a dict to every instance)."""
-    ins = object.__new__(Instruction)
-    setfield = object.__setattr__
-    setfield(ins, "gate", gate)
-    setfield(ins, "qubits", qubits)
-    setfield(ins, "angle", angle)
-    setfield(ins, "clbit", None)
-    setfield(ins, "condition", None)
-    return ins
 
 
 def h(q: int) -> Instruction:
@@ -280,16 +263,13 @@ def _splice(items: Sequence, blocks: Mapping[int, Sequence]) -> list:
     return out
 
 
-def depth_of(instructions: Sequence[Instruction]) -> int:
-    """ASAP layer count of an instruction sequence scheduled from scratch."""
-    return fronts_of(instructions)[0]
-
-
-def fronts_of(instructions: Sequence[Instruction]) -> tuple[int, dict[int, int]]:
-    """`depth_of` of a sequence, and each wire's front after it: the layer
-    its last op ends at, qubit q as q and the bit b a measurement writes as
-    ~b."""
-    fronts: dict[int, int] = {}
+def depth_of(instructions: Sequence[Instruction], fronts: dict[int, int] | None = None) -> int:
+    """ASAP layer count of an instruction sequence scheduled from scratch.
+    With `fronts`, an empty dict, fills it with each wire's front after the
+    sequence: the layer its last op ends at, qubit q as q and the bit b a
+    measurement writes as ~b."""
+    if fronts is None:
+        fronts = {}
     max_layer = 0
     for ins in instructions:
         if ins.gate is Gate.BARRIER:
@@ -323,7 +303,7 @@ def fronts_of(instructions: Sequence[Instruction]) -> tuple[int, dict[int, int]]
             fronts[~ins.clbit] = layer
         if layer > max_layer:
             max_layer = layer
-    return max_layer, fronts
+    return max_layer
 
 
 def _sweep_back(
@@ -380,9 +360,10 @@ def paths_of(instructions: Sequence[Instruction]) -> tuple[int, dict[int, int]]:
 
 
 def depth_joined(head: tuple[int, dict[int, int]], tail: tuple[int, dict[int, int]]) -> int:
-    """`depth_of([*h, *t])` from `fronts_of(h)` and `paths_of(t)`, each bit
-    written once in all: the longest path stays in one part or crosses at
-    a wire, from its front in `h` into its path in `t`.  O(wires of `t`)."""
+    """`depth_of([*h, *t])` from h's depth and fronts (`depth_of(h, fronts)`)
+    and `paths_of(t)`, each bit written once in all: the longest path stays
+    in one part or crosses at a wire, from its front in `h` into its path in
+    `t`.  O(wires of `t`)."""
     depth, fronts = head
     top, paths = tail
     if depth > top:
@@ -905,50 +886,19 @@ class DepthIndex:
 
 def depth(c: Circuit) -> int:
     """ASAP depth of the circuit."""
-    return stats(c).depth
+    return depth_of(c.instructions)
 
 
 def stats(c: Circuit) -> DepthReport:
-    """Depth and gate/measurement counts, in one pass.  Fronts are indexed
-    by qubit and bit in lists, or in dicts where a register is far wider
-    than the instruction list."""
-    ins = c.instructions
-    wide = 8 * len(ins) + 4096
-    avail = [0] * c.num_qubits if c.num_qubits <= wide else defaultdict(int)
-    written = [0] * c.num_clbits if c.num_clbits <= wide else defaultdict(int)
-    BARRIER = Gate.BARRIER
-    top = gate_count = two_qubit = measures = 0
-    for op in ins:
-        qubits = op.qubits
-        if op.gate is BARRIER:
-            t = 0
-            for q in qubits:
-                if avail[q] > t:
-                    t = avail[q]
-            for q in qubits:
-                avail[q] = t
-            continue
-        # Any other op acts on one or two qubits.
-        t = avail[qubits[0]]
-        if len(qubits) == 2 and avail[qubits[1]] > t:
-            t = avail[qubits[1]]
-        clbit = op.clbit
-        if clbit is not None and written[clbit] > t:
-            t = written[clbit]
-        if op.condition is not None:
-            for b in op.condition.bits:
-                if written[b] > t:
-                    t = written[b]
-        t += 1
-        for q in qubits:
-            avail[q] = t
-        if t > top:
-            top = t
-        if clbit is not None:
-            written[clbit] = t
+    """Depth and gate/measurement counts."""
+    gate_count = 0
+    two_qubit = 0
+    measures = 0
+    for ins in c.instructions:
+        if ins.gate is Gate.MEASURE:
             measures += 1
-        else:
+        elif ins.gate is not Gate.BARRIER:
             gate_count += 1
-            if len(qubits) == 2:
+            if ins.gate.arity == 2:
                 two_qubit += 1
-    return DepthReport(top, gate_count, two_qubit, measures)
+    return DepthReport(depth(c), gate_count, two_qubit, measures)

@@ -12,11 +12,12 @@ circuit must be no deeper than the current one, as no bounded window sees
 context before it that skews the schedule.  The window test sweeps the
 `DEPTH_SCOPE` tail back once (`ir.paths_of`: per wire, the longest path
 entering the tail there) and joins it with each side's per-wire fronts
-(`ir.fronts_of`, `ir.depth_joined`), so no window is scheduled twice.  The
-whole-circuit test is exact and never schedules the whole circuit: an
-`ir.DepthIndex`, built once per list, first refuses a rewrite whose block
-alone, placed on the fronts before it, already makes a path longer than the
-circuit, and otherwise walks only the operations the rewrite can move.
+(`ir.depth_of` fills them; `ir.depth_joined`), so no window is scheduled
+twice.  The whole-circuit test is exact and never schedules the whole
+circuit: an `ir.DepthIndex`, built once per list, first refuses a rewrite
+whose block alone, placed on the fronts before it, already makes a path
+longer than the circuit, and otherwise walks only the operations the
+rewrite can move.
 
 Each list gets one per-wire use table (`ir.UseTable`), held by the index.
 GHZ sites (`detect_ghz` on the input's table, checked from |0...0>) are on
@@ -71,7 +72,7 @@ from .ir import (
     Instruction,
     _splice,
     depth_joined,
-    fronts_of,
+    depth_of,
     paths_of,
 )
 from .stabilizer import NoPauliForm, prepares_same, same_unitary
@@ -147,11 +148,17 @@ def _replacement_for(
     return ghz.build_ghz_parallel(seq, range(clbit, clbit + len(seq) // 2))
 
 
-#: A side's schedule: its depth and per-wire fronts (`fronts_of`).
-_Schedule = tuple[int, dict[int, int]]
-#: Per distinct chain, keyed by kind and qubit sequence: the schedules of
-#: its gates and of its rewrite.
-_Sides = dict[tuple[str, tuple[int, ...]], tuple[_Schedule, _Schedule]]
+def _sides(
+    ins: Sequence[Instruction], cand: ChainCandidate, replacement: Sequence[Instruction] | None
+) -> tuple[tuple[int, dict[int, int]], tuple[int, dict[int, int]]]:
+    """The schedules of a candidate's gates and of its rewrite (the gates'
+    own for a None replacement), each its depth and per-wire fronts."""
+    fronts: dict[int, int] = {}
+    gates = (depth_of([ins[i] for i in cand.gate_indices], fronts), fronts)
+    if replacement is None:
+        return gates, gates
+    fronts = {}
+    return gates, (depth_of(replacement, fronts), fronts)
 
 
 def _gate(
@@ -160,7 +167,7 @@ def _gate(
     replacement: Sequence[Instruction] | None,
     mode: ChainMode,
     index: DepthIndex | None = None,
-    sides: _Sides | None = None,
+    sides: tuple[tuple[int, dict[int, int]], tuple[int, dict[int, int]]] | None = None,
 ) -> GateDecision:
     """Window depths before and after the rewrite, and whether it passes: in
     conservative mode the window must get strictly shallower, and then, with
@@ -169,24 +176,15 @@ def _gate(
     chain are the same on both sides and stay out of the window: counting
     them would let an unrelated chain's depth mask a genuine improvement.
 
-    The window's tail is swept once and joined with each side's schedule.
-    With `sides`, the pass's cache, each side is scheduled once per
-    distinct chain: a chain's kind and qubit sequence fix its gates' qubit
-    sets, and under one config its rewrite.  A GHZ site's gates are not
-    fixed by its members, so its caller passes no cache."""
+    The window's tail is swept once and joined with each side's schedule,
+    `sides` when the caller has them (`_sides`) and else scheduled here."""
     tail_start = cand.end_index + 1
     tail = paths_of(ins[tail_start : tail_start + DEPTH_SCOPE])
-    key = (cand.kind.value, cand.qubit_seq)
-    pair = None if sides is None else sides.get(key)
-    if pair is None:
-        gates = fronts_of([ins[i] for i in cand.gate_indices])
-        pair = (gates, gates if replacement is None else fronts_of(replacement))
-        if sides is not None:
-            sides[key] = pair
-    before = depth_joined(pair[0], tail)
+    gates, rewrite = _sides(ins, cand, replacement) if sides is None else sides
+    before = depth_joined(gates, tail)
     if replacement is None:
         return GateDecision(cand, before, before, False)
-    after = depth_joined(pair[1], tail)
+    after = depth_joined(rewrite, tail)
     conservative = mode is ChainMode.CONSERVATIVE
     applied = not conservative or after < before
     if applied and conservative and index is not None:
@@ -279,16 +277,19 @@ def gate_and_apply(
     decisions: list[GateDecision] = []
     if config.chain_mode is not ChainMode.CONSERVATIVE:
         index = None
-    # Each distinct chain's rewrite, built once: read only, as `_gate`,
-    # `_window` and the verifier copy what they take from it.
-    built: dict[tuple[str, tuple[int, ...]], list[Instruction]] = {}
-    sides: _Sides = {}
+    # Each distinct chain's rewrite and the schedules of both its sides,
+    # built once: a chain's kind and qubit sequence fix its gates' qubit
+    # sets and, under one config, its rewrite.  Read only, as `_gate`,
+    # `_window` and the verifier copy what they take from the rewrite.
+    built: dict[tuple[str, tuple[int, ...]], tuple] = {}
     while (cand := scanner.next()) is not None:
         ins = scanner.instructions
         key = (cand.kind.value, cand.qubit_seq)
-        replacement = built.get(key)
-        if replacement is None:
-            replacement = built[key] = _replacement_for(cand, config)
+        entry = built.get(key)
+        if entry is None:
+            replacement = _replacement_for(cand, config)
+            entry = built[key] = (replacement, _sides(ins, cand, replacement))
+        replacement, sides = entry
         decision = _gate(ins, cand, replacement, config.chain_mode, index, sides)
         if decision.applied:
             window = _window(ins, cand, replacement)

@@ -22,8 +22,7 @@ when an error is raised.  Digits and spaces are ASCII only, on both paths.
 
 The fast path resolves each statement shape - gate name, whether an angle is
 present, operands - once per parse: a repeated gate appends one shared
-`Instruction`, and a rotation still reads and checks its own angle, then
-fills a new `Instruction` with the fields resolved (`ir._prechecked`).  A
+`Instruction`, and a rotation still reads and checks its own angle.  A
 failed resolution is never kept, so that statement reaches the grammar.
 
 The writer formats the angle-free text of each distinct gate and operand
@@ -45,7 +44,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ir import Circuit, Condition, Gate, Instruction, _prechecked
+from .ir import Circuit, Condition, Gate, Instruction
 
 
 @dataclass(frozen=True)
@@ -173,7 +172,6 @@ class _Parser:
         append = self.instructions.append
         gate_match = _FAST_GATE.match
         resolved = self._resolved
-        rotation = _prechecked
         pos = self.offset
         while (m := gate_match(text, pos)) is not None:
             name, angle_text, reg0, idx0, reg1, idx1 = m.groups()
@@ -190,7 +188,7 @@ class _Parser:
                 angle = float(angle_text)
                 if not math.isfinite(angle):
                     break
-                append(rotation(hit[0], hit[1], angle))
+                append(Instruction(hit[0], hit[1], angle))
             pos = m.end()
         self.offset = pos
 

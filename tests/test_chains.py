@@ -60,6 +60,7 @@ from qshallow.pipeline import (
     PassConfig,
     _replacement_for,
     _gate,
+    _sides,
     compile_circuit,
 )
 from qshallow.qasm import emit
@@ -674,7 +675,8 @@ def test_window_gate_equals_two_schedules(block):
     replacements, and every GHZ site, with each of its constructions or None:
     the gate decides as scheduling the window before and after does, and
     never applies None.  Chain candidates share one side cache per circuit
-    and replacement rule, as in a pass; GHZ sites take none."""
+    and replacement rule, as in a pass; GHZ sites take none and are
+    scheduled in the gate."""
     shared = 0
     for c in _diff_circuits(block):
         ins = c.instructions
@@ -691,12 +693,18 @@ def test_window_gate_equals_two_schedules(block):
             tail = list(ins[cand.end_index + 1 : cand.end_index + 1 + DEPTH_SCOPE])
             before = depth_of(gates + tail)
             after = before if replacement is None else depth_of([*replacement, *tail])
-            # Sides another candidate of the circuit scheduled.
-            shared += sides is not None and (cand.kind.value, cand.qubit_seq) in sides
+            pair = None
+            if sides is not None:
+                key = (cand.kind.value, cand.qubit_seq)
+                if key in sides:
+                    shared += 1  # sides another candidate of the circuit scheduled
+                else:
+                    sides[key] = _sides(ins, cand, replacement)
+                pair = sides[key]
             for mode in (ChainMode.CONSERVATIVE, ChainMode.ALWAYS):
                 applied = replacement is not None and (mode is ChainMode.ALWAYS or after < before)
                 want = GateDecision(cand, before, after, applied)
-                assert _gate(ins, cand, replacement, mode, sides=sides) == want, (c, cand)
+                assert _gate(ins, cand, replacement, mode, sides=pair) == want, (c, cand)
     assert shared > 100  # the cached sides are exercised
 
 

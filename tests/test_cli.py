@@ -218,13 +218,15 @@ def test_compile_validates_once(tmp_path, monkeypatch):
 def test_report_of_unchanged_compile_schedules_once(tmp_path, monkeypatch):
     # A 4-gate chain the conservative gate rejects: the output is the input,
     # so the report reuses the input's stats instead of scheduling it again.
-    from qshallow import cli
+    # The window gate's schedules go through pipeline's own name and are
+    # not counted here.
+    from qshallow import ir
 
     src = tmp_path / "in.qasm"
     src.write_text(emit(gen_cx_chain(5)))
     calls = []
-    stats = cli.stats
-    monkeypatch.setattr(cli, "stats", lambda c: calls.append(len(c.instructions)) or stats(c))
+    depth_of = ir.depth_of
+    monkeypatch.setattr(ir, "depth_of", lambda ins: calls.append(len(ins)) or depth_of(ins))
     rc = main(["compile", "--in", str(src), "--out", str(tmp_path / "out.qasm"),
                "--report", str(tmp_path / "r.json"), "--chains", "conservative",
                "--min-chain-gates", "2"])
@@ -273,6 +275,8 @@ def test_compile_reaches_the_traced_functions(tmp_path, monkeypatch):
         (chains.ChainScanner, "next"),
         (chains.ChainScanner, "accept"),
         (pipeline, "gate_and_apply"),
+        (pipeline, "depth_of"),
+        (pipeline, "paths_of"),
         (pipeline, "decompose_forward"),
     ]
     calls = {name: 0 for _, name in targets}

@@ -2,8 +2,9 @@
 accept and the use table they share (`ir.UseTable`), each against a
 from-scratch reference: `depth_of` of the rewritten list, and indexes and
 tables built anew on the list the accepts left.  Also the other depth
-schedules - `stats`, and the window gate's sweep and join - against
-`depth_of`."""
+schedules - `stats`, each wire's front after `depth_of`, and the window
+gate's sweep and join - against a reference that takes every dependency
+pair by pair (`_reference_fronts`)."""
 from __future__ import annotations
 
 from collections import Counter
@@ -29,7 +30,6 @@ from qshallow.ir import (
     depth,
     depth_joined,
     depth_of,
-    fronts_of,
     h,
     measure,
     paths_of,
@@ -66,6 +66,31 @@ def _body(data, n: int, size: int, bits: list[int]) -> list[Instruction]:
             cond = data.draw(st.lists(st.integers(0, len(bits) + 1), min_size=1, max_size=3))
             body.append(x(data.draw(qubit), condition=Condition(tuple(cond))))
     return body
+
+
+def _reference_fronts(ops) -> tuple[int, dict[int, int]]:
+    """Depth and each wire's front (qubit q as q, bit b as ~b) from the
+    dependencies taken pair by pair: an op's layer is the latest layer among
+    the earlier ops that share a qubit with it or write a bit it reads or
+    writes, plus one, or plus none for a barrier.  O(len(ops)**2)."""
+    layers: list[int] = []
+    for i, op in enumerate(ops):
+        bits = set(op.condition.bits) if op.condition is not None else set()
+        if op.clbit is not None:
+            bits.add(op.clbit)
+        before = [
+            layers[j]
+            for j, prev in enumerate(ops[:i])
+            if set(prev.qubits) & set(op.qubits) or prev.clbit is not None and prev.clbit in bits
+        ]
+        layers.append(max(before, default=0) + (op.gate is not Gate.BARRIER))
+    fronts: dict[int, int] = {}
+    for op, layer in zip(ops, layers):
+        for q in op.qubits:
+            fronts[q] = layer
+        if op.clbit is not None:
+            fronts[~op.clbit] = layer
+    return max(layers, default=0), fronts
 
 
 def _table_view(table: UseTable, start: int):
@@ -332,14 +357,14 @@ def test_reader_waits_for_its_writer():
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
-def test_stats_match_depth_of_and_counts(data):
+def test_stats_match_the_reference(data):
     n = data.draw(st.integers(1, 6))
     bits: list[int] = []
     body = _body(data, n, data.draw(st.integers(0, 40)), bits)
     c = Circuit(n, len(bits) + 2, tuple(body))
     gates = [op for op in c.instructions if op.gate not in (Gate.MEASURE, Gate.BARRIER)]
     want = DepthReport(
-        depth_of(c.instructions),
+        _reference_fronts(c.instructions)[0],
         len(gates),
         sum(op.gate.arity == 2 for op in gates),
         sum(op.gate is Gate.MEASURE for op in c.instructions),
@@ -357,14 +382,25 @@ def test_window_join_matches_depth_of(data):
     bits: list[int] = []
     head = _body(data, n, data.draw(st.integers(0, 20)), bits)
     tail = _body(data, n, data.draw(st.integers(0, 20)), bits)
-    assert fronts_of(head)[0] == depth_of(head)
-    assert paths_of(tail)[0] == depth_of(tail)
-    assert depth_joined(fronts_of(head), paths_of(tail)) == depth_of([*head, *tail])
+    fronts: dict[int, int] = {}
+    schedule = (depth_of(head, fronts), fronts)
+    assert schedule == _reference_fronts(head)
+    top, paths = paths_of(tail)
+    assert top == _reference_fronts(tail)[0]
+    # A qubit's path: what a run longer than the tail on that qubit alone,
+    # put before it, adds to the run.
+    run = len(tail) + 1
+    for q in range(n):
+        if any(q in op.qubits for op in tail):
+            assert paths[q] == _reference_fronts([*[h(q)] * run, *tail])[0] - run
+    joined = depth_joined(schedule, (top, paths))
+    assert joined == _reference_fronts([*head, *tail])[0] == depth_of([*head, *tail])
 
 
 def test_window_join_crosses_at_a_bit():
     # Only the measured bit carries the longest path into the tail.
     head = [h(0), h(0), h(0), measure(0, 0)]
     tail = [x(1, condition=Condition((0,)))]
+    fronts: dict[int, int] = {}
     assert depth_of([*head, *tail]) == 5
-    assert depth_joined(fronts_of(head), paths_of(tail)) == 5
+    assert depth_joined((depth_of(head, fronts), fronts), paths_of(tail)) == 5

@@ -63,10 +63,10 @@ def _count_window_work(monkeypatch) -> tuple[list[int], list[int]]:
     from qshallow import pipeline
 
     sweeps, schedules = [], []
-    paths_of, fronts_of = pipeline.paths_of, pipeline.fronts_of
+    paths_of, depth_of = pipeline.paths_of, pipeline.depth_of
     monkeypatch.setattr(pipeline, "paths_of", lambda ins: sweeps.append(len(ins)) or paths_of(ins))
     monkeypatch.setattr(
-        pipeline, "fronts_of", lambda ins: schedules.append(len(ins)) or fronts_of(ins)
+        pipeline, "depth_of", lambda ins, *rest: schedules.append(len(ins)) or depth_of(ins, *rest)
     )
     return sweeps, schedules
 

@@ -14,7 +14,6 @@ from qshallow.ir import (
     DepthReport,
     Gate,
     Instruction,
-    _prechecked,
     _splice,
     barrier,
     cx,
@@ -24,7 +23,6 @@ from qshallow.ir import (
     h,
     measure,
     rx,
-    ry,
     rz,
     stats,
     validate,
@@ -251,19 +249,9 @@ class TestStats:
             stats(circ(1, cx(0, 5)))
 
     def test_register_far_wider_than_the_list(self):
-        # Fronts go to dicts, not lists sized by the registers.
+        # Nothing is sized by the registers.
         c = Circuit(10**18, 10**18, (h(5), measure(5, 10**17), x(7, condition=Condition((10**17,)))))
         assert stats(c) == DepthReport(3, 2, 0, 1)
-
-
-def test_prechecked_instruction_is_the_dataclass_value():
-    made = _prechecked(Gate.RY, (3,), 0.5)
-    want = ry(3, 0.5)
-    assert (made, hash(made), repr(made), vars(made)) == (want, hash(want), repr(want), vars(want))
-    assert type(made.qubits) is tuple
-    assert dataclasses.replace(made, angle=1.0) == ry(3, 1.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        made.angle = 1.0
 
 
 # -- property tests ----------------------------------------------------------

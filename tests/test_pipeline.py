@@ -59,14 +59,14 @@ def circ(n, *instructions):
 def _count_window_work(monkeypatch) -> tuple[list[int], list[int]]:
     """Record the length of every tail the window gate sweeps
     (`pipeline.paths_of`) and of every side it schedules
-    (`pipeline.fronts_of`)."""
+    (`pipeline.depth_of`)."""
     from qshallow import pipeline
 
     sweeps, schedules = [], []
-    for name, calls in (("paths_of", sweeps), ("fronts_of", schedules)):
-        def counting(instructions, _fn=getattr(pipeline, name), _calls=calls):
+    for name, calls in (("paths_of", sweeps), ("depth_of", schedules)):
+        def counting(instructions, *rest, _fn=getattr(pipeline, name), _calls=calls):
             _calls.append(len(instructions))
-            return _fn(instructions)
+            return _fn(instructions, *rest)
 
         monkeypatch.setattr(pipeline, name, counting)
     return sweeps, schedules
@@ -454,6 +454,18 @@ class TestCompileCircuit:
             result = compile_circuit(c, config)
             assert len(result.decisions) == 4
             assert built == [tuple(range(16))]
+
+    def test_chains_sharing_a_prefix_keep_their_own_rewrite_and_sides(self):
+        # Two ladders that start on the same qubits, one after a barrier:
+        # the second takes neither the first's rewrite nor its schedules.
+        first = [cx(i, i + 1) for i in range(6)]
+        second = [cx(0, 1), cx(1, 7), cx(7, 8)]
+        c = circ(9, *first, barrier(*range(9)), *second)
+        config = PassConfig(chain_mode=ChainMode.ALWAYS, min_chain_gates=2, verify=True)
+        out, decisions, _ = gate_and_apply(c, config)
+        assert [d.candidate.qubit_seq for d in decisions] == [(*range(7),), (0, 1, 7, 8)]
+        assert decisions[1].depth_before == 3
+        assert equivalent_unitary(c, out)
 
     def test_layered_refusals_come_from_the_bound(self, monkeypatch):
         # Each ladder rewritten alone deepens the ansatz: the depth index's
