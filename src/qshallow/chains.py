@@ -40,6 +40,12 @@ every link acts as Z on the head, so none could cross it.  Detection then
 costs the operations on active wires up to the chain's last extension; an
 accepted rewrite refreshes the table over its window only.
 
+Rewrites are final.  The gates of every rewrite - a chain's decomposition
+accepted by this scanner, or a block an earlier pass built and hands in
+(`ChainScanner`'s `replaced`, as the GHZ pass does) - neither seed nor
+extend a chain: no rewrite's output is rewritten again, so no later chain
+undoes the depth a block was built for.
+
 Decompositions:
 
 * `decompose_forward` - recursive halving of a CX chain, ascending or
@@ -57,7 +63,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .ir import Circuit, Gate, Instruction, Letter, UseTable, UseWalk, _letters, _wires, cx, cz, h
 
@@ -242,7 +248,8 @@ class _Growth:
 
 
 # Seed states, one per instruction: the gates of a skipped candidate never
-# seed again; the gates of a replacement neither seed nor extend a chain.
+# seed again; the gates of every rewrite - a replacement accepted here or a
+# block handed in as `replaced` - neither seed nor extend a chain.
 _FREE, _SKIPPED, _REPLACED = 0, 1, 2
 
 
@@ -267,6 +274,9 @@ class ChainScanner:
     around it are rediscovered - or `skip()`s, which retires the candidate's
     gates as seeds and continues forward.  Candidate starts therefore never
     decrease, and nothing before the last accepted start is read again.
+    The positions in `replaced` hold an earlier rewrite's gates (the GHZ
+    blocks `pipeline.gate_ghz_sites` kept); they start out as a replacement's
+    do, so no rewrite's output is ever rewritten.
 
     A growth walks the list's `ir.UseTable` (`uses`, built here unless one
     over the same list is handed in), merging the uses of its active wires,
@@ -279,7 +289,13 @@ class ChainScanner:
     head has no later CX-as-control (or CZ) left.
     """
 
-    def __init__(self, circuit: Circuit, min_gates: int = 2, uses: UseTable | None = None):
+    def __init__(
+        self,
+        circuit: Circuit,
+        min_gates: int = 2,
+        uses: UseTable | None = None,
+        replaced: Iterable[int] = (),
+    ):
         if min_gates < 2:
             raise ValueError("min_gates must be at least 2")
         self.num_qubits = circuit.num_qubits
@@ -288,6 +304,8 @@ class ChainScanner:
         self.min_gates = min_gates
         self.uses = UseTable(self.instructions) if uses is None else uses
         self._state = [_FREE] * len(self.instructions)
+        for p in replaced:
+            self._state[p] = _REPLACED
         self._pos = 0
         self._pending: ChainCandidate | None = None
         self._barriers: list[int] = []

@@ -222,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--chains", choices=[m.value for m in ChainMode], default="off",
                            help="gate for every rewrite: conservative applies a GHZ site or "
                                 "chain only if its window gets shallower and the circuit no "
-                                "deeper; always applies all; off skips chains, applies GHZ sites")
+                                "deeper; always applies all; off skips chains, applies GHZ sites. "
+                                "No chain is found inside a kept GHZ block, so its depth, "
+                                "1 + ceil(log2 n) robust or 6 parallel, holds in every mode")
     p_compile.add_argument("--min-chain-gates", type=int, default=5,
                            help="fewest gates a chain needs to be rewritten (at least 2)")
     p_compile.add_argument("--cz-to-cx", action="store_true",

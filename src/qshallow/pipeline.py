@@ -33,6 +33,14 @@ and schedules each side of its window test - the chain's gates, the
 rewrite - once, so a repeated ladder's window costs O(its wires plus
 `DEPTH_SCOPE`).
 
+Rewrites are final.  The GHZ pass returns the positions its kept blocks
+take in the list it returns, and `compile_circuit` hands them to the chain
+pass (`gate_and_apply`'s `replaced`), whose scanner treats them as it
+treats its own accepted rewrites: their gates neither seed nor extend a
+chain.  So the chain pass never grows a chain inside a block, and a site's
+constructed depth - 1 + ceil(log2 n) robust, 6 parallel - is what it
+leaves in every `chain_mode`.
+
 With `verify`, `stabilizer` checks every rewrite applied exactly, at any
 width: a GHZ block must prepare its site's state in every measurement branch,
 and a chain window must equal its rewrite as a unitary in deferred form.  A
@@ -52,7 +60,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import ghz
 from .chains import (
@@ -225,15 +233,16 @@ def _verify_rewrite(
 
 def gate_ghz_sites(
     c: Circuit, config: PassConfig, index: DepthIndex | None = None
-) -> tuple[Circuit, list[GateDecision], Coverage | None]:
+) -> tuple[Circuit, list[GateDecision], Coverage | None, list[int]]:
     """Rebuild the detected GHZ sites as `config.ghz_mode` says, gated per
     `config.chain_mode` (with `index`, if given, over `c`'s instructions; its
     use table serves detection).  Returns like `gate_and_apply`, one decision
-    per site.
+    per site, and then the positions of the kept blocks' ops in the returned
+    circuit's list, ascending: the `replaced` of the chain pass.
     """
     coverage = Coverage() if config.verify else None
     if config.ghz_mode is GhzMode.OFF:
-        return c, [], coverage
+        return c, [], coverage, []
     ins = c.instructions
     index = DepthIndex() if index is None else index
     decisions: list[GateDecision] = []
@@ -252,16 +261,26 @@ def gate_ghz_sites(
             layout[site.end_index] = block
             clbit += sum(op.gate is Gate.MEASURE for op in block)
     if not layout:
-        return c, decisions, coverage
-    return Circuit(c.num_qubits, clbit, tuple(_splice(ins, layout))), decisions, coverage
+        return c, decisions, coverage, []
+    kept: list[int] = []
+    shift = 0  # how far the blocks spliced so far move the positions after them
+    for i in sorted(layout):
+        kept += range(i + shift, i + shift + len(layout[i]))
+        shift += len(layout[i]) - 1
+    out = Circuit(c.num_qubits, clbit, tuple(_splice(ins, layout)))
+    return out, decisions, coverage, kept
 
 
 def gate_and_apply(
-    c: Circuit, config: PassConfig, index: DepthIndex | None = None
+    c: Circuit,
+    config: PassConfig,
+    index: DepthIndex | None = None,
+    replaced: Iterable[int] = (),
 ) -> tuple[Circuit, list[GateDecision], Coverage | None]:
     """Scan for chains and apply their decompositions per the configured mode
     (in conservative mode, gated by `index` over `c`'s instructions if given;
-    the scanner reads its use table in every mode).
+    the scanner reads its use table in every mode).  The ops at the positions
+    in `replaced` are an earlier rewrite's output and join no chain.
 
     Returns the rewritten circuit, one decision record per candidate in
     discovery order, and, if `config.verify` is set, the `Coverage` of the
@@ -273,7 +292,7 @@ def gate_and_apply(
         return c, [], coverage
 
     index = DepthIndex() if index is None else index
-    scanner = ChainScanner(c, config.min_chain_gates, index.uses_of(c.instructions))
+    scanner = ChainScanner(c, config.min_chain_gates, index.uses_of(c.instructions), replaced)
     decisions: list[GateDecision] = []
     if config.chain_mode is not ChainMode.CONSERVATIVE:
         index = None
@@ -320,11 +339,11 @@ class CompileResult:
 
 
 def compile_circuit(c: Circuit, config: PassConfig) -> CompileResult:
-    """The GHZ pass, then the chain pass."""
+    """The GHZ pass, then the chain pass, which leaves the GHZ blocks as built."""
     index = DepthIndex()
-    out, ghz_decisions, ghz_coverage = gate_ghz_sites(c, config, index)
+    out, ghz_decisions, ghz_coverage, blocks = gate_ghz_sites(c, config, index)
     if out is not c:
         index = DepthIndex()  # the GHZ pass changed the list
-    out, chain_decisions, chain_coverage = gate_and_apply(out, config, index)
+    out, chain_decisions, chain_coverage = gate_and_apply(out, config, index, blocks)
     coverage = None if ghz_coverage is None else ghz_coverage + chain_coverage
     return CompileResult(out, ghz_decisions + chain_decisions, coverage)

@@ -474,12 +474,15 @@ def _reference_block(site: ChainCandidate, mode: GhzMode, clbit: int):
     return build_ghz_parallel(site.qubit_seq, range(clbit, clbit + len(site.qubit_seq) // 2))
 
 
-def _reference_rebuild(c: Circuit, mode: GhzMode, only=None, anchor_last=True) -> Circuit:
+def _reference_rebuild(
+    c: Circuit, mode: GhzMode, only=None, anchor_last=True
+) -> tuple[Circuit, list[int]]:
     """The GHZ pass as it was before it was gated: every site with a
     construction (those starting in `only`, if given) is rebuilt, fresh bits
     numbered in site order.  `anchor_last` puts each block at the site's last
     gate, where the shared layout puts it; the old pass put it at the H.  No op
-    in between touches a member, so the two differ only by commuting ops."""
+    in between touches a member, so the two differ only by commuting ops.
+    Also returns the positions the blocks' ops take in the result."""
     next_clbit = c.num_clbits
     blocks = {}
     for site in detect_ghz(c):
@@ -490,9 +493,15 @@ def _reference_rebuild(c: Circuit, mode: GhzMode, only=None, anchor_last=True) -
         blocks.update(dict.fromkeys(site.gate_indices, ()))
         blocks[site.end_index if anchor_last else site.start_index] = block
     if not blocks:
-        return c
-    body = [op for i, ins in enumerate(c.instructions) for op in blocks.get(i, (ins,))]
-    return Circuit(c.num_qubits, next_clbit, tuple(body))
+        return c, []
+    body, positions = [], []
+    for i, ins in enumerate(c.instructions):
+        if i in blocks:
+            positions += range(len(body), len(body) + len(blocks[i]))
+            body += blocks[i]
+        else:
+            body.append(ins)
+    return Circuit(c.num_qubits, next_clbit, tuple(body)), positions
 
 
 def _reference_gated(c: Circuit, mode: GhzMode) -> tuple[Circuit, list[str]]:
@@ -509,12 +518,12 @@ def _reference_gated(c: Circuit, mode: GhzMode) -> tuple[Circuit, list[str]]:
             fates.append("none")
         elif depth_of(block + tail) >= depth_of([ins[i] for i in site.gate_indices] + tail):
             fates.append("window")
-        elif depth(_reference_rebuild(c, mode, {site.start_index})) > depth(c):
+        elif depth(_reference_rebuild(c, mode, {site.start_index})[0]) > depth(c):
             fates.append("recheck")
         else:
             fates.append("kept")
             kept.add(site.start_index)
-    return _reference_rebuild(c, mode, kept), fates
+    return _reference_rebuild(c, mode, kept)[0], fates
 
 
 def _ghz_chain(qubits) -> list[Instruction]:
@@ -560,7 +569,7 @@ class TestGatedPass:
     def test_conservative_gate_matches_per_site_reference(self, mode, block):
         config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE, min_chain_gates=2)
         for c in _gate_corpus(block):
-            out, decisions, _ = gate_ghz_sites(c, config)
+            out, decisions, _, _ = gate_ghz_sites(c, config)
             expected, fates = _reference_gated(c, mode)
             assert (out.num_clbits, out.instructions) == (
                 expected.num_clbits, expected.instructions), c
@@ -583,12 +592,13 @@ class TestGatedPass:
         config = PassConfig(ghz_mode=mode, chain_mode=chains, min_chain_gates=2)
         for c in _gate_corpus(0):
             out = compile_circuit(c, config).circuit
-            reference = _reference_rebuild(c, mode)
-            expected = gate_and_apply(reference, config)[0]
+            reference, blocks = _reference_rebuild(c, mode)
+            # The rebuilt blocks are final: the chain pass leaves them be.
+            expected = gate_and_apply(reference, config, replaced=blocks)[0]
             assert (out.num_clbits, out.instructions) == (
                 expected.num_clbits, expected.instructions), c
             # The old layout, block at the H, is the same circuit.
-            assert stats(reference) == stats(_reference_rebuild(c, mode, anchor_last=False))
+            assert stats(reference) == stats(_reference_rebuild(c, mode, anchor_last=False)[0])
 
     @pytest.mark.parametrize("mode", _GHZ_MODES)
     def test_deeper_site_is_dropped_alone(self, mode, monkeypatch):
@@ -596,7 +606,7 @@ class TestGatedPass:
         sweeps, schedules = _count_window_work(monkeypatch)
         builds = _count_index_builds(monkeypatch)
         config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE)
-        out, decisions, _ = gate_ghz_sites(c, config)
+        out, decisions, _, _ = gate_ghz_sites(c, config)
         late, plain = decisions
         assert late.depth_after < late.depth_before and not late.applied
         assert plain.applied
@@ -622,7 +632,7 @@ class TestGatedPass:
 
         monkeypatch.setattr(ghz, "build_ghz_parallel", counting)
         config = PassConfig(ghz_mode=GhzMode.PARALLEL, chain_mode=ChainMode.CONSERVATIVE)
-        out, decisions, _ = gate_ghz_sites(c, config)
+        out, decisions, _, _ = gate_ghz_sites(c, config)
         assert [d.applied for d in decisions] == [False, True]
         assert built == [(tuple(range(8)), (0, 1, 2, 3)), (tuple(range(8, 16)), (0, 1, 2, 3))]
         assert out.num_clbits == 4
@@ -638,7 +648,7 @@ class TestGatedPass:
         sweeps, schedules = _count_window_work(monkeypatch)
         builds = _count_index_builds(monkeypatch)
         config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE)
-        out, decisions, _ = gate_ghz_sites(c, config)
+        out, decisions, _, _ = gate_ghz_sites(c, config)
         assert len(decisions) == k and all(d.applied for d in decisions)
         # Windows only: a site's tail, its gates and its block.
         assert len(sweeps) == k and max(sweeps) <= 100
@@ -649,12 +659,20 @@ class TestGatedPass:
     def test_one_index_build_per_changed_list(self, monkeypatch):
         builds = _count_index_builds(monkeypatch)
         config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE)
-        # The GHZ pass keeps the block: one build over the input, one over
-        # the list the chain pass scans.
+        # The GHZ pass keeps the block, which the chain pass leaves be: it
+        # finds no seed, so gates nothing and builds no second index.
         c = gen_ghz_standard(64)
         result = compile_circuit(c, config)
         assert result.decisions[0].applied and depth(result.circuit) == 7
-        assert builds == [64, len(result.circuit.instructions)]
+        assert builds == [64]
+        # The GHZ pass keeps the block and the chain pass gates a chain: one
+        # build over the input, one over the list the chain pass scans (a
+        # robust block has as many ops as its site).
+        builds.clear()
+        c = circ(25, *(cx(i, i + 1) for i in range(8, 24)), *_ghz_chain(range(8)))
+        result = compile_circuit(c, config)
+        assert [d.applied for d in result.decisions] == [True, True]  # GHZ, then the chain
+        assert builds == [len(c.instructions)] * 2
         # The GHZ pass keeps nothing: the chain pass gates its chain with the
         # GHZ pass's index.
         builds.clear()
@@ -662,6 +680,94 @@ class TestGatedPass:
         result = compile_circuit(c, config)
         assert [d.applied for d in result.decisions] == [False, False, True]  # GHZ, then chains
         assert builds == [len(c.instructions)]
+
+    @pytest.mark.parametrize("mode", _GHZ_MODES)
+    def test_kept_site_marks_exactly_its_block(self, mode):
+        # The late site is refused and the plain one kept: the positions
+        # reported are the kept block's, read off the output as the ops the
+        # input does not hold.
+        c = circ(16, *_late_root(0), *_ghz_chain(range(8, 16)))
+        config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE)
+        out, decisions, _, kept = gate_ghz_sites(c, config)
+        assert [d.applied for d in decisions] == [False, True]
+        block = (build_ghz_log(range(8, 16)) if mode is GhzMode.ROBUST
+                 else build_ghz_parallel(range(8, 16), range(4)))
+        assert kept == list(range(len(_late_root(0)), len(out.instructions)))
+        assert [out.instructions[p] for p in kept] == block
+        inputs = {id(op) for op in c.instructions}
+        assert kept == [p for p, op in enumerate(out.instructions) if id(op) not in inputs]
+
+    def test_nothing_kept_marks_nothing(self):
+        c = circ(16, *_late_root(0))
+        for ghz_mode in (GhzMode.OFF, GhzMode.ROBUST):
+            config = PassConfig(ghz_mode=ghz_mode, chain_mode=ChainMode.CONSERVATIVE)
+            out, _, _, kept = gate_ghz_sites(c, config)
+            assert out is c and kept == []
+
+    @pytest.mark.parametrize("ghz_mode", _GHZ_MODES)
+    @pytest.mark.parametrize("chains", [ChainMode.CONSERVATIVE, ChainMode.ALWAYS])
+    def test_chains_never_take_a_kept_block_op(self, ghz_mode, chains, monkeypatch):
+        from qshallow import pipeline
+
+        seen = []  # per chain decision, its gates as the scanner's list held them
+        passes = []  # what the GHZ pass returned
+        gate, ghz_pass = pipeline._gate, pipeline.gate_ghz_sites
+
+        def recording(ins, cand, *rest):
+            if cand.kind is not ChainKind.GHZ:
+                seen.append([ins[i] for i in cand.gate_indices])
+            return gate(ins, cand, *rest)
+
+        monkeypatch.setattr(pipeline, "_gate", recording)
+        monkeypatch.setattr(pipeline, "gate_ghz_sites",
+                            lambda *args: passes.append(ghz_pass(*args)) or passes[-1])
+        config = PassConfig(ghz_mode=ghz_mode, chain_mode=chains, min_chain_gates=2,
+                            verify=True)
+        blocks_seen = chains_seen = 0
+        for c in _gate_corpus(0) + _gate_corpus(1):
+            seen.clear()
+            compile_circuit(c, config)
+            rebuilt, _, _, kept = passes.pop()
+            blocks = {id(rebuilt.instructions[p]) for p in kept}
+            assert not any(id(op) in blocks for gates in seen for op in gates), c
+            # Nor any rewrite's op: every chain's gates are the input's own.
+            inputs = {id(op) for op in c.instructions}
+            assert all(id(op) in inputs for gates in seen for op in gates), c
+            blocks_seen += bool(blocks)
+            chains_seen += len(seen)
+        assert blocks_seen > 100 and chains_seen > 100
+
+    @pytest.mark.parametrize("min_gates", [2, 5])
+    @pytest.mark.parametrize("chains", list(ChainMode))
+    @pytest.mark.parametrize("n", [16, 64, 256, 2000])
+    def test_ghz_depth_holds_under_every_chain_mode(self, n, chains, min_gates):
+        # Before blocks were final, always mode at min_chain_gates 2 rewrote
+        # the robust cascade's fan-outs: depths 6, 10, 16, 24.
+        c = gen_ghz_standard(n)
+        robust = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=chains, min_chain_gates=min_gates)
+        result = compile_circuit(c, robust)
+        emitted = parse(emit(result.circuit))
+        assert depth(emitted) == 1 + math.ceil(math.log2(n))
+        assert len(emitted.instructions) == n
+        assert [d.candidate.kind for d in result.decisions] == [ChainKind.GHZ]
+        # In memory: the emitted parity feedforward is deeper for n >= 8.
+        parallel = PassConfig(ghz_mode=GhzMode.PARALLEL, chain_mode=chains,
+                              min_chain_gates=min_gates)
+        result = compile_circuit(c, parallel)
+        assert depth(result.circuit) == 6
+        assert [d.candidate.kind for d in result.decisions] == [ChainKind.GHZ]
+
+    def test_no_chain_grows_inside_a_cascade(self, monkeypatch):
+        from qshallow.chains import ChainScanner
+
+        grows = []
+        grow = ChainScanner._grow
+        monkeypatch.setattr(ChainScanner, "_grow",
+                            lambda self, seed: grows.append(seed) or grow(self, seed))
+        config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE)
+        result = compile_circuit(gen_ghz_standard(2000), config)
+        assert depth(result.circuit) == 12
+        assert grows == []  # 1,776 growths when the cascade was scanned
 
     @pytest.mark.parametrize("label, c", [
         ("ghz/4", gen_ghz_standard(4)),
