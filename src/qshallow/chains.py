@@ -38,7 +38,10 @@ Growth stops at the next barrier, as soon as no later operation can extend
 the head, or once the head holds a deferred operation that is not Z there:
 every link acts as Z on the head, so none could cross it.  Detection then
 costs the operations on active wires up to the chain's last extension; an
-accepted rewrite refreshes the table over its window only.
+accepted rewrite refreshes the table over its window only.  The scanner
+takes the table - in a pass, from the depth index's `uses_of`, so that one
+table serves both - and builds its own link index the first time it reads
+them: a list whose every op is a rewrite's or no seed builds neither.
 
 Rewrites are final.  The gates of every rewrite - a chain's decomposition
 accepted by this scanner, or a block an earlier pass built and hands in
@@ -63,7 +66,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ir import Circuit, Gate, Instruction, Letter, UseTable, UseWalk, _letters, _wires, cx, cz, h
 
@@ -278,22 +281,24 @@ class ChainScanner:
     blocks `pipeline.gate_ghz_sites` kept); they start out as a replacement's
     do, so no rewrite's output is ever rewritten.
 
-    A growth walks the list's `ir.UseTable` (`uses`, built here unless one
-    over the same list is handed in), merging the uses of its active wires,
-    so it visits only ops on active wires.  The scanner owns the list, so
-    its `accept` refreshes the table.  Its own index holds only what its
-    policy needs: the barriers (positions counted from the end, ascending)
-    and, per qubit in use, the last position where it is the control of an
-    unconditioned CX (`_last_cx_control`) or an operand of an unconditioned
-    CZ (`_last_cz`).  A growth stops at the next barrier, and ends once the
-    head has no later CX-as-control (or CZ) left.
+    A growth walks the list's `ir.UseTable` (`uses`, which `uses_of` makes
+    from the list; a `DepthIndex.uses_of` hands over the table the gate
+    reads), merging the uses of its active wires, so it visits only ops on
+    active wires.  The scanner owns the list, so its `accept` refreshes the
+    table.  Its own index holds only what its policy needs: the barriers
+    (positions counted from the end, ascending) and, per qubit in use, the
+    last position where it is the control of an unconditioned CX
+    (`_last_cx_control`) or an operand of an unconditioned CZ (`_last_cz`).
+    A growth stops at the next barrier, and ends once the head has no later
+    CX-as-control (or CZ) left.  The table and the index are built on the
+    first read of either, so a scan that grows no seed builds neither.
     """
 
     def __init__(
         self,
         circuit: Circuit,
         min_gates: int = 2,
-        uses: UseTable | None = None,
+        uses_of: Callable[[Sequence[Instruction]], UseTable] = UseTable,
         replaced: Iterable[int] = (),
     ):
         if min_gates < 2:
@@ -302,18 +307,28 @@ class ChainScanner:
         self.num_clbits = circuit.num_clbits
         self.instructions: list[Instruction] = list(circuit.instructions)
         self.min_gates = min_gates
-        self.uses = UseTable(self.instructions) if uses is None else uses
+        self._uses_of = uses_of
         self._state = [_FREE] * len(self.instructions)
         for p in replaced:
             self._state[p] = _REPLACED
         self._pos = 0
         self._pending: ChainCandidate | None = None
-        self._barriers: list[int] = []
-        # Keyed by the qubits in use: a register may declare far more.
-        self._last_cx_control: dict[int, int] = {}
-        self._last_cz: dict[int, int] = {}
-        self._links: list[tuple[int, int, int]] = []  # (p - n, q, kind), earliest first
-        self._index_links(0, len(self.instructions))
+
+    def __getattr__(self, name: str):
+        """Build the use table or the link index on the first read of one of
+        their attributes, from the list as it stands."""
+        if name == "uses":
+            self.uses = self._uses_of(self.instructions)
+        elif name in ("_barriers", "_last_cx_control", "_last_cz", "_links"):
+            self._barriers: list[int] = []
+            # Keyed by the qubits in use: a register may declare far more.
+            self._last_cx_control: dict[int, int] = {}
+            self._last_cz: dict[int, int] = {}
+            self._links: list[tuple[int, int, int]] = []  # (p - n, q, kind), earliest first
+            self._index_links(0, len(self.instructions))
+        else:
+            raise AttributeError(name)
+        return self.__dict__[name]
 
     @property
     def circuit(self) -> Circuit:

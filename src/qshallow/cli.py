@@ -224,7 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "chain only if its window gets shallower and the circuit no "
                                 "deeper; always applies all; off skips chains, applies GHZ sites. "
                                 "No chain is found inside a kept GHZ block, so its depth, "
-                                "1 + ceil(log2 n) robust or 6 parallel, holds in every mode")
+                                "1 + ceil(log2 n) robust or 6 parallel, holds in every mode "
+                                "in memory and in --report; in the --out file a parallel "
+                                "block's k-bit parity corrections become k single-bit ifs, "
+                                "so the file reads deeper (12 layers at n = 16)")
     p_compile.add_argument("--min-chain-gates", type=int, default=5,
                            help="fewest gates a chain needs to be rewritten (at least 2)")
     p_compile.add_argument("--cz-to-cx", action="store_true",

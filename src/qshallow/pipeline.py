@@ -17,7 +17,11 @@ twice.  The whole-circuit test is exact and never schedules the whole
 circuit: an `ir.DepthIndex`, built once per list, first refuses a rewrite
 whose block alone, placed on the fronts before it, already makes a path
 longer than the circuit, and otherwise walks only the operations the
-rewrite can move.
+rewrite can move.  A GHZ site whose window reaches the end of the list
+needs no index: its members are fresh and its window is the rest of the
+list, so every path through its block is one the window test counted, and
+every other path ran in the input (the proof is in `_gate`).  A compile
+whose sites all end their lists builds no index.
 
 Each list gets one per-wire use table (`ir.UseTable`), held by the index.
 GHZ sites (`detect_ghz` on the input's table, checked from |0...0>) are on
@@ -27,7 +31,9 @@ its own against the pass's input and the blocks kept are spliced at once
 unitaries) come one at a time, each against the depth the last accept left,
 which the index takes in over the rewritten window; the scanner refreshes
 the table.  When the GHZ pass keeps no block, the chain pass reuses its
-index and table.  A layered circuit repeats its chains: the chain pass
+index and table.  The scanner asks the index for the table only when it
+first grows a seed, so a list of kept blocks and non-seeds costs the chain
+pass no table.  A layered circuit repeats its chains: the chain pass
 builds each distinct rewrite (kind and qubit sequence) once and shares it,
 and schedules each side of its window test - the chain's gates, the
 rewrite - once, so a repeated ladder's window costs O(its wires plus
@@ -185,7 +191,18 @@ def _gate(
     them would let an unrelated chain's depth mask a genuine improvement.
 
     The window's tail is swept once and joined with each side's schedule,
-    `sides` when the caller has them (`_sides`) and else scheduled here."""
+    `sides` when the caller has them (`_sides`) and else scheduled here.
+
+    A GHZ site whose tail reaches the end of `ins` is settled by the window
+    test alone, and `index` is never asked.  `detect_ghz` makes every member
+    fresh before the site and lets no other op in the window touch one, and
+    the block's bits are fresh.  So every path through the block starts in
+    it and runs on into the tail, which is the whole rest of the list: it is
+    counted in `after`.  Every other path avoids the block and took no site
+    gate's place, so it already ran in `ins` and is at most `index.depth`.
+    And `after < before <= index.depth`, since `before` schedules a
+    subsequence of `ins`.  So the rewritten list is no deeper.  A site whose
+    tail the scope cuts is gated by `index` as a chain is."""
     tail_start = cand.end_index + 1
     tail = paths_of(ins[tail_start : tail_start + DEPTH_SCOPE])
     gates, rewrite = _sides(ins, cand, replacement) if sides is None else sides
@@ -195,6 +212,8 @@ def _gate(
     after = depth_joined(rewrite, tail)
     conservative = mode is ChainMode.CONSERVATIVE
     applied = not conservative or after < before
+    if cand.kind is ChainKind.GHZ and len(ins) - tail_start <= DEPTH_SCOPE:
+        return GateDecision(cand, before, after, applied)  # the window settles it
     if applied and conservative and index is not None:
         # The block placed after the chain: the replacement, then the moved-after ops.
         block = [*replacement, *(ins[i] for i in cand.moved_after)]
@@ -279,8 +298,9 @@ def gate_and_apply(
 ) -> tuple[Circuit, list[GateDecision], Coverage | None]:
     """Scan for chains and apply their decompositions per the configured mode
     (in conservative mode, gated by `index` over `c`'s instructions if given;
-    the scanner reads its use table in every mode).  The ops at the positions
-    in `replaced` are an earlier rewrite's output and join no chain.
+    the scanner takes its use table from it in every mode, on its first
+    growth).  The ops at the positions in `replaced` are an earlier
+    rewrite's output and join no chain.
 
     Returns the rewritten circuit, one decision record per candidate in
     discovery order, and, if `config.verify` is set, the `Coverage` of the
@@ -292,7 +312,7 @@ def gate_and_apply(
         return c, [], coverage
 
     index = DepthIndex() if index is None else index
-    scanner = ChainScanner(c, config.min_chain_gates, index.uses_of(c.instructions), replaced)
+    scanner = ChainScanner(c, config.min_chain_gates, index.uses_of, replaced)
     decisions: list[GateDecision] = []
     if config.chain_mode is not ChainMode.CONSERVATIVE:
         index = None

@@ -12,8 +12,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qshallow.chains import ChainScanner, _window
-from qshallow.ghz import build_ghz_parallel
+from qshallow.chains import ChainKind, ChainScanner, _window, find_chains
+from qshallow.ghz import GhzMode, build_ghz_parallel, detect_ghz
 from qshallow.ir import (
     Circuit,
     Condition,
@@ -37,7 +37,7 @@ from qshallow.ir import (
     stats,
     x,
 )
-from qshallow.pipeline import ChainMode, PassConfig, _replacement_for
+from qshallow.pipeline import DEPTH_SCOPE, ChainMode, PassConfig, _gate, _replacement_for
 
 SPARE = 6  # qubits no body op touches, for GHZ blocks on fresh qubits
 
@@ -249,7 +249,7 @@ def test_scanner_and_gate_refresh_match_a_rebuild(mode, data):
     c = _chain_rich(data)
     cz_to_cx = data.draw(st.booleans())
     index = DepthIndex() if mode is ChainMode.CONSERVATIVE else None
-    scanner = ChainScanner(c, 2, None if index is None else index.uses_of(c.instructions))
+    scanner = ChainScanner(c, 2, UseTable if index is None else index.uses_of)
     last_accept = 0
     while (cand := scanner.next()) is not None:
         ins = scanner.instructions
@@ -404,3 +404,88 @@ def test_window_join_crosses_at_a_bit():
     fronts: dict[int, int] = {}
     assert depth_of([*head, *tail]) == 5
     assert depth_joined((depth_of(head, fronts), fronts), paths_of(tail)) == 5
+
+
+# -- a GHZ site's window settles it when it reaches the list end ----------------
+
+
+class _AskedIndex(DepthIndex):
+    """A depth index that counts the `admits` calls made of it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.asked = 0
+
+    def admits(self, *args) -> bool:
+        self.asked += 1
+        return super().admits(*args)
+
+
+def _ghz_among_others(data) -> Circuit:
+    """GHZ sites, chains and fan-outs, on qubits no earlier op touches, and
+    CX ladders on other qubits, after a prefix and interleaved with other
+    ops; then a suffix over every qubit, shorter or longer than
+    `DEPTH_SCOPE`.  Each bit is written once."""
+    n = data.draw(st.integers(2, 8))
+    bits: list[int] = []
+    body = _body(data, n, data.draw(st.integers(0, 12)), bits)
+    fresh = n
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):  # a ladder, repeated as in a layered ansatz
+            seq = data.draw(st.permutations(range(n)))
+            gates = [cx(a, b) for a, b in zip(seq, seq[1:])] * data.draw(st.integers(1, 3))
+        else:
+            members = range(fresh, fresh + data.draw(st.integers(2, 10)))
+            fresh = members.stop
+            fanout = data.draw(st.booleans())
+            links = zip(members, members[1:])
+            gates = [h(members[0]), *(cx(members[0] if fanout else a, b) for a, b in links)]
+        between = data.draw(st.integers(0, 3))
+        for op in gates:
+            body.append(op)
+            body += _body(data, n, data.draw(st.integers(0, between)), bits)
+    body += _body(data, fresh, data.draw(st.integers(0, 15)), bits)
+    # A shallow tail, repeated, that ends well inside the scope or near its
+    # edge, on either side.
+    pad = [op for op in _body(data, fresh, data.draw(st.integers(0, 4)), bits) if op.clbit is None]
+    pad += [rz(q, 0.5) for q in range(fresh)]
+    length = data.draw(st.integers(0, 20) | st.integers(DEPTH_SCOPE - 10, DEPTH_SCOPE + 40))
+    body += (pad * length)[:length]
+    return Circuit(fresh, len(bits) + 2, tuple(body))
+
+
+def test_ghz_window_at_the_list_end_is_exact():
+    # The window test alone accepts a GHZ site whose tail reaches the list
+    # end: every such accept is one the depth index admits too.  Where the
+    # scope cuts the tail, the gate asks the index.  Chains always ask: a
+    # ladder repeated at the list end can win its window and still deepen
+    # the list.
+    taken = Counter()
+    _ghz_window_at_the_list_end_is_exact(taken)
+    assert taken["shortcut"] >= 100 and taken["ghz", "cut"] >= 20, taken
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def _ghz_window_at_the_list_end_is_exact(taken: Counter, data):
+    c = _ghz_among_others(data)
+    ins = c.instructions
+    configs = [PassConfig(ghz_mode=m, min_chain_gates=2) for m in (GhzMode.ROBUST, GhzMode.PARALLEL)]
+    candidates = [(site, cfg) for site in detect_ghz(c) for cfg in configs]
+    candidates += [(chain, configs[0]) for chain in find_chains(c, 2)]
+    for cand, config in candidates:
+        replacement = _replacement_for(cand, config, c.num_clbits)
+        index = _AskedIndex()
+        decision = _gate(ins, cand, replacement, ChainMode.CONSERVATIVE, index)
+        if decision.depth_after >= decision.depth_before or replacement is None:
+            continue  # the window refuses it
+        if not index.asked:
+            block = [*replacement, *(ins[i] for i in cand.moved_after)]
+            removed = (*cand.gate_indices, *cand.moved_after)
+            assert decision.applied
+            assert DepthIndex().admits(ins, cand.start_index, cand.end_index, removed, block)
+            taken["shortcut"] += 1
+        cut = len(ins) - cand.end_index - 1 > DEPTH_SCOPE
+        if cand.kind is not ChainKind.GHZ or cut:
+            assert index.asked == 1
+            taken[cand.kind.value, "cut" if cut else "end"] += 1

@@ -659,19 +659,27 @@ class TestGatedPass:
     def test_one_index_build_per_changed_list(self, monkeypatch):
         builds = _count_index_builds(monkeypatch)
         config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE)
-        # The GHZ pass keeps the block, which the chain pass leaves be: it
-        # finds no seed, so gates nothing and builds no second index.
+        # The site's window reaches the end of the list, which settles it,
+        # and the chain pass leaves the block be: it finds no seed, so gates
+        # nothing.  No index is built.
         c = gen_ghz_standard(64)
         result = compile_circuit(c, config)
         assert result.decisions[0].applied and depth(result.circuit) == 7
-        assert builds == [64]
-        # The GHZ pass keeps the block and the chain pass gates a chain: one
-        # build over the input, one over the list the chain pass scans (a
-        # robust block has as many ops as its site).
-        builds.clear()
+        assert builds == []
+        # The site ends the list, so only the chain pass builds an index.
         c = circ(25, *(cx(i, i + 1) for i in range(8, 24)), *_ghz_chain(range(8)))
         result = compile_circuit(c, config)
         assert [d.applied for d in result.decisions] == [True, True]  # GHZ, then the chain
+        assert builds == [len(c.instructions)]
+        # The scope cuts the site's tail, the GHZ pass keeps the block and
+        # the chain pass gates a chain: one build over the input, one over
+        # the list the chain pass scans (a robust block has as many ops as
+        # its site).
+        builds.clear()
+        c = circ(25, *_ghz_chain(range(8)), *[rz(7, 0.1)] * 100,
+                 *(cx(i, i + 1) for i in range(8, 24)))
+        result = compile_circuit(c, config)
+        assert [d.applied for d in result.decisions] == [True, True]
         assert builds == [len(c.instructions)] * 2
         # The GHZ pass keeps nothing: the chain pass gates its chain with the
         # GHZ pass's index.
@@ -680,6 +688,24 @@ class TestGatedPass:
         result = compile_circuit(c, config)
         assert [d.applied for d in result.decisions] == [False, False, True]  # GHZ, then chains
         assert builds == [len(c.instructions)]
+
+    @pytest.mark.parametrize("mode", _GHZ_MODES)
+    @pytest.mark.parametrize("n", [16, 2000])
+    def test_site_ending_the_list_builds_no_index(self, mode, n, monkeypatch):
+        # The window test settles a site whose window reaches the list end:
+        # no depth index is built, and no layer is learned.
+        from qshallow import ir
+
+        builds = _count_index_builds(monkeypatch)
+        learned = []
+        learn = ir.DepthIndex._learn
+        monkeypatch.setattr(ir.DepthIndex, "_learn",
+                            lambda self, ins, upto: learned.append(upto) or learn(self, ins, upto))
+        c = gen_ghz_standard(n)
+        result = compile_circuit(c, PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE))
+        assert [d.applied for d in result.decisions] == [True]
+        assert depth(result.circuit) < depth(c)
+        assert builds == learned == []
 
     @pytest.mark.parametrize("mode", _GHZ_MODES)
     def test_kept_site_marks_exactly_its_block(self, mode):

@@ -494,15 +494,16 @@ class TestUseTableBuilds:
         assert len(result.decisions) > 0
         assert builds == [len(c.instructions)]
 
-    def test_ghz_pass_then_chain_pass_builds_two(self, monkeypatch):
-        # Detection and the GHZ gate share the input's table; the block kept
-        # changes the list, so the chain pass builds its own.
+    @pytest.mark.parametrize("mode", [GhzMode.ROBUST, GhzMode.PARALLEL], ids=lambda m: m.value)
+    def test_ghz_pass_then_idle_chain_pass_builds_one(self, mode, monkeypatch):
+        # Detection reads the input's table; the block kept changes the
+        # list, but it holds no seed, so the chain pass builds no table.
         builds = _count_table_builds(monkeypatch)
         c = gen_ghz_standard(2000)
-        config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE)
+        config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE)
         result = compile_circuit(c, config)
         assert result.decisions[0].applied
-        assert builds == [2000, len(result.circuit.instructions)]
+        assert builds == [2000]
 
     def test_ghz_pass_keeping_nothing_shares_its_table(self, monkeypatch):
         builds = _count_table_builds(monkeypatch)
