@@ -65,6 +65,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence
 
@@ -266,6 +267,57 @@ def _window(items: Sequence, cand: ChainCandidate, replacement: Sequence) -> lis
     return [*stay, *replacement, *(items[i] for i in cand.moved_after)]
 
 
+class _Links:
+    """What the scanner's policy reads beyond the use table: the barriers
+    (positions counted from the end, ascending) and, per qubit in use, the
+    last position, counted from the end, where it is the control of an
+    unconditioned CX (`last_cx_control`) or an operand of an unconditioned
+    CZ (`last_cz`)."""
+
+    __slots__ = ("barriers", "last_cx_control", "last_cz", "heap")
+
+    def __init__(self, ins: Sequence[Instruction]):
+        self.barriers: list[int] = []
+        # Keyed by the qubits in use: a register may declare far more.
+        self.last_cx_control: dict[int, int] = {}
+        self.last_cz: dict[int, int] = {}
+        self.heap: list[tuple[int, int, int]] = []  # (p - n, q, kind), earliest first
+        self.add(ins, 0, len(ins))
+
+    def add(self, ins: Sequence[Instruction], first: int, stop: int) -> None:
+        """Record the barriers and the last links at positions first..stop-1,
+        walking back: a qubit's link recorded already is a later one."""
+        n = len(ins)
+        tables, heap = (self.last_cx_control, self.last_cz), self.heap
+        BARRIER, CZ = Gate.BARRIER, Gate.CZ
+        for p in range(stop - 1, first - 1, -1):
+            op = ins[p]
+            gate = op.gate
+            if gate is BARRIER:
+                # Growth stops at the first barrier after its seed, so a link
+                # that runs across a barrier is never followed.
+                self.barriers.append(n - p)
+            elif gate.arity == 2 and op.condition is None:
+                kind = gate is CZ  # a CX links through its control, a CZ both
+                for q in op.qubits if kind else op.qubits[:1]:
+                    if q not in tables[kind]:
+                        tables[kind][q] = n - p
+                        heappush(heap, (p - n, q, kind))
+
+    def drop(self, n: int, s: int, e: int) -> None:
+        """Before positions s..e of an n-op list are rewritten: drop the
+        entries before s, which are never read again, and the last links
+        inside the window, which the window's own replace."""
+        barriers = self.barriers
+        while barriers and barriers[-1] > n - s:
+            barriers.pop()
+        tables, heap = (self.last_cx_control, self.last_cz), self.heap
+        while heap and -heap[0][0] >= n - e:
+            v, q, kind = heappop(heap)
+            if tables[kind].get(q) == -v:
+                del tables[kind][q]
+
+
 class ChainScanner:
     """Resumable single-pass scanner over a circuit's instruction list.
 
@@ -285,13 +337,11 @@ class ChainScanner:
     from the list; a `DepthIndex.uses_of` hands over the table the gate
     reads), merging the uses of its active wires, so it visits only ops on
     active wires.  The scanner owns the list, so its `accept` refreshes the
-    table.  Its own index holds only what its policy needs: the barriers
-    (positions counted from the end, ascending) and, per qubit in use, the
-    last position where it is the control of an unconditioned CX
-    (`_last_cx_control`) or an operand of an unconditioned CZ (`_last_cz`).
-    A growth stops at the next barrier, and ends once the head has no later
-    CX-as-control (or CZ) left.  The table and the index are built on the
-    first read of either, so a scan that grows no seed builds neither.
+    table.  Its own index (`_links`, a `_Links`) holds only what its policy
+    needs: the barriers and each qubit's last link.  A growth stops at the
+    next barrier, and ends once the head has no later CX-as-control (or CZ)
+    left.  `uses` and `_links` are cached properties, each built on its
+    first read, so a scan that grows no seed builds neither.
     """
 
     def __init__(
@@ -314,45 +364,17 @@ class ChainScanner:
         self._pos = 0
         self._pending: ChainCandidate | None = None
 
-    def __getattr__(self, name: str):
-        """Build the use table or the link index on the first read of one of
-        their attributes, from the list as it stands."""
-        if name == "uses":
-            self.uses = self._uses_of(self.instructions)
-        elif name in ("_barriers", "_last_cx_control", "_last_cz", "_links"):
-            self._barriers: list[int] = []
-            # Keyed by the qubits in use: a register may declare far more.
-            self._last_cx_control: dict[int, int] = {}
-            self._last_cz: dict[int, int] = {}
-            self._links: list[tuple[int, int, int]] = []  # (p - n, q, kind), earliest first
-            self._index_links(0, len(self.instructions))
-        else:
-            raise AttributeError(name)
-        return self.__dict__[name]
+    @cached_property
+    def uses(self) -> UseTable:
+        return self._uses_of(self.instructions)
+
+    @cached_property
+    def _links(self) -> _Links:
+        return _Links(self.instructions)
 
     @property
     def circuit(self) -> Circuit:
         return Circuit(self.num_qubits, self.num_clbits, tuple(self.instructions))
-
-    def _index_links(self, first: int, stop: int) -> None:
-        """Record the barriers and the last links at positions first..stop-1,
-        walking back: a qubit's link recorded already is a later one."""
-        ins, n = self.instructions, len(self.instructions)
-        tables, links = (self._last_cx_control, self._last_cz), self._links
-        BARRIER, CZ = Gate.BARRIER, Gate.CZ
-        for p in range(stop - 1, first - 1, -1):
-            op = ins[p]
-            gate = op.gate
-            if gate is BARRIER:
-                # Growth stops at the first barrier after its seed, so a link
-                # that runs across a barrier is never followed.
-                self._barriers.append(n - p)
-            elif gate.arity == 2 and op.condition is None:
-                kind = gate is CZ  # a CX links through its control, a CZ both
-                for q in op.qubits if kind else op.qubits[:1]:
-                    if q not in tables[kind]:
-                        tables[kind][q] = n - p
-                        heappush(links, (p - n, q, kind))
 
     def next(self) -> ChainCandidate | None:
         if self._pending is not None:
@@ -388,10 +410,11 @@ class ChainScanner:
         ins = self.instructions
         n = len(ins)
         g = _Growth(ins, self._state, seed)
-        k = bisect_left(self._barriers, n - seed)
-        walk = UseWalk(self.uses, n - self._barriers[k - 1] if k else n)
+        index = self._links
+        k = bisect_left(index.barriers, n - seed)
+        walk = UseWalk(self.uses, n - index.barriers[k - 1] if k else n)
         # Past the last link of the head, nothing can extend the chain.
-        links = (self._last_cz if g.is_cz else self._last_cx_control).get
+        links = (index.last_cz if g.is_cz else index.last_cx_control).get
         seq, seq_set, pending = g.seq, g.seq_set, g.pending
         add, unskip, walked, skips = walk.add, walk.unskip, walk.walked, walk.skips
         runs_of = self.uses.runs_of
@@ -446,20 +469,11 @@ class ChainScanner:
         # The replacement is what the window holds beyond the ops it kept.
         added = len(window) - (e + 1 - s) + len(cand.gate_indices)
         self._state[s : e + 1] = _window(self._state, cand, [_REPLACED] * added)
-        # Entries before the window are never read again: drop them, and the
-        # last links inside it, which the window's own replace.
-        barriers = self._barriers
-        while barriers and barriers[-1] > n - s:
-            barriers.pop()
-        tables = (self._last_cx_control, self._last_cz)
-        links = self._links
-        while links and -links[0][0] >= n - e:
-            v, q, kind = heappop(links)
-            if tables[kind].get(q) == -v:
-                del tables[kind][q]
+        index = self._links
+        index.drop(n, s, e)
         self.uses.splice(ins, s, e, window)
         ins[s : e + 1] = window
-        self._index_links(s, s + len(window))
+        index.add(ins, s, s + len(window))
         self._pos = s
 
     def skip(self) -> None:

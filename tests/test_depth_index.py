@@ -117,12 +117,12 @@ def _depth_view(index: DepthIndex, ins, start: int):
 def _scan_view(scanner: ChainScanner, start: int):
     """The use table and the scanner's own index from position `start` on,
     as positions."""
-    n = len(scanner.instructions)
+    n, links = len(scanner.instructions), scanner._links
     return (
         _table_view(scanner.uses, start),
-        [n - v for v in scanner._barriers if n - v > start],
+        [n - v for v in links.barriers if n - v > start],
         [{q: n - v for q, v in t.items() if n - v >= start}
-         for t in (scanner._last_cx_control, scanner._last_cz)],
+         for t in (links.last_cx_control, links.last_cz)],
     )
 
 
