@@ -22,13 +22,19 @@ against the brute-force oracle).  A growth merges all it holds into one
 letter per wire, a mixed wire turning OPAQUE, so testing an operation against
 the chain and every deferred operation costs O(its wires).
 
-Growth visits only the operations that can matter.  A wire - a qubit or a
-classical bit - is active while the chain or one of its deferred operations
-uses it; an operation on no active wire commutes with everything the chain
-holds and moves before it without changing any state.  A chain is grown by a
-walk of the list's per-wire use table (`ir.UseTable`, which the depth gate
-and GHZ detection read too): the uses of its active wires, merged in
-position order, rather than every later instruction.  A wire that only
+Growth visits only the operations that can matter.  It starts with the
+adjacent run: while the next op in the list extends the chain, it is taken
+at once - it is the op any walk would yield next, and with nothing deferred
+no check can refuse it - so a ladder whose links follow one another, as a
+layered ansatz's do, grows without the structures below.  If the run ends
+where the head has no later link, growth is over; otherwise the walk takes
+over at the op that ended the run.  A wire - a qubit or a classical bit - is
+active while the chain or one of its deferred operations uses it; an
+operation on no active wire commutes with everything the chain holds and
+moves before it without changing any state.  The walk is one of the list's
+per-wire use table (`ir.UseTable`, which the depth gate and GHZ detection
+read too): the uses of its active wires, merged in position order, rather
+than every later instruction.  A wire that only
 deferred operations hold is walked only at its uses whose letter differs from
 theirs: the other uses commute with all it holds, and the walk meets them
 through any other active wire where they do not.  The table keeps each such
@@ -72,6 +78,7 @@ from typing import Callable, Iterable, Sequence
 from .ir import Circuit, Gate, Instruction, Letter, UseTable, UseWalk, _letters, _wires, cx, cz, h
 
 _OPAQUE, _Z = Letter.OPAQUE, Letter.Z
+_CX, _CZ = Gate.CX, Gate.CZ
 
 
 class ChainKind(Enum):
@@ -163,10 +170,6 @@ class _Growth:
         self.held: dict[int, int] = dict(zip(first.qubits, first.gate.letters))
         self.pending: dict[int, int] = {}
 
-    @property
-    def head(self) -> int:
-        return self.seq[-1]
-
     def _defer(self, pos: int, op: Instruction) -> None:
         """Record `op` as moved after the chain; a wire whose merged letters
         differ turns OPAQUE."""
@@ -181,8 +184,9 @@ class _Growth:
         """Returns 'extended', 'skip' (not a continuation) or 'stop'."""
         if op.condition is not None or self.state[pos] == _REPLACED:
             return "skip"
+        seq = self.seq
         if self.is_cz:
-            if op.gate is not Gate.CZ:
+            if op.gate is not _CZ:
                 return "skip"
             u, v = op.qubits
             if not self.seq_oriented:
@@ -191,33 +195,34 @@ class _Growth:
                     return "skip"
                 e = shared.pop()
                 new = v if u == e else u
-                if e == self.seq[0]:
-                    self.seq.reverse()
+                if e == seq[0]:
+                    seq.reverse()
                 self.seq_oriented = True
             else:
-                if self.head not in (u, v):
+                head = seq[-1]
+                if head != u and head != v:
                     return "skip"
-                new = v if u == self.head else u
+                new = v if u == head else u
             if new in self.seq_set:
                 return "stop"  # closing a cycle ends the chain
         else:
-            if op.gate is not Gate.CX:
+            if op.gate is not _CX:
                 return "skip"
-            ctrl, tgt = op.qubits
-            if ctrl != self.head:
+            ctrl, new = op.qubits
+            if ctrl != seq[-1]:
                 return "skip"
-            if tgt in self.seq_set:
+            if new in self.seq_set:
                 return "stop"  # target hits an earlier chain qubit: cycle
-            new = tgt
         # Deferred operations will cross this new gate on their way out.
-        if not _agrees(self.pending, op):
+        if self.pending and not _agrees(self.pending, op):
             return "stop"
         self.gate_positions.append(pos)
-        self.seq.append(new)
+        seq.append(new)
         self.seq_set.add(new)
         held = self.held
-        for q, letter in zip(op.qubits, op.gate.letters):
-            held[q] = letter if held.get(q, letter) == letter else _OPAQUE
+        (a, b), (la, lb) = op.qubits, op.gate.letters
+        held[a] = la if held.get(a, la) == la else _OPAQUE
+        held[b] = lb if held.get(b, lb) == lb else _OPAQUE
         return "extended"
 
     def classify(self, pos: int, op: Instruction) -> bool:
@@ -333,7 +338,8 @@ class ChainScanner:
     blocks `pipeline.gate_ghz_sites` kept); they start out as a replacement's
     do, so no rewrite's output is ever rewritten.
 
-    A growth walks the list's `ir.UseTable` (`uses`, which `uses_of` makes
+    A growth takes its adjacent run first, then, if the head has a later
+    link, walks the list's `ir.UseTable` (`uses`, which `uses_of` makes
     from the list; a `DepthIndex.uses_of` hands over the table the gate
     reads), merging the uses of its active wires, so it visits only ops on
     active wires.  The scanner owns the list, so its `accept` refreshes the
@@ -341,7 +347,8 @@ class ChainScanner:
     needs: the barriers and each qubit's last link.  A growth stops at the
     next barrier, and ends once the head has no later CX-as-control (or CZ)
     left.  `uses` and `_links` are cached properties, each built on its
-    first read, so a scan that grows no seed builds neither.
+    first read, so a scan that grows no seed builds neither, and one whose
+    growths all end with their adjacent run asks for no table.
     """
 
     def __init__(
@@ -379,54 +386,69 @@ class ChainScanner:
     def next(self) -> ChainCandidate | None:
         if self._pending is not None:
             raise RuntimeError("previous candidate not resolved; call accept() or skip()")
-        n = len(self.instructions)
-        while self._pos < n:
-            i = self._pos
-            ins = self.instructions[i]
-            if (
-                ins.gate.arity == 2
-                and ins.condition is None
-                and self._state[i] == _FREE
-            ):
+        ins, state = self.instructions, self._state
+        for i in range(self._pos, len(ins)):
+            op = ins[i]
+            if op.gate.arity == 2 and op.condition is None and state[i] == _FREE:
+                self._pos = i
                 candidate = self._grow(i)
                 if candidate is not None:
                     self._pending = candidate
                     return candidate
-            self._pos += 1
+        self._pos = len(ins)
         return None
 
     def _grow(self, seed: int) -> ChainCandidate | None:
         """Grow a chain from `seed`, visiting only the ops that can matter.
 
-        A chain wire is walked at every use.  A wire that only deferred ops
-        hold is walked only at its uses whose letter differs from theirs: an
-        op with their letter there commutes with all they hold on it, and
-        the walk meets it through any other active wire where it does not.
-        When such a wire turns OPAQUE or joins the chain, its walk restarts
-        at every use from the current position.  Every op skipped is one the
-        policy would move before the chain without changing any state; the
-        ops it does see, it sees in position order up to the last extension.
+        First the adjacent run: each next op in the list is offered to the
+        policy while it extends the chain.  Such a link is the very op the
+        walk would yield next - it uses the head, nothing lies between - and
+        nothing is deferred yet, so the walk's checks cannot fire on it; the
+        run needs no walk, no heap and no registered wire.  A ladder whose
+        links follow one another, as a layered ansatz's do, is grown here
+        whole.  Once the run ends, growth is over if the head (or, for a CZ
+        chain still unoriented, either end) has no link left; otherwise the
+        walk starts at the op that ended the run, with every chain wire
+        registered there.
+
+        In the walk, a chain wire is walked at every use.  A wire that only
+        deferred ops hold is walked only at its uses whose letter differs
+        from theirs: an op with their letter there commutes with all they
+        hold on it, and the walk meets it through any other active wire
+        where it does not.  When such a wire turns OPAQUE or joins the
+        chain, its walk restarts at every use from the current position.
+        Every op skipped is one the policy would move before the chain
+        without changing any state; the ops it does see, it sees in position
+        order up to the last extension.
         """
         ins = self.instructions
         n = len(ins)
         g = _Growth(ins, self._state, seed)
+        try_extend = g._try_extend
+        r = seed + 1
+        while r < n and try_extend(r, ins[r]) == "extended":
+            r += 1
+        seq = g.seq
         index = self._links
-        k = bisect_left(index.barriers, n - seed)
-        walk = UseWalk(self.uses, n - index.barriers[k - 1] if k else n)
         # Past the last link of the head, nothing can extend the chain.
         links = (index.last_cz if g.is_cz else index.last_cx_control).get
-        seq, seq_set, pending = g.seq, g.seq_set, g.pending
+        if n - links(seq[-1], n + 1) < r and (g.seq_oriented or n - links(seq[0], n + 1) < r):
+            return g.finish(self.min_gates)
+        k = bisect_left(index.barriers, n - seed)
+        walk = UseWalk(self.uses, n - index.barriers[k - 1] if k else n)
+        seq_set, pending = g.seq_set, g.pending
         add, unskip, walked, skips = walk.add, walk.unskip, walk.walked, walk.skips
         runs_of = self.uses.runs_of
         for q in seq:
-            add(q, seed + 1)
+            add(q, r)  # no chain wire has a use between its last link and r
         for j in walk:
             if n - links(seq[-1], n + 1) < j and (
                 g.seq_oriented or n - links(seq[0], n + 1) < j
             ):
                 break  # nothing from here on can extend the head
             op = ins[j]
-            result = g._try_extend(j, op)
+            result = try_extend(j, op)
             if result == "extended":
                 if pending.get(seq[-1], _Z) != _Z:
                     break  # every later link acts as Z on the head: none can cross

@@ -59,10 +59,46 @@ def _decision_summary(decision) -> dict:
     }
 
 
+_QUOTED = json.encoder.encode_basestring_ascii  # how `json.dumps` writes a str
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _indented(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2)` for JSON values with str keys.  With an
+    indent, `json` runs its pure-Python encoder, one generator per
+    container and a type test per value; here an int, a str and a literal
+    are written directly, and a list of ints, such as a chain's qubits, is
+    joined in one call."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is str:
+        return _QUOTED(value)
+    if value is None or type(value) is bool:
+        return _LITERALS[value]
+    inner = indent + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        items = (f"{inner}{_QUOTED(k)}: {_indented(v, inner)}" for k, v in value.items())
+        return "{" + ",".join(items) + indent + "}"
+    if type(value) is list:
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            return "[" + inner + ("," + inner).join(map(str, value)) + indent + "]"
+        return "[" + ",".join(inner + _indented(v, inner) for v in value) + indent + "]"
+    return json.dumps(value)  # a float
+
+
 def _report(input_circuit: Circuit, result: CompileResult) -> dict:
-    input_stats = stats(input_circuit)
+    # Each depth a compile's index holds is exact: only a list that no
+    # index covered is scheduled here.
+    input_stats = stats(input_circuit, result.input_depth)
     # A compile that changes nothing hands back its input.
-    output_stats = input_stats if result.circuit is input_circuit else stats(result.circuit)
+    if result.circuit is input_circuit:
+        output_stats = input_stats
+    else:
+        output_stats = stats(result.circuit, result.output_depth)
     ghz = [d.applied for d in result.decisions if d.candidate.kind is ChainKind.GHZ]
     chains = [d.applied for d in result.decisions if d.candidate.kind is not ChainKind.GHZ]
     coverage = result.coverage
@@ -97,7 +133,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         fh.write(emit(result.circuit))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_report(circuit, result), indent=2) + "\n")
+            fh.write(_indented(_report(circuit, result)) + "\n")
     return 0
 
 

@@ -5,6 +5,8 @@ flat classical-bit space.  Circuits are immutable and valid: construction
 checks every invariant `validate` lists and raises ValueError on a violation,
 so the passes, `stats` and `emit` take any `Circuit` they are given as valid.
 Every edit returns a new value, so circuits are safe to share across threads.
+`Instruction` and `Condition` are slotted records: no per-op `__dict__`, and
+cheaper to build, which the reader does once per statement.
 
 Depth is defined by as-soon-as-possible layering: an instruction starts one
 layer after the latest earlier instruction it depends on.  Dependencies are
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Callable, Iterator, Mapping, Sequence
@@ -73,7 +75,9 @@ class Gate(Enum):
     def __init__(self, value: str) -> None:
         # Every gate fact the passes read, as plain attributes: reading one
         # costs no Python-level `Enum.__hash__`, as a dict or set lookup of
-        # the member would.
+        # the member would, nor the Python-level descriptor behind `.value`.
+        #: The gate's OpenQASM name, as `value` holds it.
+        self.qasm_name = value
         #: Qubit operands the gate takes; None for a barrier, which takes any.
         self.arity = 2 if value in ("cx", "cz") else None if value == "barrier" else 1
         self.is_rotation = value in ("rx", "ry", "rz")
@@ -90,7 +94,7 @@ class Gate(Enum):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Condition:
     """Classical parity control: apply the gate iff XOR of the listed bits is 1."""
 
@@ -100,7 +104,7 @@ class Condition:
         object.__setattr__(self, "bits", tuple(self.bits))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Instruction:
     gate: Gate
     qubits: tuple[int, ...]
@@ -108,8 +112,27 @@ class Instruction:
     clbit: int | None = None
     condition: Condition | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(self.qubits))
+    def __init__(
+        self,
+        gate: Gate,
+        qubits: Sequence[int],
+        angle: float | None = None,
+        clbit: int | None = None,
+        condition: Condition | None = None,
+    ) -> None:
+        # The generated frozen `__init__`, through each field's slot: the
+        # reader builds one instruction per rotation statement, and a call
+        # of `object.__setattr__` per field costs twice as much.
+        _SET_GATE(self, gate)
+        _SET_QUBITS(self, tuple(qubits))
+        _SET_ANGLE(self, angle)
+        _SET_CLBIT(self, clbit)
+        _SET_CONDITION(self, condition)
+
+
+_SET_GATE, _SET_QUBITS, _SET_ANGLE, _SET_CLBIT, _SET_CONDITION = (
+    Instruction.__dict__[f].__set__ for f in ("gate", "qubits", "angle", "clbit", "condition")
+)
 
 
 def h(q: int) -> Instruction:
@@ -180,7 +203,12 @@ class DepthReport:
     measure_count: int
 
     def as_dict(self) -> dict[str, int]:
-        return asdict(self)
+        return {
+            "depth": self.depth,
+            "gate_count": self.gate_count,
+            "two_qubit_count": self.two_qubit_count,
+            "measure_count": self.measure_count,
+        }
 
 
 def validate(c: Circuit) -> list[str]:
@@ -244,7 +272,7 @@ def validate(c: Circuit) -> list[str]:
                 if not 0 <= b < c.num_clbits:
                     errors.append(f"condition bit {b} out of range")
         if len(errors) > mark:  # every Circuit runs this: format the position only on error
-            where = f"instruction {i} ({ins.gate.value})"
+            where = f"instruction {i} ({ins.gate.qasm_name})"
             errors[mark:] = [f"{where}: {e}" for e in errors[mark:]]
     return errors
 
@@ -590,14 +618,16 @@ class DepthIndex:
 
     The index is built from the first list it is asked about, with that
     list's use table (`uses_of`), and must be handed that list, as `accept`s
-    change it, from then on.  It never changes the table: whoever splices the
+    change it, from then on.  `built_depth` keeps that list's depth, exact
+    like `depth`, so a caller that reports it need not schedule the list.  It never changes the table: whoever splices the
     list refreshes it (`UseTable.splice`) after each `accept`.
     """
 
     def __init__(self) -> None:
         self.depth = 0
+        #: `depth` of the list the index was built from, None until built.
+        self.built_depth: int | None = None
         self.uses: UseTable | None = None
-        self._built = False
 
     def uses_of(self, ins: Sequence[Instruction]) -> UseTable:
         """The use table of `ins`, built on the first call."""
@@ -620,8 +650,7 @@ class DepthIndex:
         for w in self._uses:
             if w >= 0:
                 self._add(self._qterm(w, n))
-        self.depth = max(self._terms, default=0)
-        self._built = True
+        self.depth = self.built_depth = max(self._terms, default=0)
 
     def _add(self, value: int) -> None:
         self._terms[value] = self._terms.get(value, 0) + 1
@@ -719,20 +748,28 @@ class DepthIndex:
         `end` exceed `depth`.  An op that stays in the window can only push a
         front later, so each layer here bounds the walk's from below, and the
         sum is the one `admits` ends with: True means it refuses too."""
-        depth, tail, uses = self.depth, self._tail, self._uses
+        depth, tail, layer, uses = self.depth, self._tail, self._layer, self._uses
         BARRIER = Gate.BARRIER
         bound: dict[int, int] = {}  # wire -> its front so far, a lower bound
         leaving: dict[int, int] = {}  # qubit -> tail of its first use after `end`
+        cut, after = n - start, n - end - 1  # `start` and `end + 1` counted from the end
         for op in block:
             t = 0
             for x in op.qubits if op.clbit is None and op.condition is None else _wires(op):
                 a = bound.get(x)
                 if a is None:
-                    # 0 for a measurement's own bit: no writer before `start`.
-                    a = bound[x] = self._front_at(x, start, n)
-                    if x >= 0:
-                        k = self._first(x, end + 1, n)
-                        leaving[x] = tail[n - uses[x][k]] if k >= 0 else 0
+                    u = uses.get(x) if x >= 0 else None
+                    if u:  # `_front_at` and `_first`, on the qubit's one array
+                        k = bisect_right(u, cut)
+                        a = layer[n - u[k]] if k < len(u) else self._front.get(x, 0)
+                        k = bisect_right(u, after, 0, k) - 1
+                        leaving[x] = tail[n - u[k]] if k >= 0 else 0
+                    else:
+                        # 0 for a measurement's own bit: no writer before `start`.
+                        a = self._front_at(x, start, n)
+                        if x >= 0:
+                            leaving[x] = 0
+                    bound[x] = a
                 if a > t:
                     t = a
             if op.gate is not BARRIER:
@@ -755,7 +792,7 @@ class DepthIndex:
     ) -> bool:
         """Whether `ins` is no deeper than `depth` with the ops at `removed`
         (positions in start..end) taken out and `block` placed after `end`."""
-        if not self._built:
+        if self.built_depth is None:
             self._build(ins)
         if start < self._cut:
             raise ValueError(f"rewrite at {start} starts before the cut at {self._cut}")
@@ -835,7 +872,7 @@ class DepthIndex:
         """Take in the rewrite that replaces positions start..end of `ins` by
         `window`, before `ins` and its use table are spliced; `depth` becomes
         exact for the rewritten list."""
-        if not self._built:
+        if self.built_depth is None:
             self._build(ins)
         if start < self._cut:
             raise ValueError(f"rewrite at {start} starts before the cut at {self._cut}")
@@ -889,16 +926,14 @@ def depth(c: Circuit) -> int:
     return depth_of(c.instructions)
 
 
-def stats(c: Circuit) -> DepthReport:
-    """Depth and gate/measurement counts."""
-    gate_count = 0
-    two_qubit = 0
-    measures = 0
-    for ins in c.instructions:
-        if ins.gate is Gate.MEASURE:
-            measures += 1
-        elif ins.gate is not Gate.BARRIER:
-            gate_count += 1
-            if ins.gate.arity == 2:
-                two_qubit += 1
-    return DepthReport(depth(c), gate_count, two_qubit, measures)
+def stats(c: Circuit, known_depth: int | None = None) -> DepthReport:
+    """Depth and gate/measurement counts; `known_depth`, when the caller
+    holds `depth(c)` exactly, saves the schedule."""
+    gates = [ins.gate for ins in c.instructions]  # counted by identity, in C
+    measures = gates.count(Gate.MEASURE)
+    return DepthReport(
+        depth(c) if known_depth is None else known_depth,
+        len(gates) - measures - gates.count(Gate.BARRIER),
+        gates.count(Gate.CX) + gates.count(Gate.CZ),
+        measures,
+    )

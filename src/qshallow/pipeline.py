@@ -47,6 +47,13 @@ chain.  So the chain pass never grows a chain inside a block, and a site's
 constructed depth - 1 + ceil(log2 n) robust, 6 parallel - is what it
 leaves in every `chain_mode`.
 
+The report's depths come from the indexes where they hold them exactly:
+the input's is the depth of the index built over the input, before any
+accept, and the output's the chain pass's index's depth after its last
+accept (`CompileResult.input_depth`, `output_depth`).  Only a list that no
+index covered - no candidate reached the whole-circuit test, or the mode
+gates nothing - is scheduled again for the report.
+
 With `verify`, `stabilizer` checks every rewrite applied exactly, at any
 width: a GHZ block must prepare its site's state in every measurement branch,
 and a chain window must equal its rewrite as a unitary in deferred form.  A
@@ -351,6 +358,10 @@ class CompileResult:
     decisions: list[GateDecision] = field(default_factory=list)
     #: What `config.verify` settled; None when it is off.
     coverage: Coverage | None = None
+    #: `depth` of the input and of `circuit`, where an index of the compile
+    #: holds it exactly; None where none covered that list.
+    input_depth: int | None = None
+    output_depth: int | None = None
 
     @property
     def verified(self) -> bool:
@@ -359,11 +370,23 @@ class CompileResult:
 
 
 def compile_circuit(c: Circuit, config: PassConfig) -> CompileResult:
-    """The GHZ pass, then the chain pass, which leaves the GHZ blocks as built."""
+    """The GHZ pass, then the chain pass, which leaves the GHZ blocks as built.
+
+    The result carries each depth an index of the compile holds exactly:
+    the input's, from the index built over it (by either pass, if the GHZ
+    pass keeps no block), and the output's, from the chain pass's index."""
     index = DepthIndex()
     out, ghz_decisions, ghz_coverage, blocks = gate_ghz_sites(c, config, index)
+    input_depth = index.built_depth
     if out is not c:
         index = DepthIndex()  # the GHZ pass changed the list
-    out, chain_decisions, chain_coverage = gate_and_apply(out, config, index, blocks)
+    final, chain_decisions, chain_coverage = gate_and_apply(out, config, index, blocks)
+    if out is c:
+        input_depth = index.built_depth
+    # Only the conservative gate builds an index, and it takes in every
+    # rewrite the chain pass applies.
+    output_depth = None if index.built_depth is None else index.depth
     coverage = None if ghz_coverage is None else ghz_coverage + chain_coverage
-    return CompileResult(out, ghz_decisions + chain_decisions, coverage)
+    return CompileResult(
+        final, ghz_decisions + chain_decisions, coverage, input_depth, output_depth
+    )

@@ -26,7 +26,9 @@ present, operands - once per parse: a repeated gate appends one shared
 failed resolution is never kept, so that statement reaches the grammar.
 
 The writer formats the angle-free text of each distinct gate and operand
-list once per call; a rotation's angle is formatted per statement.
+list once per call; a rotation's angle is formatted per statement, inline,
+with no call per statement.  It reads each gate's name from the plain
+`Gate.qasm_name`, not through the enum's `value` descriptor.
 
 On emission every classical bit that a condition reads becomes its own
 one-bit register, so single-bit `if` comparisons stay expressible; each run
@@ -88,7 +90,7 @@ _TOKEN_RE = re.compile(
 )
 
 # The unitary gates, by name: looked up by string, so no enum member is hashed.
-_GATE_BY_NAME = {g.value: g for g in Gate if g.letters}
+_GATE_BY_NAME = {g.qasm_name: g for g in Gate if g.letters}
 
 
 class _Token(NamedTuple):
@@ -470,28 +472,6 @@ def parse(text: str) -> Circuit:
     return _Parser(text).parse()
 
 
-def _format_angle(angle: float) -> str:
-    return f"{angle:.17g}"
-
-
-def _gate_text(ins: Instruction, fixed: dict[tuple[str, tuple[int, ...]], str]) -> str:
-    """One gate's statement.  `fixed` holds, per gate name and qubits, the
-    text that does not depend on the angle - the whole statement, or what
-    follows a rotation's angle - so a repeated gate is formatted once.  The
-    key hashes the name, not the `Gate`; an angle, -0.0 included, is
-    formatted every time."""
-    name = ins.gate.value
-    key = (name, ins.qubits)
-    text = fixed.get(key)
-    if text is None:
-        operands = ",".join(f"q[{q}]" for q in ins.qubits)
-        text = f") {operands};" if ins.gate.is_rotation else f"{name} {operands};"
-        fixed[key] = text
-    if ins.gate.is_rotation:
-        return f"{name}({_format_angle(ins.angle)}{text}"
-    return text
-
-
 def emit(c: Circuit) -> str:
     """Deterministic QASM text; re-parsing reproduces every condition-free
     instruction exactly.  Parity conditions are lowered per the module note."""
@@ -504,22 +484,37 @@ def emit(c: Circuit) -> str:
     firsts = sorted({0, *read, *(b + 1 for b in read)} - {bits}) if bits else []
     for first, end in zip(firsts, [*firsts[1:], bits]):
         lines.append(f"creg m{first}[{end - first}];")
+    # Per gate name and qubits, the text that does not depend on the angle:
+    # the whole statement, or what follows a rotation's angle.  The key
+    # hashes the name, not the `Gate`; an angle, -0.0 included, is formatted
+    # every time.
     fixed: dict[tuple[str, tuple[int, ...]], str] = {}
+    append = lines.append
     for ins in c.instructions:
-        if ins.gate is Gate.MEASURE:
-            first = firsts[bisect_right(firsts, ins.clbit) - 1]
-            lines.append(f"measure q[{ins.qubits[0]}] -> m{first}[{ins.clbit - first}];")
-        elif ins.gate is Gate.BARRIER:
-            operands = ",".join(f"q[{q}]" for q in ins.qubits)
-            lines.append(f"barrier {operands};")
-        elif ins.condition is not None:
-            if ins.gate.is_rotation and len(ins.condition.bits) > 1:
+        gate = ins.gate
+        if gate.letters:  # a unitary gate
+            name = gate.qasm_name
+            key = (name, ins.qubits)
+            text = fixed.get(key)
+            if text is None:
+                operands = ",".join(f"q[{q}]" for q in ins.qubits)
+                text = fixed[key] = f") {operands};" if gate.is_rotation else f"{name} {operands};"
+            if gate.is_rotation:
+                text = f"{name}({ins.angle:.17g}{text}"
+            if ins.condition is None:
+                append(text)
+                continue
+            if gate.is_rotation and len(ins.condition.bits) > 1:
                 raise ValueError(
                     "multi-bit parity conditions on rotations cannot be lowered "
                     "to single-bit conditionals"
                 )
             for b in ins.condition.bits:
-                lines.append(f"if(m{b}==1) {_gate_text(ins, fixed)}")
+                append(f"if(m{b}==1) {text}")
+        elif gate is Gate.MEASURE:
+            first = firsts[bisect_right(firsts, ins.clbit) - 1]
+            append(f"measure q[{ins.qubits[0]}] -> m{first}[{ins.clbit - first}];")
         else:
-            lines.append(_gate_text(ins, fixed))
+            operands = ",".join(f"q[{q}]" for q in ins.qubits)
+            append(f"barrier {operands};")
     return "\n".join(lines) + "\n"

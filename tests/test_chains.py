@@ -8,7 +8,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qshallow import chains
 from qshallow.bench import (
     ANSATZ_FAMILIES,
     ENTANGLEMENTS,
@@ -38,9 +40,11 @@ from qshallow.ir import (
     Condition,
     Gate,
     Instruction,
+    UseWalk,
     barrier,
     cx,
     cz,
+    depth,
     depth_of,
     h,
     measure,
@@ -718,6 +722,132 @@ def test_differential_corpus_exercises_every_feature():
     assert {k.kind for k in cands} == {ChainKind.CX, ChainKind.CZ}
     assert sum(bool(_moved_before(k)) for k in cands) > 50
     assert sum(bool(k.moved_after) for k in cands) > 50
+
+
+# -- the adjacent run ---------------------------------------------------------
+
+
+def _scan(c: Circuit, min_gates: int, replaced=()) -> list[ChainCandidate]:
+    """`find_chains` with the ops at `replaced` held as an earlier rewrite's."""
+    scanner = ChainScanner(c, min_gates, replaced=replaced)
+    found = []
+    while (cand := scanner.next()) is not None:
+        found.append(cand)
+        scanner.skip()
+    return found
+
+
+@st.composite
+def _cut_runs(draw) -> tuple[Circuit, frozenset[int]]:
+    """Linked CX and CZ runs (each CZ's operands in either order, so a CZ
+    chain orients on either end of its seed), each cut after some links by a
+    barrier, a conditioned op on a chain wire or on the next link, a
+    cycle-closing link, a gate or a measurement on a chain wire, a stray
+    gate, or nothing, and sometimes continued past the cut; then positions
+    drawn to hold an earlier rewrite's ops."""
+    n = draw(st.integers(3, 8))
+    qubit = st.integers(0, n - 1)
+    singles = (h, x, z, lambda q: rz(q, 0.7), lambda q: ry(q, 0.5))
+    bits = 3
+    unwritten = list(range(bits))
+    body: list[Instruction] = []
+    for _ in range(draw(st.integers(1, 4))):
+        is_cz = draw(st.booleans())
+        seq = draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
+        gates = [
+            cz(*((a, b) if draw(st.booleans()) else (b, a))) if is_cz else cx(a, b)
+            for a, b in zip(seq, seq[1:])
+        ]
+        cut = draw(st.integers(1, len(gates)))
+        body += gates[:cut]
+        on_chain = st.sampled_from(seq[: cut + 1])
+        cutter = draw(st.sampled_from(
+            ["barrier", "conditioned", "conditioned_link", "cycle", "wire", "measure", "stray", "none"]
+        ))
+        if cutter == "barrier":
+            body.append(barrier(*draw(st.lists(qubit, min_size=1, max_size=n, unique=True))))
+        elif cutter == "conditioned":
+            body.append(x(draw(on_chain), condition=Condition((draw(st.integers(0, bits - 1)),))))
+        elif cutter == "conditioned_link" and cut < len(gates):
+            body.append(dataclasses.replace(gates[cut], condition=Condition((0, 1))))
+        elif cutter == "cycle" and cut >= 2:
+            earlier = draw(st.sampled_from(seq[: cut - 1]))
+            body.append(cz(seq[cut], earlier) if is_cz else cx(seq[cut], earlier))
+        elif cutter == "wire":
+            body.append(draw(st.sampled_from(singles))(draw(on_chain)))
+        elif cutter == "measure" and unwritten:
+            body.append(measure(draw(on_chain), unwritten.pop()))
+        elif cutter == "stray":
+            a, b = draw(st.permutations(range(n)))[:2]
+            body.append(cx(a, b) if draw(st.booleans()) else draw(st.sampled_from(singles))(a))
+        if draw(st.booleans()):
+            body += gates[cut:]
+        body += [draw(st.sampled_from(singles))(draw(qubit)) for _ in range(draw(st.integers(0, 2)))]
+    replaced = draw(st.sets(st.integers(0, len(body) - 1), max_size=3)) if draw(st.booleans()) else set()
+    return Circuit(n, bits, tuple(body)), frozenset(replaced)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cut_runs())
+def test_adjacent_run_matches_linear_walk(case):
+    """Runs cut every way the walk must take over from: detection, with and
+    without positions held as an earlier rewrite's, and every compile
+    decision and output equal those of the walk over every op."""
+    c, replaced = case
+    fast = {(k, r): _scan(c, k, r) for k in (2, 3) for r in ((), replaced)}
+    compiled = [compile_circuit(c, cfg) for cfg in _COMPILE_CONFIGS]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ChainScanner, "_grow", _linear_grow)
+        for (k, r), found in fast.items():
+            assert found == _scan(c, k, r), (c, k, r)
+        for cfg, got in zip(_COMPILE_CONFIGS, compiled):
+            want = compile_circuit(c, cfg)
+            assert got.decisions == want.decisions, (c, cfg)
+            assert emit(got.circuit) == emit(want.circuit), (c, cfg)
+
+
+class _CountingWalk(UseWalk):
+    built = 0
+
+    def __init__(self, *args):
+        type(self).built += 1
+        super().__init__(*args)
+
+
+def test_linear_ladder_grows_without_a_walk(monkeypatch):
+    # Each 999-link ladder of a layered ansatz is one adjacent run, and its
+    # head, the last qubit, controls no later CX: no walk is needed.
+    monkeypatch.setattr(chains, "UseWalk", _CountingWalk)
+    _CountingWalk.built = 0
+    c = gen_ansatz(AnsatzSpec("two_local", 1000, 2, "linear", 7))
+    assert [len(k.gate_indices) for k in find_chains(c, 5)] == [999, 999]
+    assert find_chains(gen_cx_chain(1000), 5)[0].qubit_seq == tuple(range(1000))
+    assert _CountingWalk.built == 0
+    # A run cut where its head has a later link hands over to the walk.
+    assert len(_only_candidate(circ(3, cx(0, 1), rz(1, 0.3), cx(1, 2))).gate_indices) == 2
+    assert _CountingWalk.built == 1
+
+
+@pytest.mark.parametrize("block", range(_DIFF_BLOCKS))
+def test_report_depths_are_exact(block):
+    """Every depth a compile hands to the report is `depth` of its list,
+    under every GHZ and chain mode; the indexes cover most lists."""
+    configs = [
+        PassConfig(ghz_mode=ghz, chain_mode=mode, min_chain_gates=2)
+        for mode in ChainMode
+        for ghz in GhzMode
+    ]
+    known = 0
+    for c in _diff_circuits(block):
+        for cfg in configs:
+            result = compile_circuit(c, cfg)
+            if result.input_depth is not None:
+                assert result.input_depth == depth(c), (c, cfg)
+                known += 1
+            if result.output_depth is not None:
+                assert result.output_depth == depth(result.circuit), (c, cfg)
+                known += 1
+    assert known > 200
 
 
 # -- scaling of the growth ----------------------------------------------------

@@ -10,10 +10,13 @@ from enum import Enum
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qshallow
 from qshallow.bench import AnsatzSpec, gen_ansatz, gen_cx_chain, gen_ghz_standard
-from qshallow.cli import main
+from qshallow.cli import _indented, _report, main
+from qshallow.ghz import GhzMode
+from qshallow.pipeline import PassConfig, compile_circuit
 from qshallow.qasm import emit, parse
 from qshallow.ir import Circuit, Condition, Gate, Instruction, measure, stats
 
@@ -235,6 +238,69 @@ def test_report_of_unchanged_compile_schedules_once(tmp_path, monkeypatch):
     assert report["chains_applied"] == 0
     assert report["output_stats"] == report["input_stats"]
     assert calls == [4]
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_json_values)
+def test_report_writer_matches_json_dumps(value):
+    assert _indented(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_matches_json_dumps_on_reports(tmp_path, ghz16):
+    # Decisions with qubit lists, a verification dict with skip reasons.
+    circuit = parse(ghz16.read_text())
+    config = PassConfig(ghz_mode=GhzMode.PARALLEL, min_chain_gates=2, verify=True)
+    report = _report(circuit, compile_circuit(circuit, config))
+    assert report["decisions"] and report["verification"]
+    assert _indented(report) == json.dumps(report, indent=2)
+    report["verification"]["skipped"] = {"conditioned h": 2, "é\n": 1}
+    assert _indented(report) == json.dumps(report, indent=2)
+
+
+def test_ladder_compile_schedules_the_whole_list_twice(tmp_path, monkeypatch):
+    # The depth index sweeps the list back once for its tails and learns
+    # its layers forward once; the report reads both depths off the index
+    # instead of a third schedule.  Window schedules are not whole-list.
+    from qshallow import ir
+
+    c = gen_ansatz(AnsatzSpec("two_local", 128, 4, "linear", 7))
+    n = len(c)
+    src = tmp_path / "in.qasm"
+    src.write_text(emit(c))
+    passes = []
+    sweep_back, learn, depth_of = ir._sweep_back, ir.DepthIndex._learn, ir.depth_of
+
+    def counting_sweep(ops, *args):
+        passes.append(len(ops) == n)
+        return sweep_back(ops, *args)
+
+    def counting_learn(self, ins, upto):
+        passes.append(max(0, upto - self._known) / n)
+        return learn(self, ins, upto)
+
+    def counting_depth_of(ins, *args):
+        passes.append(len(ins) == n)
+        return depth_of(ins, *args)
+
+    monkeypatch.setattr(ir, "_sweep_back", counting_sweep)
+    monkeypatch.setattr(ir.DepthIndex, "_learn", counting_learn)
+    monkeypatch.setattr(ir, "depth_of", counting_depth_of)
+    rc = main(["compile", "--in", str(src), "--out", str(tmp_path / "out.qasm"),
+               "--report", str(tmp_path / "r.json"), "--chains", "conservative"])
+    assert rc == 0
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["chains_found"] == 4 and report["chains_applied"] == 0
+    assert 1.8 < sum(passes) <= 2, passes
+    monkeypatch.undo()
+    assert report["input_stats"] == stats(c).as_dict()
+    assert report["output_stats"] == stats(parse((tmp_path / "out.qasm").read_text())).as_dict()
 
 
 @pytest.mark.parametrize("chains", ["conservative", "always"])

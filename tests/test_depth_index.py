@@ -185,7 +185,7 @@ def test_gate_and_accept_match_depth_of(monkeypatch):
 def _gate_and_accept_match_depth_of(data):
     n = data.draw(st.integers(1, 6))
     bits: list[int] = []
-    ins = _body(data, n, data.draw(st.integers(1, 30)), bits)
+    ins = first = _body(data, n, data.draw(st.integers(1, 30)), bits)
     fresh_q, fresh_b = n, len(bits) + 2
     index = DepthIndex()
     floor = last_accept = 0
@@ -222,7 +222,8 @@ def _gate_and_accept_match_depth_of(data):
             _assert_table_refreshed(index.uses, ins, last_accept)
         else:
             floor = data.draw(st.integers(start, start + 1))
-    if index._built:
+    if index.built_depth is not None:
+        assert index.built_depth == depth_of(first)  # the list it was built from
         assert _depth_view(index, ins, last_accept) == _depth_view(_fresh_index(ins), ins, last_accept)
 
 
@@ -278,7 +279,7 @@ def test_scanner_and_gate_refresh_match_a_rebuild(mode, data):
             assert index.uses is scanner.uses
             assert index.depth == depth_of(rewritten)
     ins = scanner.instructions
-    if index is not None and index._built:
+    if index is not None and index.built_depth is not None:
         assert _depth_view(index, ins, last_accept) == _depth_view(_fresh_index(ins), ins, last_accept)
 
 

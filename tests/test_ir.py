@@ -253,6 +253,37 @@ class TestStats:
         c = Circuit(10**18, 10**18, (h(5), measure(5, 10**17), x(7, condition=Condition((10**17,)))))
         assert stats(c) == DepthReport(3, 2, 0, 1)
 
+    def test_as_dict_is_the_fields_in_order(self):
+        report = stats(circ(2, h(0), cx(0, 1), measure(1, 0), clbits=1))
+        assert report.as_dict() == dataclasses.asdict(report)
+        assert list(report.as_dict()) == [f.name for f in dataclasses.fields(DepthReport)]
+
+    def test_known_depth_is_taken_counts_are_not(self):
+        c = circ(2, h(0), cx(0, 1), measure(1, 0), clbits=1)
+        assert stats(c, known_depth=3) == stats(c)
+        assert stats(c, known_depth=7) == DepthReport(7, 2, 1, 1)
+
+
+class TestRecords:
+    def test_instruction_and_condition_are_slotted(self):
+        op = Instruction(Gate.RZ, [1], 0.5, condition=Condition([0, 1]))
+        assert not hasattr(op, "__dict__") and not hasattr(op.condition, "__dict__")
+        assert op.qubits == (1,) and op.condition.bits == (0, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.angle = 1.0
+        assert hash(op) == hash(Instruction(Gate.RZ, (1,), 0.5, condition=Condition((0, 1))))
+
+    def test_replace_still_normalises(self):
+        # The stabilizer derives instructions with dataclasses.replace.
+        op = dataclasses.replace(cx(0, 1), qubits=[2, 3], condition=Condition([1]))
+        assert op == Instruction(Gate.CX, (2, 3), condition=Condition((1,)))
+        assert dataclasses.replace(op, condition=None) == cx(2, 3)
+
+    def test_gate_names_are_plain_attributes(self):
+        for gate in Gate:
+            assert gate.qasm_name == gate.value
+            assert "qasm_name" in vars(gate)
+
 
 # -- property tests ----------------------------------------------------------
 

@@ -225,11 +225,34 @@ def test_round_trip_identity_on_condition_free_circuits(body):
     assert parse(emit(c)).instructions == c.instructions
 
 
-def _one_at_a_time(c: Circuit) -> str:
-    """`emit`'s text for a condition-free, measurement-free circuit, each
-    statement formatted on its own."""
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.num_qubits}];"]
-    lines += [qasm._gate_text(ins, {}) for ins in c.instructions]
+def _reference_emit(c: Circuit) -> str:
+    """`emit`'s text from the module note's rules, each statement formatted
+    on its own: every bit a condition reads is its own register and each run
+    of the others one register, named m<first bit>; an angle is written to
+    17 significant digits; a k-bit condition becomes k single-bit `if`s."""
+    read = {b for op in c.instructions if op.condition is not None for b in op.condition.bits}
+    registers: list[tuple[int, int]] = []  # (first bit, size)
+    for b in range(c.num_clbits):
+        if b in read or not registers or registers[-1][0] in read:
+            registers.append((b, 1))
+        else:
+            registers[-1] = (registers[-1][0], registers[-1][1] + 1)
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
+    if c.num_qubits:
+        lines.append(f"qreg q[{c.num_qubits}];")
+    lines += [f"creg m{first}[{size}];" for first, size in registers]
+    for op in c.instructions:
+        operands = ",".join(f"q[{q}]" for q in op.qubits)
+        if op.gate is Gate.MEASURE:
+            first = max(f for f, _ in registers if f <= op.clbit)
+            lines.append(f"measure {operands} -> m{first}[{op.clbit - first}];")
+        elif op.gate is Gate.BARRIER:
+            lines.append(f"barrier {operands};")
+        else:
+            angle = "" if op.angle is None else "(" + format(op.angle, ".17g") + ")"
+            text = f"{op.gate.value}{angle} {operands};"
+            bits = () if op.condition is None else op.condition.bits
+            lines += [f"if(m{b}==1) {text}" for b in bits] if bits else [text]
     return "\n".join(lines) + "\n"
 
 
@@ -241,7 +264,7 @@ def test_emit_formats_repeats_as_one_statement_at_a_time():
                  Instruction(Gate.RX, (1,), angle=-0.0), Instruction(Gate.CZ, (0, 1)),
                  Instruction(Gate.RY, (1,), angle=0.0), x(1), rz(1, -0.0)]
     text = emit(Circuit(2, 0, tuple(body)))
-    assert text == _one_at_a_time(Circuit(2, 0, tuple(body)))
+    assert text == _reference_emit(Circuit(2, 0, tuple(body)))
     assert text.count("rz(0) q[0];") == 4 and text.count("rz(-0) q[0];") == 3
     assert text.count("rx(-0) q[1];") == 3 and text.count("ry(0) q[1];") == 3
 
@@ -250,7 +273,67 @@ def test_emit_formats_repeats_as_one_statement_at_a_time():
 @given(st.lists(_instr, max_size=40))
 def test_emit_matches_one_statement_at_a_time(body):
     c = Circuit(6, 0, tuple(body))
-    assert emit(c) == _one_at_a_time(c)
+    assert emit(c) == _reference_emit(c)
+
+
+_ODD_ANGLES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e-320, -1e-320, 1e300, -1e300, -2.5, -math.pi]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _dynamic_circuits(draw) -> Circuit:
+    """Every gate, plain and under one- and multi-bit conditions (rotations
+    under one bit only: `emit` cannot lower their parity), measurements
+    onto bits in any order, and barriers of any width."""
+    n, bits = draw(st.integers(2, 5)), draw(st.integers(0, 5))
+    qubit = st.integers(0, n - 1)
+    unwritten = draw(st.permutations(range(bits)))
+    body = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from([*(g for g in Gate if g.letters), "measure", "barrier"]))
+        if kind == "measure":
+            if unwritten:
+                body.append(measure(draw(qubit), unwritten.pop()))
+            continue
+        if kind == "barrier":
+            body.append(Instruction(Gate.BARRIER, tuple(draw(st.permutations(range(n)))[: draw(st.integers(1, n))])))
+            continue
+        qubits = tuple(draw(st.permutations(range(n)))[: kind.arity])
+        angle = draw(_ODD_ANGLES) if kind.is_rotation else None
+        condition = None
+        if bits and draw(st.booleans()):
+            most = 1 if kind.is_rotation else 3
+            condition = Condition(tuple(draw(st.lists(st.integers(0, bits - 1), min_size=1, max_size=most))))
+        body.append(Instruction(kind, qubits, angle, condition=condition))
+    return Circuit(n, bits, tuple(body))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_dynamic_circuits())
+def test_emit_matches_reference_formatter(c):
+    assert emit(c) == _reference_emit(c)
+
+
+def test_emit_formats_odd_angles_and_every_statement():
+    body = [
+        Instruction(Gate.RZ, (0,), -0.0), Instruction(Gate.RX, (1,), 1e-320),
+        Instruction(Gate.RY, (0,), 1e300), Instruction(Gate.RZ, (1,), -2.5),
+        Instruction(Gate.Y, (0,)), Instruction(Gate.Z, (1,)), Instruction(Gate.CZ, (1, 0)),
+        measure(0, 2), Instruction(Gate.BARRIER, (1, 0)),
+        x(1, condition=Condition((0,))), Instruction(Gate.CZ, (0, 1), condition=Condition((0, 3))),
+        Instruction(Gate.RZ, (0,), -0.5, condition=Condition((3,))),
+    ]
+    text = emit(Circuit(2, 5, tuple(body)))
+    assert text == _reference_emit(Circuit(2, 5, tuple(body)))
+    assert text.splitlines()[3:] == [
+        "creg m0[1];", "creg m1[2];", "creg m3[1];", "creg m4[1];",
+        "rz(-0) q[0];", "rx(9.9998886718268301e-321) q[1];", "ry(1.0000000000000001e+300) q[0];",
+        "rz(-2.5) q[1];", "y q[0];", "z q[1];", "cz q[1],q[0];", "measure q[0] -> m1[1];",
+        "barrier q[1],q[0];", "if(m0==1) x q[1];", "if(m0==1) cz q[0],q[1];",
+        "if(m3==1) cz q[0],q[1];", "if(m3==1) rz(-0.5) q[0];",
+    ]
 
 
 # -- fast path against the grammar ---------------------------------------------
