@@ -25,6 +25,10 @@ and drops the entries before the rewrite's start: nothing reads them again,
 so rewrites come with non-decreasing starts.  For the wires the scanner asks
 about, the table also keeps each use's commutation `Letter` in runs, so a
 walk can pass over the uses that commute with what it holds.
+
+A `DepthIndex` keeps the depth of the list it was built from
+(`built_depth`) beside the depth after its accepts (`depth`); both are
+exact, so the compile report reads them instead of scheduling the list.
 """
 from __future__ import annotations
 
@@ -120,9 +124,10 @@ class Instruction:
         clbit: int | None = None,
         condition: Condition | None = None,
     ) -> None:
-        # The generated frozen `__init__`, through each field's slot: the
-        # reader builds one instruction per rotation statement, and a call
-        # of `object.__setattr__` per field costs twice as much.
+        # What the generated frozen `__init__` does, through each field's
+        # slot setter: the reader builds one instruction per rotation
+        # statement, and a call of `object.__setattr__` per field costs
+        # twice as much.
         _SET_GATE(self, gate)
         _SET_QUBITS(self, tuple(qubits))
         _SET_ANGLE(self, angle)
@@ -619,8 +624,9 @@ class DepthIndex:
     The index is built from the first list it is asked about, with that
     list's use table (`uses_of`), and must be handed that list, as `accept`s
     change it, from then on.  `built_depth` keeps that list's depth, exact
-    like `depth`, so a caller that reports it need not schedule the list.  It never changes the table: whoever splices the
-    list refreshes it (`UseTable.splice`) after each `accept`.
+    like `depth`, so a caller that reports it need not schedule the list.
+    The index never changes the table: whoever splices the list refreshes
+    it (`UseTable.splice`) after each `accept`.
     """
 
     def __init__(self) -> None:
