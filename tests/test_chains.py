@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qshallow import chains
 from qshallow.bench import (
@@ -761,9 +761,10 @@ def _cut_runs(draw) -> tuple[Circuit, frozenset[int]]:
         cut = draw(st.integers(1, len(gates)))
         body += gates[:cut]
         on_chain = st.sampled_from(seq[: cut + 1])
-        cutter = draw(st.sampled_from(
-            ["barrier", "conditioned", "conditioned_link", "cycle", "wire", "measure", "stray", "none"]
-        ))
+        cutter = draw(st.sampled_from([
+            "barrier", "conditioned", "conditioned_link", "cycle",
+            "wire", "measure", "stray", "none",
+        ]))
         if cutter == "barrier":
             body.append(barrier(*draw(st.lists(qubit, min_size=1, max_size=n, unique=True))))
         elif cutter == "conditioned":
@@ -782,13 +783,18 @@ def _cut_runs(draw) -> tuple[Circuit, frozenset[int]]:
             body.append(cx(a, b) if draw(st.booleans()) else draw(st.sampled_from(singles))(a))
         if draw(st.booleans()):
             body += gates[cut:]
-        body += [draw(st.sampled_from(singles))(draw(qubit)) for _ in range(draw(st.integers(0, 2)))]
-    replaced = draw(st.sets(st.integers(0, len(body) - 1), max_size=3)) if draw(st.booleans()) else set()
+        for _ in range(draw(st.integers(0, 2))):
+            body.append(draw(st.sampled_from(singles))(draw(qubit)))
+    replaced = set()
+    if draw(st.booleans()):
+        replaced = draw(st.sets(st.integers(0, len(body) - 1), max_size=3))
     return Circuit(n, bits, tuple(body)), frozenset(replaced)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_cut_runs())
+# A one-gate CZ run whose head links no further, while its other end does.
+@example((circ(3, cz(1, 0), x(2), cz(1, 2)), frozenset()))
 def test_adjacent_run_matches_linear_walk(case):
     """Runs cut every way the walk must take over from: detection, with and
     without positions held as an earlier rewrite's, and every compile

@@ -298,14 +298,16 @@ def _dynamic_circuits(draw) -> Circuit:
                 body.append(measure(draw(qubit), unwritten.pop()))
             continue
         if kind == "barrier":
-            body.append(Instruction(Gate.BARRIER, tuple(draw(st.permutations(range(n)))[: draw(st.integers(1, n))])))
+            width = draw(st.integers(1, n))
+            body.append(Instruction(Gate.BARRIER, tuple(draw(st.permutations(range(n)))[:width])))
             continue
         qubits = tuple(draw(st.permutations(range(n)))[: kind.arity])
         angle = draw(_ODD_ANGLES) if kind.is_rotation else None
         condition = None
         if bits and draw(st.booleans()):
             most = 1 if kind.is_rotation else 3
-            condition = Condition(tuple(draw(st.lists(st.integers(0, bits - 1), min_size=1, max_size=most))))
+            cond_bits = draw(st.lists(st.integers(0, bits - 1), min_size=1, max_size=most))
+            condition = Condition(tuple(cond_bits))
         body.append(Instruction(kind, qubits, angle, condition=condition))
     return Circuit(n, bits, tuple(body))
 
