@@ -26,28 +26,31 @@ Growth visits only the operations that can matter.  It starts with the
 adjacent run: while the next op in the list extends the chain, it is taken
 at once - it is the op any walk would yield next, and with nothing deferred
 no check can refuse it - so a ladder whose links follow one another, as a
-layered ansatz's do, grows without the structures below.  If the run ends
-where the head has no later link, growth is over; otherwise the walk takes
-over at the op that ended the run.  A wire - a qubit or a classical bit - is
-active while the chain or one of its deferred operations uses it; an
-operation on no active wire commutes with everything the chain holds and
-moves before it without changing any state.  The walk is one of the list's
-per-wire use table (`ir.UseTable`, which the depth gate and GHZ detection
-read too): the uses of its active wires, merged in position order, rather
-than every later instruction.  A wire that only
-deferred operations hold is walked only at its uses whose letter differs from
-theirs: the other uses commute with all it holds, and the walk meets them
-through any other active wire where they do not.  The table keeps each such
-wire's runs of one letter, so a run is passed in one step; when the wire
-turns OPAQUE or joins the chain, its walk restarts at every use from there.
-Growth stops at the next barrier, as soon as no later operation can extend
-the head, or once the head holds a deferred operation that is not Z there:
-every link acts as Z on the head, so none could cross it.  Detection then
-costs the operations on active wires up to the chain's last extension; an
-accepted rewrite refreshes the table over its window only.  The scanner
-takes the table - in a pass, from the depth index's `uses_of`, so that one
-table serves both - and builds its own link index the first time it reads
-them: a list whose every op is a rewrite's or no seed builds neither.
+layered ansatz's do, grows without the structures below.  After the run,
+and again after every extension, growth is over unless the head can still
+reach a link: a walk along the head wire's own uses, over those it lets
+through, to its first possible link (`_Growth.can_link`).  Otherwise the
+walk takes over at the op that ended the run.  A wire - a qubit or a
+classical bit - is active while the chain or one of its deferred
+operations uses it; an operation on no active wire commutes with
+everything the chain holds and moves before it without changing any
+state.  The walk is one of the list's per-wire use table (`ir.UseTable`,
+which the depth gate and GHZ detection read too): the uses of its active
+wires, merged in position order, rather than every later instruction.  A
+wire that only deferred operations hold is walked only at its uses whose
+letter differs from theirs: the other uses commute with all it holds, and
+the walk meets them through any other active wire where they do not.  The
+table keeps each such wire's runs of one letter, so a run is passed in one
+step; when the wire turns OPAQUE or joins the chain, its walk restarts at
+every use from there.  Growth stops at the next barrier, which the table
+lists too, once the head can reach no link, or once the head holds a
+deferred operation that is not Z there: every link acts as Z on the head,
+so none could cross it.  Detection then costs the operations on active
+wires up to the chain's last extension, plus the head's uses up to its
+next link; an accepted rewrite refreshes the table over its window only.
+The scanner keeps no index of its own.  It takes the table - in a pass,
+from the depth index's `uses_of`, so that one table serves both - on its
+first growth: a list whose every op is a rewrite's or no seed builds none.
 
 Rewrites are final.  The gates of every rewrite - a chain's decomposition
 accepted by this scanner, or a block an earlier pass built and hands in
@@ -68,16 +71,15 @@ Decompositions:
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence
 
 from .ir import Circuit, Gate, Instruction, Letter, UseTable, UseWalk, _letters, _wires, cx, cz, h
 
-_OPAQUE, _Z = Letter.OPAQUE, Letter.Z
+_OPAQUE, _Z, _X = Letter.OPAQUE, Letter.Z, Letter.X
 _CX, _CZ = Gate.CX, Gate.CZ
 
 
@@ -144,11 +146,12 @@ class _Growth:
     """State for growing one chain from a seed, classifying interleaved ops.
 
     `_try_extend` and `classify` are the whole policy: the scanner feeds them
-    ops in position order and stops where they say.  Commutation is a
-    per-wire test: `held` maps each wire of a chain gate or deferred op to
-    their merged `Letter`, `pending` each wire of a deferred op to the
-    deferred ops' merged letter, so testing an op against everything held
-    costs O(its wires).
+    ops in position order and stops where they say, or where `can_link`
+    shows that no op it could feed them would extend the chain.
+    Commutation is a per-wire test: `held` maps each wire of a chain gate or
+    deferred op to their merged `Letter`, `pending` each wire of a deferred
+    op to the deferred ops' merged letter, so testing an op against
+    everything held costs O(its wires).
 
     The wires of `seq_set` and the keys of `pending` are the active wires.
     An op on none of them can neither extend the chain nor fail to commute
@@ -243,6 +246,48 @@ class _Growth:
             self._defer(pos, op)
         return True
 
+    def can_link(self, table: UseTable, ins: Sequence[Instruction], p: int, stop: int) -> bool:
+        """Whether the head - on a one-gate CZ chain, either end - can still
+        reach a link at a position p..stop-1 of `ins`, whose use table is
+        `table`.
+
+        It walks that one wire's uses.  A CX head passes its X and Z uses,
+        a run of X in one step; a CZ end passes only Z.  Any other use ends
+        the walk: the policy stops at it on the head, and deferred on the
+        other end it blocks every later link there.  The first unconditioned
+        CX the head controls (CZ on the end) that no rewrite holds is the
+        first link a growth could take, and it is reachable unless it closes
+        a cycle or a deferred op holds its new qubit with another letter than
+        the link's - both stay so as the growth goes on.  On a one-gate CZ
+        chain a CZ on both ends is no link, and is passed.
+        """
+        n, state, seq_set, pending = table.n, self.state, self.seq_set, self.pending
+        is_cz, oriented = self.is_cz, self.seq_oriented
+        link, letter = (_CZ, _Z) if is_cz else (_CX, _X)
+        for end in (self.seq[-1],) if oriented else (self.seq[-1], self.seq[0]):
+            uses, runs = table.by_wire[end], table.runs_of(end, ins)
+            k = bisect_right(uses, n - p) - 1
+            while k >= 0 and n - uses[k] < stop:
+                e = runs[k]
+                if e & 7 != _Z:
+                    if is_cz or e & 7 != _X:
+                        break
+                    k = (e >> 3) - 1  # past the run of X
+                    continue
+                q = n - uses[k]
+                op = ins[q]
+                if op.gate is link and state[q] != _REPLACED:
+                    a, b = op.qubits
+                    new = b if a == end else a
+                    if new not in seq_set:
+                        if pending.get(new, letter) == letter:
+                            return True
+                        break
+                    if oriented:
+                        break  # it closes a cycle
+                k -= 1
+        return False
+
     def finish(self, min_gates: int) -> ChainCandidate | None:
         if len(self.gate_positions) < min_gates:
             return None
@@ -272,57 +317,6 @@ def _window(items: Sequence, cand: ChainCandidate, replacement: Sequence) -> lis
     return [*stay, *replacement, *(items[i] for i in cand.moved_after)]
 
 
-class _Links:
-    """What the scanner's policy reads beyond the use table: the barriers
-    (positions counted from the end, ascending) and, per qubit in use, the
-    last position, counted from the end, where it is the control of an
-    unconditioned CX (`last_cx_control`) or an operand of an unconditioned
-    CZ (`last_cz`)."""
-
-    __slots__ = ("barriers", "last_cx_control", "last_cz", "heap")
-
-    def __init__(self, ins: Sequence[Instruction]):
-        self.barriers: list[int] = []
-        # Keyed by the qubits in use: a register may declare far more.
-        self.last_cx_control: dict[int, int] = {}
-        self.last_cz: dict[int, int] = {}
-        self.heap: list[tuple[int, int, int]] = []  # (p - n, q, kind), earliest first
-        self.add(ins, 0, len(ins))
-
-    def add(self, ins: Sequence[Instruction], first: int, stop: int) -> None:
-        """Record the barriers and the last links at positions first..stop-1,
-        walking back: a qubit's link recorded already is a later one."""
-        n = len(ins)
-        tables, heap = (self.last_cx_control, self.last_cz), self.heap
-        BARRIER, CZ = Gate.BARRIER, Gate.CZ
-        for p in range(stop - 1, first - 1, -1):
-            op = ins[p]
-            gate = op.gate
-            if gate is BARRIER:
-                # Growth stops at the first barrier after its seed, so a link
-                # that runs across a barrier is never followed.
-                self.barriers.append(n - p)
-            elif gate.arity == 2 and op.condition is None:
-                kind = gate is CZ  # a CX links through its control, a CZ both
-                for q in op.qubits if kind else op.qubits[:1]:
-                    if q not in tables[kind]:
-                        tables[kind][q] = n - p
-                        heappush(heap, (p - n, q, kind))
-
-    def drop(self, n: int, s: int, e: int) -> None:
-        """Before positions s..e of an n-op list are rewritten: drop the
-        entries before s, which are never read again, and the last links
-        inside the window, which the window's own replace."""
-        barriers = self.barriers
-        while barriers and barriers[-1] > n - s:
-            barriers.pop()
-        tables, heap = (self.last_cx_control, self.last_cz), self.heap
-        while heap and -heap[0][0] >= n - e:
-            v, q, kind = heappop(heap)
-            if tables[kind].get(q) == -v:
-                del tables[kind][q]
-
-
 class ChainScanner:
     """Resumable single-pass scanner over a circuit's instruction list.
 
@@ -338,17 +332,15 @@ class ChainScanner:
     blocks `pipeline.gate_ghz_sites` kept); they start out as a replacement's
     do, so no rewrite's output is ever rewritten.
 
-    A growth takes its adjacent run first, then, if the head has a later
-    link, walks the list's `ir.UseTable` (`uses`, which `uses_of` makes
-    from the list; a `DepthIndex.uses_of` hands over the table the gate
-    reads), merging the uses of its active wires, so it visits only ops on
-    active wires.  The scanner owns the list, so its `accept` refreshes the
-    table.  Its own index (`_links`, a `_Links`) holds only what its policy
-    needs: the barriers and each qubit's last link.  A growth stops at the
-    next barrier, and ends once the head has no later CX-as-control (or CZ)
-    left.  `uses` and `_links` are cached properties, each built on its
-    first read, so a scan that grows no seed builds neither, and one whose
-    growths all end with their adjacent run asks for no table.
+    A growth takes its adjacent run first, then, while the head can
+    reach a link (`_Growth.can_link`), walks the list's `ir.UseTable`
+    (`uses`, which `uses_of` makes from the list; a `DepthIndex.uses_of`
+    hands over the table the gate reads), merging the uses of its active
+    wires, so it visits only ops on active wires.  The scanner keeps no
+    index of its own: the table also lists the barriers, where a growth
+    stops.  It owns the list, so its `accept` refreshes the table.  `uses`
+    is a cached property, built on its first read, so a scan that grows no
+    seed builds no table.
     """
 
     def __init__(
@@ -374,10 +366,6 @@ class ChainScanner:
     @cached_property
     def uses(self) -> UseTable:
         return self._uses_of(self.instructions)
-
-    @cached_property
-    def _links(self) -> _Links:
-        return _Links(self.instructions)
 
     @property
     def circuit(self) -> Circuit:
@@ -407,10 +395,16 @@ class ChainScanner:
         nothing is deferred yet, so the walk's checks cannot fire on it; the
         run needs no walk, no heap and no registered wire.  A ladder whose
         links follow one another, as a layered ansatz's do, is grown here
-        whole.  Once the run ends, growth is over if the head (or, for a CZ
-        chain still unoriented, either end) has no link left; otherwise the
-        walk starts at the op that ended the run, with every chain wire
-        registered there.
+        whole.
+
+        After the run, and again after every extension, growth is over
+        unless the head (on a one-gate CZ chain, either end) can still reach
+        a link before the next barrier (`_Growth.can_link`).  This is exact:
+        the walk meets the head at every use, so it cannot pass the head's
+        first possible link without extending there or stopping, and
+        `finish` drops whatever would be deferred after the last link.
+        Otherwise the walk starts at the op that ended the run, with every
+        chain wire registered there.
 
         In the walk, a chain wire is walked at every use.  A wire that only
         deferred ops hold is walked only at its uses whose letter differs
@@ -429,29 +423,25 @@ class ChainScanner:
         r = seed + 1
         while r < n and try_extend(r, ins[r]) == "extended":
             r += 1
-        seq = g.seq
-        index = self._links
-        # Past the last link of the head, nothing can extend the chain.
-        links = (index.last_cz if g.is_cz else index.last_cx_control).get
-        if n - links(seq[-1], n + 1) < r and (g.seq_oriented or n - links(seq[0], n + 1) < r):
+        table, can_link = self.uses, g.can_link
+        k = bisect_left(table.barriers, n - seed)
+        stop = n - table.barriers[k - 1] if k else n
+        if not can_link(table, ins, r, stop):
             return g.finish(self.min_gates)
-        k = bisect_left(index.barriers, n - seed)
-        walk = UseWalk(self.uses, n - index.barriers[k - 1] if k else n)
-        seq_set, pending = g.seq_set, g.pending
+        walk = UseWalk(table, stop)
+        seq, seq_set, pending = g.seq, g.seq_set, g.pending
         add, unskip, walked, skips = walk.add, walk.unskip, walk.walked, walk.skips
-        runs_of = self.uses.runs_of
+        runs_of = table.runs_of
         for q in seq:
             add(q, r)  # no chain wire has a use between its last link and r
         for j in walk:
-            if n - links(seq[-1], n + 1) < j and (
-                g.seq_oriented or n - links(seq[0], n + 1) < j
-            ):
-                break  # nothing from here on can extend the head
             op = ins[j]
             result = try_extend(j, op)
             if result == "extended":
-                if pending.get(seq[-1], _Z) != _Z:
-                    break  # every later link acts as Z on the head: none can cross
+                # Every later link acts as Z on the head: none can cross a
+                # deferred op that is not Z there.
+                if pending.get(seq[-1], _Z) != _Z or not can_link(table, ins, j + 1, stop):
+                    break
             elif result == "stop" or not g.classify(j, op):
                 break
             # Walk each wire on from the op that makes it active, or restart
@@ -476,9 +466,8 @@ class ChainScanner:
     def accept(self, window: list[Instruction]) -> None:
         """Splice `window`, the pending candidate's positions as `_window`
         lays them out, into the instruction list, and rescan from the chain's
-        start.  The seed states move with their ops, and the use table and
-        the links are refreshed over the window: O(|window|) plus the list's
-        own splice.
+        start.  The seed states move with their ops, and the use table is
+        refreshed over the window: O(|window|) plus the list's own splice.
 
         The result is read from `circuit`, which builds a new `Circuit`."""
         cand = self._pending
@@ -487,15 +476,11 @@ class ChainScanner:
         self._pending = None
         ins = self.instructions
         s, e = cand.start_index, cand.end_index
-        n = len(ins)
         # The replacement is what the window holds beyond the ops it kept.
         added = len(window) - (e + 1 - s) + len(cand.gate_indices)
         self._state[s : e + 1] = _window(self._state, cand, [_REPLACED] * added)
-        index = self._links
-        index.drop(n, s, e)
         self.uses.splice(ins, s, e, window)
         ins[s : e + 1] = window
-        index.add(ins, s, s + len(window))
         self._pos = s
 
     def skip(self) -> None:

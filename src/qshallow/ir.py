@@ -22,9 +22,10 @@ entries past its window valid.  The chain scanner, the depth gate
 (`UseWalk`).  Whoever splices the list - the chain scanner - refreshes the
 table over the window, after the other readers have taken the rewrite in,
 and drops the entries before the rewrite's start: nothing reads them again,
-so rewrites come with non-decreasing starts.  For the wires the scanner asks
-about, the table also keeps each use's commutation `Letter` in runs, so a
-walk can pass over the uses that commute with what it holds.
+so rewrites come with non-decreasing starts.  The table also lists the
+barriers, where every chain growth stops, and, for the wires the scanner
+asks about, keeps each use's commutation `Letter` in runs, so a walk can
+pass over the uses that commute with what it holds.
 
 A `DepthIndex` keeps the depth of the list it was built from
 (`built_depth`) beside the depth after its accepts (`depth`); both are
@@ -444,20 +445,25 @@ class UseTable:
     `runs[w]`, built on demand by `runs_of`, runs parallel to it: entry k
     holds use k's `Letter` in its low three bits and, above them, 1 + the
     index of the first later use with another letter (0: none), so a walk
-    passes a run of one letter in one step."""
+    passes a run of one letter in one step.  `barriers` lists the barriers'
+    positions, counted from the end and ascending like a wire's uses."""
 
     def __init__(self, ins: Sequence[Instruction]) -> None:
         self.n = len(ins)
         self.cut = 0
         self.by_wire: dict[int, array] = {}
         self.runs: dict[int, array] = {}
+        self.barriers: list[int] = []
         self._record(ins, 0)
 
     def _record(self, ops: Sequence[Instruction], first: int) -> None:
         """Add the uses of `ops`, at positions first.., from the last back."""
         by_wire, runs, n = self.by_wire, self.runs, self.n
+        barriers, BARRIER = self.barriers, Gate.BARRIER
         for p in range(first + len(ops) - 1, first - 1, -1):
             op = ops[p - first]
+            if op.gate is BARRIER:
+                barriers.append(n - p)
             for w in op.qubits if op.clbit is None and op.condition is None else _wires(op):
                 u = by_wire.get(w)
                 if u is None:
@@ -494,13 +500,15 @@ class UseTable:
         """Take in the rewrite that replaces positions start..end of `ins`
         by `window`, before `ins` itself is spliced: O(|window|) plus the
         ops since the last start, each dropped once."""
-        by_wire, runs = self.by_wire, self.runs
+        by_wire, runs, barriers = self.by_wire, self.runs, self.barriers
         for i in range(self.cut, end + 1):  # in order, so each is its wires' earliest
             for w in _wires(ins[i]):
                 by_wire[w].pop()
                 r = runs.get(w)
                 if r is not None:
                     r.pop()
+        while barriers and barriers[-1] >= self.n - end:
+            barriers.pop()
         self.n = len(ins) + len(window) - (end + 1 - start)
         self._record(window, start)
         self.cut = start

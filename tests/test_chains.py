@@ -40,6 +40,7 @@ from qshallow.ir import (
     Condition,
     Gate,
     Instruction,
+    UseTable,
     UseWalk,
     barrier,
     cx,
@@ -791,15 +792,10 @@ def _cut_runs(draw) -> tuple[Circuit, frozenset[int]]:
     return Circuit(n, bits, tuple(body)), frozenset(replaced)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_cut_runs())
-# A one-gate CZ run whose head links no further, while its other end does.
-@example((circ(3, cz(1, 0), x(2), cz(1, 2)), frozenset()))
-def test_adjacent_run_matches_linear_walk(case):
-    """Runs cut every way the walk must take over from: detection, with and
-    without positions held as an earlier rewrite's, and every compile
-    decision and output equal those of the walk over every op."""
-    c, replaced = case
+def _assert_matches_linear_walk(c: Circuit, replaced: frozenset[int]) -> None:
+    """Detection, with and without the positions `replaced` held as an
+    earlier rewrite's, and every compile decision and output equal those
+    of the walk over every op."""
     fast = {(k, r): _scan(c, k, r) for k in (2, 3) for r in ((), replaced)}
     compiled = [compile_circuit(c, cfg) for cfg in _COMPILE_CONFIGS]
     with pytest.MonkeyPatch.context() as m:
@@ -812,12 +808,114 @@ def test_adjacent_run_matches_linear_walk(case):
             assert emit(got.circuit) == emit(want.circuit), (c, cfg)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cut_runs())
+# A one-gate CZ run whose head links no further, while its other end does.
+@example((circ(3, cz(1, 0), x(2), cz(1, 2)), frozenset()))
+def test_adjacent_run_matches_linear_walk(case):
+    """Runs cut every way the walk must take over from."""
+    _assert_matches_linear_walk(*case)
+
+
+@st.composite
+def _reach_cases(draw) -> tuple[Circuit, frozenset[int]]:
+    """A CX or CZ chain - a CZ chain sometimes of one gate, so either end
+    may link - then ops on an end, each sometimes followed by a link there:
+    a CZ on two chain qubits, a link held as an earlier rewrite's, a
+    conditioned op or link, an h or ry, a barrier off the chain, a link
+    back into the chain, an op deferred onto a qubit off the chain with X
+    or with Z, a run of X (with some Z) on the end, or nothing."""
+    n = draw(st.integers(4, 9))
+    is_cz = draw(st.booleans())
+    seq = list(draw(st.permutations(range(n)))[: draw(st.integers(2, 4))])
+    if is_cz and draw(st.booleans()):
+        seq = seq[:2]
+
+    def link(a: int, b: int) -> Instruction:
+        return cz(*((a, b) if draw(st.booleans()) else (b, a))) if is_cz else cx(a, b)
+
+    body = [link(a, b) for a, b in zip(seq, seq[1:])]
+    replaced = set()
+    for _ in range(draw(st.integers(1, 4))):
+        end = draw(st.sampled_from((seq[0], seq[-1]))) if is_cz else seq[-1]
+        other = seq[0] if end != seq[0] else seq[-1]
+        fresh = [q for q in range(n) if q not in seq]
+        new = draw(st.sampled_from(fresh)) if fresh else None
+        kind = draw(st.sampled_from([
+            "both_ends", "replaced", "conditioned", "conditioned_link", "h", "ry",
+            "barrier", "cycle", "hold_x", "hold_z", "x_run", "none",
+        ]))
+        if kind == "both_ends":
+            body.append(link(end, other))
+        elif kind == "replaced":
+            replaced.add(len(body))
+            body.append(link(end, draw(st.sampled_from([q for q in range(n) if q != end]))))
+        elif kind == "conditioned":
+            body.append(x(end, condition=Condition((0,))))
+        elif kind == "conditioned_link" and new is not None:
+            body.append(dataclasses.replace(link(end, new), condition=Condition((0,))))
+        elif kind in ("h", "ry"):
+            body.append(h(end) if kind == "h" else ry(end, 0.5))
+        elif kind == "barrier" and fresh:
+            body.append(barrier(*draw(st.lists(st.sampled_from(fresh), min_size=1, unique=True))))
+        elif kind == "cycle" and len(seq) >= 3:
+            body.append(link(end, draw(st.sampled_from(seq[1:-1]))))
+        elif kind in ("hold_x", "hold_z") and fresh:
+            held = draw(st.sampled_from(fresh))  # linked now or by a later link
+            body.append(cx(other, held) if kind == "hold_x" else cz(other, held))
+        elif kind == "x_run":
+            steps = st.sampled_from(["x", "rx", "cx", "rz"])
+            for step in draw(st.lists(steps, min_size=2, max_size=16)):
+                if step == "cx":
+                    body.append(cx(draw(st.sampled_from([q for q in range(n) if q != end])), end))
+                elif step == "rz":
+                    body.append(rz(end, 0.7))
+                else:
+                    body.append(x(end) if step == "x" else rx(end, 0.3))
+        if new is not None and draw(st.integers(0, 3)):
+            body.append(link(end, new))
+            seq = [new, *seq] if end == seq[0] and len(seq) > 1 and is_cz else [*seq, new]
+        if draw(st.booleans()):
+            stray = draw(st.sampled_from((h, z, lambda q: rz(q, 0.2))))
+            body.append(stray(draw(st.integers(0, n - 1))))
+    return Circuit(n, 1, tuple(body)), frozenset(replaced)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_reach_cases())
+# A CZ on both ends of a one-gate CZ chain is passed, then either end links.
+@example((circ(3, cz(0, 1), cz(1, 0), cz(0, 2)), frozenset()))
+@example((circ(3, cz(0, 1), cz(0, 1), cz(2, 1)), frozenset()))
+# The head's first link is an earlier rewrite's and closes a cycle; a real
+# link follows.
+@example((circ(4, cx(0, 1), cx(1, 2), cx(2, 0), cx(2, 3)), frozenset({2})))
+# A long X run on the head, then its link.
+@example((circ(4, cx(0, 1), cx(1, 2), *[x(2)] * 12, cx(3, 2), rx(2, 0.3), cx(2, 3)), frozenset()))
+# A deferred op holds the next link's new qubit with X (the link extends)
+# or Z (it ends the growth), before and after the walk extends the chain.
+@example((circ(4, cx(0, 1), cx(1, 2), cx(0, 3), cx(2, 3)), frozenset()))
+@example((circ(4, cx(0, 1), cx(1, 2), cz(0, 3), cx(2, 3)), frozenset()))
+@example((circ(5, cx(0, 1), cx(1, 2), rz(2, 0.7), cx(0, 4), cx(2, 3), cx(3, 4)), frozenset()))
+@example((circ(5, cx(0, 1), cx(1, 2), rz(2, 0.7), cz(0, 4), cx(2, 3), cx(3, 4)), frozenset()))
+def test_reachability_matches_linear_walk(case):
+    """Whatever lies on the head between its links: growth ends where the
+    head can reach no link, and detection and every compile equal those of
+    the walk over every op."""
+    _assert_matches_linear_walk(*case)
+
+
 class _CountingWalk(UseWalk):
     built = 0
+    yielded = 0
 
     def __init__(self, *args):
         type(self).built += 1
         super().__init__(*args)
+
+    def __iter__(self):
+        for p in super().__iter__():
+            type(self).yielded += 1
+            yield p
 
 
 def test_linear_ladder_grows_without_a_walk(monkeypatch):
@@ -832,6 +930,31 @@ def test_linear_ladder_grows_without_a_walk(monkeypatch):
     # A run cut where its head has a later link hands over to the walk.
     assert len(_only_candidate(circ(3, cx(0, 1), rz(1, 0.3), cx(1, 2))).gate_indices) == 2
     assert _CountingWalk.built == 1
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        (circ(4, cx(0, 1), cx(1, 2), h(2), cx(2, 3)), ()),  # a letter the head cannot pass
+        (circ(4, cx(0, 1), cx(1, 2), x(2, condition=Condition((0,))), cx(2, 3), clbits=1), ()),
+        (circ(4, cx(0, 1), cx(1, 2), measure(2, 0), cx(2, 3), clbits=1), ()),
+        (circ(5, cx(0, 1), cx(1, 2), barrier(4), cx(2, 3)), ()),  # past the next barrier
+        (circ(3, cx(0, 1), cx(1, 2), rz(2, 0.7), cx(2, 0)), ()),  # the link closes a cycle
+        (circ(4, cx(0, 1), cx(1, 2), cx(2, 3)), (2,)),  # the link is an earlier rewrite's
+        (circ(4, cz(0, 1), cz(2, 1), x(2), y(0), cz(2, 3), cz(0, 3)), ()),  # X on a CZ end
+    ],
+    ids=["h", "conditioned", "measure", "barrier", "cycle", "replaced", "cz_x"],
+)
+def test_unreachable_link_builds_no_walk(case, monkeypatch):
+    # Each head has a later link that no growth can reach: the growth ends
+    # with its adjacent run, and no seed builds a walk.
+    c, replaced = case
+    monkeypatch.setattr(chains, "UseWalk", _CountingWalk)
+    _CountingWalk.built = 0
+    found = _scan(c, 2, replaced)
+    assert _CountingWalk.built == 0
+    monkeypatch.setattr(ChainScanner, "_grow", _linear_grow)
+    assert found == _scan(c, 2, replaced) != []
 
 
 @pytest.mark.parametrize("block", range(_DIFF_BLOCKS))
@@ -912,3 +1035,61 @@ def test_growth_visits_on_full_entanglement(monkeypatch):
     c = gen_ansatz(AnsatzSpec("two_local", 32, 4, "full", 7))
     assert find_chains(c, 5) == []
     assert visits <= 50_000, visits
+
+
+def test_growth_work_on_sca_scales_near_linearly(monkeypatch):
+    # An `sca` layer's ladder runs in reverse order, so each CX seeds a
+    # growth whose head's next links lie behind a Y use: the growth ends
+    # with its adjacent run.  Walk yields and classified ops may at most
+    # about double per doubling of the width (they quadrupled while each
+    # growth walked on until the head's last link).
+    monkeypatch.setattr(chains, "UseWalk", _CountingWalk)
+    classified = 0
+    classify = _Growth.classify
+
+    def counting(self, pos, op):
+        nonlocal classified
+        classified += 1
+        return classify(self, pos, op)
+
+    monkeypatch.setattr(_Growth, "classify", counting)
+    counts = []
+    for n in (128, 256, 512):
+        _CountingWalk.yielded = classified = 0
+        c = gen_ansatz(AnsatzSpec("two_local", n, 4, "sca", 7))
+        compile_circuit(c, PassConfig(chain_mode=ChainMode.CONSERVATIVE))
+        counts.append((_CountingWalk.yielded, classified))
+    for before, after in zip(counts, counts[1:]):
+        assert all(a <= 2.5 * b for a, b in zip(after, before)), counts
+
+
+class _CountingRuns:
+    """A wire's letter runs, counting the entries read."""
+
+    read = 0
+
+    def __init__(self, runs):
+        self.runs = runs
+
+    def __getitem__(self, k):
+        type(self).read += 1
+        return self.runs[k]
+
+
+def test_reachability_visits_at_most_the_walks_yields_on_full(monkeypatch):
+    # On a `full` layer every use the head's reachability check visits lies
+    # before its next link, where the walk yields it too: the check at most
+    # doubles the walk's cost per use.  The check reads one entry of the
+    # head's letter runs per use it visits, and it alone reads the runs
+    # `UseTable.runs_of` returns.
+    monkeypatch.setattr(chains, "UseWalk", _CountingWalk)
+    runs_of = UseTable.runs_of
+    monkeypatch.setattr(
+        UseTable, "runs_of", lambda self, w, ins: _CountingRuns(runs_of(self, w, ins))
+    )
+    for n in (16, 32):
+        _CountingWalk.yielded = _CountingRuns.read = 0
+        c = gen_ansatz(AnsatzSpec("two_local", n, 4, "full", 7))
+        compile_circuit(c, PassConfig(chain_mode=ChainMode.CONSERVATIVE))
+        read, yielded = _CountingRuns.read, _CountingWalk.yielded
+        assert 0 < read <= yielded, (n, read, yielded)

@@ -115,14 +115,12 @@ def _depth_view(index: DepthIndex, ins, start: int):
 
 
 def _scan_view(scanner: ChainScanner, start: int):
-    """The use table and the scanner's own index from position `start` on,
-    as positions."""
-    n, links = len(scanner.instructions), scanner._links
+    """The use table the scanner reads from position `start` on, barriers
+    included, as positions."""
+    table = scanner.uses
     return (
-        _table_view(scanner.uses, start),
-        [n - v for v in links.barriers if n - v > start],
-        [{q: n - v for q, v in t.items() if n - v >= start}
-         for t in (links.last_cx_control, links.last_cz)],
+        _table_view(table, start),
+        [table.n - v for v in table.barriers if table.n - v >= start],
     )
 
 
@@ -150,10 +148,13 @@ def _expected_runs(ins, w: int, start: int):
 
 
 def _assert_table_refreshed(table: UseTable, ins, start: int) -> None:
-    """The table holds just what a fresh build lists from `start` on, and
-    every wire's letter runs built so far are those of the list."""
-    assert table.n == len(ins)
-    assert _table_view(table, 0) == _table_view(UseTable(ins), start)
+    """The table holds just what a fresh build lists from `start` on, the
+    barriers too, and every wire's letter runs built so far are those of
+    the list."""
+    n, fresh = len(ins), UseTable(ins)
+    assert table.n == n
+    assert _table_view(table, 0) == _table_view(fresh, start)
+    assert [n - v for v in table.barriers] == [n - v for v in fresh.barriers if n - v >= start]
     for w in table.runs:
         assert _runs_view(table, w) == _expected_runs(ins, w, start), w
 
