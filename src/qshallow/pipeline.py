@@ -37,7 +37,9 @@ pass no table.  A layered circuit repeats its chains: the chain pass
 builds each distinct rewrite (kind and qubit sequence) once and shares it,
 and schedules each side of its window test - the chain's gates, the
 rewrite - once, so a repeated ladder's window costs O(its wires plus
-`DEPTH_SCOPE`).
+`DEPTH_SCOPE`).  It sweeps each window tail once until the next accept
+changes the list: the chains grown after a skipped one often end at the
+same gate.
 
 Rewrites are final.  The GHZ pass returns the positions its kept blocks
 take in the list it returns, and `compile_circuit` hands them to the chain
@@ -189,6 +191,7 @@ def _gate(
     mode: ChainMode,
     index: DepthIndex | None = None,
     sides: tuple[tuple[int, dict[int, int]], tuple[int, dict[int, int]]] | None = None,
+    tails: dict[int, tuple[int, dict[int, int]]] | None = None,
 ) -> GateDecision:
     """Window depths before and after the rewrite, and whether it passes: in
     conservative mode the window must get strictly shallower, and then, with
@@ -199,6 +202,9 @@ def _gate(
 
     The window's tail is swept once and joined with each side's schedule,
     `sides` when the caller has them (`_sides`) and else scheduled here.
+    `tails` keeps each sweep by the tail's start, for a caller that gates
+    several candidates of one list: a skipped chain's successors often end
+    at the same gate.
 
     A GHZ site whose tail reaches the end of `ins` is settled by the window
     test alone, and `index` is never asked.  `detect_ghz` makes every member
@@ -211,7 +217,10 @@ def _gate(
     subsequence of `ins`.  So the rewritten list is no deeper.  A site whose
     tail the scope cuts is gated by `index` as a chain is."""
     tail_start = cand.end_index + 1
-    tail = paths_of(ins[tail_start : tail_start + DEPTH_SCOPE])
+    tails = {} if tails is None else tails
+    tail = tails.get(tail_start)
+    if tail is None:
+        tail = tails[tail_start] = paths_of(ins[tail_start : tail_start + DEPTH_SCOPE])
     gates, rewrite = _sides(ins, cand, replacement) if sides is None else sides
     before = depth_joined(gates, tail)
     if replacement is None:
@@ -328,6 +337,8 @@ def gate_and_apply(
     # sets and, under one config, its rewrite.  Read only, as `_gate`,
     # `_window` and the verifier copy what they take from the rewrite.
     built: dict[tuple[str, tuple[int, ...]], tuple] = {}
+    # The window tails swept since the list last changed, by their start.
+    tails: dict[int, tuple[int, dict[int, int]]] = {}
     while (cand := scanner.next()) is not None:
         ins = scanner.instructions
         key = (cand.kind.value, cand.qubit_seq)
@@ -336,7 +347,7 @@ def gate_and_apply(
             replacement = _replacement_for(cand, config)
             entry = built[key] = (replacement, _sides(ins, cand, replacement))
         replacement, sides = entry
-        decision = _gate(ins, cand, replacement, config.chain_mode, index, sides)
+        decision = _gate(ins, cand, replacement, config.chain_mode, index, sides, tails)
         if decision.applied:
             window = _window(ins, cand, replacement)
             if coverage is not None:
@@ -344,6 +355,7 @@ def gate_and_apply(
             if index is not None:
                 index.accept(ins, cand.start_index, cand.end_index, window)
             scanner.accept(window)  # splices the list and its use table
+            tails.clear()
         else:
             scanner.skip()
         decisions.append(decision)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qshallow import chains
+from qshallow import chains, pipeline
 from qshallow.bench import (
     ANSATZ_FAMILIES,
     ENTANGLEMENTS,
@@ -711,6 +711,36 @@ def test_window_gate_equals_two_schedules(block):
                 want = GateDecision(cand, before, after, applied)
                 assert _gate(ins, cand, replacement, mode, sides=pair) == want, (c, cand)
     assert shared > 100  # the cached sides are exercised
+
+
+@pytest.mark.parametrize("block", range(_DIFF_BLOCKS))
+def test_window_tails_are_swept_once_per_list(block, monkeypatch):
+    """The chain pass sweeps each window tail once until an accept changes
+    the list: decisions and emitted text equal those of a sweep per
+    candidate, with fewer sweeps."""
+    sweeps = 0
+    paths_of = pipeline.paths_of
+
+    def counting(ops):
+        nonlocal sweeps
+        sweeps += 1
+        return paths_of(ops)
+
+    gate = pipeline._gate
+
+    def unshared(ins, cand, replacement, mode, index=None, sides=None, tails=None):
+        return gate(ins, cand, replacement, mode, index, sides)
+
+    monkeypatch.setattr(pipeline, "paths_of", counting)
+    cases = [(c, cfg) for c in _diff_circuits(block) for cfg in _COMPILE_CONFIGS]
+    shared = [compile_circuit(c, cfg) for c, cfg in cases]
+    shared_sweeps, sweeps = sweeps, 0
+    monkeypatch.setattr(pipeline, "_gate", unshared)
+    for (c, cfg), got in zip(cases, shared):
+        want = compile_circuit(c, cfg)
+        assert got.decisions == want.decisions, (c, cfg)
+        assert emit(got.circuit) == emit(want.circuit), (c, cfg)
+    assert shared_sweeps < sweeps, (shared_sweeps, sweeps)
 
 
 def test_differential_corpus_exercises_every_feature():
