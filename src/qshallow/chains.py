@@ -52,6 +52,19 @@ The scanner keeps no index of its own.  It takes the table - in a pass,
 from the depth index's `uses_of`, so that one table serves both - on its
 first growth: a list whose every op is a rewrite's or no seed builds none.
 
+A run of CX gates is also a linear map over GF(2) on its wires, and some
+maps are chains in disguise.  When the scan reaches a maximal run of
+consecutive unconditioned CX gates that no rewrite holds, it folds the run
+into its parity map, one int per wire (`_linear_shape`), and offers the run
+before growing its first gate: as an inverse chain (`ChainKind.INVERSE`)
+where the map minus the identity is one path - a `full` entanglement layer
+`CX(i, j)` for every i < j, or a ladder in reverse order - and as a fan-out
+(`ChainKind.FANOUT`) where it is one column, a control copied onto two or
+more targets.  Only a run whose rewrite is shallower than the run itself is
+offered.  A run taken in becomes a rewrite's gates; a refused run leaves
+its gates to the growth, and no gate is folded twice.  A plain chain's map
+is neither shape, so chains are left to the growth.
+
 Rewrites are final.  The gates of every rewrite - a chain's decomposition
 accepted by this scanner, or a block an earlier pass built and hands in
 (`ChainScanner`'s `replaced`, as the GHZ pass does) - neither seed nor
@@ -65,6 +78,10 @@ Decompositions:
   even-position qubits, and a closing layer.  Depth O(log n), gate count at
   most doubled.  Runs of fewer than five qubits are left as plain chains (no
   depth win there).
+* `decompose_run` - an inverse chain as the reversed halving of its path;
+  a fan-out from c onto t as the reversed halving of t, which leaves each
+  target the parity of itself and the one before, and the halving of
+  [c, *t], which folds those back into target ^ c.
 * `decompose_cz` - all CZs commute, so any chain packs into two layers.
 * `decompose_cz_to_cx` - CZ chain lowered to H/CX with one shared Hadamard
   layer on each side; inner H pairs cancel by construction, depth 4.
@@ -77,7 +94,9 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from .ir import Circuit, Gate, Instruction, Letter, UseTable, UseWalk, _letters, _wires, cx, cz, h
+from .ir import (
+    Circuit, Gate, Instruction, Letter, UseTable, UseWalk, _letters, _wires, cx, cz, depth_of, h,
+)
 
 _OPAQUE, _Z, _X = Letter.OPAQUE, Letter.Z, Letter.X
 _CX, _CZ = Gate.CX, Gate.CZ
@@ -87,13 +106,17 @@ class ChainKind(Enum):
     CX = "cx"
     CZ = "cz"
     GHZ = "ghz"  # a GHZ site (`ghz.detect_ghz`), rewritten by the same driver
+    INVERSE = "cx_inverse"  # a CX run whose map is a linked chain's inverse
+    FANOUT = "cx_fanout"  # a CX run whose map copies one control onto its targets
 
 
 @dataclass(frozen=True)
 class ChainCandidate:
     """One rewrite site.  For a GHZ site `start_index` is the fresh H,
     `qubit_seq` the members, root first, and `moved_after` is empty: no op
-    between its gates touches a member, so none has to move."""
+    between its gates touches a member, so none has to move.  A CX run's
+    gates are the whole run and move nothing; `qubit_seq` is an inverse
+    chain's path, or a fan-out's control and then its targets."""
 
     kind: ChainKind
     gate_indices: tuple[int, ...]
@@ -301,10 +324,48 @@ class _Growth:
         )
 
 
-# Seed states, one per instruction: the gates of a skipped candidate never
-# seed again; the gates of every rewrite - a replacement accepted here or a
-# block handed in as `replaced` - neither seed nor extend a chain.
-_FREE, _SKIPPED, _REPLACED = 0, 1, 2
+# Seed states, one per instruction: a folded gate's run was offered (or was
+# no shape) and it is not folded again; the gates of a skipped candidate
+# never seed again; the gates of every rewrite - a replacement accepted here
+# or a block handed in as `replaced` - neither seed nor extend a chain.
+_FREE, _FOLDED, _SKIPPED, _REPLACED = 0, 1, 2, 3
+
+
+def _linear_shape(run: Sequence[Instruction]) -> tuple[ChainKind, tuple[int, ...]] | None:
+    """The shape of the map a run of CX gates computes over GF(2): INVERSE
+    and its path where the map minus the identity is one path, FANOUT and
+    the control, then the targets, where it is one column of at least two
+    entries; else None.  Each wire's row is an int over the wires' bits,
+    numbered in order of first use, so the fold costs one XOR per gate."""
+    rows: dict[int, int] = {}
+    for op in run:
+        c, t = op.qubits
+        if c not in rows:
+            rows[c] = 1 << len(rows)
+        if t not in rows:
+            rows[t] = 1 << len(rows)
+        rows[t] ^= rows[c]
+    parent: dict[int, int] = {}  # bit -> the one other bit its row holds
+    for k, row in enumerate(rows.values()):
+        if not row >> k & 1:
+            return None
+        off = row - (1 << k)
+        if off & (off - 1):
+            return None
+        if off:
+            parent[k] = off.bit_length() - 1
+    wires = list(rows)
+    sources = set(parent.values())
+    if len(parent) > 1 and len(sources) == 1:
+        return ChainKind.FANOUT, (wires[sources.pop()], *(wires[k] for k in sorted(parent)))
+    child = {p: k for k, p in parent.items()}
+    roots = sources - parent.keys()
+    if len(child) != len(parent) or len(roots) != 1:
+        return None  # a bit feeds two, or the edges form several paths
+    path = [roots.pop()]
+    while path[-1] in child:
+        path.append(child[path[-1]])
+    return ChainKind.INVERSE, tuple(wires[k] for k in path)
 
 
 def _window(items: Sequence, cand: ChainCandidate, replacement: Sequence) -> list:
@@ -320,14 +381,16 @@ def _window(items: Sequence, cand: ChainCandidate, replacement: Sequence) -> lis
 class ChainScanner:
     """Resumable single-pass scanner over a circuit's instruction list.
 
-    `next()` yields the next chain candidate of at least `min_gates` gates.
+    `next()` yields the next chain candidate of at least `min_gates` gates,
+    a CX run's (see the module note) before its first gate's growth.
     The caller then either `accept`s the candidate's rewritten window, as
     `_window` lays it out - it is spliced into the instruction list in place,
     the replacement's gates never seed or extend a chain, and the scan
     restarts from the chain's start so that intertwined chains displaced
-    around it are rediscovered - or `skip()`s, which retires the candidate's
-    gates as seeds and continues forward.  Candidate starts therefore never
-    decrease, and nothing before the last accepted start is read again.
+    around it are rediscovered - or `skip()`s, which retires a chain's gates
+    as seeds and continues forward, and hands a run's gates to the growth.
+    Candidate starts therefore never decrease, and nothing before the last
+    accepted start is read again.
     The positions in `replaced` hold an earlier rewrite's gates (the GHZ
     blocks `pipeline.gate_ghz_sites` kept); they start out as a replacement's
     do, so no rewrite's output is ever rewritten.
@@ -377,14 +440,34 @@ class ChainScanner:
         ins, state = self.instructions, self._state
         for i in range(self._pos, len(ins)):
             op = ins[i]
-            if op.gate.arity == 2 and op.condition is None and state[i] == _FREE:
+            if op.gate.arity == 2 and op.condition is None and state[i] <= _FOLDED:
                 self._pos = i
-                candidate = self._grow(i)
+                candidate = None
+                if state[i] == _FREE and op.gate is _CX:
+                    candidate = self._fold(i)
+                if candidate is None:
+                    candidate = self._grow(i)
                 if candidate is not None:
                     self._pending = candidate
                     return candidate
         self._pos = len(ins)
         return None
+
+    def _fold(self, start: int) -> ChainCandidate | None:
+        """The run of free unconditioned CX gates from `start`, folded, as a
+        candidate if its map has a shape and its rewrite is shallower."""
+        ins, state = self.instructions, self._state
+        end, n = start, len(ins)
+        while end < n and state[end] == _FREE and ins[end].gate is _CX:
+            if ins[end].condition is not None:
+                break
+            state[end] = _FOLDED
+            end += 1
+        run = ins[start:end]
+        shape = _linear_shape(run) if len(run) >= self.min_gates else None
+        if shape is None or depth_of(decompose_run(*shape)) >= depth_of(run):
+            return None
+        return ChainCandidate(shape[0], tuple(range(start, end)), shape[1], start, ())
 
     def _grow(self, seed: int) -> ChainCandidate | None:
         """Grow a chain from `seed`, visiting only the ops that can matter.
@@ -484,11 +567,14 @@ class ChainScanner:
         self._pos = s
 
     def skip(self) -> None:
-        """Retire the pending candidate: its gates never seed again."""
+        """Retire the pending candidate: a chain's gates never seed again,
+        and a run's first gate is grown next."""
         cand = self._pending
         if cand is None:
             raise RuntimeError("no candidate to skip")
         self._pending = None
+        if cand.kind is ChainKind.INVERSE or cand.kind is ChainKind.FANOUT:
+            return
         for idx in cand.gate_indices:
             self._state[idx] = _SKIPPED
         self._pos = cand.start_index + 1
@@ -524,6 +610,15 @@ def decompose_forward(qubit_seq: Sequence[int]) -> list[Instruction]:
     out += decompose_forward(seq[0::2])
     out += [cx(seq[i], seq[i + 1]) for i in range(0, n - 1, 2)]
     return out
+
+
+def decompose_run(kind: ChainKind, qubit_seq: Sequence[int]) -> list[Instruction]:
+    """The rewrite of a CX run of `kind` INVERSE or FANOUT (`_linear_shape`):
+    an inverse chain's gates are a chain's in reverse order; a fan-out is
+    the inverse chain over its targets, then the chain from its control."""
+    if kind is ChainKind.INVERSE:
+        return decompose_forward(qubit_seq)[::-1]
+    return decompose_forward(qubit_seq[1:])[::-1] + decompose_forward(qubit_seq)
 
 
 def decompose_cz(qubit_seq: Sequence[int]) -> list[Instruction]:

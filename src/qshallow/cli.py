@@ -27,10 +27,10 @@ from .bench import (
 )
 from .chains import ChainKind
 from .ghz import GhzMode
-from .ir import Circuit, stats
+from .ir import Circuit, depth_of, stats
 from .pipeline import ChainMode, CompileResult, PassConfig
 from .pipeline import VerificationError, compile_circuit
-from .qasm import ParseError, emit, parse
+from .qasm import ParseError, emit, lowered, parse
 
 CSV_COLUMNS = [
     "name", "n", "reps", "variant",
@@ -90,6 +90,16 @@ def _indented(value, indent: str = "\n") -> str:
     return json.dumps(value)  # a float
 
 
+def _emitted_depth(c: Circuit) -> int | None:
+    """The depth of the file `emit` writes for `c`, scheduled from its
+    lowering; None where nothing is lowered: `c` has no multi-bit
+    condition."""
+    ins = c.instructions
+    if not c.num_clbits or all(op.condition is None or len(op.condition.bits) == 1 for op in ins):
+        return None
+    return depth_of([low for op in ins for low in lowered(op)])
+
+
 def _report(input_circuit: Circuit, result: CompileResult) -> dict:
     # Each depth a compile's index holds is exact: only a list that no
     # index covered is scheduled here.
@@ -102,9 +112,12 @@ def _report(input_circuit: Circuit, result: CompileResult) -> dict:
     ghz = [d.applied for d in result.decisions if d.candidate.kind is ChainKind.GHZ]
     chains = [d.applied for d in result.decisions if d.candidate.kind is not ChainKind.GHZ]
     coverage = result.coverage
+    # The file states a multi-bit parity as single-bit ifs, and may be deeper.
+    emitted = _emitted_depth(result.circuit)
     return {
         "input_stats": input_stats.as_dict(),
         "output_stats": output_stats.as_dict(),
+        **({} if emitted in (None, output_stats.depth) else {"emitted_depth": emitted}),
         "ghz_sites_found": len(ghz),
         "ghz_sites_replaced": sum(ghz),
         "chains_found": len(chains),
@@ -259,11 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
                            help="gate for every rewrite: conservative applies a GHZ site or "
                                 "chain only if its window gets shallower and the circuit no "
                                 "deeper; always applies all; off skips chains, applies GHZ sites. "
+                                "Besides linked CX and CZ chains, a run of CX gates whose parity "
+                                "map is a chain's inverse (cx_inverse: a full entanglement layer "
+                                "or a reverse-order ladder) or a fan-out from one control "
+                                "(cx_fanout) is a candidate when its rewrite is shallower: "
+                                "two_local full n=64 reps=4 goes from depth 322 and 8384 gates "
+                                "to 46 and 796. "
                                 "No chain is found inside a kept GHZ block, so its depth, "
                                 "1 + ceil(log2 n) robust or 6 parallel, holds in every mode "
                                 "in memory and in --report; in the --out file a parallel "
                                 "block's k-bit parity corrections become k single-bit ifs, "
-                                "so the file reads deeper (12 layers at n = 16)")
+                                "so the file reads deeper (12 layers at n = 16), and the "
+                                "report's emitted_depth says how deep")
     p_compile.add_argument("--min-chain-gates", type=int, default=5,
                            help="fewest gates a chain needs to be rewritten (at least 2)")
     p_compile.add_argument("--cz-to-cx", action="store_true",

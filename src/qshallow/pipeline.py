@@ -86,6 +86,7 @@ from .chains import (
     decompose_cz,
     decompose_cz_to_cx,
     decompose_forward,
+    decompose_run,
 )
 from .ghz import GhzMode
 from .ir import (
@@ -155,7 +156,7 @@ def _replacement_for(
     candidate: ChainCandidate, config: PassConfig, clbit: int = 0
 ) -> list[Instruction] | None:
     """The rewrite of `candidate` under `config`: a CX chain's forward
-    decomposition, a CZ chain's (lowered to CX with `cz_to_cx`), a GHZ site's
+    decomposition, a CX run's, a CZ chain's (lowered to CX with `cz_to_cx`), a GHZ site's
     construction in `ghz_mode`, its fresh bits numbered from `clbit`.  None
     where the site keeps its gates: GHZ rebuilding is off, or the fusion
     scheme lacks a middle qubit."""
@@ -164,6 +165,8 @@ def _replacement_for(
         return decompose_forward(seq)
     if candidate.kind is ChainKind.CZ:
         return decompose_cz_to_cx(seq) if config.cz_to_cx else decompose_cz(seq)
+    if candidate.kind is not ChainKind.GHZ:
+        return decompose_run(candidate.kind, seq)
     if config.ghz_mode is GhzMode.ROBUST:
         return ghz.build_ghz_log(seq)
     if config.ghz_mode is GhzMode.OFF or len(seq) < 3:
@@ -182,6 +185,16 @@ def _sides(
         return gates, gates
     fronts = {}
     return gates, (depth_of(replacement, fronts), fronts)
+
+
+def _built_key(ins: Sequence[Instruction], cand: ChainCandidate) -> tuple:
+    """What fixes a chain candidate's gates' qubit sets and, under one
+    config, its rewrite: a chain's kind and qubit sequence, and a CX run's
+    kind and gates, as two runs of one map may differ in their gates."""
+    key = (cand.kind.value, cand.qubit_seq)
+    if cand.kind is ChainKind.INVERSE or cand.kind is ChainKind.FANOUT:
+        key += tuple(ins[i].qubits for i in cand.gate_indices)
+    return key
 
 
 def _gate(
@@ -332,16 +345,15 @@ def gate_and_apply(
     decisions: list[GateDecision] = []
     if config.chain_mode is not ChainMode.CONSERVATIVE:
         index = None
-    # Each distinct chain's rewrite and the schedules of both its sides,
-    # built once: a chain's kind and qubit sequence fix its gates' qubit
-    # sets and, under one config, its rewrite.  Read only, as `_gate`,
-    # `_window` and the verifier copy what they take from the rewrite.
-    built: dict[tuple[str, tuple[int, ...]], tuple] = {}
+    # Each distinct candidate's rewrite and the schedules of both its sides,
+    # built once (`_built_key`).  Read only, as `_gate`, `_window` and the
+    # verifier copy what they take from the rewrite.
+    built: dict[tuple, tuple] = {}
     # The window tails swept since the list last changed, by their start.
     tails: dict[int, tuple[int, dict[int, int]]] = {}
     while (cand := scanner.next()) is not None:
         ins = scanner.instructions
-        key = (cand.kind.value, cand.qubit_seq)
+        key = _built_key(ins, cand)
         entry = built.get(key)
         if entry is None:
             replacement = _replacement_for(cand, config)

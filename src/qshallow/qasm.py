@@ -36,7 +36,8 @@ of the other bits between them becomes one register.  Registers are declared
 in bit order and named m<k> after their first bit k, so re-parsing keeps the
 flat bit numbering.  A parity condition over k bits is lowered to k
 consecutive single-bit-conditioned copies of the gate (exact for the
-self-inverse gates the rewrite passes emit, since X^m1 · X^m2 = X^(m1 xor m2)).
+self-inverse gates the rewrite passes emit, since X^m1 · X^m2 = X^(m1 xor m2));
+`lowered` states the rule, and the file is scheduled as its result.
 """
 from __future__ import annotations
 
@@ -472,6 +473,20 @@ def parse(text: str) -> Circuit:
     return _Parser(text).parse()
 
 
+def lowered(ins: Instruction) -> tuple[Instruction, ...]:
+    """`ins` as `emit` writes it: a gate on a k-bit parity condition as k
+    copies, each conditioned on one of the bits (see the module note)."""
+    cond = ins.condition
+    if cond is None or len(cond.bits) == 1:
+        return (ins,)
+    if ins.gate.is_rotation:
+        raise ValueError(
+            "multi-bit parity conditions on rotations cannot be lowered "
+            "to single-bit conditionals"
+        )
+    return tuple(Instruction(ins.gate, ins.qubits, condition=Condition((b,))) for b in cond.bits)
+
+
 def emit(c: Circuit) -> str:
     """Deterministic QASM text; re-parsing reproduces every condition-free
     instruction exactly.  Parity conditions are lowered per the module note."""
@@ -504,13 +519,8 @@ def emit(c: Circuit) -> str:
             if ins.condition is None:
                 append(text)
                 continue
-            if gate.is_rotation and len(ins.condition.bits) > 1:
-                raise ValueError(
-                    "multi-bit parity conditions on rotations cannot be lowered "
-                    "to single-bit conditionals"
-                )
-            for b in ins.condition.bits:
-                append(f"if(m{b}==1) {text}")
+            for op in lowered(ins):
+                append(f"if(m{op.condition.bits[0]}==1) {text}")
         elif gate is Gate.MEASURE:
             first = firsts[bisect_right(firsts, ins.clbit) - 1]
             append(f"measure q[{ins.qubits[0]}] -> m{first}[{ins.clbit - first}];")

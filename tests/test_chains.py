@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -33,6 +34,7 @@ from qshallow.chains import (
     decompose_cz,
     decompose_cz_to_cx,
     decompose_forward,
+    decompose_run,
     find_chains,
 )
 from qshallow.ir import (
@@ -63,6 +65,7 @@ from qshallow.pipeline import (
     ChainMode,
     GateDecision,
     PassConfig,
+    _built_key,
     _replacement_for,
     _gate,
     _sides,
@@ -70,6 +73,7 @@ from qshallow.pipeline import (
 )
 from qshallow.qasm import emit
 from qshallow.sim import equivalent_unitary, unitary
+from qshallow.stabilizer import same_unitary
 
 
 def circ(n, *instructions, clbits=0):
@@ -700,7 +704,7 @@ def test_window_gate_equals_two_schedules(block):
             after = before if replacement is None else depth_of([*replacement, *tail])
             pair = None
             if sides is not None:
-                key = (cand.kind.value, cand.qubit_seq)
+                key = _built_key(ins, cand)
                 if key in sides:
                     shared += 1  # sides another candidate of the circuit scheduled
                 else:
@@ -750,7 +754,7 @@ def test_differential_corpus_exercises_every_feature():
     assert any(ins.condition is not None and len(ins.condition.bits) > 1 for ins in ops)
     assert any(ins.gate is Gate.BARRIER and len(ins.qubits) == 1 for ins in ops)
     cands = [k for c in circuits for k in find_chains(c, 2)]
-    assert {k.kind for k in cands} == {ChainKind.CX, ChainKind.CZ}
+    assert {k.kind for k in cands} == set(ChainKind) - {ChainKind.GHZ}
     assert sum(bool(_moved_before(k)) for k in cands) > 50
     assert sum(bool(k.moved_after) for k in cands) > 50
 
@@ -1063,16 +1067,24 @@ def test_growth_visits_on_full_entanglement(monkeypatch):
 
     monkeypatch.setattr(_Growth, "_try_extend", counting)
     c = gen_ansatz(AnsatzSpec("two_local", 32, 4, "full", 7))
-    assert find_chains(c, 5) == []
+    # Each layer is offered as one inverse chain first; skipped here, its
+    # gates are grown as before, and no growth yields a candidate.
+    assert [k.kind for k in find_chains(c, 5)] == [ChainKind.INVERSE] * 4
     assert visits <= 50_000, visits
 
 
-def test_growth_work_on_sca_scales_near_linearly(monkeypatch):
+@pytest.mark.parametrize(
+    "entanglement, ns, min_gates", [("sca", (128, 256, 512), 5), ("full", (16, 32, 64), 2)]
+)
+def test_growth_work_scales_near_linearly(entanglement, ns, min_gates, monkeypatch):
     # An `sca` layer's ladder runs in reverse order, so each CX seeds a
     # growth whose head's next links lie behind a Y use: the growth ends
-    # with its adjacent run.  Walk yields and classified ops may at most
-    # about double per doubling of the width (they quadrupled while each
-    # growth walked on until the head's last link).
+    # with its adjacent run.  A `full` layer is one CX run whose map is an
+    # inverse chain, rewritten before any of its gates seeds a growth (each
+    # of them grew one, crossing the rest of its fan-out row: about N^1.5).
+    # Walk yields and classified ops may at most about double per doubling
+    # of the instruction count (on `sca` they quadrupled while each growth
+    # walked on until the head's last link).
     monkeypatch.setattr(chains, "UseWalk", _CountingWalk)
     classified = 0
     classify = _Growth.classify
@@ -1083,14 +1095,16 @@ def test_growth_work_on_sca_scales_near_linearly(monkeypatch):
         return classify(self, pos, op)
 
     monkeypatch.setattr(_Growth, "classify", counting)
-    counts = []
-    for n in (128, 256, 512):
+    counts, sizes = [], []
+    for n in ns:
         _CountingWalk.yielded = classified = 0
-        c = gen_ansatz(AnsatzSpec("two_local", n, 4, "sca", 7))
-        compile_circuit(c, PassConfig(chain_mode=ChainMode.CONSERVATIVE))
+        c = gen_ansatz(AnsatzSpec("two_local", n, 4, entanglement, 7))
+        compile_circuit(c, PassConfig(chain_mode=ChainMode.CONSERVATIVE, min_chain_gates=min_gates))
         counts.append((_CountingWalk.yielded, classified))
-    for before, after in zip(counts, counts[1:]):
-        assert all(a <= 2.5 * b for a, b in zip(after, before)), counts
+        sizes.append(len(c))
+    for i in range(1, len(ns)):
+        limit = 2.5 ** math.log2(sizes[i] / sizes[i - 1])
+        assert all(a <= limit * b for a, b in zip(counts[i], counts[i - 1])), (counts, sizes)
 
 
 class _CountingRuns:
@@ -1111,7 +1125,8 @@ def test_reachability_visits_at_most_the_walks_yields_on_full(monkeypatch):
     # before its next link, where the walk yields it too: the check at most
     # doubles the walk's cost per use.  The check reads one entry of the
     # head's letter runs per use it visits, and it alone reads the runs
-    # `UseTable.runs_of` returns.
+    # `UseTable.runs_of` returns.  A compile rewrites each layer as one CX
+    # run before its gates seed; detection skips the runs and grows them.
     monkeypatch.setattr(chains, "UseWalk", _CountingWalk)
     runs_of = UseTable.runs_of
     monkeypatch.setattr(
@@ -1120,6 +1135,139 @@ def test_reachability_visits_at_most_the_walks_yields_on_full(monkeypatch):
     for n in (16, 32):
         _CountingWalk.yielded = _CountingRuns.read = 0
         c = gen_ansatz(AnsatzSpec("two_local", n, 4, "full", 7))
-        compile_circuit(c, PassConfig(chain_mode=ChainMode.CONSERVATIVE))
+        find_chains(c, 5)
         read, yielded = _CountingRuns.read, _CountingWalk.yielded
         assert 0 < read <= yielded, (n, read, yielded)
+
+
+# -- CX runs as linear maps ---------------------------------------------------
+
+_RUN_KINDS = (ChainKind.INVERSE, ChainKind.FANOUT)
+
+
+def _reference_shape(run: list[Instruction], n: int):
+    """A CX run's map as a 0/1 matrix over all n qubits: (INVERSE, path)
+    where the map minus the identity is the edges of one path, (FANOUT,
+    control, targets) where they are one column of two or more, else None."""
+    m = np.eye(n, dtype=np.uint8)
+    for op in run:
+        c, t = op.qubits
+        m[t] ^= m[c]
+    rows, cols = np.nonzero(m ^ np.eye(n, dtype=np.uint8))
+    edges = [(int(c), int(t)) for t, c in zip(rows, cols)]  # t's row holds c: c feeds t
+    if not edges or any(c == t for c, t in edges):
+        return None
+    sources, sinks = {c for c, _ in edges}, [t for _, t in edges]
+    if len(edges) > 1 and len(sources) == 1:
+        return ChainKind.FANOUT, sources.pop(), set(sinks)
+    feeds = dict(edges)
+    starts = sources - set(sinks)
+    if len(feeds) != len(edges) or len(set(sinks)) != len(sinks) or len(starts) != 1:
+        return None
+    path = [starts.pop()]
+    while path[-1] in feeds:
+        path.append(feeds[path[-1]])
+    return (ChainKind.INVERSE, tuple(path)) if len(path) == len(edges) + 1 else None
+
+
+@st.composite
+def _cx_runs(draw) -> tuple[Circuit, int, int]:
+    """One run of CX gates between two rotation layers, on qubits in a
+    random order: a `full` layer, a reverse-order ladder, a fan-out with
+    its targets in any order, a plain chain or random CX gates, sometimes
+    with a cancelling pair inserted.  Returns the circuit, the run's first
+    position and its length."""
+    n = draw(st.integers(3, 24))  # a fan-out gains from about 16 targets
+    order = draw(st.permutations(range(n)))
+    seq = order[: draw(st.integers(2, n))]
+    shape = draw(st.sampled_from(["full", "reverse_ladder", "fanout", "chain", "random"]))
+    if shape == "full":
+        gates = [cx(a, b) for i, a in enumerate(seq) for b in seq[i + 1 :]]
+    elif shape == "reverse_ladder":
+        gates = [cx(a, b) for a, b in reversed(list(zip(seq, seq[1:])))]
+    elif shape == "fanout":
+        seq = order if draw(st.booleans()) else seq
+        gates = [cx(seq[0], t) for t in draw(st.permutations(seq[1:]))]
+    elif shape == "chain":
+        gates = [cx(a, b) for a, b in zip(seq, seq[1:])]
+    else:
+        pairs = st.permutations(range(n)).map(lambda p: cx(p[0], p[1]))
+        gates = draw(st.lists(pairs, min_size=1, max_size=14))
+    if draw(st.booleans()):
+        pair = draw(st.permutations(range(n)))[:2]
+        at = draw(st.integers(0, len(gates)))
+        gates[at:at] = [cx(*pair), cx(*pair)]
+    body = [ry(q, 0.5) for q in range(n)] + gates + [ry(q, 0.3) for q in range(n)]
+    return Circuit(n, 0, tuple(body)), n, len(gates)
+
+
+def _relabel(c: Circuit, perm: list[int]) -> Circuit:
+    return Circuit(c.num_qubits, 0, tuple(
+        Instruction(op.gate, [perm[q] for q in op.qubits], op.angle) for op in c.instructions
+    ))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cx_runs(), st.randoms(use_true_random=False))
+@example((_relabel(gen_ansatz(AnsatzSpec("two_local", 8, 1, "full", 7)), [3, 7, 0, 5, 1, 6, 2, 4]),
+          8, 28), random.Random(0))
+@example((circ(21, ry(0, 0.5), *[cx(0, t) for t in range(20, 0, -1)]), 1, 20), random.Random(1))
+def test_cx_runs_are_offered_by_their_map(case, rng):
+    """A run is offered exactly when its map is an inverse chain or a
+    fan-out and the rewrite is shallower, as one candidate over the whole
+    run, under any relabelling of the qubits; every other run, plain chains
+    included, is left to the growth, which finds what it found without the
+    fold; every rewrite offered is the same unitary as its run."""
+    c, start, length = case
+    run = list(c.instructions[start : start + length])
+    want = _reference_shape(run, c.num_qubits)
+    if want is not None:
+        kind, *rest = want
+        seq = rest[0] if kind is ChainKind.INVERSE else (rest[0], *rest[1])
+        if depth_of(decompose_run(kind, seq)) >= depth_of(run):
+            want = None  # the rewrite is no shallower
+    perm = list(range(c.num_qubits))
+    rng.shuffle(perm)
+    for circuit, label in ((c, list(range(c.num_qubits))), (_relabel(c, perm), perm)):
+        found = _scan(circuit, 2)
+        runs = [k for k in found if k.kind in _RUN_KINDS]
+        if want is None:
+            assert runs == [], (circuit, runs)
+        else:
+            (got,) = runs
+            assert got.gate_indices == tuple(range(start, start + length))
+            assert got.kind is want[0] and got.moved_after == ()
+            if got.kind is ChainKind.INVERSE:
+                assert got.qubit_seq == tuple(label[q] for q in want[1])
+            else:
+                assert got.qubit_seq[0] == label[want[1]]
+                assert set(got.qubit_seq[1:]) == {label[q] for q in want[2]}
+            ops = circuit.instructions[start : start + length]
+            assert same_unitary(ops, decompose_run(got.kind, got.qubit_seq))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ChainScanner, "_fold", lambda self, i: None)
+            assert [k for k in found if k.kind not in _RUN_KINDS] == _scan(circuit, 2)
+    result = compile_circuit(c, PassConfig(chain_mode=ChainMode.ALWAYS, min_chain_gates=2,
+                                           verify=True))
+    assert result.verified
+
+
+def test_run_fold_reads_each_gate_once(monkeypatch):
+    # The fold does one parity XOR per gate it is handed; on a 1,000-qubit
+    # linear ladder, whose map is a plain chain's, every gate is handed
+    # over once, however the growth and the gate then treat the ladder.
+    folded = 0
+    shape_of = chains._linear_shape
+
+    def counting(run):
+        nonlocal folded
+        folded += len(run)
+        return shape_of(run)
+
+    monkeypatch.setattr(chains, "_linear_shape", counting)
+    c = gen_ansatz(AnsatzSpec("two_local", 1000, 2, "linear", 7))
+    for mode in (ChainMode.CONSERVATIVE, ChainMode.ALWAYS):
+        folded = 0
+        result = compile_circuit(c, PassConfig(chain_mode=mode))
+        assert [d.candidate.kind for d in result.decisions] == [ChainKind.CX] * 2
+        assert folded == 2 * 999, (mode, folded)

@@ -97,6 +97,22 @@ def test_report_verification_coverage(tmp_path):
     assert report["verification"] is None and report["verified"] is False
 
 
+@pytest.mark.parametrize("n", [3, 8, 16, 64])
+@pytest.mark.parametrize("ghz", ["parallel", "robust"])
+def test_report_states_the_emitted_depth(tmp_path, ghz, n):
+    # The file writes a k-bit parity correction as k single-bit ifs, so a
+    # parallel block reads deeper there than in memory: the report's
+    # emitted_depth is the file's depth.  A file no deeper states none.
+    report = _verify_report(tmp_path, gen_ghz_standard(n), "--ghz", ghz,
+                            "--chains", "conservative")
+    emitted = stats(parse((tmp_path / "out.qasm").read_text())).depth
+    if ghz == "parallel" and n > 3:
+        assert report["emitted_depth"] == emitted > report["output_stats"]["depth"] == 6
+    else:
+        assert "emitted_depth" not in report
+        assert report["output_stats"]["depth"] == emitted
+
+
 def test_report_counts_skipped_windows(tmp_path):
     chain = gen_cx_chain(9).instructions
     c = Circuit(10, 1, (measure(9, 0), *chain[:4],

@@ -22,6 +22,7 @@ from qshallow.chains import (
     decompose_cz,
     decompose_cz_to_cx,
     decompose_forward,
+    decompose_run,
     find_chains,
 )
 from qshallow.ir import (
@@ -34,6 +35,7 @@ from qshallow.ir import (
     cz,
     h,
     measure,
+    ry,
     rz,
     stats,
 )
@@ -122,6 +124,8 @@ def test_replacement_rule_picks_each_construction(kind, ghz_mode, cz_to_cx):
         assert got == decompose_forward(members)
     elif kind is ChainKind.CZ:
         assert got == (decompose_cz_to_cx if cz_to_cx else decompose_cz)(members)
+    elif kind is not ChainKind.GHZ:
+        assert got == decompose_run(kind, members)
     elif ghz_mode is GhzMode.ROBUST:
         assert got == ghz.build_ghz_log(members)
     elif ghz_mode is GhzMode.PARALLEL:
@@ -467,6 +471,22 @@ class TestCompileCircuit:
         assert decisions[1].depth_before == 3
         assert equivalent_unitary(c, out)
 
+    def test_runs_of_one_map_keep_their_own_sides(self):
+        # A `full` layer and a reverse-order ladder over the same qubits
+        # compute one inverse chain's map with other gates: the ladder is
+        # gated on its own schedule, not on the layer's.
+        full = [cx(i, j) for i in range(6) for j in range(i + 1, 6)]
+        ladder = [cx(i, i + 1) for i in reversed(range(5))]
+        c = circ(6, *full, barrier(*range(6)), *ladder)
+        config = PassConfig(chain_mode=ChainMode.ALWAYS, min_chain_gates=2, verify=True)
+        out, decisions, coverage = gate_and_apply(c, config)
+        assert [(d.candidate.kind, d.candidate.qubit_seq) for d in decisions] == [
+            (ChainKind.INVERSE, tuple(range(6)))
+        ] * 2
+        assert [d.depth_before for d in decisions] == [9 + 5, 5]
+        assert all(d.applied for d in decisions) and coverage.checked == 2
+        assert equivalent_unitary(c, out)
+
     def test_layered_refusals_come_from_the_bound(self, monkeypatch):
         # Each ladder rewritten alone deepens the ansatz: the depth index's
         # lower bound refuses all four, so it never walks an op (the walk
@@ -539,3 +559,38 @@ class TestConfig:
             assert isinstance(d, GateDecision)
             if d.applied:
                 assert d.depth_after < d.depth_before
+
+
+class TestCxRuns:
+    """CX runs whose parity map is a chain's inverse or a fan-out."""
+
+    def test_full_layers_become_inverse_chains(self):
+        c = gen_ansatz(AnsatzSpec("two_local", 64, 4, "full", 7))
+        result = compile_circuit(c, PassConfig(chain_mode=ChainMode.CONSERVATIVE, verify=True))
+        assert [(d.candidate.kind, d.applied) for d in result.decisions] == [
+            (ChainKind.INVERSE, True)
+        ] * 4
+        out = stats(result.circuit)
+        assert (stats(c).depth, out.depth, out.gate_count) == (322, 46, 796)
+        assert result.verified
+
+    def test_wide_fanout_from_a_live_control(self):
+        # GHZ detection takes a fan-out only from a fresh H; this control
+        # is rotated first.
+        n = 1024
+        c = circ(n, ry(0, 0.3), *(cx(0, t) for t in range(1, n)))
+        config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE,
+                            verify=True)
+        result = compile_circuit(c, config)
+        assert [d.candidate.kind for d in result.decisions] == [ChainKind.FANOUT]
+        assert stats(result.circuit).depth <= 40 and result.verified
+
+    @pytest.mark.parametrize("k, offered", [(8, False), (16, True)])
+    def test_fanout_offered_only_when_shallower(self, k, offered):
+        # At 8 targets the rewrite is 11 layers deep against the run's 8.
+        c = circ(k + 1, ry(0, 0.3), *(cx(0, t) for t in range(1, k + 1)))
+        config = PassConfig(chain_mode=ChainMode.ALWAYS, min_chain_gates=2)
+        result = compile_circuit(c, config)
+        kinds = {d.candidate.kind for d in result.decisions}
+        assert (ChainKind.FANOUT in kinds) is offered
+        assert stats(result.circuit).depth <= stats(c).depth
