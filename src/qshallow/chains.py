@@ -338,13 +338,14 @@ def _linear_shape(run: Sequence[Instruction]) -> tuple[ChainKind, tuple[int, ...
     entries; else None.  Each wire's row is an int over the wires' bits,
     numbered in order of first use, so the fold costs one XOR per gate."""
     rows: dict[int, int] = {}
+    get = rows.get
     for op in run:
         c, t = op.qubits
-        if c not in rows:
-            rows[c] = 1 << len(rows)
-        if t not in rows:
-            rows[t] = 1 << len(rows)
-        rows[t] ^= rows[c]
+        rc = get(c)
+        if rc is None:
+            rc = rows[c] = 1 << len(rows)
+        rt = get(t)
+        rows[t] = (1 << len(rows) if rt is None else rt) ^ rc
     parent: dict[int, int] = {}  # bit -> the one other bit its row holds
     for k, row in enumerate(rows.values()):
         if not row >> k & 1:

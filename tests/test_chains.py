@@ -1212,6 +1212,14 @@ def _relabel(c: Circuit, perm: list[int]) -> Circuit:
 @example((_relabel(gen_ansatz(AnsatzSpec("two_local", 8, 1, "full", 7)), [3, 7, 0, 5, 1, 6, 2, 4]),
           8, 28), random.Random(0))
 @example((circ(21, ry(0, 0.5), *[cx(0, t) for t in range(20, 0, -1)]), 1, 20), random.Random(1))
+# A fan-out whose control ends up holding only the next wire's value: its
+# row lacks its own bit, so the map is no shape.
+@example((circ(34, ry(0, 0.5), cx(0, 1), *[cx(0, t) for t in range(2, 34)], cx(1, 0)), 1, 34),
+         random.Random(2))
+# A fan-out plus one more edge out of a target: one bit feeds two others
+# and another feeds one, so the edges are no path.
+@example((circ(19, ry(0, 0.5), cx(17, 18), *[cx(0, t) for t in range(1, 18)]), 1, 18),
+         random.Random(3))
 def test_cx_runs_are_offered_by_their_map(case, rng):
     """A run is offered exactly when its map is an inverse chain or a
     fan-out and the rewrite is shallower, as one candidate over the whole
@@ -1250,6 +1258,13 @@ def test_cx_runs_are_offered_by_their_map(case, rng):
     result = compile_circuit(c, PassConfig(chain_mode=ChainMode.ALWAYS, min_chain_gates=2,
                                            verify=True))
     assert result.verified
+
+
+@pytest.mark.parametrize("min_gates, offered", [(5, True), (6, False)])
+def test_runs_need_min_chain_gates(min_gates, offered):
+    # A 6-qubit reverse-order ladder: 5 gates, 5 layers, 4 once rewritten.
+    c = circ(6, *(cx(i, i + 1) for i in reversed(range(5))))
+    assert (ChainKind.INVERSE in {k.kind for k in find_chains(c, min_gates)}) is offered
 
 
 def test_run_fold_reads_each_gate_once(monkeypatch):
