@@ -56,11 +56,11 @@ A run of CX gates is also a linear map over GF(2) on its wires, and some
 maps are chains in disguise.  When the scan reaches a maximal run of
 consecutive unconditioned CX gates that no rewrite holds, it folds the run
 into its parity map, one int per wire (`_linear_shape`), and offers the run
-before growing its first gate: as an inverse chain (`ChainKind.INVERSE`)
-where the map minus the identity is one path - a `full` entanglement layer
-`CX(i, j)` for every i < j, or a ladder in reverse order - and as a fan-out
-(`ChainKind.FANOUT`) where it is one column, a control copied onto two or
-more targets.  Only a run whose rewrite is shallower than the run itself is
+before growing its first gate: as inverse chains (`ChainKind.INVERSE`)
+where the map minus the identity is disjoint paths - a `full` entanglement
+layer `CX(i, j)` for every i < j, or a ladder in reverse order - and as a
+fan-out (`ChainKind.FANOUT`) where it is one column, a control copied onto
+two or more targets.  Only a run whose rewrite is shallower than the run itself is
 offered.  A run taken in becomes a rewrite's gates; a refused run leaves
 its gates to the growth, and no gate is folded twice.  A plain chain's map
 is neither shape, so chains are left to the growth.
@@ -78,7 +78,7 @@ Decompositions:
   even-position qubits, and a closing layer.  Depth O(log n), gate count at
   most doubled.  Runs of fewer than five qubits are left as plain chains (no
   depth win there).
-* `decompose_run` - an inverse chain as the reversed halving of its path;
+* `decompose_run` - inverse chains as the reversed halving of each path;
   a fan-out from c onto t as the reversed halving of t, which leaves each
   target the parity of itself and the one before, and the halving of
   [c, *t], which folds those back into target ^ c.
@@ -115,14 +115,16 @@ class ChainCandidate:
     """One rewrite site.  For a GHZ site `start_index` is the fresh H,
     `qubit_seq` the members, root first, and `moved_after` is empty: no op
     between its gates touches a member, so none has to move.  A CX run's
-    gates are the whole run and move nothing; `qubit_seq` is an inverse
-    chain's path, or a fan-out's control and then its targets."""
+    gates are the whole run and move nothing; `qubit_seq` is its inverse
+    chains' paths one after another, each path but the first starting at a
+    position in `splits`, or a fan-out's control and then its targets."""
 
     kind: ChainKind
     gate_indices: tuple[int, ...]
     qubit_seq: tuple[int, ...]
     start_index: int
     moved_after: tuple[int, ...]
+    splits: tuple[int, ...] = ()
 
     @property
     def end_index(self) -> int:
@@ -331,12 +333,16 @@ class _Growth:
 _FREE, _FOLDED, _SKIPPED, _REPLACED = 0, 1, 2, 3
 
 
-def _linear_shape(run: Sequence[Instruction]) -> tuple[ChainKind, tuple[int, ...]] | None:
-    """The shape of the map a run of CX gates computes over GF(2): INVERSE
-    and its path where the map minus the identity is one path, FANOUT and
-    the control, then the targets, where it is one column of at least two
-    entries; else None.  Each wire's row is an int over the wires' bits,
-    numbered in order of first use, so the fold costs one XOR per gate."""
+def _linear_shape(
+    run: Sequence[Instruction],
+) -> tuple[ChainKind, tuple[int, ...], tuple[int, ...]] | None:
+    """The shape of the map a run of CX gates computes over GF(2), as a
+    kind, a qubit sequence and splits (`ChainCandidate`): INVERSE and its
+    paths where the map minus the identity is one or more disjoint paths,
+    FANOUT and the control, then the targets, where it is one column of at
+    least two entries; else None.  Each wire's row is an int over the
+    wires' bits, numbered in order of first use, so the fold costs one XOR
+    per gate."""
     rows: dict[int, int] = {}
     get = rows.get
     for op in run:
@@ -358,15 +364,19 @@ def _linear_shape(run: Sequence[Instruction]) -> tuple[ChainKind, tuple[int, ...
     wires = list(rows)
     sources = set(parent.values())
     if len(parent) > 1 and len(sources) == 1:
-        return ChainKind.FANOUT, (wires[sources.pop()], *(wires[k] for k in sorted(parent)))
+        return ChainKind.FANOUT, (wires[sources.pop()], *(wires[k] for k in sorted(parent))), ()
     child = {p: k for k, p in parent.items()}
-    roots = sources - parent.keys()
-    if len(child) != len(parent) or len(roots) != 1:
-        return None  # a bit feeds two, or the edges form several paths
-    path = [roots.pop()]
-    while path[-1] in child:
-        path.append(child[path[-1]])
-    return ChainKind.INVERSE, tuple(wires[k] for k in path)
+    if not parent or len(child) != len(parent):
+        return None  # the identity, or a bit feeds two
+    # Every edge lies on a path from a root: a cycle would make the map singular.
+    seq: list[int] = []
+    splits = []
+    for root in sorted(sources - parent.keys()):
+        splits.append(len(seq))
+        seq.append(root)
+        while seq[-1] in child:
+            seq.append(child[seq[-1]])
+    return ChainKind.INVERSE, tuple(wires[k] for k in seq), tuple(splits[1:])
 
 
 def _window(items: Sequence, cand: ChainCandidate, replacement: Sequence) -> list:
@@ -468,7 +478,8 @@ class ChainScanner:
         shape = _linear_shape(run) if len(run) >= self.min_gates else None
         if shape is None or depth_of(decompose_run(*shape)) >= depth_of(run):
             return None
-        return ChainCandidate(shape[0], tuple(range(start, end)), shape[1], start, ())
+        kind, seq, splits = shape
+        return ChainCandidate(kind, tuple(range(start, end)), seq, start, (), splits)
 
     def _grow(self, seed: int) -> ChainCandidate | None:
         """Grow a chain from `seed`, visiting only the ops that can matter.
@@ -613,12 +624,18 @@ def decompose_forward(qubit_seq: Sequence[int]) -> list[Instruction]:
     return out
 
 
-def decompose_run(kind: ChainKind, qubit_seq: Sequence[int]) -> list[Instruction]:
+def decompose_run(
+    kind: ChainKind, qubit_seq: Sequence[int], splits: Sequence[int] = ()
+) -> list[Instruction]:
     """The rewrite of a CX run of `kind` INVERSE or FANOUT (`_linear_shape`):
-    an inverse chain's gates are a chain's in reverse order; a fan-out is
-    the inverse chain over its targets, then the chain from its control."""
+    an inverse chain's gates are a chain's in reverse order, one chain per
+    path of `qubit_seq` cut at `splits`; a fan-out is the inverse chain over
+    its targets, then the chain from its control."""
     if kind is ChainKind.INVERSE:
-        return decompose_forward(qubit_seq)[::-1]
+        out: list[Instruction] = []
+        for a, b in zip((0, *splits), (*splits, len(qubit_seq))):
+            out += decompose_forward(qubit_seq[a:b])[::-1]
+        return out
     return decompose_forward(qubit_seq[1:])[::-1] + decompose_forward(qubit_seq)
 
 

@@ -273,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "chain only if its window gets shallower and the circuit no "
                                 "deeper; always applies all; off skips chains, applies GHZ sites. "
                                 "Besides linked CX and CZ chains, a run of CX gates whose parity "
-                                "map is a chain's inverse (cx_inverse: a full entanglement layer "
-                                "or a reverse-order ladder) or a fan-out from one control "
+                                "map is the inverse of disjoint chains (cx_inverse: a full "
+                                "entanglement layer or a reverse-order ladder) or a fan-out from "
+                                "one control "
                                 "(cx_fanout) is a candidate when its rewrite is shallower: "
                                 "two_local full n=64 reps=4 goes from depth 322 and 8384 gates "
                                 "to 46 and 796. "

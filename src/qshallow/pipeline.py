@@ -1,7 +1,8 @@
 """Gated GHZ and chain rewrites, and the full compile pipeline.
 
-Every candidate - a GHZ site or a CX/CZ chain, each a `ChainCandidate` -
-takes one path: `_replacement_for` builds its rewrite, `_gate` decides it,
+Every candidate - a GHZ site, a CX/CZ chain or a CX run whose parity map
+is a chain's inverse or a fan-out, each a `ChainCandidate` - takes one
+path: `_replacement_for` builds its rewrite, `_gate` decides it,
 `_verify_rewrite` proves it, and the pass takes it in, laid out by one rule
 (`chains._window`; a GHZ site moves no op).  Only the candidate source and
 the check differ.  A site whose rewrite is None keeps its gates.
@@ -34,10 +35,10 @@ the table.  When the GHZ pass keeps no block, the chain pass reuses its
 index and table.  The scanner asks the index for the table only when it
 first grows a seed, so a list of kept blocks and non-seeds costs the chain
 pass no table.  A layered circuit repeats its chains: the chain pass
-builds each distinct rewrite (kind and qubit sequence) once and shares it,
-and schedules each side of its window test - the chain's gates, the
-rewrite - once, so a repeated ladder's window costs O(its wires plus
-`DEPTH_SCOPE`).  It sweeps each window tail once until the next accept
+builds each distinct rewrite (kind and qubit sequence, and a run's gates)
+once and shares it, and schedules each side of its window test - the
+chain's gates, the rewrite - once, so a repeated ladder's window costs
+O(its wires plus `DEPTH_SCOPE`).  It sweeps each window tail once until the next accept
 changes the list: the chains grown after a skipped one often end at the
 same gate.
 
@@ -166,7 +167,7 @@ def _replacement_for(
     if candidate.kind is ChainKind.CZ:
         return decompose_cz_to_cx(seq) if config.cz_to_cx else decompose_cz(seq)
     if candidate.kind is not ChainKind.GHZ:
-        return decompose_run(candidate.kind, seq)
+        return decompose_run(candidate.kind, seq, candidate.splits)
     if config.ghz_mode is GhzMode.ROBUST:
         return ghz.build_ghz_log(seq)
     if config.ghz_mode is GhzMode.OFF or len(seq) < 3:

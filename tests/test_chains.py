@@ -1082,25 +1082,32 @@ def test_growth_work_scales_near_linearly(entanglement, ns, min_gates, monkeypat
     # with its adjacent run.  A `full` layer is one CX run whose map is an
     # inverse chain, rewritten before any of its gates seeds a growth (each
     # of them grew one, crossing the rest of its fan-out row: about N^1.5).
-    # Walk yields and classified ops may at most about double per doubling
-    # of the instruction count (on `sca` they quadrupled while each growth
-    # walked on until the head's last link).
+    # Walk yields, classified ops and folded gates may at most about double
+    # per doubling of the instruction count (on `sca` the first two
+    # quadrupled while each growth walked on until the head's last link).
     monkeypatch.setattr(chains, "UseWalk", _CountingWalk)
-    classified = 0
-    classify = _Growth.classify
+    classified = folded = 0
+    classify, shape_of = _Growth.classify, chains._linear_shape
 
     def counting(self, pos, op):
         nonlocal classified
         classified += 1
         return classify(self, pos, op)
 
+    def counting_fold(run):
+        nonlocal folded
+        folded += len(run)
+        return shape_of(run)
+
     monkeypatch.setattr(_Growth, "classify", counting)
+    monkeypatch.setattr(chains, "_linear_shape", counting_fold)
     counts, sizes = [], []
     for n in ns:
-        _CountingWalk.yielded = classified = 0
+        _CountingWalk.yielded = classified = folded = 0
         c = gen_ansatz(AnsatzSpec("two_local", n, 4, entanglement, 7))
-        compile_circuit(c, PassConfig(chain_mode=ChainMode.CONSERVATIVE, min_chain_gates=min_gates))
-        counts.append((_CountingWalk.yielded, classified))
+        config = PassConfig(chain_mode=ChainMode.CONSERVATIVE, min_chain_gates=min_gates)
+        compile_circuit(c, config)
+        counts.append((_CountingWalk.yielded, classified, folded))
         sizes.append(len(c))
     for i in range(1, len(ns)):
         limit = 2.5 ** math.log2(sizes[i] / sizes[i - 1])
@@ -1146,9 +1153,10 @@ _RUN_KINDS = (ChainKind.INVERSE, ChainKind.FANOUT)
 
 
 def _reference_shape(run: list[Instruction], n: int):
-    """A CX run's map as a 0/1 matrix over all n qubits: (INVERSE, path)
-    where the map minus the identity is the edges of one path, (FANOUT,
-    control, targets) where they are one column of two or more, else None."""
+    """A CX run's map as a 0/1 matrix over all n qubits: (INVERSE, paths)
+    where the map minus the identity is the edges of disjoint paths,
+    (FANOUT, control, targets) where they are one column of two or more,
+    else None."""
     m = np.eye(n, dtype=np.uint8)
     for op in run:
         c, t = op.qubits
@@ -1161,27 +1169,48 @@ def _reference_shape(run: list[Instruction], n: int):
     if len(edges) > 1 and len(sources) == 1:
         return ChainKind.FANOUT, sources.pop(), set(sinks)
     feeds = dict(edges)
-    starts = sources - set(sinks)
-    if len(feeds) != len(edges) or len(set(sinks)) != len(sinks) or len(starts) != 1:
+    if len(feeds) != len(edges) or len(set(sinks)) != len(sinks):
         return None
-    path = [starts.pop()]
-    while path[-1] in feeds:
-        path.append(feeds[path[-1]])
-    return (ChainKind.INVERSE, tuple(path)) if len(path) == len(edges) + 1 else None
+    paths = set()
+    for start in sources - set(sinks):
+        path = [start]
+        while path[-1] in feeds:
+            path.append(feeds[path[-1]])
+        paths.add(tuple(path))
+    covered = sum(len(p) - 1 for p in paths) == len(edges)
+    return (ChainKind.INVERSE, paths) if covered else None
+
+
+def _paths(cand: ChainCandidate) -> set[tuple[int, ...]]:
+    bounds = (0, *cand.splits, len(cand.qubit_seq))
+    return {cand.qubit_seq[a:b] for a, b in zip(bounds, bounds[1:])}
 
 
 @st.composite
 def _cx_runs(draw) -> tuple[Circuit, int, int]:
     """One run of CX gates between two rotation layers, on qubits in a
     random order: a `full` layer, a reverse-order ladder, a fan-out with
-    its targets in any order, a plain chain or random CX gates, sometimes
-    with a cancelling pair inserted.  Returns the circuit, the run's first
-    position and its length."""
+    its targets in any order, two or three `full` layers or reverse-order
+    ladders on disjoint qubits with their gates interleaved, a plain chain
+    or random CX gates, sometimes with a cancelling pair inserted.  Returns
+    the circuit, the run's first position and its length."""
     n = draw(st.integers(3, 24))  # a fan-out gains from about 16 targets
     order = draw(st.permutations(range(n)))
     seq = order[: draw(st.integers(2, n))]
-    shape = draw(st.sampled_from(["full", "reverse_ladder", "fanout", "chain", "random"]))
-    if shape == "full":
+    shapes = ["full", "reverse_ladder", "fanout", "paths", "chain", "random"]
+    shape = draw(st.sampled_from(shapes if n >= 4 else shapes[:3]))
+    if shape == "paths":
+        cuts = sorted(draw(st.sets(st.integers(2, n - 2), min_size=1, max_size=2)))
+        parts = [order[a:b] for a, b in zip((0, *cuts), (*cuts, n)) if b - a >= 2]
+        lanes = [
+            [cx(a, b) for i, a in enumerate(p) for b in p[i + 1 :]] if draw(st.booleans())
+            else [cx(a, b) for a, b in reversed(list(zip(p, p[1:])))]
+            for p in parts
+        ]
+        gates = []
+        while any(lanes):
+            gates.append(draw(st.sampled_from([lane for lane in lanes if lane])).pop(0))
+    elif shape == "full":
         gates = [cx(a, b) for i, a in enumerate(seq) for b in seq[i + 1 :]]
     elif shape == "reverse_ladder":
         gates = [cx(a, b) for a, b in reversed(list(zip(seq, seq[1:])))]
@@ -1212,6 +1241,12 @@ def _relabel(c: Circuit, perm: list[int]) -> Circuit:
 @example((_relabel(gen_ansatz(AnsatzSpec("two_local", 8, 1, "full", 7)), [3, 7, 0, 5, 1, 6, 2, 4]),
           8, 28), random.Random(0))
 @example((circ(21, ry(0, 0.5), *[cx(0, t) for t in range(20, 0, -1)]), 1, 20), random.Random(1))
+# A cancelling pair: the identity map is no path.
+@example((circ(2, ry(0, 0.5), cx(0, 1), cx(0, 1)), 1, 2), random.Random(4))
+# Two reverse-order ladders of six gates, interleaved: two paths.
+@example((circ(14, ry(0, 0.5),
+               *[g for k in range(5, -1, -1) for g in (cx(k, k + 1), cx(k + 7, k + 8))]),
+          1, 12), random.Random(5))
 # A fan-out whose control ends up holding only the next wire's value: its
 # row lacks its own bit, so the map is no shape.
 @example((circ(34, ry(0, 0.5), cx(0, 1), *[cx(0, t) for t in range(2, 34)], cx(1, 0)), 1, 34),
@@ -1221,18 +1256,21 @@ def _relabel(c: Circuit, perm: list[int]) -> Circuit:
 @example((circ(19, ry(0, 0.5), cx(17, 18), *[cx(0, t) for t in range(1, 18)]), 1, 18),
          random.Random(3))
 def test_cx_runs_are_offered_by_their_map(case, rng):
-    """A run is offered exactly when its map is an inverse chain or a
-    fan-out and the rewrite is shallower, as one candidate over the whole
-    run, under any relabelling of the qubits; every other run, plain chains
+    """A run is offered exactly when its map is inverse chains or a fan-out
+    and the rewrite is shallower, as one candidate over the whole run,
+    under any relabelling of the qubits; every other run, plain chains
     included, is left to the growth, which finds what it found without the
     fold; every rewrite offered is the same unitary as its run."""
     c, start, length = case
     run = list(c.instructions[start : start + length])
     want = _reference_shape(run, c.num_qubits)
     if want is not None:
-        kind, *rest = want
-        seq = rest[0] if kind is ChainKind.INVERSE else (rest[0], *rest[1])
-        if depth_of(decompose_run(kind, seq)) >= depth_of(run):
+        rewrite = (
+            [op for path in want[1] for op in decompose_forward(path)[::-1]]
+            if want[0] is ChainKind.INVERSE
+            else decompose_run(ChainKind.FANOUT, (want[1], *want[2]))
+        )
+        if depth_of(rewrite) >= depth_of(run):
             want = None  # the rewrite is no shallower
     perm = list(range(c.num_qubits))
     rng.shuffle(perm)
@@ -1246,12 +1284,12 @@ def test_cx_runs_are_offered_by_their_map(case, rng):
             assert got.gate_indices == tuple(range(start, start + length))
             assert got.kind is want[0] and got.moved_after == ()
             if got.kind is ChainKind.INVERSE:
-                assert got.qubit_seq == tuple(label[q] for q in want[1])
+                assert _paths(got) == {tuple(label[q] for q in path) for path in want[1]}
             else:
-                assert got.qubit_seq[0] == label[want[1]]
+                assert got.qubit_seq[0] == label[want[1]] and got.splits == ()
                 assert set(got.qubit_seq[1:]) == {label[q] for q in want[2]}
             ops = circuit.instructions[start : start + length]
-            assert same_unitary(ops, decompose_run(got.kind, got.qubit_seq))
+            assert same_unitary(ops, decompose_run(got.kind, got.qubit_seq, got.splits))
         with pytest.MonkeyPatch.context() as m:
             m.setattr(ChainScanner, "_fold", lambda self, i: None)
             assert [k for k in found if k.kind not in _RUN_KINDS] == _scan(circuit, 2)
