@@ -275,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "Besides linked CX and CZ chains, a run of CX gates whose parity "
                                 "map is the inverse of disjoint chains (cx_inverse: a full "
                                 "entanglement layer or a reverse-order ladder) or a fan-out from "
-                                "one control "
-                                "(cx_fanout) is a candidate when its rewrite is shallower: "
+                                "one control (cx_fanout) is a candidate when its rewrite is "
+                                "shallower: "
                                 "two_local full n=64 reps=4 goes from depth 322 and 8384 gates "
                                 "to 46 and 796. "
                                 "No chain is found inside a kept GHZ block, so its depth, "

@@ -1,7 +1,7 @@
 """Gated GHZ and chain rewrites, and the full compile pipeline.
 
 Every candidate - a GHZ site, a CX/CZ chain or a CX run whose parity map
-is a chain's inverse or a fan-out, each a `ChainCandidate` - takes one
+is chains' inverse or a fan-out, each a `ChainCandidate` - takes one
 path: `_replacement_for` builds its rewrite, `_gate` decides it,
 `_verify_rewrite` proves it, and the pass takes it in, laid out by one rule
 (`chains._window`; a GHZ site moves no op).  Only the candidate source and
@@ -38,9 +38,9 @@ pass no table.  A layered circuit repeats its chains: the chain pass
 builds each distinct rewrite (kind and qubit sequence, and a run's gates)
 once and shares it, and schedules each side of its window test - the
 chain's gates, the rewrite - once, so a repeated ladder's window costs
-O(its wires plus `DEPTH_SCOPE`).  It sweeps each window tail once until the next accept
-changes the list: the chains grown after a skipped one often end at the
-same gate.
+O(its wires plus `DEPTH_SCOPE`).  It sweeps each window tail once until
+the next accept changes the list: the chains grown after a skipped one
+often end at the same gate.
 
 Rewrites are final.  The GHZ pass returns the positions its kept blocks
 take in the list it returns, and `compile_circuit` hands them to the chain
@@ -157,10 +157,10 @@ def _replacement_for(
     candidate: ChainCandidate, config: PassConfig, clbit: int = 0
 ) -> list[Instruction] | None:
     """The rewrite of `candidate` under `config`: a CX chain's forward
-    decomposition, a CX run's, a CZ chain's (lowered to CX with `cz_to_cx`), a GHZ site's
-    construction in `ghz_mode`, its fresh bits numbered from `clbit`.  None
-    where the site keeps its gates: GHZ rebuilding is off, or the fusion
-    scheme lacks a middle qubit."""
+    decomposition, a CX run's (`decompose_run`), a CZ chain's (lowered to
+    CX with `cz_to_cx`), a GHZ site's construction in `ghz_mode`, its fresh
+    bits numbered from `clbit`.  None where the site keeps its gates: GHZ
+    rebuilding is off, or the fusion scheme lacks a middle qubit."""
     seq = candidate.qubit_seq
     if candidate.kind is ChainKind.CX:
         return decompose_forward(seq)
