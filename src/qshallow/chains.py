@@ -50,7 +50,7 @@ wires up to the chain's last extension, plus the head's uses up to its
 next link; an accepted rewrite refreshes the table over its window only.
 The scanner keeps no index of its own.  It takes the table - in a pass,
 from the depth index's `uses_of`, so that one table serves both - on its
-first growth: a list whose every op is a rewrite's or no seed builds none.
+first growth or site: a list of rewrites and non-seeds builds none.
 
 A run of CX gates is also a linear map over GF(2) on its wires, and some
 maps are chains in disguise.  When the scan reaches a maximal run of
@@ -65,11 +65,17 @@ offered.  A run taken in becomes a rewrite's gates; a refused run leaves
 its gates to the growth, and no gate is folded twice.  A plain chain's map
 is neither shape, so chains are left to the growth.
 
-Rewrites are final.  The gates of every rewrite - a chain's decomposition
-accepted by this scanner, or a block an earlier pass built and hands in
-(`ChainScanner`'s `replaced`, as the GHZ pass does) - neither seed nor
-extend a chain: no rewrite's output is rewritten again, so no later chain
-undoes the depth a block was built for.
+GHZ sites are the scanner's other source (`ghz.detect_ghz`, handed in).
+When the scan reaches an unconditioned H, it grows the site there, if the
+H's qubit is fresh, from the same table, and offers it in start order among
+the chains.  The table keeps the qubits used before its cut, so an accept
+never makes a used qubit look fresh.  A site that is refused leaves its
+gates to the chain growth.
+
+Rewrites are final.  The gates of every rewrite accepted - a chain's or a
+run's decomposition, or a GHZ site's block - neither seed nor extend a
+chain, nor join a site: no rewrite's output is rewritten again, so no later
+candidate undoes the depth a block was built for.
 
 Decompositions:
 
@@ -92,20 +98,20 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .ir import (
     Circuit, Gate, Instruction, Letter, UseTable, UseWalk, _letters, _wires, cx, cz, depth_of, h,
 )
 
 _OPAQUE, _Z, _X = Letter.OPAQUE, Letter.Z, Letter.X
-_CX, _CZ = Gate.CX, Gate.CZ
+_CX, _CZ, _H = Gate.CX, Gate.CZ, Gate.H
 
 
 class ChainKind(Enum):
     CX = "cx"
     CZ = "cz"
-    GHZ = "ghz"  # a GHZ site (`ghz.detect_ghz`), rewritten by the same driver
+    GHZ = "ghz"  # a GHZ site (`ghz.detect_ghz`)
     INVERSE = "cx_inverse"  # a CX run whose map is a linked chain's inverse
     FANOUT = "cx_fanout"  # a CX run whose map copies one control onto its targets
 
@@ -327,9 +333,9 @@ class _Growth:
 
 
 # Seed states, one per instruction: a folded gate's run was offered (or was
-# no shape) and it is not folded again; the gates of a skipped candidate
-# never seed again; the gates of every rewrite - a replacement accepted here
-# or a block handed in as `replaced` - neither seed nor extend a chain.
+# no shape) and it is not folded again; the gates of a skipped chain never
+# seed again; the gates of every rewrite accepted neither seed nor extend a
+# chain, nor join a GHZ site.
 _FREE, _FOLDED, _SKIPPED, _REPLACED = 0, 1, 2, 3
 
 
@@ -392,29 +398,30 @@ def _window(items: Sequence, cand: ChainCandidate, replacement: Sequence) -> lis
 class ChainScanner:
     """Resumable single-pass scanner over a circuit's instruction list.
 
-    `next()` yields the next chain candidate of at least `min_gates` gates,
-    a CX run's (see the module note) before its first gate's growth.
+    `next()` yields the next candidate in start order: a GHZ site from
+    `sites` (`ghz.detect_ghz`; None: no sites) at a fresh unconditioned H,
+    and, unless `chains` is off, a CX run's (see the module note) before
+    its first gate's growth, and a chain of at least `min_gates` gates.
     The caller then either `accept`s the candidate's rewritten window, as
-    `_window` lays it out - it is spliced into the instruction list in place,
-    the replacement's gates never seed or extend a chain, and the scan
-    restarts from the chain's start so that intertwined chains displaced
-    around it are rediscovered - or `skip()`s, which retires a chain's gates
-    as seeds and continues forward, and hands a run's gates to the growth.
-    Candidate starts therefore never decrease, and nothing before the last
-    accepted start is read again.
-    The positions in `replaced` hold an earlier rewrite's gates (the GHZ
-    blocks `pipeline.gate_ghz_sites` kept); they start out as a replacement's
-    do, so no rewrite's output is ever rewritten.
+    `_window` lays it out - it is spliced into the instruction list in
+    place, the replacement's gates are final, and the scan restarts from
+    the candidate's start so that intertwined chains displaced around it
+    are rediscovered - or `skip()`s, which retires a chain's gates as seeds
+    and continues forward, hands a run's gates to the growth, and leaves a
+    site's gates to it.  Candidate starts therefore never decrease, and
+    nothing before the last accepted start is read again.
 
     A growth takes its adjacent run first, then, while the head can
     reach a link (`_Growth.can_link`), walks the list's `ir.UseTable`
     (`uses`, which `uses_of` makes from the list; a `DepthIndex.uses_of`
     hands over the table the gate reads), merging the uses of its active
-    wires, so it visits only ops on active wires.  The scanner keeps no
-    index of its own: the table also lists the barriers, where a growth
-    stops.  It owns the list, so its `accept` refreshes the table.  `uses`
-    is a cached property, built on its first read, so a scan that grows no
-    seed builds no table.
+    wires, so it visits only ops on active wires.  A site walks its
+    members' uses in the same table.  The scanner keeps no index of its
+    own: the table also lists the barriers, where a growth stops.  It owns
+    the list, so its `accept` refreshes the table.  `uses` is a cached
+    property, built on its first read, so a scan that grows no seed and
+    meets no H builds no table.  `num_clbits` is the list's classical bit
+    count: a caller that accepts a block writing fresh bits raises it.
     """
 
     def __init__(
@@ -422,7 +429,8 @@ class ChainScanner:
         circuit: Circuit,
         min_gates: int = 2,
         uses_of: Callable[[Sequence[Instruction]], UseTable] = UseTable,
-        replaced: Iterable[int] = (),
+        sites: Callable[..., ChainCandidate | None] | None = None,
+        chains: bool = True,
     ):
         if min_gates < 2:
             raise ValueError("min_gates must be at least 2")
@@ -431,9 +439,9 @@ class ChainScanner:
         self.instructions: list[Instruction] = list(circuit.instructions)
         self.min_gates = min_gates
         self._uses_of = uses_of
+        self._sites = sites
+        self._chains = chains
         self._state = [_FREE] * len(self.instructions)
-        for p in replaced:
-            self._state[p] = _REPLACED
         self._pos = 0
         self._pending: ChainCandidate | None = None
 
@@ -448,19 +456,23 @@ class ChainScanner:
     def next(self) -> ChainCandidate | None:
         if self._pending is not None:
             raise RuntimeError("previous candidate not resolved; call accept() or skip()")
-        ins, state = self.instructions, self._state
+        ins, state, sites, chains = self.instructions, self._state, self._sites, self._chains
         for i in range(self._pos, len(ins)):
             op = ins[i]
-            if op.gate.arity == 2 and op.condition is None and state[i] <= _FOLDED:
+            if op.condition is not None or state[i] > _FOLDED:
+                continue
+            if op.gate.arity == 2 and chains:
                 self._pos = i
-                candidate = None
-                if state[i] == _FREE and op.gate is _CX:
-                    candidate = self._fold(i)
+                candidate = self._fold(i) if state[i] == _FREE and op.gate is _CX else None
                 if candidate is None:
                     candidate = self._grow(i)
-                if candidate is not None:
-                    self._pending = candidate
-                    return candidate
+            elif op.gate is _H and sites is not None:
+                candidate = sites(ins, self.uses, i, state)
+            else:
+                continue
+            if candidate is not None:
+                self._pending = candidate
+                return candidate
         self._pos = len(ins)
         return None
 
@@ -580,21 +592,27 @@ class ChainScanner:
 
     def skip(self) -> None:
         """Retire the pending candidate: a chain's gates never seed again,
-        and a run's first gate is grown next."""
+        a run's first gate is grown next, and a site's gates may seed."""
         cand = self._pending
         if cand is None:
             raise RuntimeError("no candidate to skip")
         self._pending = None
         if cand.kind is ChainKind.INVERSE or cand.kind is ChainKind.FANOUT:
             return
-        for idx in cand.gate_indices:
-            self._state[idx] = _SKIPPED
+        if cand.kind is not ChainKind.GHZ:
+            for idx in cand.gate_indices:
+                self._state[idx] = _SKIPPED
         self._pos = cand.start_index + 1
 
 
-def find_chains(c: Circuit, min_gates: int = 2) -> list[ChainCandidate]:
+def find_chains(
+    c: Circuit,
+    min_gates: int = 2,
+    sites: Callable[..., ChainCandidate | None] | None = None,
+    chains: bool = True,
+) -> list[ChainCandidate]:
     """Detection only: scan the whole circuit without transforming anything."""
-    scanner = ChainScanner(c, min_gates)
+    scanner = ChainScanner(c, min_gates, sites=sites, chains=chains)
     found = []
     while (cand := scanner.next()) is not None:
         found.append(cand)

@@ -11,17 +11,19 @@ ways:
   floor(n/2) mid-circuit measurements plus feedforward corrections.
 
 Both substitutions are state-preparation identities: they hold from |0...0>,
-which is why detection insists every member qubit is fresh.  The compile
-pipeline picks a site's construction as it does a chain's
-(`pipeline._replacement_for`), then gates, verifies and splices it.
+which is why detection insists every member qubit is fresh.  The chain
+scanner offers each site, in start order among the chains, with
+`detect_ghz` as its site source (`chains.ChainScanner`); the pipeline picks
+its construction as it does a chain's rewrite (`pipeline._replacement_for`),
+then gates, verifies and splices it.
 """
 from __future__ import annotations
 
 from enum import Enum
 from typing import Sequence
 
-from .chains import ChainCandidate, ChainKind
-from .ir import Circuit, Condition, Gate, Instruction, UseTable, UseWalk, cx, h, measure
+from .chains import _REPLACED, ChainCandidate, ChainKind
+from .ir import Condition, Gate, Instruction, UseTable, UseWalk, cx, h, measure
 from .ir import x as x_gate
 
 
@@ -31,57 +33,54 @@ class GhzMode(Enum):
     PARALLEL = "parallel"
 
 
-def detect_ghz(c: Circuit, uses: UseTable | None = None) -> list[ChainCandidate]:
-    """Find GHZ-preparation sites: H on a fresh qubit, then CX gates onto fresh
-    targets forming a pure chain or a pure fan-out.  Each is a `ChainKind.GHZ`
-    candidate: its start is the H, its qubits the members, root first.
+def detect_ghz(
+    ins: Sequence[Instruction], table: UseTable, h_idx: int, state: Sequence[int]
+) -> ChainCandidate | None:
+    """The GHZ-preparation site that the unconditioned H at `h_idx` starts,
+    if its qubit is fresh there: then CX gates onto fresh targets forming a
+    pure chain or a pure fan-out.  It is a `ChainKind.GHZ` candidate: its
+    start is the H, its qubits the members, root first; None below two
+    members.
 
-    A site ends at the first instruction that touches a member qubit without
-    extending the pattern.  Instructions on unrelated qubits may interleave.
+    The site ends at the first instruction that touches a member qubit
+    without extending the pattern, or that a rewrite holds (`state`, the
+    scanner's seed states, is `_REPLACED` there): no rewrite's gate is
+    rewritten again.  Instructions on unrelated qubits may interleave.
     Every member joins at its first use, so sites are disjoint in qubits and
     in gate indices.
 
-    Only instructions on member qubits can extend or end a site, so a site is
-    grown by walking the members' uses in `c`'s use table (`uses`, built
-    here unless one over `c`, never spliced, is handed in): each fresh H
-    costs the gates of its site plus the one that ends it.
+    Only instructions on member qubits can extend or end a site, so it is
+    grown by walking the members' uses in `table`, the use table of `ins`,
+    whose freshness test (`UseTable.fresh`) holds across its cut: a site
+    costs its gates plus the one that ends it.
     """
-    instrs = c.instructions
-    table = UseTable(instrs) if uses is None else uses
-    n = len(instrs)
-    # Each qubit's first use is the last entry of its uses.
-    first = {q: n - u[-1] for q, u in table.by_wire.items() if q >= 0}
-    fresh_h = sorted(i for i in first.values()
-                     if instrs[i].gate is Gate.H and instrs[i].condition is None)
-
-    sites: list[ChainCandidate] = []
-    for h_idx in fresh_h:
-        root = instrs[h_idx].qubits[0]
-        members = [root]
-        gate_indices = [h_idx]
-        shape: str | None = None
-        last = root
-        walk = UseWalk(table, n)  # the uses of the members
-        walk.add(root, h_idx + 1)
-        for j in walk:
-            op = instrs[j]
-            if op.gate is not Gate.CX or op.condition is not None:
-                break
-            ctrl, tgt = op.qubits
-            extends_chain = ctrl == last and shape in (None, "chain")
-            extends_fanout = ctrl == root and shape in (None, "fanout")
-            if first[tgt] != j or not (extends_chain or extends_fanout):
-                break  # the target is not fresh, or the pattern does not continue
-            if shape is None and len(members) >= 2:
-                shape = "chain" if ctrl == last else "fanout"
-            members.append(tgt)
-            gate_indices.append(j)
-            last = tgt
-            walk.add(tgt, j + 1)
-        if len(members) >= 2:
-            site = ChainCandidate(ChainKind.GHZ, tuple(gate_indices), tuple(members), h_idx, ())
-            sites.append(site)
-    return sites
+    root = ins[h_idx].qubits[0]
+    if not table.fresh(root, h_idx):
+        return None
+    members = [root]
+    gate_indices = [h_idx]
+    shape: str | None = None
+    last = root
+    walk = UseWalk(table, table.n)  # the uses of the members
+    walk.add(root, h_idx + 1)
+    for j in walk:
+        op = ins[j]
+        if op.gate is not Gate.CX or op.condition is not None or state[j] == _REPLACED:
+            break
+        ctrl, tgt = op.qubits
+        extends_chain = ctrl == last and shape in (None, "chain")
+        extends_fanout = ctrl == root and shape in (None, "fanout")
+        if not (extends_chain or extends_fanout) or not table.fresh(tgt, j):
+            break  # the pattern does not continue, or the target is not fresh
+        if shape is None and len(members) >= 2:
+            shape = "chain" if ctrl == last else "fanout"
+        members.append(tgt)
+        gate_indices.append(j)
+        last = tgt
+        walk.add(tgt, j + 1)
+    if len(members) < 2:
+        return None
+    return ChainCandidate(ChainKind.GHZ, tuple(gate_indices), tuple(members), h_idx, ())
 
 
 def build_ghz_log(members: Sequence[int]) -> list[Instruction]:

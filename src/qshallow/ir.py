@@ -22,14 +22,16 @@ entries past its window valid.  The chain scanner, the depth gate
 (`UseWalk`).  Whoever splices the list - the chain scanner - refreshes the
 table over the window, after the other readers have taken the rewrite in,
 and drops the entries before the rewrite's start: nothing reads them again,
-so rewrites come with non-decreasing starts.  The table also lists the
-barriers, where every chain growth stops, and, for the wires the scanner
-asks about, keeps each use's commutation `Letter` in runs, so a walk can
-pass over the uses that commute with what it holds.
+so rewrites come with non-decreasing starts.  It keeps only the qubits
+those ops use, so that a first use is still told apart (`UseTable.fresh`).
+The table also lists the barriers, where every chain growth stops, and, for
+the wires the scanner asks about, keeps each use's commutation `Letter` in
+runs, so a walk can pass over the uses that commute with what it holds.
 
-A `DepthIndex` keeps the depth of the list it was built from
-(`built_depth`) beside the depth after its accepts (`depth`); both are
-exact, so the compile report reads them instead of scheduling the list.
+A `DepthIndex` keeps the depth of its list before any accept
+(`built_depth`, where it was built by then) beside the depth after its
+accepts (`depth`); both are exact, so the compile report reads them
+instead of scheduling the list.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 class Letter:
@@ -283,20 +285,6 @@ def validate(c: Circuit) -> list[str]:
     return errors
 
 
-def _splice(items: Sequence, blocks: Mapping[int, Sequence]) -> list:
-    """Copy of `items` with each position in `blocks` replaced by its block;
-    an empty block deletes it.  Every rewrite is laid out here: the runs
-    between touched positions are copied by slice, not walked."""
-    out: list = []
-    prev = 0
-    for i in sorted(blocks):
-        out += items[prev:i]
-        out += blocks[i]
-        prev = i + 1
-    out += items[prev:]
-    return out
-
-
 def depth_of(instructions: Sequence[Instruction], fronts: dict[int, int] | None = None) -> int:
     """ASAP layer count of an instruction sequence scheduled from scratch.
     With `fronts`, an empty dict, fills it with each wire's front after the
@@ -451,6 +439,8 @@ class UseTable:
     def __init__(self, ins: Sequence[Instruction]) -> None:
         self.n = len(ins)
         self.cut = 0
+        #: The qubits the ops before the cut use, whose entries are dropped.
+        self.used: set[int] = set()
         self.by_wire: dict[int, array] = {}
         self.runs: dict[int, array] = {}
         self.barriers: list[int] = []
@@ -494,6 +484,10 @@ class UseTable:
                 _push_run(r, letter)
         return r
 
+    def fresh(self, q: int, p: int) -> bool:
+        """Whether position p, at or after the cut, holds qubit q's first use."""
+        return self.n - self.by_wire[q][-1] == p and q not in self.used
+
     def splice(
         self, ins: Sequence[Instruction], start: int, end: int, window: Sequence[Instruction]
     ) -> None:
@@ -501,6 +495,7 @@ class UseTable:
         by `window`, before `ins` itself is spliced: O(|window|) plus the
         ops since the last start, each dropped once."""
         by_wire, runs, barriers = self.by_wire, self.runs, self.barriers
+        self.used.update(q for op in ins[self.cut : start] for q in op.qubits)
         for i in range(self.cut, end + 1):  # in order, so each is its wires' earliest
             for w in _wires(ins[i]):
                 by_wire[w].pop()
@@ -629,19 +624,24 @@ class DepthIndex:
     are stored by position, layers past the last accepted start are
     recomputed forward as later rewrites need them.
 
-    The index is built from the first list it is asked about, with that
-    list's use table (`uses_of`), and must be handed that list, as `accept`s
-    change it, from then on.  `built_depth` keeps that list's depth, exact
-    like `depth`, so a caller that reports it need not schedule the list.
-    The index never changes the table: whoever splices the list refreshes
-    it (`UseTable.splice`) after each `accept`.
+    The index is built on the first `admits`, with its list's use table
+    (`uses_of`), and must be handed that list, as `accept`s change it, from
+    then on.  An `accept` before that takes nothing in: the index is built
+    from the list it leaves, scheduling the prefix before the table's cut
+    once.  `built_depth` keeps the depth of a list no accept changed yet,
+    exact like `depth`, so a caller that reports it need not schedule the
+    list.  The index never changes the table: whoever splices the list
+    refreshes it (`UseTable.splice`) after each `accept`.
     """
 
     def __init__(self) -> None:
         self.depth = 0
-        #: `depth` of the list the index was built from, None until built.
+        self.built = False
+        #: `depth` of the list the index was built from, where no `accept`
+        #: came before; else None.
         self.built_depth: int | None = None
         self.uses: UseTable | None = None
+        self._changed = False  # an `accept` came before the build
 
     def uses_of(self, ins: Sequence[Instruction]) -> UseTable:
         """The use table of `ins`, built on the first call."""
@@ -651,20 +651,28 @@ class DepthIndex:
 
     def _build(self, ins: Sequence[Instruction]) -> None:
         n = len(ins)
-        self._uses = self.uses_of(ins).by_wire
+        table = self.uses_of(ins)
+        self._uses = table.by_wire
         self._tail = array("i", bytes(4 * n))
         self._writer: dict[int, int] = {}  # bit -> its writer's position from the end
         _sweep_back(ins, 0, n, {}, {}, self._tail, self._writer)
         self._layer = array("i", bytes(4 * n))
-        self._known = 0  # layers are exact below this position
+        self._known = self._cut = table.cut  # layers are exact below `_known`
         self._ahead: dict[int, int] = {}  # fronts at `_known`, for wires used past the cut
-        self._cut = 0
         self._front: dict[int, int] = {}  # fronts at the cut; bit ~b once its writer is passed
+        depth_of(ins[: self._cut], self._front)
         self._terms: dict[int, int] = {}
         for w in self._uses:
             if w >= 0:
                 self._add(self._qterm(w, n))
-        self.depth = self.built_depth = max(self._terms, default=0)
+        for b, v in list(self._writer.items()):
+            if n - v < self._cut:  # its readers past the cut are crossing terms
+                del self._writer[b]
+                self._add_readers(~b, n)
+        self.depth = max(self._terms, default=0)
+        self.built = True
+        if not self._changed:
+            self.built_depth = self.depth
 
     def _add(self, value: int) -> None:
         self._terms[value] = self._terms.get(value, 0) + 1
@@ -675,6 +683,14 @@ class DepthIndex:
             self._terms[value] = left
         else:
             del self._terms[value]
+
+    def _add_readers(self, w: int, n: int, writer: int | None = None) -> None:
+        """Add the terms of bit wire w, its writer passed: its front plus the
+        tail of each use after position `writer` (counted from the end; the
+        table holds no earlier use where None)."""
+        u = self._uses[w]
+        for v in u if writer is None else u[: bisect_left(u, writer)]:
+            self._add(self._front[w] + self._tail[n - v])
 
     def _read_terms(self, op: Instruction, p: int, apply: Callable[[int], None]) -> int:
         """Hand `apply` the terms of conditioned `op` at position p: each
@@ -806,7 +822,7 @@ class DepthIndex:
     ) -> bool:
         """Whether `ins` is no deeper than `depth` with the ops at `removed`
         (positions in start..end) taken out and `block` placed after `end`."""
-        if self.built_depth is None:
+        if not self.built:
             self._build(ins)
         if start < self._cut:
             raise ValueError(f"rewrite at {start} starts before the cut at {self._cut}")
@@ -859,7 +875,7 @@ class DepthIndex:
         uses from the old cut on."""
         self._learn(ins, s)
         n = len(ins)
-        layer, tail, uses, front = self._layer, self._tail, self._uses, self._front
+        layer, front = self._layer, self._front
         last: dict[int, int] = {}  # qubit -> its last use before s
         for i in range(self._cut, s):
             op = ins[i]
@@ -870,11 +886,9 @@ class DepthIndex:
             if op.condition is not None:
                 self._read_terms(op, i, self._drop)
             elif op.clbit is not None:
-                f = front[~op.clbit] = layer[i]
+                front[~op.clbit] = layer[i]
                 del self._writer[op.clbit]
-                u = uses[~op.clbit]
-                for v in u[: bisect_left(u, n - i)]:  # the readers after the writer
-                    self._add(f + tail[n - v])
+                self._add_readers(~op.clbit, n, n - i)
         self._cut = s
         for q, i in last.items():
             front[q] = layer[i]
@@ -885,9 +899,10 @@ class DepthIndex:
     ) -> None:
         """Take in the rewrite that replaces positions start..end of `ins` by
         `window`, before `ins` and its use table are spliced; `depth` becomes
-        exact for the rewritten list."""
-        if self.built_depth is None:
-            self._build(ins)
+        exact for the rewritten list, once the index is built."""
+        if not self.built:
+            self._changed = True
+            return
         if start < self._cut:
             raise ValueError(f"rewrite at {start} starts before the cut at {self._cut}")
         self._cut_to(ins, start)

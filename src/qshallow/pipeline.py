@@ -1,11 +1,12 @@
 """Gated GHZ and chain rewrites, and the full compile pipeline.
 
 Every candidate - a GHZ site, a CX/CZ chain or a CX run whose parity map
-is chains' inverse or a fan-out, each a `ChainCandidate` - takes one
-path: `_replacement_for` builds its rewrite, `_gate` decides it,
-`_verify_rewrite` proves it, and the pass takes it in, laid out by one rule
-(`chains._window`; a GHZ site moves no op).  Only the candidate source and
-the check differ.  A site whose rewrite is None keeps its gates.
+is chains' inverse or a fan-out, each a `ChainCandidate` - comes from one
+scanner (`ChainScanner`, with `ghz.detect_ghz` as its site source) in start
+order and takes one path: `_replacement_for` builds its rewrite, `_gate`
+decides it, `_verify_rewrite` proves it, and the pass takes it in, laid out
+by one rule (`chains._window`; a GHZ site moves no op).  Only the check
+differs.  A site whose rewrite is None keeps its gates.
 
 In conservative mode a rewrite must strictly reduce the depth of its window -
 its gates plus the next `DEPTH_SCOPE` operations - and the rewritten whole
@@ -15,46 +16,40 @@ context before it that skews the schedule.  The window test sweeps the
 entering the tail there) and joins it with each side's per-wire fronts
 (`ir.depth_of` fills them; `ir.depth_joined`), so no window is scheduled
 twice.  The whole-circuit test is exact and never schedules the whole
-circuit: an `ir.DepthIndex`, built once per list, first refuses a rewrite
-whose block alone, placed on the fronts before it, already makes a path
-longer than the circuit, and otherwise walks only the operations the
-rewrite can move.  A GHZ site whose window reaches the end of the list
-needs no index: its members are fresh and its window is the rest of the
-list, so every path through its block is one the window test counted, and
-every other path ran in the input (the proof is in `_gate`).  A compile
-whose sites all end their lists builds no index.
+circuit: an `ir.DepthIndex` first refuses a rewrite whose block alone,
+placed on the fronts before it, already makes a path longer than the
+circuit, and otherwise walks only the operations the rewrite can move.  A
+GHZ site whose window reaches the end of the list needs no index: its
+members are fresh and its window is the rest of the list, so every path
+through its block is one the window test counted, and every other path ran
+in the list before it (the proof is in `_gate`).  A compile whose sites all
+end their lists builds no index.
 
-Each list gets one per-wire use table (`ir.UseTable`), held by the index.
-GHZ sites (`detect_ghz` on the input's table, checked from |0...0>) are on
-fresh qubits, so no dependency path meets two blocks: each site is gated on
-its own against the pass's input and the blocks kept are spliced at once
-(`ir._splice`).  Chains (`ChainScanner` on the same table, checked as
-unitaries) come one at a time, each against the depth the last accept left,
-which the index takes in over the rewritten window; the scanner refreshes
-the table.  When the GHZ pass keeps no block, the chain pass reuses its
-index and table.  The scanner asks the index for the table only when it
-first grows a seed, so a list of kept blocks and non-seeds costs the chain
-pass no table.  A layered circuit repeats its chains: the chain pass
-builds each distinct rewrite (kind and qubit sequence, and a run's gates)
-once and shares it, and schedules each side of its window test - the
-chain's gates, the rewrite - once, so a repeated ladder's window costs
-O(its wires plus `DEPTH_SCOPE`).  It sweeps each window tail once until
-the next accept changes the list: the chains grown after a skipped one
-often end at the same gate.
+One list, one per-wire use table (`ir.UseTable`) and one index serve the
+whole pass.  Candidates come one at a time, each gated against the depth
+the last accept left, which the index takes in over the rewritten window;
+the scanner refreshes the table.  An index first asked after an accept - a
+site that its window settles asks none - is built from the list that accept
+left.  The scanner asks the index for the table only when it first grows
+a seed or meets an H, so a list of rewrites and non-seeds costs no table.
+A layered circuit repeats its chains: the pass builds each distinct
+rewrite (kind and qubit sequence, and a run's gates) once and shares it,
+and schedules each side of its window test - the chain's gates, the
+rewrite - once, so a repeated ladder's window costs O(its wires plus
+`DEPTH_SCOPE`).  It sweeps each window tail once until the next accept
+changes the list: the chains grown after a skipped one often end at the
+same gate.
 
-Rewrites are final.  The GHZ pass returns the positions its kept blocks
-take in the list it returns, and `compile_circuit` hands them to the chain
-pass (`gate_and_apply`'s `replaced`), whose scanner treats them as it
-treats its own accepted rewrites: their gates neither seed nor extend a
-chain.  So the chain pass never grows a chain inside a block, and a site's
-constructed depth - 1 + ceil(log2 n) robust, 6 parallel - is what it
-leaves in every `chain_mode`.
+Rewrites are final: no rewrite's gate seeds, extends or joins a later
+candidate, so a site's constructed depth - 1 + ceil(log2 n) robust, 6
+parallel - is what it leaves in every `chain_mode`.  A parallel block's
+fresh bits are numbered from the scanner's bit count.
 
-The report's depths come from the indexes where they hold them exactly:
-the input's is the depth of the index built over the input, before any
-accept, and the output's the chain pass's index's depth after its last
-accept (`CompileResult.input_depth`, `output_depth`).  Only a list that no
-index covered - no candidate reached the whole-circuit test, or the mode
+The report's depths come from the index where it holds them exactly: the
+input's is the depth the index was built with, where no accept came first,
+and the output's is its depth after the last accept
+(`CompileResult.input_depth`, `output_depth`).  Only a list that the index
+did not cover - no candidate reached the whole-circuit test, or the mode
 gates nothing - is scheduled again for the report.
 
 With `verify`, `stabilizer` checks every rewrite applied exactly, at any
@@ -76,7 +71,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import ghz
 from .chains import (
@@ -90,16 +85,7 @@ from .chains import (
     decompose_run,
 )
 from .ghz import GhzMode
-from .ir import (
-    Circuit,
-    DepthIndex,
-    Gate,
-    Instruction,
-    _splice,
-    depth_joined,
-    depth_of,
-    paths_of,
-)
+from .ir import Circuit, DepthIndex, Gate, Instruction, depth_joined, depth_of, paths_of
 from .stabilizer import NoPauliForm, prepares_same, same_unitary
 
 #: Operations after a candidate's last gate that its window includes.
@@ -140,9 +126,6 @@ class Coverage:
 
     checked: int = 0
     skipped: Counter[str] = field(default_factory=Counter)
-
-    def __add__(self, other: Coverage) -> Coverage:
-        return Coverage(self.checked + other.checked, self.skipped + other.skipped)
 
 
 class VerificationError(Exception):
@@ -280,75 +263,34 @@ def _verify_rewrite(
     coverage.checked += 1
 
 
-def gate_ghz_sites(
-    c: Circuit, config: PassConfig, index: DepthIndex | None = None
-) -> tuple[Circuit, list[GateDecision], Coverage | None, list[int]]:
-    """Rebuild the detected GHZ sites as `config.ghz_mode` says, gated per
-    `config.chain_mode` (with `index`, if given, over `c`'s instructions; its
-    use table serves detection).  Returns like `gate_and_apply`, one decision
-    per site, and then the positions of the kept blocks' ops in the returned
-    circuit's list, ascending: the `replaced` of the chain pass.
-    """
-    coverage = Coverage() if config.verify else None
-    if config.ghz_mode is GhzMode.OFF:
-        return c, [], coverage, []
-    ins = c.instructions
-    index = DepthIndex() if index is None else index
-    decisions: list[GateDecision] = []
-    layout: dict[int, Sequence[Instruction]] = {}
-    clbit = c.num_clbits  # the next fresh bit
-    # No dependency path meets two blocks: each site is gated against the input.
-    for site in ghz.detect_ghz(c, index.uses_of(ins)):
-        block = _replacement_for(site, config, clbit)
-        decision = _gate(ins, site, block, config.chain_mode, index)
-        decisions.append(decision)
-        if decision.applied:
-            if coverage is not None:
-                _verify_rewrite(ins, site, block, coverage)
-            # Laid out as `_window` lays out a rewrite; a GHZ site moves no op.
-            layout.update(dict.fromkeys(site.gate_indices, ()))
-            layout[site.end_index] = block
-            clbit += sum(op.gate is Gate.MEASURE for op in block)
-    if not layout:
-        return c, decisions, coverage, []
-    kept: list[int] = []
-    shift = 0  # how far the blocks spliced so far move the positions after them
-    for i in sorted(layout):
-        kept += range(i + shift, i + shift + len(layout[i]))
-        shift += len(layout[i]) - 1
-    out = Circuit(c.num_qubits, clbit, tuple(_splice(ins, layout)))
-    return out, decisions, coverage, kept
-
-
 def gate_and_apply(
-    c: Circuit,
-    config: PassConfig,
-    index: DepthIndex | None = None,
-    replaced: Iterable[int] = (),
+    c: Circuit, config: PassConfig, index: DepthIndex | None = None
 ) -> tuple[Circuit, list[GateDecision], Coverage | None]:
-    """Scan for chains and apply their decompositions per the configured mode
-    (in conservative mode, gated by `index` over `c`'s instructions if given;
-    the scanner takes its use table from it in every mode, on its first
-    growth).  The ops at the positions in `replaced` are an earlier
-    rewrite's output and join no chain.
+    """Scan for GHZ sites (unless `ghz_mode` is off) and chains (unless
+    `chain_mode` is off), in start order, and apply each rewrite the mode
+    passes (in conservative mode gated by `index` over `c`'s instructions if
+    given; the scanner takes its use table from it in every mode, on its
+    first read).
 
     Returns the rewritten circuit, one decision record per candidate in
-    discovery order, and, if `config.verify` is set, the `Coverage` of the
+    start order, and, if `config.verify` is set, the `Coverage` of the
     rewrites applied (else None).  Raises VerificationError if a rewrite
     fails its check.
     """
     coverage = Coverage() if config.verify else None
-    if config.chain_mode is ChainMode.OFF:
+    sites = ghz.detect_ghz if config.ghz_mode is not GhzMode.OFF else None
+    chains = config.chain_mode is not ChainMode.OFF
+    if sites is None and not chains:
         return c, [], coverage
 
     index = DepthIndex() if index is None else index
-    scanner = ChainScanner(c, config.min_chain_gates, index.uses_of, replaced)
+    scanner = ChainScanner(c, config.min_chain_gates, index.uses_of, sites, chains)
     decisions: list[GateDecision] = []
     if config.chain_mode is not ChainMode.CONSERVATIVE:
         index = None
     # Each distinct candidate's rewrite and the schedules of both its sides,
-    # built once (`_built_key`).  Read only, as `_gate`, `_window` and the
-    # verifier copy what they take from the rewrite.
+    # built once (`_built_key`; a site is offered once).  Read only, as
+    # `_gate`, `_window` and the verifier copy what they take from it.
     built: dict[tuple, tuple] = {}
     # The window tails swept since the list last changed, by their start.
     tails: dict[int, tuple[int, dict[int, int]]] = {}
@@ -357,16 +299,19 @@ def gate_and_apply(
         key = _built_key(ins, cand)
         entry = built.get(key)
         if entry is None:
-            replacement = _replacement_for(cand, config)
+            replacement = _replacement_for(cand, config, scanner.num_clbits)
             entry = built[key] = (replacement, _sides(ins, cand, replacement))
         replacement, sides = entry
         decision = _gate(ins, cand, replacement, config.chain_mode, index, sides, tails)
         if decision.applied:
             window = _window(ins, cand, replacement)
+            site = cand.kind is ChainKind.GHZ
             if coverage is not None:
-                _verify_rewrite(ins, cand, window, coverage)
+                _verify_rewrite(ins, cand, replacement if site else window, coverage)
             if index is not None:
                 index.accept(ins, cand.start_index, cand.end_index, window)
+            if site:
+                scanner.num_clbits += sum(op.gate is Gate.MEASURE for op in replacement)
             scanner.accept(window)  # splices the list and its use table
             tails.clear()
         else:
@@ -395,23 +340,13 @@ class CompileResult:
 
 
 def compile_circuit(c: Circuit, config: PassConfig) -> CompileResult:
-    """The GHZ pass, then the chain pass, which leaves the GHZ blocks as built.
+    """Every rewrite of `c` in one pass (`gate_and_apply`).
 
-    The result carries each depth an index of the compile holds exactly:
-    the input's, from the index built over it (by either pass, if the GHZ
-    pass keeps no block), and the output's, from the chain pass's index."""
+    The result carries each depth the pass's index holds exactly: the
+    input's, where the index was built before the first accept, and the
+    output's, where it was built at all (only the conservative gate builds
+    it, and it takes in every rewrite after)."""
     index = DepthIndex()
-    out, ghz_decisions, ghz_coverage, blocks = gate_ghz_sites(c, config, index)
-    input_depth = index.built_depth
-    if out is not c:
-        index = DepthIndex()  # the GHZ pass changed the list
-    final, chain_decisions, chain_coverage = gate_and_apply(out, config, index, blocks)
-    if out is c:
-        input_depth = index.built_depth
-    # Only the conservative gate builds an index, and it takes in every
-    # rewrite the chain pass applies.
-    output_depth = None if index.built_depth is None else index.depth
-    coverage = None if ghz_coverage is None else ghz_coverage + chain_coverage
-    return CompileResult(
-        final, ghz_decisions + chain_decisions, coverage, input_depth, output_depth
-    )
+    final, decisions, coverage = gate_and_apply(c, config, index)
+    output_depth = index.depth if index.built else None
+    return CompileResult(final, decisions, coverage, index.built_depth, output_depth)

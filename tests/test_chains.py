@@ -696,7 +696,8 @@ def test_window_gate_equals_two_schedules(block):
             cases += [(cand, _replacement_for(cand, config), sides) for cand in find_chains(c, 2)]
         for mode in (GhzMode.ROBUST, GhzMode.PARALLEL):
             config = PassConfig(ghz_mode=mode)
-            cases += [(s, _replacement_for(s, config, c.num_clbits), None) for s in detect_ghz(c)]
+            sites = find_chains(c, sites=detect_ghz, chains=False)
+            cases += [(s, _replacement_for(s, config, c.num_clbits), None) for s in sites]
         for cand, replacement, sides in cases:
             gates = [ins[i] for i in cand.gate_indices]
             tail = list(ins[cand.end_index + 1 : cand.end_index + 1 + DEPTH_SCOPE])
@@ -762,13 +763,18 @@ def test_differential_corpus_exercises_every_feature():
 # -- the adjacent run ---------------------------------------------------------
 
 
-def _scan(c: Circuit, min_gates: int, replaced=()) -> list[ChainCandidate]:
-    """`find_chains` with the ops at `replaced` held as an earlier rewrite's."""
-    scanner = ChainScanner(c, min_gates, replaced=replaced)
+def _scan(c: Circuit, min_gates: int, accepts=frozenset()) -> list[ChainCandidate]:
+    """`find_chains`, but the candidates whose ordinals are in `accepts` are
+    taken in with their rewrite, so that later growths meet its gates."""
+    scanner = ChainScanner(c, min_gates)
     found = []
     while (cand := scanner.next()) is not None:
+        if len(found) in accepts:
+            ins = scanner.instructions
+            scanner.accept(_window(ins, cand, _replacement_for(cand, PassConfig())))
+        else:
+            scanner.skip()
         found.append(cand)
-        scanner.skip()
     return found
 
 
@@ -778,8 +784,9 @@ def _cut_runs(draw) -> tuple[Circuit, frozenset[int]]:
     chain orients on either end of its seed), each cut after some links by a
     barrier, a conditioned op on a chain wire or on the next link, a
     cycle-closing link, a gate or a measurement on a chain wire, a stray
-    gate, or nothing, and sometimes continued past the cut; then positions
-    drawn to hold an earlier rewrite's ops."""
+    gate, or nothing, and sometimes continued past the cut; then the
+    ordinals of the candidates a scan takes in, so that later growths meet
+    a rewrite's gates."""
     n = draw(st.integers(3, 8))
     qubit = st.integers(0, n - 1)
     singles = (h, x, z, lambda q: rz(q, 0.7), lambda q: ry(q, 0.5))
@@ -820,17 +827,15 @@ def _cut_runs(draw) -> tuple[Circuit, frozenset[int]]:
             body += gates[cut:]
         for _ in range(draw(st.integers(0, 2))):
             body.append(draw(st.sampled_from(singles))(draw(qubit)))
-    replaced = set()
-    if draw(st.booleans()):
-        replaced = draw(st.sets(st.integers(0, len(body) - 1), max_size=3))
-    return Circuit(n, bits, tuple(body)), frozenset(replaced)
+    accepts = draw(st.sets(st.integers(0, 3), max_size=2)) if draw(st.booleans()) else set()
+    return Circuit(n, bits, tuple(body)), frozenset(accepts)
 
 
-def _assert_matches_linear_walk(c: Circuit, replaced: frozenset[int]) -> None:
-    """Detection, with and without the positions `replaced` held as an
-    earlier rewrite's, and every compile decision and output equal those
+def _assert_matches_linear_walk(c: Circuit, accepts: frozenset[int]) -> None:
+    """Detection, skipping every candidate or taking in those at the
+    ordinals `accepts`, and every compile decision and output equal those
     of the walk over every op."""
-    fast = {(k, r): _scan(c, k, r) for k in (2, 3) for r in ((), replaced)}
+    fast = {(k, a): _scan(c, k, a) for k in (2, 3) for a in ((), accepts)}
     compiled = [compile_circuit(c, cfg) for cfg in _COMPILE_CONFIGS]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ChainScanner, "_grow", _linear_grow)
@@ -855,7 +860,7 @@ def test_adjacent_run_matches_linear_walk(case):
 def _reach_cases(draw) -> tuple[Circuit, frozenset[int]]:
     """A CX or CZ chain - a CZ chain sometimes of one gate, so either end
     may link - then ops on an end, each sometimes followed by a link there:
-    a CZ on two chain qubits, a link held as an earlier rewrite's, a
+    a CZ on two chain qubits, a link an earlier rewrite took, a
     conditioned op or link, an h or ry, a barrier off the chain, a link
     back into the chain, an op deferred onto a qubit off the chain with X
     or with Z, a run of X (with some Z) on the end, or nothing."""
@@ -869,21 +874,26 @@ def _reach_cases(draw) -> tuple[Circuit, frozenset[int]]:
         return cz(*((a, b) if draw(st.booleans()) else (b, a))) if is_cz else cx(a, b)
 
     body = [link(a, b) for a, b in zip(seq, seq[1:])]
-    replaced = set()
+    rewritten = False
     for _ in range(draw(st.integers(1, 4))):
         end = draw(st.sampled_from((seq[0], seq[-1]))) if is_cz else seq[-1]
         other = seq[0] if end != seq[0] else seq[-1]
         fresh = [q for q in range(n) if q not in seq]
         new = draw(st.sampled_from(fresh)) if fresh else None
         kind = draw(st.sampled_from([
-            "both_ends", "replaced", "conditioned", "conditioned_link", "h", "ry",
+            "both_ends", "rewritten", "conditioned", "conditioned_link", "h", "ry",
             "barrier", "cycle", "hold_x", "hold_z", "x_run", "none",
         ]))
         if kind == "both_ends":
             body.append(link(end, other))
-        elif kind == "replaced":
-            replaced.add(len(body))
-            body.append(link(end, draw(st.sampled_from([q for q in range(n) if q != end]))))
+        elif kind == "rewritten" and not rewritten:
+            # A chain on two spare qubits, seeded first, links through the
+            # end: a scan takes it in first, and its rewrite's gate sits
+            # where the end's next link would.
+            body.insert(0, link(n, n + 1))
+            body += [link(n + 1, end), link(end, draw(st.sampled_from(
+                [q for q in range(n) if q != end])))]
+            rewritten = True
         elif kind == "conditioned":
             body.append(x(end, condition=Condition((0,))))
         elif kind == "conditioned_link" and new is not None:
@@ -912,7 +922,7 @@ def _reach_cases(draw) -> tuple[Circuit, frozenset[int]]:
         if draw(st.booleans()):
             stray = draw(st.sampled_from((h, z, lambda q: rz(q, 0.2))))
             body.append(stray(draw(st.integers(0, n - 1))))
-    return Circuit(n, 1, tuple(body)), frozenset(replaced)
+    return Circuit(n + 2, 1, tuple(body)), frozenset({0} if rewritten else ())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -921,8 +931,8 @@ def _reach_cases(draw) -> tuple[Circuit, frozenset[int]]:
 @example((circ(3, cz(0, 1), cz(1, 0), cz(0, 2)), frozenset()))
 @example((circ(3, cz(0, 1), cz(0, 1), cz(2, 1)), frozenset()))
 # The head's first link is an earlier rewrite's and closes a cycle; a real
-# link follows.
-@example((circ(4, cx(0, 1), cx(1, 2), cx(2, 0), cx(2, 3)), frozenset({2})))
+# link follows.  The rewrite is the chain 4-5-2-0, seeded first.
+@example((circ(6, cx(4, 5), cx(0, 1), cx(1, 2), cx(5, 2), cx(2, 0), cx(2, 3)), frozenset({0})))
 # A long X run on the head, then its link.
 @example((circ(4, cx(0, 1), cx(1, 2), *[x(2)] * 12, cx(3, 2), rx(2, 0.3), cx(2, 3)), frozenset()))
 # A deferred op holds the next link's new qubit with X (the link extends)
@@ -974,21 +984,29 @@ def test_linear_ladder_grows_without_a_walk(monkeypatch):
         (circ(4, cx(0, 1), cx(1, 2), measure(2, 0), cx(2, 3), clbits=1), ()),
         (circ(5, cx(0, 1), cx(1, 2), barrier(4), cx(2, 3)), ()),  # past the next barrier
         (circ(3, cx(0, 1), cx(1, 2), rz(2, 0.7), cx(2, 0)), ()),  # the link closes a cycle
-        (circ(4, cx(0, 1), cx(1, 2), cx(2, 3)), (2,)),  # the link is an earlier rewrite's
+        # The link is the rewrite's of the chain 4-5-2-3, seeded first.
+        (circ(6, cx(4, 5), cx(0, 1), cx(1, 2), cx(5, 2), cx(2, 3)), {0}),
         (circ(4, cz(0, 1), cz(2, 1), x(2), y(0), cz(2, 3), cz(0, 3)), ()),  # X on a CZ end
     ],
     ids=["h", "conditioned", "measure", "barrier", "cycle", "replaced", "cz_x"],
 )
 def test_unreachable_link_builds_no_walk(case, monkeypatch):
     # Each head has a later link that no growth can reach: the growth ends
-    # with its adjacent run, and no seed builds a walk.
-    c, replaced = case
+    # with its adjacent run, and no seed after the last accept builds a walk.
+    c, accepts = case
+    accept = ChainScanner.accept
+
+    def counting_after(self, window):
+        accept(self, window)
+        _CountingWalk.built = 0
+
     monkeypatch.setattr(chains, "UseWalk", _CountingWalk)
+    monkeypatch.setattr(ChainScanner, "accept", counting_after)
     _CountingWalk.built = 0
-    found = _scan(c, 2, replaced)
+    found = _scan(c, 2, accepts)
     assert _CountingWalk.built == 0
     monkeypatch.setattr(ChainScanner, "_grow", _linear_grow)
-    assert found == _scan(c, 2, replaced) != []
+    assert found == _scan(c, 2, accepts) != []
 
 
 @pytest.mark.parametrize("block", range(_DIFF_BLOCKS))

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qshallow.bench import (
     ANSATZ_FAMILIES,
@@ -18,7 +19,7 @@ from qshallow.bench import (
     gen_random,
 )
 from qshallow import ghz
-from qshallow.chains import ChainCandidate, ChainKind
+from qshallow.chains import ChainCandidate, ChainKind, ChainScanner, find_chains
 from qshallow.ghz import (
     GhzMode,
     build_ghz_log,
@@ -41,20 +42,25 @@ from qshallow.ir import (
     rz,
     stats,
     x,
+    z,
 )
 from qshallow.pipeline import (
     ChainMode,
     PassConfig,
     compile_circuit,
-    gate_and_apply,
-    gate_ghz_sites,
 )
 from qshallow.qasm import emit, parse
 from qshallow.sim import branches, equivalent_on_zero
+from qshallow.stabilizer import prepares_same
 
 
 def circ(n, *instructions, clbits=0):
     return Circuit(n, clbits, tuple(instructions))
+
+
+def _sites(c: Circuit) -> list[ChainCandidate]:
+    """Every GHZ site of `c`, as a scan with chains off offers them."""
+    return find_chains(c, sites=detect_ghz, chains=False)
 
 
 def _count_window_work(monkeypatch) -> tuple[list[int], list[int]]:
@@ -83,7 +89,7 @@ def _count_index_builds(monkeypatch) -> list[int]:
 
 
 def _rebuilt(c: Circuit, mode: GhzMode) -> Circuit:
-    """The GHZ pass alone, ungated: with chains off every site is rebuilt."""
+    """GHZ sites alone, ungated: with chains off every site is rebuilt."""
     return compile_circuit(c, PassConfig(ghz_mode=mode, chain_mode=ChainMode.OFF)).circuit
 
 
@@ -97,7 +103,7 @@ def _shape(c: Circuit, site: ChainCandidate) -> str:
 class TestDetect:
     def test_chain_site(self):
         c = circ(3, h(0), cx(0, 1), cx(1, 2))
-        sites = detect_ghz(c)
+        sites = _sites(c)
         assert len(sites) == 1
         site = sites[0]
         assert site.kind is ChainKind.GHZ and site.moved_after == ()
@@ -108,38 +114,38 @@ class TestDetect:
 
     def test_fanout_site(self):
         c = circ(3, h(0), cx(0, 1), cx(0, 2))
-        sites = detect_ghz(c)
+        sites = _sites(c)
         assert len(sites) == 1
         assert _shape(c, sites[0]) == "fanout"
         assert sites[0].qubit_seq == (0, 1, 2)
 
     def test_stale_target_is_no_site(self):
-        assert detect_ghz(circ(2, x(1), h(0), cx(0, 1))) == []
+        assert _sites(circ(2, x(1), h(0), cx(0, 1))) == []
 
     def test_stale_root_is_no_site(self):
-        assert detect_ghz(circ(2, x(0), h(0), cx(0, 1))) == []
+        assert _sites(circ(2, x(0), h(0), cx(0, 1))) == []
 
     def test_bare_hadamard_is_no_site(self):
-        assert detect_ghz(circ(2, h(0), cz(0, 1))) == []
+        assert _sites(circ(2, h(0), cz(0, 1))) == []
 
     def test_mixed_tree_takes_pure_prefix(self):
         # Fan-out then chain continuation: only the fan-out prefix is a site.
-        sites = detect_ghz(circ(4, h(0), cx(0, 1), cx(0, 2), cx(2, 3)))
+        sites = _sites(circ(4, h(0), cx(0, 1), cx(0, 2), cx(2, 3)))
         assert len(sites) == 1
         assert sites[0].qubit_seq == (0, 1, 2)
 
     def test_interleaved_foreign_qubit_tolerated(self):
-        sites = detect_ghz(circ(4, h(0), x(3), cx(0, 1), rz(3, 0.2), cx(1, 2)))
+        sites = _sites(circ(4, h(0), x(3), cx(0, 1), rz(3, 0.2), cx(1, 2)))
         assert len(sites) == 1
         assert sites[0].qubit_seq == (0, 1, 2)
 
     def test_barrier_on_member_stops_site(self):
-        sites = detect_ghz(circ(3, h(0), cx(0, 1), barrier(0, 1, 2), cx(1, 2)))
+        sites = _sites(circ(3, h(0), cx(0, 1), barrier(0, 1, 2), cx(1, 2)))
         assert len(sites) == 1
         assert sites[0].qubit_seq == (0, 1)
 
     def test_two_disjoint_sites(self):
-        sites = detect_ghz(circ(4, h(0), h(2), cx(0, 1), cx(2, 3)))
+        sites = _sites(circ(4, h(0), h(2), cx(0, 1), cx(2, 3)))
         assert len(sites) == 2
         assert {s.qubit_seq[0] for s in sites} == {0, 2}
 
@@ -150,7 +156,7 @@ class TestDetect:
         stale = circ(3, x(1), h(0), cx(0, 1), cx(1, 2))
         pretend = circ(3, x(1), *build_ghz_log([0, 1, 2]))
         assert not equivalent_on_zero(stale, pretend)
-        assert detect_ghz(stale) == []
+        assert _sites(stale) == []
 
 
 class TestBuildLog:
@@ -405,33 +411,33 @@ def test_detect_matches_forward_scan(block):
     circuits = [_ghz_rich_circuit(s) for s in range(block * 500, (block + 1) * 500)]
     circuits += _ghz_bench_circuits() if block == 0 else []
     for c in circuits:
-        assert detect_ghz(c) == _forward_scan_detect(c), c
+        assert _sites(c) == _forward_scan_detect(c), c
 
 
 def test_detect_corpus_exercises_every_shape():
     circuits = [_ghz_rich_circuit(s) for s in range(2000)]
-    found = [(c, site) for c in circuits for site in detect_ghz(c)]
+    found = [(c, site) for c in circuits for site in _sites(c)]
     sites = [site for _, site in found]
     assert {_shape(c, site) for c, site in found} == {"chain", "fanout"}
     assert sum(len(site.qubit_seq) >= 4 for site in sites) > 100
     interleaved = [site for site in sites if max(site.gate_indices) - site.start_index
                    >= len(site.gate_indices)]
     assert len(interleaved) > 100
-    assert sum(len(detect_ghz(c)) >= 2 for c in circuits) > 100
+    assert sum(len(_sites(c)) >= 2 for c in circuits) > 100
     ops = [ins for c in circuits for ins in c.instructions]
     assert any(ins.gate is Gate.MEASURE for ins in ops)
     assert any(ins.condition is not None for ins in ops)
     assert any(ins.gate is Gate.BARRIER for ins in ops)
 
 
-class _CountingTuple(tuple):
-    """Instruction tuple that counts the positions read by index."""
+class _CountingList(list):
+    """Instruction list that counts the positions read by index."""
 
     reads = 0
 
     def __getitem__(self, index):
-        _CountingTuple.reads += 1
-        return tuple.__getitem__(self, index)
+        _CountingList.reads += 1
+        return list.__getitem__(self, index)
 
 
 def _h_layer_then_rings(n: int) -> Circuit:
@@ -454,16 +460,17 @@ def test_detect_reads_scale_near_linearly(shape, monkeypatch):
     # may at most about double the work (the forward scan quadruples it).
     counts = []
     for n in (250, 500):
-        c = shape(n)
-        object.__setattr__(c, "instructions", _CountingTuple(c.instructions))
-        monkeypatch.setattr(_CountingTuple, "reads", 0)
-        detect_ghz(c)
-        counts.append(_CountingTuple.reads)
+        scanner = ChainScanner(shape(n), sites=detect_ghz, chains=False)
+        scanner.instructions = _CountingList(scanner.instructions)
+        monkeypatch.setattr(_CountingList, "reads", 0)
+        while scanner.next() is not None:
+            scanner.skip()
+        counts.append(_CountingList.reads)
     assert 0 < counts[1] <= 2.5 * counts[0], counts
 
 
 
-# -- the GHZ pass through the shared gate --------------------------------------
+# -- GHZ sites through the shared gate -----------------------------------------
 
 
 def _reference_block(site: ChainCandidate, mode: GhzMode, clbit: int):
@@ -474,18 +481,15 @@ def _reference_block(site: ChainCandidate, mode: GhzMode, clbit: int):
     return build_ghz_parallel(site.qubit_seq, range(clbit, clbit + len(site.qubit_seq) // 2))
 
 
-def _reference_rebuild(
-    c: Circuit, mode: GhzMode, only=None, anchor_last=True
-) -> tuple[Circuit, list[int]]:
-    """The GHZ pass as it was before it was gated: every site with a
+def _reference_rebuild(c: Circuit, mode: GhzMode, only=None, anchor_last=True) -> Circuit:
+    """The GHZ rewrite ungated and per site: every site with a
     construction (those starting in `only`, if given) is rebuilt, fresh bits
     numbered in site order.  `anchor_last` puts each block at the site's last
     gate, where the shared layout puts it; the old pass put it at the H.  No op
-    in between touches a member, so the two differ only by commuting ops.
-    Also returns the positions the blocks' ops take in the result."""
+    in between touches a member, so the two differ only by commuting ops."""
     next_clbit = c.num_clbits
     blocks = {}
-    for site in detect_ghz(c):
+    for site in _sites(c):
         block = _reference_block(site, mode, next_clbit)
         if block is None or (only is not None and site.start_index not in only):
             continue
@@ -493,15 +497,9 @@ def _reference_rebuild(
         blocks.update(dict.fromkeys(site.gate_indices, ()))
         blocks[site.end_index if anchor_last else site.start_index] = block
     if not blocks:
-        return c, []
-    body, positions = [], []
-    for i, ins in enumerate(c.instructions):
-        if i in blocks:
-            positions += range(len(body), len(body) + len(blocks[i]))
-            body += blocks[i]
-        else:
-            body.append(ins)
-    return Circuit(c.num_qubits, next_clbit, tuple(body)), positions
+        return c
+    body = [op for i, ins in enumerate(c.instructions) for op in blocks.get(i, (ins,))]
+    return Circuit(c.num_qubits, next_clbit, tuple(body))
 
 
 def _reference_gated(c: Circuit, mode: GhzMode) -> tuple[Circuit, list[str]]:
@@ -511,19 +509,19 @@ def _reference_gated(c: Circuit, mode: GhzMode) -> tuple[Circuit, list[str]]:
     Also returns each site's fate: "kept", "window", "recheck" or "none"."""
     ins = c.instructions
     kept, fates = set(), []
-    for site in detect_ghz(c):
+    for site in _sites(c):
         block = _reference_block(site, mode, c.num_clbits)
         tail = list(ins[site.end_index + 1 : site.end_index + 101])
         if block is None:
             fates.append("none")
         elif depth_of(block + tail) >= depth_of([ins[i] for i in site.gate_indices] + tail):
             fates.append("window")
-        elif depth(_reference_rebuild(c, mode, {site.start_index})[0]) > depth(c):
+        elif depth(_reference_rebuild(c, mode, {site.start_index})) > depth(c):
             fates.append("recheck")
         else:
             fates.append("kept")
             kept.add(site.start_index)
-    return _reference_rebuild(c, mode, kept)[0], fates
+    return _reference_rebuild(c, mode, kept), fates
 
 
 def _ghz_chain(qubits) -> list[Instruction]:
@@ -560,22 +558,47 @@ def _gate_corpus(block: int) -> list[Circuit]:
 _GHZ_MODES = [GhzMode.ROBUST, GhzMode.PARALLEL]
 
 
+def _count_use_tables(monkeypatch) -> list[int]:
+    """Record the length of every list a `UseTable` is built over."""
+    from qshallow import ir
+
+    calls = []
+    init = ir.UseTable.__init__
+    monkeypatch.setattr(ir.UseTable, "__init__",
+                        lambda self, ins: calls.append(len(ins)) or init(self, ins))
+    return calls
+
+
+def _kinds(result) -> list[tuple[str, bool]]:
+    return [(d.candidate.kind.value, d.applied) for d in result.decisions]
+
+
+#: Chains of fewer gates are no candidates: the pass offers sites alone.
+_NO_CHAINS = 100
+
+
 class TestGatedPass:
-    """The GHZ pass goes through the chain pass's window gate, whole-circuit
-    recheck, verifier, layout and decision record."""
+    """GHZ sites come from the chain scanner in start order and go through
+    the pass's window gate, whole-circuit recheck, verifier, layout and
+    decision record."""
 
     @pytest.mark.parametrize("mode", _GHZ_MODES)
     @pytest.mark.parametrize("block", range(2))
-    def test_conservative_gate_matches_per_site_reference(self, mode, block):
-        config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE, min_chain_gates=2)
+    def test_conservative_output_is_never_deeper(self, mode, block):
+        # Each site is gated against the list the accepts before it left:
+        # the output is never deeper than the input, and a site is kept only
+        # where its window gets shallower.  Every rewrite applied is proven
+        # or counted as skipped.
+        config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE, min_chain_gates=2,
+                            verify=True)
         for c in _gate_corpus(block):
-            out, decisions, _, _ = gate_ghz_sites(c, config)
-            expected, fates = _reference_gated(c, mode)
-            assert (out.num_clbits, out.instructions) == (
-                expected.num_clbits, expected.instructions), c
-            assert [d.applied for d in decisions] == [f == "kept" for f in fates]
-            assert depth(out) <= depth(c)
-            assert depth(compile_circuit(c, config).circuit) <= depth(c)
+            result = compile_circuit(c, config)
+            assert depth(result.circuit) <= depth(c), c
+            sites = [d for d in result.decisions if d.candidate.kind is ChainKind.GHZ]
+            assert all(d.depth_after < d.depth_before for d in sites if d.applied)
+            coverage = result.coverage
+            applied = sum(d.applied for d in result.decisions)
+            assert coverage.checked + sum(coverage.skipped.values()) == applied
 
     def test_gate_corpus_exercises_every_fate(self):
         fates = {mode: [_reference_gated(c, mode)[1] for b in range(2) for c in _gate_corpus(b)]
@@ -588,30 +611,37 @@ class TestGatedPass:
 
     @pytest.mark.parametrize("mode", _GHZ_MODES)
     @pytest.mark.parametrize("chains", [ChainMode.OFF, ChainMode.ALWAYS])
-    def test_ungated_modes_match_old_pass(self, mode, chains):
+    def test_ungated_modes_apply_every_site(self, mode, chains):
         config = PassConfig(ghz_mode=mode, chain_mode=chains, min_chain_gates=2)
         for c in _gate_corpus(0):
-            out = compile_circuit(c, config).circuit
-            reference, blocks = _reference_rebuild(c, mode)
-            # The rebuilt blocks are final: the chain pass leaves them be.
-            expected = gate_and_apply(reference, config, replaced=blocks)[0]
-            assert (out.num_clbits, out.instructions) == (
-                expected.num_clbits, expected.instructions), c
-            # The old layout, block at the H, is the same circuit.
-            assert stats(reference) == stats(_reference_rebuild(c, mode, anchor_last=False)[0])
+            result = compile_circuit(c, config)
+            sites = [d for d in result.decisions if d.candidate.kind is ChainKind.GHZ]
+            built = [_reference_block(d.candidate, mode, 0) is not None for d in sites]
+            assert [d.applied for d in sites] == built
+            if chains is ChainMode.OFF:
+                # Sites alone: every site rebuilt in place of its last gate,
+                # fresh bits numbered in site order.
+                out, reference = result.circuit, _reference_rebuild(c, mode)
+                assert (out.num_clbits, out.instructions) == (
+                    reference.num_clbits, reference.instructions), c
+                # The old layout, block at the H, is the same circuit.
+                assert stats(reference) == stats(_reference_rebuild(c, mode, anchor_last=False))
 
     @pytest.mark.parametrize("mode", _GHZ_MODES)
     def test_deeper_site_is_dropped_alone(self, mode, monkeypatch):
         c = circ(16, *_late_root(0), *_ghz_chain(range(8, 16)))
         sweeps, schedules = _count_window_work(monkeypatch)
         builds = _count_index_builds(monkeypatch)
-        config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE)
-        out, decisions, _, _ = gate_ghz_sites(c, config)
-        late, plain = decisions
+        config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE,
+                            min_chain_gates=_NO_CHAINS)
+        result = compile_circuit(c, config)
+        out = result.circuit
+        late, plain = result.decisions
         assert late.depth_after < late.depth_before and not late.applied
         assert plain.applied
-        # Only window work, per site one tail sweep and its two sides (GHZ
-        # sites share no cache): the depth index, built once, gates each site.
+        # Only window work, per site one tail sweep and its two sides (a
+        # site is offered once): the depth index, built once over the input
+        # by the late site, gates it; the plain site's window settles it.
         assert (len(sweeps), len(schedules)) == (2, 2 * 2)
         assert max(sweeps + schedules) < len(c.instructions) - 8
         assert builds == [len(c.instructions)]
@@ -631,11 +661,12 @@ class TestGatedPass:
             return _build(members, fresh_clbits)
 
         monkeypatch.setattr(ghz, "build_ghz_parallel", counting)
-        config = PassConfig(ghz_mode=GhzMode.PARALLEL, chain_mode=ChainMode.CONSERVATIVE)
-        out, decisions, _, _ = gate_ghz_sites(c, config)
-        assert [d.applied for d in decisions] == [False, True]
+        config = PassConfig(ghz_mode=GhzMode.PARALLEL, chain_mode=ChainMode.CONSERVATIVE,
+                            min_chain_gates=_NO_CHAINS)
+        result = compile_circuit(c, config)
+        assert [d.applied for d in result.decisions] == [False, True]
         assert built == [(tuple(range(8)), (0, 1, 2, 3)), (tuple(range(8, 16)), (0, 1, 2, 3))]
-        assert out.num_clbits == 4
+        assert result.circuit.num_clbits == 4
 
     @pytest.mark.parametrize("k", [50, 100])
     def test_rechecks_do_not_grow_with_sites(self, k, monkeypatch):
@@ -647,47 +678,72 @@ class TestGatedPass:
         c = circ(64 * k, *body)
         sweeps, schedules = _count_window_work(monkeypatch)
         builds = _count_index_builds(monkeypatch)
-        config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE)
-        out, decisions, _, _ = gate_ghz_sites(c, config)
-        assert len(decisions) == k and all(d.applied for d in decisions)
+        config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE,
+                            min_chain_gates=_NO_CHAINS)
+        result = compile_circuit(c, config)
+        assert len(result.decisions) == k and all(d.applied for d in result.decisions)
         # Windows only: a site's tail, its gates and its block.
         assert len(sweeps) == k and max(sweeps) <= 100
         assert len(schedules) == 2 * k and max(schedules) <= 64
         assert builds == [len(c.instructions)]
-        assert (depth(c), depth(out)) == (65, 1 + 6 + 1)
+        assert (depth(c), depth(result.circuit)) == (65, 1 + 6 + 1)
 
     def test_one_index_build_per_changed_list(self, monkeypatch):
+        # One pass: one use table per compile, and at most one index, built
+        # over the input wherever a gate asks for it before the first accept.
         builds = _count_index_builds(monkeypatch)
+        tables = _count_use_tables(monkeypatch)
         config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE)
         # The site's window reaches the end of the list, which settles it,
-        # and the chain pass leaves the block be: it finds no seed, so gates
+        # and the scan leaves the block be: it finds no seed, so gates
         # nothing.  No index is built.
         c = gen_ghz_standard(64)
         result = compile_circuit(c, config)
         assert result.decisions[0].applied and depth(result.circuit) == 7
-        assert builds == []
-        # The site ends the list, so only the chain pass builds an index.
+        assert (builds, tables) == ([], [len(c.instructions)])
+        # The chain comes first and builds the index; the site ends the
+        # list, so its window settles it, and the index takes it in.
+        tables.clear()
         c = circ(25, *(cx(i, i + 1) for i in range(8, 24)), *_ghz_chain(range(8)))
         result = compile_circuit(c, config)
-        assert [d.applied for d in result.decisions] == [True, True]  # GHZ, then the chain
-        assert builds == [len(c.instructions)]
-        # The scope cuts the site's tail, the GHZ pass keeps the block and
-        # the chain pass gates a chain: one build over the input, one over
-        # the list the chain pass scans (a robust block has as many ops as
-        # its site).
+        assert _kinds(result) == [("cx", True), ("ghz", True)]
+        assert builds == tables == [len(c.instructions)]
+        assert (result.input_depth, result.output_depth) == (depth(c), depth(result.circuit))
+        # The scope cuts the site's tail: the site's gate builds the index
+        # over the input, and the chain is gated by the same index after the
+        # site's accept (a robust block has as many ops as its site).
         builds.clear()
+        tables.clear()
         c = circ(25, *_ghz_chain(range(8)), *[rz(7, 0.1)] * 100,
                  *(cx(i, i + 1) for i in range(8, 24)))
         result = compile_circuit(c, config)
-        assert [d.applied for d in result.decisions] == [True, True]
-        assert builds == [len(c.instructions)] * 2
-        # The GHZ pass keeps nothing: the chain pass gates its chain with the
-        # GHZ pass's index.
+        assert _kinds(result) == [("ghz", True), ("cx", True)]
+        assert builds == tables == [len(c.instructions)]
+        # The site is refused, and chains follow it.
         builds.clear()
+        tables.clear()
         c = circ(25, *_late_root(0), *(cx(i, i + 1) for i in range(8, 24)))
         result = compile_circuit(c, config)
-        assert [d.applied for d in result.decisions] == [False, False, True]  # GHZ, then chains
+        assert _kinds(result) == [("ghz", False), ("cx", False), ("cx", True)]
+        assert builds == tables == [len(c.instructions)]
+
+    def test_index_built_after_an_accept_is_exact(self, monkeypatch):
+        # A site settled by its window is taken in before any gate asks for
+        # the index; the chain after it builds the index over the list the
+        # accept left, past the table's cut.  Its depths are exact, and the
+        # input's is scheduled for the report.
+        builds = _count_index_builds(monkeypatch)
+        config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.CONSERVATIVE,
+                            min_chain_gates=2)
+        # The deepest path runs from the prefix through bit 0 to its reader.
+        c = circ(30, *[x(29)] * 10, measure(29, 0), *_ghz_chain(range(8)), cx(8, 9), cx(9, 10),
+                 cx(10, 11), x(28, condition=Condition((0,))), cx(11, 12), cx(12, 13),
+                 clbits=1)
+        result = compile_circuit(c, config)
+        assert _kinds(result) == [("ghz", True), ("cx", True)]
         assert builds == [len(c.instructions)]
+        assert result.input_depth is None
+        assert result.output_depth == depth(result.circuit) == depth(c) == 12
 
     @pytest.mark.parametrize("mode", _GHZ_MODES)
     @pytest.mark.parametrize("n", [16, 2000])
@@ -708,27 +764,24 @@ class TestGatedPass:
         assert builds == learned == []
 
     @pytest.mark.parametrize("mode", _GHZ_MODES)
-    def test_kept_site_marks_exactly_its_block(self, mode):
-        # The late site is refused and the plain one kept: the positions
-        # reported are the kept block's, read off the output as the ops the
-        # input does not hold.
+    def test_kept_block_takes_its_sites_last_gate(self, mode):
+        # The late site is refused and the plain one kept: its block takes
+        # the place of its last gate, and every other op stays.
         c = circ(16, *_late_root(0), *_ghz_chain(range(8, 16)))
-        config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE)
-        out, decisions, _, kept = gate_ghz_sites(c, config)
-        assert [d.applied for d in decisions] == [False, True]
+        config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE,
+                            min_chain_gates=_NO_CHAINS)
+        result = compile_circuit(c, config)
+        assert [d.applied for d in result.decisions] == [False, True]
         block = (build_ghz_log(range(8, 16)) if mode is GhzMode.ROBUST
                  else build_ghz_parallel(range(8, 16), range(4)))
-        assert kept == list(range(len(_late_root(0)), len(out.instructions)))
-        assert [out.instructions[p] for p in kept] == block
-        inputs = {id(op) for op in c.instructions}
-        assert kept == [p for p, op in enumerate(out.instructions) if id(op) not in inputs]
+        assert result.circuit.instructions == (*_late_root(0), *block)
 
-    def test_nothing_kept_marks_nothing(self):
+    def test_nothing_kept_returns_the_input(self):
         c = circ(16, *_late_root(0))
         for ghz_mode in (GhzMode.OFF, GhzMode.ROBUST):
-            config = PassConfig(ghz_mode=ghz_mode, chain_mode=ChainMode.CONSERVATIVE)
-            out, _, _, kept = gate_ghz_sites(c, config)
-            assert out is c and kept == []
+            config = PassConfig(ghz_mode=ghz_mode, chain_mode=ChainMode.CONSERVATIVE,
+                                min_chain_gates=_NO_CHAINS)
+            assert compile_circuit(c, config).circuit is c
 
     @pytest.mark.parametrize("ghz_mode", _GHZ_MODES)
     @pytest.mark.parametrize("chains", [ChainMode.CONSERVATIVE, ChainMode.ALWAYS])
@@ -736,30 +789,30 @@ class TestGatedPass:
         from qshallow import pipeline
 
         seen = []  # per chain decision, its gates as the scanner's list held them
-        passes = []  # what the GHZ pass returned
-        gate, ghz_pass = pipeline._gate, pipeline.gate_ghz_sites
+        kept = set()  # the ops of the blocks kept
+        gate = pipeline._gate
 
-        def recording(ins, cand, *rest):
+        def recording(ins, cand, replacement, *rest):
+            decision = gate(ins, cand, replacement, *rest)
             if cand.kind is not ChainKind.GHZ:
                 seen.append([ins[i] for i in cand.gate_indices])
-            return gate(ins, cand, *rest)
+            elif decision.applied:
+                kept.update(id(op) for op in replacement)
+            return decision
 
         monkeypatch.setattr(pipeline, "_gate", recording)
-        monkeypatch.setattr(pipeline, "gate_ghz_sites",
-                            lambda *args: passes.append(ghz_pass(*args)) or passes[-1])
         config = PassConfig(ghz_mode=ghz_mode, chain_mode=chains, min_chain_gates=2,
                             verify=True)
         blocks_seen = chains_seen = 0
         for c in _gate_corpus(0) + _gate_corpus(1):
             seen.clear()
+            kept.clear()
             compile_circuit(c, config)
-            rebuilt, _, _, kept = passes.pop()
-            blocks = {id(rebuilt.instructions[p]) for p in kept}
-            assert not any(id(op) in blocks for gates in seen for op in gates), c
+            assert not any(id(op) in kept for gates in seen for op in gates), c
             # Nor any rewrite's op: every chain's gates are the input's own.
             inputs = {id(op) for op in c.instructions}
             assert all(id(op) in inputs for gates in seen for op in gates), c
-            blocks_seen += bool(blocks)
+            blocks_seen += bool(kept)
             chains_seen += len(seen)
         assert blocks_seen > 100 and chains_seen > 100
 
@@ -810,7 +863,7 @@ class TestGatedPass:
                                                           "random/212": 21}[label]
         assert depth(c) == depth(out)
 
-    def test_ghz_decisions_lead_the_report(self, tmp_path):
+    def test_report_lists_decisions_in_start_order(self, tmp_path):
         from qshallow.cli import main
 
         src = tmp_path / "in.qasm"
@@ -819,7 +872,80 @@ class TestGatedPass:
                 "robust", "--chains", "conservative", "--report", str(tmp_path / "r.json")]
         assert main(argv) == 0
         report = json.loads((tmp_path / "r.json").read_text())
-        assert [(d["kind"], d["applied"]) for d in report["decisions"][:2]] == [
-            ("ghz", False), ("ghz", True)]
+        # The late site, the chain its refused gates seed, then the plain site.
+        assert [(d["kind"], d["applied"]) for d in report["decisions"]] == [
+            ("ghz", False), ("cx", False), ("ghz", True)]
         assert (report["ghz_sites_found"], report["ghz_sites_replaced"]) == (2, 1)
-        assert report["chains_found"] == len(report["decisions"]) - 2
+        assert report["chains_found"] == 1
+
+
+# -- freshness across the use table's cut --------------------------------------
+
+
+@pytest.mark.parametrize("mode", _GHZ_MODES)
+@pytest.mark.parametrize("stale", [6, 7], ids=["root", "target"])
+def test_use_before_an_accepted_chain_keeps_a_qubit_stale(mode, stale):
+    # The only earlier use of q6 or q7 lies before the chain taken in first,
+    # whose start cuts it out of the use table; the qubit is still no fresh
+    # member, so h(6), cx(6, 7), cx(7, 8) is no site.  Rebuilt as one, the
+    # output would prepare another state.
+    c = circ(9, x(stale), *(cx(q, q + 1) for q in range(5)), h(6), cx(6, 7), cx(7, 8))
+    config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.ALWAYS, min_chain_gates=2)
+    result = compile_circuit(c, config)
+    assert _kinds(result) == [("cx", True), ("cx", True)]
+    assert prepares_same(c.instructions, result.circuit.instructions)
+
+
+def test_no_site_grows_over_a_rewrite():
+    # h(3) moves before the chain 0-1-2-3-4, whose halving then opens with
+    # cx(1, 2) and cx(3, 4): q3 and q4 are fresh there, yet a rewrite's
+    # gate joins no site.
+    c = circ(5, cx(0, 1), cx(1, 2), h(3), cx(2, 3), cx(3, 4))
+    config = PassConfig(ghz_mode=GhzMode.ROBUST, chain_mode=ChainMode.ALWAYS, min_chain_gates=2)
+    result = compile_circuit(c, config)
+    assert _kinds(result) == [("cx", True)]
+    assert result.circuit.instructions[:3] == (h(3), cx(1, 2), cx(3, 4))
+
+
+@st.composite
+def _clifford_circuits(draw) -> Circuit:
+    """Random h, x, z, cx and cz gates on qubits that come into use one by
+    one: CX chains on the qubits in use, single gates, and GHZ-like
+    preparations, each an h on a new qubit, then a CX path onto new or
+    used qubits.  So fresh roots turn up after chains, beside stale
+    targets."""
+    n = draw(st.integers(3, 10))
+    body: list[Instruction] = []
+    live = 1  # qubits 0..live-1 are in use
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["chain", "ghz", "single"]))
+        if kind == "ghz" and live < n:
+            last, live = live, live + 1
+            body.append(h(last))
+            for _ in range(draw(st.integers(1, 3))):
+                if live < n and draw(st.booleans()):
+                    target, live = live, live + 1
+                else:
+                    target = draw(st.integers(0, live - 1))
+                if target != last:
+                    body.append(cx(last, target))
+                    last = target
+        elif kind == "chain" and live >= 2:
+            seq = draw(st.permutations(range(live)))[: draw(st.integers(2, min(live, 5)))]
+            body += [cx(a, b) for a, b in zip(seq, seq[1:])]
+        elif live >= 2 and draw(st.booleans()):
+            a, b = draw(st.permutations(range(live)))[:2]
+            body.append(cz(a, b))
+        else:
+            body.append(draw(st.sampled_from((h, x, z)))(draw(st.integers(0, live - 1))))
+    return circ(n, *body)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_clifford_circuits(), st.sampled_from(_GHZ_MODES), st.sampled_from([2, 3]))
+def test_one_pass_prepares_the_inputs_state(c, mode, min_gates):
+    # Every site and chain applied, none verified on its own: the whole
+    # output still prepares the input's state from |0...0>.
+    config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.ALWAYS, min_chain_gates=min_gates)
+    out = compile_circuit(c, config).circuit
+    assert prepares_same(c.instructions, out.instructions), c

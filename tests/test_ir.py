@@ -6,7 +6,7 @@ import math
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qshallow.ir import (
     Circuit,
@@ -14,7 +14,6 @@ from qshallow.ir import (
     DepthReport,
     Gate,
     Instruction,
-    _splice,
     barrier,
     cx,
     cz,
@@ -321,28 +320,3 @@ def test_depth_at_least_busiest_qubit(c):
         for q in ins.qubits:
             per_qubit[q] = per_qubit.get(q, 0) + 1
     assert depth(c) >= max(per_qubit.values(), default=0)
-
-
-# -- the splice every rewrite is laid out with ---------------------------------
-
-
-def test_splice_replaces_and_deletes():
-    assert _splice("abcdef", {1: "XY", 3: (), 4: "Z"}) == list("aXYcZf")
-    assert _splice("abc", {0: (), 2: "Q"}) == ["b", "Q"]
-    items = ["a", "b"]
-    copy = _splice(items, {0: ["a"]})
-    assert copy == items and copy is not items
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(), max_size=20),
-    st.dictionaries(st.integers(0, 19), st.lists(st.integers(), max_size=3), max_size=6),
-)
-def test_splice_matches_walk_over_every_position(items, blocks):
-    blocks = {i: b for i, b in blocks.items() if i < len(items)}
-    assume(blocks)
-    want = []
-    for i, item in enumerate(items):
-        want.extend(blocks.get(i, [item]))
-    assert _splice(items, blocks) == want

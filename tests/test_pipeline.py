@@ -349,7 +349,7 @@ class TestVerification:
         with pytest.raises(VerificationError) as err:
             compile_circuit(c, PassConfig(ghz_mode=GhzMode.ROBUST, verify=True))
         assert err.value.candidate.kind is ChainKind.GHZ
-        assert err.value.candidate == detect_ghz(c)[0]
+        assert err.value.candidate == find_chains(c, sites=detect_ghz, chains=False)[0]
 
     def test_wide_windows_verified(self):
         c = gen_cx_chain(30)
@@ -404,7 +404,7 @@ class TestCompileCircuit:
         assert stats(result.circuit).depth == 5
 
     def test_ghz_off_runs_chains_only(self, monkeypatch):
-        def no_detection(c):
+        def no_detection(*args):
             raise AssertionError("detect_ghz ran with GHZ off")
 
         monkeypatch.setattr(ghz, "detect_ghz", no_detection)
@@ -516,8 +516,9 @@ class TestUseTableBuilds:
 
     @pytest.mark.parametrize("mode", [GhzMode.ROBUST, GhzMode.PARALLEL], ids=lambda m: m.value)
     def test_ghz_pass_then_idle_chain_pass_builds_one(self, mode, monkeypatch):
-        # Detection reads the input's table; the block kept changes the
-        # list, but it holds no seed, so the chain pass builds no table.
+        # Detection reads the input's table, and the accept splices the
+        # block kept into it: the rescan meets no seed, and no table is built
+        # again.
         builds = _count_table_builds(monkeypatch)
         c = gen_ghz_standard(2000)
         config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.CONSERVATIVE)
