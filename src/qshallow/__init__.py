@@ -42,7 +42,6 @@ from .chains import (
     decompose_cz,
     decompose_cz_to_cx,
     decompose_forward,
-    find_chains,
 )
 from .pipeline import (
     ChainMode,
@@ -96,7 +95,6 @@ __all__ = [
     "depth",
     "detect_ghz",
     "emit",
-    "find_chains",
     "gate_and_apply",
     "gen_ansatz",
     "gen_cx_chain",

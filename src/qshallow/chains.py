@@ -289,8 +289,11 @@ class _Growth:
         CX the head controls (CZ on the end) that no rewrite holds is the
         first link a growth could take, and it is reachable unless it closes
         a cycle or a deferred op holds its new qubit with another letter than
-        the link's - both stay so as the growth goes on.  On a one-gate CZ
-        chain a CZ on both ends is no link, and is passed.
+        the link's - both stay so as the growth goes on.  A CX the head
+        controls that a rewrite holds ends the walk too: the head holds X, so
+        the policy stops there; a rewrite's CZ on a CZ end is deferred, and
+        passed.  On a one-gate CZ chain a CZ on both ends is no link, and is
+        passed.
         """
         n, state, seq_set, pending = table.n, self.state, self.seq_set, self.pending
         is_cz, oriented = self.is_cz, self.seq_oriented
@@ -316,6 +319,8 @@ class _Growth:
                         break
                     if oriented:
                         break  # it closes a cycle
+                elif op.gate is link and not is_cz:
+                    break  # a rewrite's CX
                 k -= 1
         return False
 
@@ -603,21 +608,6 @@ class ChainScanner:
             for idx in cand.gate_indices:
                 self._state[idx] = _SKIPPED
         self._pos = cand.start_index + 1
-
-
-def find_chains(
-    c: Circuit,
-    min_gates: int = 2,
-    sites: Callable[..., ChainCandidate | None] | None = None,
-    chains: bool = True,
-) -> list[ChainCandidate]:
-    """Detection only: scan the whole circuit without transforming anything."""
-    scanner = ChainScanner(c, min_gates, sites=sites, chains=chains)
-    found = []
-    while (cand := scanner.next()) is not None:
-        found.append(cand)
-        scanner.skip()
-    return found
 
 
 # -- decompositions ---------------------------------------------------------

@@ -12,7 +12,7 @@ import functools
 import io
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
 from .bench import (
@@ -165,88 +165,66 @@ def _parse_range(text: str) -> range:
     return range(start, stop, step)
 
 
-def _row(name: str, n: int, reps: int, variant: str, before, after) -> dict:
-    return {
-        "name": name, "n": n, "reps": reps, "variant": variant,
-        "depth_before": before.depth, "depth_after": after.depth,
-        "gates_before": before.gate_count, "gates_after": after.gate_count,
-        "measures_before": before.measure_count, "measures_after": after.measure_count,
-        "relative_depth": before.depth - after.depth,
-    }
-
-
-def ghz_suite_rows(ns: Sequence[int]) -> list[dict]:
-    rows = []
-    for n in ns:
-        std = gen_ghz_standard(n)
-        before = stats(std)
-        rows.append(_row("ghz", n, 0, "standard", before, before))
-        for mode in (GhzMode.ROBUST, GhzMode.PARALLEL):
-            config = PassConfig(ghz_mode=mode, chain_mode=ChainMode.OFF)
-            after = stats(compile_circuit(std, config).circuit)
-            rows.append(_row("ghz", n, 0, mode.value, before, after))
-    return rows
-
-
-def chain_suite_rows(ns: Sequence[int], config: PassConfig) -> list[dict]:
-    rows = []
-    generators = {
-        "forward": lambda n: gen_cx_chain(n, "forward"),
-        "reverse": lambda n: gen_cx_chain(n, "reverse"),
-        "cz": gen_cz_chain,
-    }
-    for n in ns:
-        for variant, gen in generators.items():
-            plain = gen(n)
-            result = compile_circuit(plain, config)
-            rows.append(_row("chain", n, 0, variant, stats(plain), stats(result.circuit)))
-    return rows
-
-
-def vqe_suite_rows(
-    ns: Sequence[int],
-    reps_list: Sequence[int],
-    family: str,
-    entanglement: str,
-    seed: int,
-    config: PassConfig,
-) -> list[dict]:
-    rows = []
-    for reps in reps_list:
+def bench_cases(
+    args: argparse.Namespace, ns: range, reps_list: list[int], config: PassConfig
+) -> Iterator[tuple[str, int, int, str, Circuit, PassConfig | None]]:
+    """The rows of `args.suite` as (name, n, reps, variant, circuit,
+    config) cases; a None config measures the circuit as it stands."""
+    if args.suite == "ghz":
+        modes = [(m.value, PassConfig(ghz_mode=m, chain_mode=ChainMode.OFF))
+                 for m in (GhzMode.ROBUST, GhzMode.PARALLEL)]
         for n in ns:
-            spec = AnsatzSpec(family, n, reps, entanglement, seed)
-            circuit = gen_ansatz(spec)
-            result = compile_circuit(circuit, config)
-            rows.append(
-                _row(family, n, reps, entanglement, stats(circuit), stats(result.circuit))
-            )
+            std = gen_ghz_standard(n)
+            yield "ghz", n, 0, "standard", std, None
+            for variant, ghz_config in modes:
+                yield "ghz", n, 0, variant, std, ghz_config
+    elif args.suite == "chains":
+        for n in ns:
+            yield "chain", n, 0, "forward", gen_cx_chain(n, "forward"), config
+            yield "chain", n, 0, "reverse", gen_cx_chain(n, "reverse"), config
+            yield "chain", n, 0, "cz", gen_cz_chain(n), config
+    else:
+        family, entanglement = args.family, args.entanglement
+        for reps in reps_list:
+            for n in ns:
+                circuit = gen_ansatz(AnsatzSpec(family, n, reps, entanglement, args.seed))
+                yield family, n, reps, entanglement, circuit, config
+
+
+def bench_rows(cases: Iterable[tuple]) -> list[tuple]:
+    """One CSV row per case: its statistics before and after the compile."""
+    rows = []
+    for name, n, reps, variant, circuit, config in cases:
+        before = stats(circuit)
+        after = before if config is None else stats(compile_circuit(circuit, config).circuit)
+        rows.append((
+            name, n, reps, variant,
+            before.depth, after.depth,
+            before.gate_count, after.gate_count,
+            before.measure_count, after.measure_count,
+            before.depth - after.depth,
+        ))
     return rows
 
 
-def render_csv(rows: list[dict]) -> str:
+def render_csv(rows: list[tuple]) -> str:
     buf = io.StringIO()
     buf.write(f"# qshallow {__version__} rng={RNG_IDENTIFIER}\n")
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
-    writer.writeheader()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_COLUMNS)
     writer.writerows(rows)
     return buf.getvalue()
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    ns = list(_parse_range(args.n_range))
+    ns = _parse_range(args.n_range)
     reps_list = [int(r) for r in args.reps.split(",") if r]
     config = PassConfig(
         chain_mode=ChainMode(args.chains),
         min_chain_gates=args.min_chain_gates,
         cz_to_cx=args.cz_to_cx,
     )
-    if args.suite == "ghz":
-        rows = ghz_suite_rows(ns)
-    elif args.suite == "chains":
-        rows = chain_suite_rows(ns, config)
-    else:
-        rows = vqe_suite_rows(ns, reps_list, args.family, args.entanglement, args.seed, config)
-    text = render_csv(rows)
+    text = render_csv(bench_rows(bench_cases(args, ns, reps_list, config)))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -186,9 +186,9 @@ def _gate(
     cand: ChainCandidate,
     replacement: Sequence[Instruction] | None,
     mode: ChainMode,
-    index: DepthIndex | None = None,
-    sides: tuple[tuple[int, dict[int, int]], tuple[int, dict[int, int]]] | None = None,
-    tails: dict[int, tuple[int, dict[int, int]]] | None = None,
+    index: DepthIndex | None,
+    sides: tuple[tuple[int, dict[int, int]], tuple[int, dict[int, int]]],
+    tails: dict[int, tuple[int, dict[int, int]]],
 ) -> GateDecision:
     """Window depths before and after the rewrite, and whether it passes: in
     conservative mode the window must get strictly shallower, and then, with
@@ -197,11 +197,9 @@ def _gate(
     chain are the same on both sides and stay out of the window: counting
     them would let an unrelated chain's depth mask a genuine improvement.
 
-    The window's tail is swept once and joined with each side's schedule,
-    `sides` when the caller has them (`_sides`) and else scheduled here.
-    `tails` keeps each sweep by the tail's start, for a caller that gates
-    several candidates of one list: a skipped chain's successors often end
-    at the same gate.
+    The window's tail is swept once and joined with each side's schedule
+    in `sides` (`_sides`).  `tails` keeps each sweep by the tail's start: a
+    skipped chain's successors often end at the same gate.
 
     A GHZ site whose tail reaches the end of `ins` is settled by the window
     test alone, and `index` is never asked.  `detect_ghz` makes every member
@@ -214,11 +212,10 @@ def _gate(
     subsequence of `ins`.  So the rewritten list is no deeper.  A site whose
     tail the scope cuts is gated by `index` as a chain is."""
     tail_start = cand.end_index + 1
-    tails = {} if tails is None else tails
     tail = tails.get(tail_start)
     if tail is None:
         tail = tails[tail_start] = paths_of(ins[tail_start : tail_start + DEPTH_SCOPE])
-    gates, rewrite = _sides(ins, cand, replacement) if sides is None else sides
+    gates, rewrite = sides
     before = depth_joined(gates, tail)
     if replacement is None:
         return GateDecision(cand, before, before, False)

@@ -24,12 +24,13 @@ from qshallow.chains import (
     decompose_cz,
     decompose_cz_to_cx,
     decompose_forward,
-    find_chains,
 )
 from qshallow.ghz import GhzMode
 from qshallow.ir import Circuit, cx, depth, rz, ry, stats
 from qshallow.pipeline import ChainMode, PassConfig, compile_circuit, gate_and_apply
 from qshallow.sim import equivalent_on_zero, equivalent_unitary
+
+from chain_detection import find_chains
 
 TOL = 1e-9
 SIZES = (4, 8, 16, 32, 64)

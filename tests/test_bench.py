@@ -12,10 +12,11 @@ from qshallow.bench import (
     gen_intertwined,
     gen_random,
 )
-from qshallow.chains import find_chains
 from qshallow.ir import Gate, cx, stats, validate
 from qshallow.sim import branches, states_equal_up_to_phase
 import numpy as np
+
+from chain_detection import find_chains
 
 
 class TestGhzStandard:

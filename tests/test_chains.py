@@ -35,7 +35,6 @@ from qshallow.chains import (
     decompose_cz_to_cx,
     decompose_forward,
     decompose_run,
-    find_chains,
 )
 from qshallow.ir import (
     Circuit,
@@ -74,6 +73,8 @@ from qshallow.pipeline import (
 from qshallow.qasm import emit
 from qshallow.sim import equivalent_unitary, unitary
 from qshallow.stabilizer import same_unitary
+
+from chain_detection import find_chains
 
 
 def circ(n, *instructions, clbits=0):
@@ -684,8 +685,8 @@ def test_window_gate_equals_two_schedules(block):
     replacements, and every GHZ site, with each of its constructions or None:
     the gate decides as scheduling the window before and after does, and
     never applies None.  Chain candidates share one side cache per circuit
-    and replacement rule, as in a pass; GHZ sites take none and are
-    scheduled in the gate."""
+    and replacement rule, as in a pass; each GHZ site's sides are scheduled
+    for it alone."""
     shared = 0
     for c in _diff_circuits(block):
         ins = c.instructions
@@ -703,8 +704,9 @@ def test_window_gate_equals_two_schedules(block):
             tail = list(ins[cand.end_index + 1 : cand.end_index + 1 + DEPTH_SCOPE])
             before = depth_of(gates + tail)
             after = before if replacement is None else depth_of([*replacement, *tail])
-            pair = None
-            if sides is not None:
+            if sides is None:
+                pair = _sides(ins, cand, replacement)
+            else:
                 key = _built_key(ins, cand)
                 if key in sides:
                     shared += 1  # sides another candidate of the circuit scheduled
@@ -714,7 +716,7 @@ def test_window_gate_equals_two_schedules(block):
             for mode in (ChainMode.CONSERVATIVE, ChainMode.ALWAYS):
                 applied = replacement is not None and (mode is ChainMode.ALWAYS or after < before)
                 want = GateDecision(cand, before, after, applied)
-                assert _gate(ins, cand, replacement, mode, sides=pair) == want, (c, cand)
+                assert _gate(ins, cand, replacement, mode, None, pair, {}) == want, (c, cand)
     assert shared > 100  # the cached sides are exercised
 
 
@@ -733,8 +735,8 @@ def test_window_tails_are_swept_once_per_list(block, monkeypatch):
 
     gate = pipeline._gate
 
-    def unshared(ins, cand, replacement, mode, index=None, sides=None, tails=None):
-        return gate(ins, cand, replacement, mode, index, sides)
+    def unshared(ins, cand, replacement, mode, index, sides, tails):
+        return gate(ins, cand, replacement, mode, index, sides, {})
 
     monkeypatch.setattr(pipeline, "paths_of", counting)
     cases = [(c, cfg) for c in _diff_circuits(block) for cfg in _COMPILE_CONFIGS]
@@ -986,9 +988,13 @@ def test_linear_ladder_grows_without_a_walk(monkeypatch):
         (circ(3, cx(0, 1), cx(1, 2), rz(2, 0.7), cx(2, 0)), ()),  # the link closes a cycle
         # The link is the rewrite's of the chain 4-5-2-3, seeded first.
         (circ(6, cx(4, 5), cx(0, 1), cx(1, 2), cx(5, 2), cx(2, 3)), {0}),
+        # The head 2 controls cx(2, 0) of the rewrite 4-5-2-0, seeded first, before
+        # its link cx(2, 3): the growth stops there.
+        (circ(6, cx(4, 5), cx(0, 1), cx(1, 2), cx(5, 2), cx(2, 0), cx(2, 3)), {0}),
         (circ(4, cz(0, 1), cz(2, 1), x(2), y(0), cz(2, 3), cz(0, 3)), ()),  # X on a CZ end
     ],
-    ids=["h", "conditioned", "measure", "barrier", "cycle", "replaced", "cz_x"],
+    ids=["h", "conditioned", "measure", "barrier", "cycle", "replaced", "replaced_control",
+         "cz_x"],
 )
 def test_unreachable_link_builds_no_walk(case, monkeypatch):
     # Each head has a later link that no growth can reach: the growth ends

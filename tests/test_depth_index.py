@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qshallow.chains import ChainKind, ChainScanner, _window, find_chains
+from qshallow.chains import ChainKind, ChainScanner, _window
 from qshallow.ghz import GhzMode, build_ghz_parallel, detect_ghz
 from qshallow.ir import (
     Circuit,
@@ -37,7 +37,9 @@ from qshallow.ir import (
     stats,
     x,
 )
-from qshallow.pipeline import DEPTH_SCOPE, ChainMode, PassConfig, _gate, _replacement_for
+from qshallow.pipeline import DEPTH_SCOPE, ChainMode, PassConfig, _gate, _replacement_for, _sides
+
+from chain_detection import find_chains
 
 SPARE = 6  # qubits no body op touches, for GHZ blocks on fresh qubits
 
@@ -483,7 +485,8 @@ def _ghz_window_at_the_list_end_is_exact(taken: Counter, data):
     for cand, config in candidates:
         replacement = _replacement_for(cand, config, c.num_clbits)
         index = _AskedIndex()
-        decision = _gate(ins, cand, replacement, ChainMode.CONSERVATIVE, index)
+        sides = _sides(ins, cand, replacement)
+        decision = _gate(ins, cand, replacement, ChainMode.CONSERVATIVE, index, sides, {})
         if decision.depth_after >= decision.depth_before or replacement is None:
             continue  # the window refuses it
         if not index.asked:

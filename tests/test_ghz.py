@@ -19,7 +19,7 @@ from qshallow.bench import (
     gen_random,
 )
 from qshallow import ghz
-from qshallow.chains import ChainCandidate, ChainKind, ChainScanner, find_chains
+from qshallow.chains import ChainCandidate, ChainKind, ChainScanner
 from qshallow.ghz import (
     GhzMode,
     build_ghz_log,
@@ -52,6 +52,8 @@ from qshallow.pipeline import (
 from qshallow.qasm import emit, parse
 from qshallow.sim import branches, equivalent_on_zero
 from qshallow.stabilizer import prepares_same
+
+from chain_detection import find_chains
 
 
 def circ(n, *instructions, clbits=0):

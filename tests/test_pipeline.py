@@ -23,7 +23,6 @@ from qshallow.chains import (
     decompose_cz_to_cx,
     decompose_forward,
     decompose_run,
-    find_chains,
 )
 from qshallow.ir import (
     Circuit,
@@ -52,6 +51,8 @@ from qshallow.pipeline import (
 )
 from qshallow.ghz import GhzMode, detect_ghz
 from qshallow.sim import equivalent_unitary
+
+from chain_detection import find_chains
 
 
 def circ(n, *instructions):
