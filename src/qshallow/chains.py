@@ -12,7 +12,7 @@ chain if it commutes with everything it crosses rightwards; an operation that
 can move neither way ends the chain.
 
 Commutation is a per-wire property.  An operation carries one letter per wire
-it uses (`ir.Letter`, read off `Gate.letters` by operand position): Z for a
+it uses (`ir.Letter`, `Instruction.letters` beside its `wires`): Z for a
 CX control, CZ, z and rz; X for a CX target, x and rx; Y for y and ry; H for
 h; OPAQUE on every qubit of a measurement, a barrier or a conditioned
 operation.  A condition READs its bits; the bit a measurement writes is
@@ -101,7 +101,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .ir import (
-    Circuit, Gate, Instruction, Letter, UseTable, UseWalk, _letters, _wires, cx, cz, depth_of, h,
+    Circuit, Gate, Instruction, Letter, UseTable, UseWalk, cx, cz, depth_of, h,
 )
 
 _OPAQUE, _Z, _X = Letter.OPAQUE, Letter.Z, Letter.X
@@ -143,14 +143,8 @@ class ChainCandidate:
 def _agrees(held: dict[int, int], op: Instruction) -> bool:
     """Whether `op` commutes with every op whose letters `held` merges: per
     wire, their common `Letter`, OPAQUE where they differ."""
-    letters = op.gate.letters if op.condition is None else ()
-    if letters:
-        for q, letter in zip(op.qubits, letters):
-            if held.get(q, letter) != letter:
-                return False
-        return True
-    for w, letter in zip(_wires(op), _letters(op)):
-        if w in held and (letter == _OPAQUE or held[w] != letter):
+    for w, letter in zip(op.wires, op.letters):
+        if held.get(w, letter) != letter or letter == _OPAQUE and w in held:
             return False
     return True
 
@@ -163,7 +157,7 @@ def commutes(a: Instruction, b: Instruction) -> bool:
     points); measurements and conditioned gates commute only when they share
     no qubit and no classical read/write pair.
     """
-    return _agrees(dict(zip(_wires(a), _letters(a))), b)
+    return _agrees(dict(zip(a.wires, a.letters)), b)
 
 
 # -- chain growth -----------------------------------------------------------
@@ -201,7 +195,7 @@ class _Growth:
         self.seq_set: set[int] = set(first.qubits)
         self.seq_oriented = self.is_cz is False  # CZ orientation settles on gate 2
         self.pending_after: list[int] = []
-        self.held: dict[int, int] = dict(zip(first.qubits, first.gate.letters))
+        self.held: dict[int, int] = dict(zip(first.wires, first.letters))
         self.pending: dict[int, int] = {}
 
     def _defer(self, pos: int, op: Instruction) -> None:
@@ -209,8 +203,7 @@ class _Growth:
         differ turns OPAQUE."""
         self.pending_after.append(pos)
         pending, held = self.pending, self.held
-        letters = op.gate.letters if op.condition is None else ()
-        for w, letter in zip(op.qubits, letters) if letters else zip(_wires(op), _letters(op)):
+        for w, letter in zip(op.wires, op.letters):
             pending[w] = letter if pending.get(w, letter) == letter else _OPAQUE
             held[w] = letter if held.get(w, letter) == letter else _OPAQUE
 
@@ -254,7 +247,7 @@ class _Growth:
         seq.append(new)
         self.seq_set.add(new)
         held = self.held
-        (a, b), (la, lb) = op.qubits, op.gate.letters
+        (a, b), (la, lb) = op.qubits, op.letters
         held[a] = la if held.get(a, la) == la else _OPAQUE
         held[b] = lb if held.get(b, lb) == lb else _OPAQUE
         return "extended"
@@ -558,7 +551,7 @@ class ChainScanner:
                 break
             # Walk each wire on from the op that makes it active, or restart
             # it where its skip no longer holds.
-            for w in op.qubits if op.clbit is None and op.condition is None else _wires(op):
+            for w in op.wires:
                 slot = walked.get(w)
                 if slot is not None:
                     skip = skips[slot]

@@ -291,11 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=7, help="ansatz angle seed (vqe)")
     p_bench.add_argument("--chains", choices=[m.value for m in ChainMode],
                          default="conservative",
-                         help="gate for the chain rewrites, as for compile")
+                         help="gate for the chain rewrites, as for compile (chains, vqe)")
     p_bench.add_argument("--min-chain-gates", type=int, default=5,
-                         help="fewest gates a chain needs to be rewritten, as for compile")
+                         help="fewest gates a chain needs to be rewritten, as for compile "
+                              "(chains, vqe)")
     p_bench.add_argument("--cz-to-cx", action="store_true",
-                         help="lower rewritten CZ chains to H/CX form")
+                         help="lower rewritten CZ chains to H/CX form (chains, vqe)")
     p_bench.add_argument("--csv", help="write CSV here instead of stdout")
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -6,13 +6,16 @@ checks every invariant `validate` lists and raises ValueError on a violation,
 so the passes, `stats` and `emit` take any `Circuit` they are given as valid.
 Every edit returns a new value, so circuits are safe to share across threads.
 `Instruction` and `Condition` are slotted records: no per-op `__dict__`, and
-cheaper to build, which the reader does once per statement.
+cheaper to build, which the reader does once per statement.  An instruction
+derives what every pass reads of it once, at construction: `wires`, its
+qubits and then the classical bits it writes or reads, and their `letters`.
 
 Depth is defined by as-soon-as-possible layering: an instruction starts one
 layer after the latest earlier instruction it depends on.  Dependencies are
 shared qubits, the classical bit a measurement writes, and (for conditioned
 gates) the bits the condition reads.  Barriers order the instructions on their
-qubits but occupy no layer themselves.
+qubits but occupy no layer themselves.  One forward loop applies the rule,
+for `depth_of` and for a `DepthIndex`'s layers alike.
 
 The passes find what a rewrite touches in one per-wire use table per
 instruction list (`UseTable`): for each qubit and each classical bit, the
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 from typing import Callable, Iterator, Sequence
@@ -53,7 +56,8 @@ class Letter:
     axis of one qubit (a CX target, x and rx; y and ry; h).  A measurement, a
     barrier and every conditioned operation are OPAQUE on their qubits; a
     condition READs its bits, and the bit a measurement writes is OPAQUE.
-    The letters are small ints, stored in `UseTable`'s per-use arrays."""
+    An op's are its `Instruction.letters`, one per wire of its `wires`;
+    they are small ints, stored in `UseTable`'s per-use arrays too."""
 
     OPAQUE = 0
     Z = 1
@@ -118,6 +122,12 @@ class Instruction:
     angle: float | None = None
     clbit: int | None = None
     condition: Condition | None = None
+    #: The wires the op uses: its qubits, then the classical bit it writes
+    #: and the distinct bits its condition reads, bit b as the wire ~b.
+    wires: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    #: The `Letter` of each wire, in that order; an unconditioned unitary
+    #: gate's are its gate's.
+    letters: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __init__(
         self,
@@ -130,16 +140,28 @@ class Instruction:
         # What the generated frozen `__init__` does, through each field's
         # slot setter: the reader builds one instruction per rotation
         # statement, and a call of `object.__setattr__` per field costs
-        # twice as much.
+        # twice as much.  Then the two derived fields, which never raise,
+        # so that `validate` words what is wrong with a malformed op.
+        qubits = tuple(qubits)
         _SET_GATE(self, gate)
-        _SET_QUBITS(self, tuple(qubits))
+        _SET_QUBITS(self, qubits)
         _SET_ANGLE(self, angle)
         _SET_CLBIT(self, clbit)
         _SET_CONDITION(self, condition)
+        if clbit is None and condition is None:
+            _SET_WIRES(self, qubits)
+            _SET_LETTERS(self, gate.letters or (Letter.OPAQUE,) * len(qubits))
+        else:
+            bits = () if clbit is None else (~clbit,)
+            reads = () if condition is None else tuple(~b for b in dict.fromkeys(condition.bits))
+            _SET_WIRES(self, qubits + bits + reads)
+            _SET_LETTERS(self, gate.letters if condition is None and gate.letters
+                         else (Letter.OPAQUE,) * len(qubits + bits) + (Letter.READ,) * len(reads))
 
 
-_SET_GATE, _SET_QUBITS, _SET_ANGLE, _SET_CLBIT, _SET_CONDITION = (
-    Instruction.__dict__[f].__set__ for f in ("gate", "qubits", "angle", "clbit", "condition")
+_SET_GATE, _SET_QUBITS, _SET_ANGLE, _SET_CLBIT, _SET_CONDITION, _SET_WIRES, _SET_LETTERS = (
+    Instruction.__dict__[f].__set__
+    for f in ("gate", "qubits", "angle", "clbit", "condition", "wires", "letters")
 )
 
 
@@ -290,42 +312,37 @@ def depth_of(instructions: Sequence[Instruction], fronts: dict[int, int] | None 
     With `fronts`, an empty dict, fills it with each wire's front after the
     sequence: the layer its last op ends at, qubit q as q and the bit b a
     measurement writes as ~b."""
-    if fronts is None:
-        fronts = {}
-    max_layer = 0
-    for ins in instructions:
-        if ins.gate is Gate.BARRIER:
-            # Synchronize operand qubits at the latest layer among them, cost-free.
-            layer = 0
-            for q in ins.qubits:
-                a = fronts.get(q, 0)
-                if a > layer:
-                    layer = a
-            for q in ins.qubits:
-                fronts[q] = layer
-            continue
-        layer = 0
-        for q in ins.qubits:
-            a = fronts.get(q, 0)
-            if a > layer:
-                layer = a
-        if ins.condition is not None:
-            for b in ins.condition.bits:
-                a = fronts.get(~b, 0)
-                if a > layer:
-                    layer = a
-        if ins.clbit is not None:
-            a = fronts.get(~ins.clbit, 0)
-            if a > layer:
-                layer = a
-        layer += 1
-        for q in ins.qubits:
-            fronts[q] = layer
-        if ins.clbit is not None:
-            fronts[~ins.clbit] = layer
-        if layer > max_layer:
-            max_layer = layer
-    return max_layer
+    return _schedule(instructions, {} if fronts is None else fronts)
+
+
+def _schedule(
+    ops: Sequence[Instruction], fronts: dict[int, int], layers: array | None = None, first: int = 0
+) -> int:
+    """The ASAP layer rule, forward: each op of `ops` starts after the
+    latest front among its wires and moves its qubits' fronts, and a
+    measurement's bit's, to its own layer, one past that start - a barrier
+    syncs its qubits there at no cost.  Reads and updates `fronts`, stores
+    op k's layer at `layers[first + k]` where given, and returns the
+    largest layer."""
+    top = 0
+    BARRIER = Gate.BARRIER
+    for i, op in enumerate(ops, first):
+        t = 0
+        for w in op.wires:
+            a = fronts.get(w, 0)
+            if a > t:
+                t = a
+        if op.gate is not BARRIER:
+            t += 1
+        for q in op.qubits:
+            fronts[q] = t
+        if op.clbit is not None:
+            fronts[~op.clbit] = t
+        if layers is not None:
+            layers[i] = t
+        if t > top:
+            top = t
+    return top
 
 
 def _sweep_back(
@@ -397,25 +414,6 @@ def depth_joined(head: tuple[int, dict[int, int]], tail: tuple[int, dict[int, in
     return top
 
 
-def _wires(ins: Instruction) -> tuple[int, ...]:
-    """The wires an instruction uses: its qubits, then the classical bits it
-    writes or reads, bit b as the wire ~b."""
-    bits = () if ins.clbit is None else (~ins.clbit,)
-    if ins.condition is not None:
-        bits += tuple(~b for b in dict.fromkeys(ins.condition.bits))
-    return ins.qubits + bits
-
-
-def _letters(ins: Instruction) -> tuple[int, ...]:
-    """The `Letter` of each wire of `_wires(ins)`, in that order."""
-    if ins.condition is None and ins.gate.letters:
-        return ins.gate.letters
-    bits = () if ins.clbit is None else (Letter.OPAQUE,)
-    if ins.condition is not None:
-        bits += (Letter.READ,) * len(dict.fromkeys(ins.condition.bits))
-    return (Letter.OPAQUE,) * len(ins.qubits) + bits
-
-
 def _push_run(r: array, letter: int) -> None:
     """Append to a wire's `UseTable.runs` the entry of its next earlier use."""
     if r:
@@ -454,7 +452,7 @@ class UseTable:
             op = ops[p - first]
             if op.gate is BARRIER:
                 barriers.append(n - p)
-            for w in op.qubits if op.clbit is None and op.condition is None else _wires(op):
+            for w in op.wires:
                 u = by_wire.get(w)
                 if u is None:
                     by_wire[w] = array("i", (n - p,))
@@ -462,7 +460,7 @@ class UseTable:
                     u.append(n - p)
         if runs:  # a splice: extend the runs built so far
             for op in reversed(ops):
-                for w, letter in zip(_wires(op), _letters(op)):
+                for w, letter in zip(op.wires, op.letters):
                     r = runs.get(w)
                     if r is not None:
                         _push_run(r, letter)
@@ -476,12 +474,7 @@ class UseTable:
             n = self.n
             for v in self.by_wire.get(w, ()):
                 op = ins[n - v]
-                letters = op.gate.letters if op.condition is None else ()
-                if letters:  # w is one of its qubits
-                    letter = letters[0] if op.qubits[0] == w else letters[1]
-                else:
-                    letter = _letters(op)[_wires(op).index(w)]
-                _push_run(r, letter)
+                _push_run(r, op.letters[op.wires.index(w)])
         return r
 
     def fresh(self, q: int, p: int) -> bool:
@@ -497,7 +490,7 @@ class UseTable:
         by_wire, runs, barriers = self.by_wire, self.runs, self.barriers
         self.used.update(q for op in ins[self.cut : start] for q in op.qubits)
         for i in range(self.cut, end + 1):  # in order, so each is its wires' earliest
-            for w in _wires(ins[i]):
+            for w in ins[i].wires:
                 by_wire[w].pop()
                 r = runs.get(w)
                 if r is not None:
@@ -658,9 +651,9 @@ class DepthIndex:
         _sweep_back(ins, 0, n, {}, {}, self._tail, self._writer)
         self._layer = array("i", bytes(4 * n))
         self._known = self._cut = table.cut  # layers are exact below `_known`
-        self._ahead: dict[int, int] = {}  # fronts at `_known`, for wires used past the cut
         self._front: dict[int, int] = {}  # fronts at the cut; bit ~b once its writer is passed
         depth_of(ins[: self._cut], self._front)
+        self._ahead = dict(self._front)  # fronts at `_known`
         self._terms: dict[int, int] = {}
         for w in self._uses:
             if w >= 0:
@@ -716,32 +709,9 @@ class DepthIndex:
 
     def _learn(self, ins: Sequence[Instruction], upto: int) -> None:
         """Make the layers exact below position `upto` (forward ASAP)."""
-        layer, ahead, front = self._layer, self._ahead, self._front
-        BARRIER = Gate.BARRIER
-        for i in range(self._known, upto):
-            op = ins[i]
-            t = 0
-            for q in op.qubits:
-                a = ahead.get(q)
-                if a is None:
-                    a = front.get(q, 0)
-                if a > t:
-                    t = a
-            if op.condition is not None:
-                for b in op.condition.bits:
-                    a = ahead.get(~b)
-                    if a is None:
-                        a = front.get(~b, 0)
-                    if a > t:
-                        t = a
-            if op.gate is not BARRIER:
-                t += 1
-            layer[i] = t
-            for q in op.qubits:
-                ahead[q] = t
-            if op.clbit is not None:
-                ahead[~op.clbit] = t
-        self._known = max(self._known, upto)
+        if upto > self._known:
+            _schedule(ins[self._known : upto], self._ahead, self._layer, self._known)
+            self._known = upto
 
     def _front_at(self, w: int, j: int, n: int) -> int:
         """Wire w's front just before position j (cut <= j <= known)."""
@@ -762,7 +732,7 @@ class DepthIndex:
         """`op`'s layer placed just before position j: dirty wires read their
         front so far, the others their front before j."""
         t = 0
-        for x in op.qubits if op.clbit is None and op.condition is None else _wires(op):
+        for x in op.wires:
             if x < 0 and op.clbit == ~x:
                 continue  # a measurement does not wait on its own bit
             a = dirty.get(x)
@@ -785,7 +755,7 @@ class DepthIndex:
         cut, after = n - start, n - end - 1  # `start` and `end + 1` counted from the end
         for op in block:
             t = 0
-            for x in op.qubits if op.clbit is None and op.condition is None else _wires(op):
+            for x in op.wires:
                 a = bound.get(x)
                 if a is None:
                     u = uses.get(x) if x >= 0 else None
@@ -835,7 +805,7 @@ class DepthIndex:
         dirty: dict[int, int] = {}  # wire -> its front so far in the rewritten order
         walk = UseWalk(self.uses, end + 1)  # the uses of the dirty wires
         for i in gone:
-            for w in _wires(ins[i]):
+            for w in ins[i].wires:
                 if w not in dirty:
                     walk.add(w, start)
                     dirty[w] = self._front_at(w, start, n)
@@ -911,7 +881,7 @@ class DepthIndex:
         n2 = n + m - (end + 1 - start)
         tail, uses, front, writer = self._tail, self._uses, self._front, self._writer
         old = ins[start : end + 1]
-        wires = {w for op in (*old, *window) for w in _wires(op)}
+        wires = {w for op in (*old, *window) for w in op.wires}
         qubits = [w for w in wires if w >= 0]
         # Drop the terms that cross the cut into the old window.
         for q in qubits:
@@ -943,7 +913,7 @@ class DepthIndex:
             if op.condition is not None:
                 top = max(top, self._read_terms(op, p, self._add))
         self._known = start
-        self._ahead.clear()
+        self._ahead = dict(front)
         d = self.depth
         while d > top and d not in self._terms:
             d -= 1

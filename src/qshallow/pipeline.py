@@ -36,9 +36,7 @@ A layered circuit repeats its chains: the pass builds each distinct
 rewrite (kind and qubit sequence, and a run's gates) once and shares it,
 and schedules each side of its window test - the chain's gates, the
 rewrite - once, so a repeated ladder's window costs O(its wires plus
-`DEPTH_SCOPE`).  It sweeps each window tail once until the next accept
-changes the list: the chains grown after a skipped one often end at the
-same gate.
+`DEPTH_SCOPE`).
 
 Rewrites are final: no rewrite's gate seeds, extends or joins a later
 candidate, so a site's constructed depth - 1 + ceil(log2 n) robust, 6
@@ -188,7 +186,6 @@ def _gate(
     mode: ChainMode,
     index: DepthIndex | None,
     sides: tuple[tuple[int, dict[int, int]], tuple[int, dict[int, int]]],
-    tails: dict[int, tuple[int, dict[int, int]]],
 ) -> GateDecision:
     """Window depths before and after the rewrite, and whether it passes: in
     conservative mode the window must get strictly shallower, and then, with
@@ -198,8 +195,7 @@ def _gate(
     them would let an unrelated chain's depth mask a genuine improvement.
 
     The window's tail is swept once and joined with each side's schedule
-    in `sides` (`_sides`).  `tails` keeps each sweep by the tail's start: a
-    skipped chain's successors often end at the same gate.
+    in `sides` (`_sides`).
 
     A GHZ site whose tail reaches the end of `ins` is settled by the window
     test alone, and `index` is never asked.  `detect_ghz` makes every member
@@ -212,9 +208,7 @@ def _gate(
     subsequence of `ins`.  So the rewritten list is no deeper.  A site whose
     tail the scope cuts is gated by `index` as a chain is."""
     tail_start = cand.end_index + 1
-    tail = tails.get(tail_start)
-    if tail is None:
-        tail = tails[tail_start] = paths_of(ins[tail_start : tail_start + DEPTH_SCOPE])
+    tail = paths_of(ins[tail_start : tail_start + DEPTH_SCOPE])
     gates, rewrite = sides
     before = depth_joined(gates, tail)
     if replacement is None:
@@ -289,8 +283,6 @@ def gate_and_apply(
     # built once (`_built_key`; a site is offered once).  Read only, as
     # `_gate`, `_window` and the verifier copy what they take from it.
     built: dict[tuple, tuple] = {}
-    # The window tails swept since the list last changed, by their start.
-    tails: dict[int, tuple[int, dict[int, int]]] = {}
     while (cand := scanner.next()) is not None:
         ins = scanner.instructions
         key = _built_key(ins, cand)
@@ -299,7 +291,7 @@ def gate_and_apply(
             replacement = _replacement_for(cand, config, scanner.num_clbits)
             entry = built[key] = (replacement, _sides(ins, cand, replacement))
         replacement, sides = entry
-        decision = _gate(ins, cand, replacement, config.chain_mode, index, sides, tails)
+        decision = _gate(ins, cand, replacement, config.chain_mode, index, sides)
         if decision.applied:
             window = _window(ins, cand, replacement)
             site = cand.kind is ChainKind.GHZ
@@ -310,7 +302,6 @@ def gate_and_apply(
             if site:
                 scanner.num_clbits += sum(op.gate is Gate.MEASURE for op in replacement)
             scanner.accept(window)  # splices the list and its use table
-            tails.clear()
         else:
             scanner.skip()
         decisions.append(decision)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qshallow import chains, pipeline
+from qshallow import chains
 from qshallow.bench import (
     ANSATZ_FAMILIES,
     ENTANGLEMENTS,
@@ -716,38 +716,8 @@ def test_window_gate_equals_two_schedules(block):
             for mode in (ChainMode.CONSERVATIVE, ChainMode.ALWAYS):
                 applied = replacement is not None and (mode is ChainMode.ALWAYS or after < before)
                 want = GateDecision(cand, before, after, applied)
-                assert _gate(ins, cand, replacement, mode, None, pair, {}) == want, (c, cand)
+                assert _gate(ins, cand, replacement, mode, None, pair) == want, (c, cand)
     assert shared > 100  # the cached sides are exercised
-
-
-@pytest.mark.parametrize("block", range(_DIFF_BLOCKS))
-def test_window_tails_are_swept_once_per_list(block, monkeypatch):
-    """The chain pass sweeps each window tail once until an accept changes
-    the list: decisions and emitted text equal those of a sweep per
-    candidate, with fewer sweeps."""
-    sweeps = 0
-    paths_of = pipeline.paths_of
-
-    def counting(ops):
-        nonlocal sweeps
-        sweeps += 1
-        return paths_of(ops)
-
-    gate = pipeline._gate
-
-    def unshared(ins, cand, replacement, mode, index, sides, tails):
-        return gate(ins, cand, replacement, mode, index, sides, {})
-
-    monkeypatch.setattr(pipeline, "paths_of", counting)
-    cases = [(c, cfg) for c in _diff_circuits(block) for cfg in _COMPILE_CONFIGS]
-    shared = [compile_circuit(c, cfg) for c, cfg in cases]
-    shared_sweeps, sweeps = sweeps, 0
-    monkeypatch.setattr(pipeline, "_gate", unshared)
-    for (c, cfg), got in zip(cases, shared):
-        want = compile_circuit(c, cfg)
-        assert got.decisions == want.decisions, (c, cfg)
-        assert emit(got.circuit) == emit(want.circuit), (c, cfg)
-    assert shared_sweeps < sweeps, (shared_sweeps, sweeps)
 
 
 def test_differential_corpus_exercises_every_feature():

@@ -2,11 +2,12 @@
 accept and the use table they share (`ir.UseTable`), each against a
 from-scratch reference: `depth_of` of the rewritten list, and indexes and
 tables built anew on the list the accepts left.  Also the other depth
-schedules - `stats`, each wire's front after `depth_of`, and the window
-gate's sweep and join - against a reference that takes every dependency
-pair by pair (`_reference_fronts`)."""
+schedules - `stats`, each wire's front after `depth_of`, the index's
+layers, and the window gate's sweep and join - against a reference that
+takes every dependency pair by pair (`_reference_fronts`)."""
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
 import pytest
@@ -22,8 +23,6 @@ from qshallow.ir import (
     Gate,
     Instruction,
     UseTable,
-    _letters,
-    _wires,
     barrier,
     cx,
     cz,
@@ -70,11 +69,12 @@ def _body(data, n: int, size: int, bits: list[int]) -> list[Instruction]:
     return body
 
 
-def _reference_fronts(ops) -> tuple[int, dict[int, int]]:
-    """Depth and each wire's front (qubit q as q, bit b as ~b) from the
-    dependencies taken pair by pair: an op's layer is the latest layer among
-    the earlier ops that share a qubit with it or write a bit it reads or
-    writes, plus one, or plus none for a barrier.  O(len(ops)**2)."""
+def _reference_fronts(ops) -> tuple[int, dict[int, int], list[int]]:
+    """Depth, each wire's front (qubit q as q, bit b as ~b) and each op's
+    layer from the dependencies taken pair by pair: an op's layer is the
+    latest layer among the earlier ops that share a qubit with it or write a
+    bit it reads or writes, plus one, or plus none for a barrier.
+    O(len(ops)**2)."""
     layers: list[int] = []
     for i, op in enumerate(ops):
         bits = set(op.condition.bits) if op.condition is not None else set()
@@ -92,7 +92,7 @@ def _reference_fronts(ops) -> tuple[int, dict[int, int]]:
             fronts[q] = layer
         if op.clbit is not None:
             fronts[~op.clbit] = layer
-    return max(layers, default=0), fronts
+    return max(layers, default=0), fronts, layers
 
 
 def _table_view(table: UseTable, start: int):
@@ -139,9 +139,9 @@ def _runs_view(table: UseTable, w: int):
 def _expected_runs(ins, w: int, start: int):
     """`_runs_view` worked out from the list: wire w's uses from `start` on."""
     uses = [
-        (p, _letters(op)[_wires(op).index(w)])
+        (p, op.letters[op.wires.index(w)])
         for p, op in enumerate(ins)
-        if p >= start and w in _wires(op)
+        if p >= start and w in op.wires
     ]
     return [
         (p, letter, next((q for q, other in uses[i + 1 :] if other != letter), None))
@@ -159,6 +159,16 @@ def _assert_table_refreshed(table: UseTable, ins, start: int) -> None:
     assert [n - v for v in table.barriers] == [n - v for v in fresh.barriers if n - v >= start]
     for w in table.runs:
         assert _runs_view(table, w) == _expected_runs(ins, w, start), w
+
+
+def _assert_layers_exact(index: DepthIndex, ins) -> None:
+    """The layers a built index learns over `ins` from its cut on - what it
+    reads again - are the reference's; learned on a copy, so that the index
+    itself goes on learning only as far as its rewrites ask."""
+    probe = copy.deepcopy(index)
+    probe._learn(ins, len(ins))
+    cut = probe._cut
+    assert list(probe._layer[cut:]) == _reference_fronts(ins)[2][cut:]
 
 
 def _fresh_index(ins) -> DepthIndex:
@@ -220,11 +230,14 @@ def _gate_and_accept_match_depth_of(data):
         if index.built or data.draw(st.booleans()):
             assert index.admits(ins, start, end, removed, block) == (depth_of(rewritten) <= base)
             assert index.depth == base
+            _assert_layers_exact(index, ins)
         if data.draw(st.booleans()):
             index.accept(ins, start, end, window)
             index.uses.splice(ins, start, end, window)  # as the list's owner does
             ins = rewritten
             assert not index.built or index.depth == depth_of(ins)
+            if index.built:
+                _assert_layers_exact(index, ins)
             floor = last_accept = start
             _assert_table_refreshed(index.uses, ins, last_accept)
         else:
@@ -392,7 +405,7 @@ def test_window_join_matches_depth_of(data):
     tail = _body(data, n, data.draw(st.integers(0, 20)), bits)
     fronts: dict[int, int] = {}
     schedule = (depth_of(head, fronts), fronts)
-    assert schedule == _reference_fronts(head)
+    assert schedule == _reference_fronts(head)[:2]
     top, paths = paths_of(tail)
     assert top == _reference_fronts(tail)[0]
     # A qubit's path: what a run longer than the tail on that qubit alone,
@@ -486,7 +499,7 @@ def _ghz_window_at_the_list_end_is_exact(taken: Counter, data):
         replacement = _replacement_for(cand, config, c.num_clbits)
         index = _AskedIndex()
         sides = _sides(ins, cand, replacement)
-        decision = _gate(ins, cand, replacement, ChainMode.CONSERVATIVE, index, sides, {})
+        decision = _gate(ins, cand, replacement, ChainMode.CONSERVATIVE, index, sides)
         if decision.depth_after >= decision.depth_before or replacement is None:
             continue  # the window refuses it
         if not index.asked:

@@ -14,6 +14,7 @@ from qshallow.ir import (
     DepthReport,
     Gate,
     Instruction,
+    Letter,
     barrier,
     cx,
     cz,
@@ -282,6 +283,94 @@ class TestRecords:
         for gate in Gate:
             assert gate.qasm_name == gate.value
             assert "qasm_name" in vars(gate)
+
+
+def _reference_wires(ins: Instruction) -> tuple[int, ...]:
+    """The wires an instruction uses: its qubits, then the classical bits it
+    writes or reads, bit b as the wire ~b."""
+    bits = () if ins.clbit is None else (~ins.clbit,)
+    if ins.condition is not None:
+        bits += tuple(~b for b in dict.fromkeys(ins.condition.bits))
+    return ins.qubits + bits
+
+
+def _reference_letters(ins: Instruction) -> tuple[int, ...]:
+    """The `Letter` of each wire of `_reference_wires(ins)`, in that order."""
+    if ins.condition is None and ins.gate.letters:
+        return ins.gate.letters
+    bits = () if ins.clbit is None else (Letter.OPAQUE,)
+    if ins.condition is not None:
+        bits += (Letter.READ,) * len(dict.fromkeys(ins.condition.bits))
+    return (Letter.OPAQUE,) * len(ins.qubits) + bits
+
+
+@st.composite
+def _instructions(draw, gates=tuple(Gate)):
+    """Any well-formed instruction of one of `gates`, by default all 11: a
+    barrier of any width, a measurement, and a condition of bits that may
+    repeat on any other gate."""
+    gate = draw(st.sampled_from(gates))
+    width = gate.arity or draw(st.integers(1, 6))
+    qubits = draw(st.lists(st.integers(0, 7), min_size=width, max_size=width, unique=True))
+    angle = draw(st.floats(-7.0, 7.0)) if gate.is_rotation else None
+    clbit = draw(st.integers(0, 4)) if gate is Gate.MEASURE else None
+    bits = st.lists(st.integers(0, 4), min_size=1, max_size=5).map(Condition)
+    condition = None if clbit is not None else draw(st.none() | bits)
+    return Instruction(gate, qubits, angle, clbit, condition)
+
+
+class TestDerivedFields:
+    """`wires` and `letters` are derived once, at construction, and are no
+    part of what an instruction is."""
+
+    @pytest.mark.parametrize("gate", list(Gate), ids=lambda g: g.value)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_fields_follow_the_rule(self, gate, data):
+        op = data.draw(_instructions((gate,)))
+        assert op.wires == _reference_wires(op)
+        assert op.letters == _reference_letters(op)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_near_valid_instructions())
+    def test_malformed_instructions_construct(self, op):
+        # `validate` words what is wrong with them.
+        assert op.wires == _reference_wires(op)
+        assert op.letters == _reference_letters(op)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_instructions(), st.floats(-7.0, 7.0))
+    def test_equality_hash_and_repr_ignore_them(self, op, angle):
+        twin = Instruction(op.gate, op.qubits, op.angle, op.clbit, op.condition)
+        object.__setattr__(twin, "wires", (99,))
+        object.__setattr__(twin, "letters", (Letter.H,))
+        assert twin == op and hash(twin) == hash(op) and repr(twin) == repr(op)
+        assert repr(op) == (
+            f"Instruction(gate={op.gate!r}, qubits={op.qubits!r}, angle={op.angle!r}, "
+            f"clbit={op.clbit!r}, condition={op.condition!r})"
+        )
+        # `replace` builds through `__init__`, which derives them anew.
+        moved = dataclasses.replace(twin, angle=angle)
+        assert moved.wires == op.wires and moved.letters == op.letters
+
+    def test_replace_recomputes_them(self):
+        op = Instruction(Gate.RZ, (1,), 0.5, condition=Condition((2, 0, 2)))
+        assert op.wires == (1, ~2, ~0) and op.letters == (Letter.OPAQUE, Letter.READ, Letter.READ)
+        plain = dataclasses.replace(op, angle=0.25, condition=None)
+        assert plain.wires == (1,) and plain.letters == (Letter.Z,)
+        assert dataclasses.replace(measure(0, 1), qubits=(3,)).wires == (3, ~1)
+
+    def test_they_cannot_be_set(self):
+        op = cx(0, 1)
+        with pytest.raises(TypeError):
+            Instruction(Gate.H, (0,), wires=(0,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.wires = (1, 0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(op, letters=())
+        assert [f.name for f in dataclasses.fields(op) if f.init] == [
+            "gate", "qubits", "angle", "clbit", "condition"
+        ]
 
 
 # -- property tests ----------------------------------------------------------
